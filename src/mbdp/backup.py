@@ -161,8 +161,73 @@ def rank_observations(
     return ObservationSelection(tuple(tuple(c) for c in collected))
 
 
-def _missing_slots(tree: PolicyTree) -> tuple[int, ...]:
-    return tuple(o for o, c in enumerate(tree.children) if c is None)
+def joint_values(model: DecPomdp, sets: CandidateSet, table: ValueTable | None = None) -> np.ndarray:
+    """Joint value tensor of shape (m_0, ..., m_{n-1}, S), one exact evaluation per tuple."""
+    evaluator = PolicyEvaluator(model, table)
+    values = np.empty(sets.sizes + (model.num_states,))
+    for idx in itertools.product(*(range(size) for size in sets.sizes)):
+        values[idx] = evaluator.value_vector(tuple(ts[i] for ts, i in zip(sets.trees, idx)))
+    return values
+
+
+def candidate_codes(sets: CandidateSet, donors: CandidateSet | None):
+    """Integer tables of complete candidates: per agent, actions (m,) and children (m, |O_i|).
+
+    ``children[i][r, o]`` is the row in ``donors.trees[i]`` of the child
+    that candidate r of agent i follows after local observation o (the
+    first row holding that tree); ``donors`` is None for depth-1 sets,
+    whose children tables are None too.
+    """
+    actions, children = [], []
+    for i, trees in enumerate(sets.trees):
+        actions.append(np.array([t.action for t in trees], dtype=np.int64))
+        if donors is None:
+            children.append(None)
+            continue
+        row: dict[int, int] = {}
+        for r, tree in enumerate(donors.trees[i]):
+            row.setdefault(tree.uid, r)
+        children.append(
+            np.array([[row[c.uid] for c in t.children] for t in trees], dtype=np.int64)
+        )
+    return actions, children
+
+
+def backup_values(model: DecPomdp, actions, children, prev: np.ndarray | None) -> np.ndarray:
+    """Joint value tensor of backed-up candidates, shape (|Q_0|, ..., |Q_{n-1}|, S).
+
+    Candidate r of agent i takes action ``actions[i][r]`` and continues
+    with row ``children[i][r, o]`` of ``prev``'s axis i after local
+    observation o; ``prev`` is the (m_0, ..., m_{n-1}, S) value tensor of
+    those children.  With ``prev`` None the candidates are depth-1 trees
+    and a tuple's value is the expected immediate reward of its joint
+    action.  Per joint action and joint observation,
+    ``prev @ (T[ja] * O[ja][:, jo]).T`` weights every child tuple's
+    values by the step's mass; indexing it by the candidates' child rows
+    and summing over joint observations gives the tensor.
+    """
+    n = model.num_agents
+    num_s = model.num_states
+    er = model.expected_reward
+    out = np.empty(tuple(len(a) for a in actions) + (num_s,))
+    prev_flat = None if prev is None else prev.reshape(-1, num_s)
+    by_action = [
+        [np.flatnonzero(actions[i] == a) for a in range(model.action_counts[i])]
+        for i in range(n)
+    ]
+    for ja, ja_tuple in enumerate(itertools.product(*(range(c) for c in model.action_counts))):
+        rows = [by_action[i][a] for i, a in enumerate(ja_tuple)]
+        if any(r.size == 0 for r in rows):
+            continue
+        block = np.broadcast_to(er[ja], tuple(r.size for r in rows) + (num_s,)).copy()
+        if prev is not None:
+            for jo, local in enumerate(model._joint_obs_tuples):
+                weighted = prev_flat @ (model.transition[ja] * model.observation[ja][:, jo][None, :]).T
+                block += weighted.reshape(prev.shape)[
+                    np.ix_(*(children[i][rows[i], local[i]] for i in range(n)))
+                ]
+        out[np.ix_(*rows)] = block
+    return out
 
 
 def fill_missing(
@@ -170,7 +235,7 @@ def fill_missing(
     partials: CandidateSet,
     donors: CandidateSet,
     belief: BeliefState,
-    table: ValueTable | None = None,
+    values: np.ndarray | None = None,
 ) -> CandidateSet:
     """Completes partial trees with donor subtrees, hill-climbing on joint value.
 
@@ -179,8 +244,11 @@ def fill_missing(
     order, and only the trees whose first occurrence it is get their
     holes assigned.  Holes start at donor 0 and single-branch swaps are
     applied only on strict improvement of the configuration's value at
-    ``belief``, so the value never decreases.  Complete inputs are
-    returned unchanged, same objects.
+    ``belief``, so the value never decreases.  ``values`` is the donors'
+    joint value tensor (m_0, ..., m_{n-1}, S); without it the tensor is
+    evaluated here, over the donors and any other subtree the partial
+    trees already hold.  Complete inputs are returned unchanged, same
+    objects.
     """
     n = model.num_agents
     if len(partials.trees) != n or len(donors.trees) != n:
@@ -189,44 +257,60 @@ def fill_missing(
         raise ConfigError(
             f"donor depth {donors.depth} does not extend to partial depth {partials.depth}"
         )
-    missing = [[_missing_slots(t) for t in ts] for ts in partials.trees]
+    missing = [
+        [tuple(o for o, c in enumerate(t.children) if c is None) for t in ts]
+        for ts in partials.trees
+    ]
     if not any(slots for per_agent in missing for slots in per_agent):
         return partials
+    # child rows index a pool per agent: the donors, then any other child
+    # the partial trees already hold
+    pool = [list(ts) for ts in donors.trees]
+    rows = []
+    for i, ts in enumerate(partials.trees):
+        row: dict[int, int] = {}
+        for r, tree in enumerate(pool[i]):
+            row.setdefault(tree.uid, r)
+        for child in (c for t in ts for c in t.children if c is not None):
+            if child.uid not in row:
+                row[child.uid] = len(pool[i])
+                pool[i].append(child)
+        # holes start at donor row 0
+        rows.append(
+            [np.array([0 if c is None else row[c.uid] for c in t.children]) for t in ts]
+        )
+    pool_sizes = tuple(len(p) for p in pool)
+    if values is None:
+        values = joint_values(model, CandidateSet(tuple(tuple(p) for p in pool)))
+    elif values.shape != pool_sizes + (model.num_states,):
+        raise ConfigError(
+            f"value tensor shape {values.shape} != {pool_sizes + (model.num_states,)}"
+        )
 
-    evaluator = PolicyEvaluator(model, table)
     b = belief.probs
     er = model.expected_reward
-    obs_tuples = model._joint_obs_tuples
-    context_cache: dict[int, tuple[float, np.ndarray]] = {}
+    flat_values = values.reshape(-1, model.num_states)
+    num_jo = model.num_joint_observations
+    # local[i][jo]: agent i's component of joint observation jo
+    local = np.array(model._joint_obs_tuples, dtype=np.int64).T
+    tables: dict[int, tuple[float, np.ndarray]] = {}
 
-    def context(ja: int):
+    def table(ja: int):
+        # G[jo, c_0, ..., c_{n-1}] = sum_{s'} U[jo, s'] V[c, s'] with
         # U[jo, s'] = O[ja][s', jo] * (b P[ja])(s'), the unnormalized
-        # one-step posterior mass used to weight child values
-        if ja not in context_cache:
+        # one-step posterior mass that weights the child tuple's values
+        if ja not in tables:
             post = b @ model.transition[ja]
-            context_cache[ja] = (float(b @ er[ja]), (model.observation[ja] * post[:, None]).T)
-        return context_cache[ja]
+            u = (model.observation[ja] * post[:, None]).T
+            tables[ja] = (float(b @ er[ja]), (flat_values @ u.T).T.reshape((num_jo,) + pool_sizes))
+        return tables[ja]
 
-    # mutable child assignments, donor-0 in every hole
     sizes = partials.sizes
-    children = [
-        [list(t.children) for t in ts] for ts in partials.trees
-    ]
-    for i in range(n):
-        for x, slots in enumerate(missing[i]):
-            for o in slots:
-                children[i][x][o] = donors.trees[i][0]
+    jo_index = np.arange(num_jo)
 
-    def config_value(idx: tuple[int, ...]) -> float:
-        ja = model.joint_action_index(
-            tuple(partials.trees[i][idx[i]].action for i in range(n))
-        )
-        base, u = context(ja)
-        total = base
-        for jo, local in enumerate(obs_tuples):
-            kids = tuple(children[i][idx[i]][local[i]] for i in range(n))
-            total += float(u[jo] @ evaluator.value_vector(kids))
-        return total
+    def config_value(base: float, g: np.ndarray, config_rows) -> float:
+        kids = tuple(r[local[i]] for i, r in enumerate(config_rows))
+        return base + float(g[(jo_index,) + kids].sum())
 
     for c in range(max(sizes)):
         idx = tuple(c % sizes[i] for i in range(n))
@@ -238,22 +322,26 @@ def fill_missing(
         ]
         if not owned:
             continue
-        current = config_value(idx)
+        base, g = table(
+            model.joint_action_index(tuple(partials.trees[i][idx[i]].action for i in range(n)))
+        )
+        config_rows = [rows[i][idx[i]] for i in range(n)]
+        current = config_value(base, g, config_rows)
         improved = True
         while improved:
             improved = False
             for i, o in owned:
-                slot_children = children[i][idx[i]]
-                incumbent = slot_children[o]
-                best, best_donor = current, incumbent
-                for donor in donors.trees[i]:
-                    if donor is incumbent:
+                slot_rows = config_rows[i]
+                incumbent = slot_rows[o]
+                best, best_row = current, incumbent
+                for r, donor in enumerate(donors.trees[i]):
+                    if donor is pool[i][incumbent]:
                         continue
-                    slot_children[o] = donor
-                    value = config_value(idx)
+                    slot_rows[o] = r
+                    value = config_value(base, g, config_rows)
                     if value > best:
-                        best, best_donor = value, donor
-                slot_children[o] = best_donor
+                        best, best_row = value, r
+                slot_rows[o] = best_row
                 if best > current:
                     current = best
                     improved = True
@@ -261,7 +349,9 @@ def fill_missing(
     out = []
     for i in range(n):
         trees = [
-            t if not missing[i][x] else PolicyTree(t.action, tuple(children[i][x]))
+            t
+            if not missing[i][x]
+            else PolicyTree(t.action, tuple(pool[i][r] for r in rows[i][x]))
             for x, t in enumerate(partials.trees[i])
         ]
         out.append(tuple(trees))
@@ -336,18 +426,11 @@ def pointwise_prune(
     value at any belief.  ``values`` may carry a precomputed tensor of
     shape (m_0, ..., m_{n-1}, S); otherwise values are evaluated here.
     """
-    lists = [list(ts) for ts in sets.trees]
     if values is None:
-        evaluator = PolicyEvaluator(model, table)
-        values = np.empty(tuple(len(ts) for ts in lists) + (model.num_states,))
-        for idx in itertools.product(*(range(len(ts)) for ts in lists)):
-            values[idx] = evaluator.value_vector(tuple(ts[i] for ts, i in zip(lists, idx)))
-    else:
-        expected = tuple(len(ts) for ts in lists) + (model.num_states,)
-        if values.shape != expected:
-            raise ConfigError(f"value tensor shape {values.shape} != {expected}")
-
+        values = joint_values(model, sets, table)
+    elif values.shape != sets.sizes + (model.num_states,):
+        raise ConfigError(f"value tensor shape {values.shape} != {sets.sizes + (model.num_states,)}")
     keep_lists, _ = prune_value_tensor(values)
     return CandidateSet(
-        tuple(tuple(lists[i][r] for r in keep_lists[i]) for i in range(len(lists)))
+        tuple(tuple(ts[r] for r in keep) for ts, keep in zip(sets.trees, keep_lists))
     )

@@ -5,7 +5,7 @@ and simulate (stored policies), bound (observation-mass loss bound), and
 bench (value table across horizons).  ``--format records`` emits one
 JSON object per line with a fixed schema; timing always goes into its
 own record type so that record streams from identical runs stay
-byte-comparable regardless of machine speed or thread count.
+byte-comparable regardless of machine speed.
 
 Exit codes: 0 success, 2 usage, 3 capacity (a requested computation is
 too large), 4 bad data (unparseable or inconsistent problem/policy).
@@ -386,21 +386,6 @@ def _write_policy(args, model, policy) -> str | None:
     return args.output
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("MBDP_THREADS", "").strip()
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ConfigError(f"MBDP_THREADS must be an integer, got {env!r}")
-        if value < 1:
-            raise ConfigError("MBDP_THREADS must be >= 1")
-        return value
-    return 1
-
-
 def _solver_config(args) -> SolverConfig:
     return SolverConfig(
         max_trees=args.max_trees,
@@ -409,7 +394,6 @@ def _solver_config(args) -> SolverConfig:
         seed=args.seed,
         recursion_depth=args.recursion_depth,
         backup_cap=args.backup_cap,
-        threads=_threads(args),
     )
 
 
@@ -760,10 +744,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--heuristics", default="mdp,random")
         p.add_argument("--recursion-depth", type=int, default=0)
         p.add_argument("--backup-cap", type=int, default=1_000_000)
-        p.add_argument(
-            "--threads", type=int, default=None,
-            help="pair evaluation threads (default: MBDP_THREADS or 1)",
-        )
 
     p = sub.add_parser("solve", help="run the memory-bounded planner")
     common(p)

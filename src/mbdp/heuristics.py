@@ -14,32 +14,50 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
-from .model import BeliefState, DecPomdp
+from .errors import ConfigError, ModelError
+from .model import PROB_TOL, BeliefState, DecPomdp
 from .policy import CompiledPolicy, JointPolicy
 
 
 @dataclass(frozen=True)
 class BeliefTrajectory:
-    """A simulated belief sequence: len(beliefs) == len(actions) + 1.
+    """A simulated belief sequence: one row of ``probs`` per step plus the start.
 
+    ``probs`` is a read-only (len(actions) + 1, S) array, checked once
+    with the tolerances of ``BeliefState`` and clipped the same way.
     ``conditioned`` marks trajectories whose beliefs were updated on
     sampled observations (stored in ``observations``) rather than
     marginalized over all of them.
     """
 
-    beliefs: tuple[BeliefState, ...]
+    probs: np.ndarray
     actions: tuple[int, ...]
     observations: tuple[int, ...] | None = None
     conditioned: bool = False
 
     def __post_init__(self):
-        if len(self.beliefs) != len(self.actions) + 1:
+        arr = np.asarray(self.probs, dtype=float)
+        if arr.ndim != 2 or arr.shape[0] != len(self.actions) + 1 or arr.shape[1] == 0:
             raise ConfigError("trajectory needs one belief per step plus the start")
         if self.conditioned and (
             self.observations is None or len(self.observations) != len(self.actions)
         ):
             raise ConfigError("conditioned trajectory must record its observations")
+        # a non-finite entry makes its row's sum non-finite, which fails
+        # the sum test as well
+        sums = arr.sum(axis=1)
+        off = ~(np.abs(sums - 1.0) <= PROB_TOL)
+        if off.any():
+            raise ModelError(f"belief sums to {sums[np.argmax(off)]!r}, not 1")
+        if float(arr.min()) < -PROB_TOL:
+            raise ModelError(f"belief has a negative entry: {arr.min()!r}")
+        arr = np.maximum(arr, 0.0)  # remove rounding dust, as np.clip(arr, 0.0, None)
+        arr.setflags(write=False)
+        object.__setattr__(self, "probs", arr)
+
+    @property
+    def beliefs(self) -> tuple[BeliefState, ...]:
+        return tuple(BeliefState(row) for row in self.probs)
 
 
 def solve_underlying_mdp(model: DecPomdp, horizon: int | None = None):
@@ -61,20 +79,29 @@ def solve_underlying_mdp(model: DecPomdp, horizon: int | None = None):
 
 
 class MdpHeuristic:
-    """Greedy joint action for the most likely state, marginal belief updates."""
+    """Greedy joint action for the most likely state, marginal belief updates.
+
+    It draws nothing from the generator, so every trajectory is a prefix
+    of one walk, computed once per model.
+    """
 
     name = "mdp"
 
     def __init__(self, model: DecPomdp, horizon: int | None = None):
         self.model = model
         self.values, self.greedy = solve_underlying_mdp(model, horizon)
+        self._walk: tuple[DecPomdp, BeliefTrajectory] | None = None
 
-    def action(self, belief: BeliefState, steps_remaining: int, rng) -> int:
-        k = min(max(steps_remaining, 1), self.values.shape[0] - 1)
-        return int(self.greedy[k][belief.most_likely_state()])
+    def trajectory(self, model: DecPomdp, depth: int, rng) -> BeliefTrajectory:
+        if self._walk is None or self._walk[0] is not model or len(self._walk[1].actions) < depth:
+            top = self.values.shape[0] - 1
 
-    def step(self, belief: BeliefState, action: int, rng):
-        return self.model.propagate(belief, action), None
+            def choose(step, belief):
+                return int(self.greedy[min(max(model.horizon - step, 1), top)][int(np.argmax(belief))])
+
+            self._walk = (model, _marginal_walk(model, max(depth, model.horizon), choose))
+        walk = self._walk[1]
+        return BeliefTrajectory(walk.probs[: depth + 1], walk.actions[:depth])
 
 
 class RandomHeuristic:
@@ -85,11 +112,34 @@ class RandomHeuristic:
     def __init__(self, model: DecPomdp):
         self.model = model
 
-    def action(self, belief: BeliefState, steps_remaining: int, rng) -> int:
-        return int(rng.integers(self.model.num_joint_actions))
+    def trajectory(self, model: DecPomdp, depth: int, rng) -> BeliefTrajectory:
+        # one call draws the same stream as ``depth`` scalar draws
+        draws = rng.integers(model.num_joint_actions, size=depth).tolist()
+        return _marginal_walk(model, depth, lambda step, belief: draws[step])
 
-    def step(self, belief: BeliefState, action: int, rng):
-        return self.model.propagate(belief, action), None
+
+def _marginal_walk(model: DecPomdp, depth: int, choose) -> BeliefTrajectory:
+    """Pushes the initial belief through ``depth`` joint actions, observations marginalized.
+
+    ``choose(step, belief)`` picks each joint action.  Every step starts
+    from the previous belief with its rounding dust clipped, as
+    ``BeliefState`` does, so the rows match a chain of
+    ``DecPomdp.propagate`` calls bit for bit.  Without negative
+    transition entries a nonnegative belief maps to a nonnegative one
+    exactly, and the clip is skipped.
+    """
+    transition = list(model.transition)
+    clip = model._has_negative_transitions
+    belief = model.initial_belief.probs
+    rows = [belief]
+    actions = []
+    for step in range(depth):
+        ja = choose(step, belief)
+        row = belief.dot(transition[ja])
+        rows.append(row)
+        belief = np.maximum(row, 0.0) if clip else row  # np.clip(row, 0.0, None)
+        actions.append(ja)
+    return BeliefTrajectory(np.array(rows), tuple(actions))
 
 
 class PolicyReplayHeuristic:
@@ -105,33 +155,38 @@ class PolicyReplayHeuristic:
         self.model = model
         self.compiled = CompiledPolicy(model, policy)
         self.depth = policy.depth
-        self.reset()
 
-    def reset(self):
-        self._level = 0
-        self._nodes = [0] * self.model.num_agents
-
-    def action(self, belief: BeliefState, steps_remaining: int, rng) -> int:
-        if self._level >= self.depth:
-            return int(rng.integers(self.model.num_joint_actions))
-        locals_ = tuple(
-            int(self.compiled.actions[i][self._level][self._nodes[i]])
-            for i in range(self.model.num_agents)
-        )
-        return self.model.joint_action_index(locals_)
-
-    def step(self, belief: BeliefState, action: int, rng):
-        probs = self.model.observation_probabilities(belief, action)
-        jo = int(rng.choice(len(probs), p=probs / probs.sum()))
-        nxt = self.model.bayes_update(belief, action, jo)
-        if self._level < self.depth - 1:
-            local = self.model.joint_observation(jo)
-            for i in range(self.model.num_agents):
-                self._nodes[i] = int(
-                    self.compiled.children[i][self._level][self._nodes[i], local[i]]
+    def trajectory(self, model: DecPomdp, depth: int, rng) -> BeliefTrajectory:
+        compiled = self.compiled
+        nodes = [0] * model.num_agents
+        beliefs = [model.initial_belief]
+        actions: list[int] = []
+        observations: list[int] = []
+        for level in range(depth):
+            if level >= self.depth:
+                ja = int(rng.integers(model.num_joint_actions))
+            else:
+                ja = model.joint_action_index(
+                    tuple(
+                        int(compiled.actions[i][level][nodes[i]])
+                        for i in range(model.num_agents)
+                    )
                 )
-        self._level += 1
-        return nxt, jo
+            probs = model.observation_probabilities(beliefs[-1], ja)
+            jo = int(rng.choice(len(probs), p=probs / probs.sum()))
+            beliefs.append(model.bayes_update(beliefs[-1], ja, jo))
+            if level < self.depth - 1:
+                local = model.joint_observation(jo)
+                for i in range(model.num_agents):
+                    nodes[i] = int(compiled.children[i][level][nodes[i], local[i]])
+            actions.append(ja)
+            observations.append(jo)
+        return BeliefTrajectory(
+            np.array([b.probs for b in beliefs]),
+            tuple(actions),
+            observations=tuple(observations) if depth else None,
+            conditioned=depth > 0,
+        )
 
 
 def generate_belief(
@@ -144,26 +199,7 @@ def generate_belief(
     """
     if depth < 0:
         raise ConfigError("trajectory depth must be >= 0")
-    if hasattr(heuristic, "reset"):
-        heuristic.reset()
-    beliefs = [model.initial_belief]
-    actions: list[int] = []
-    observations: list[int] = []
-    conditioned = False
-    for step in range(depth):
-        a = heuristic.action(beliefs[-1], model.horizon - step, rng)
-        nxt, obs = heuristic.step(beliefs[-1], a, rng)
-        beliefs.append(nxt)
-        actions.append(a)
-        if obs is not None:
-            observations.append(obs)
-            conditioned = True
-    return BeliefTrajectory(
-        beliefs=tuple(beliefs),
-        actions=tuple(actions),
-        observations=tuple(observations) if conditioned else None,
-        conditioned=conditioned,
-    )
+    return heuristic.trajectory(model, depth, rng)
 
 
 def build_portfolio(model: DecPomdp, names: tuple[str, ...] | list[str]):

@@ -187,6 +187,11 @@ class DecPomdp:
         return er
 
     @cached_property
+    def _has_negative_transitions(self) -> bool:
+        # validate() tolerates entries down to -PROB_TOL
+        return bool((self.transition < 0.0).any())
+
+    @cached_property
     def reward_max(self) -> float:
         return float(self.reward.max())
 
@@ -252,6 +257,17 @@ class DecPomdp:
     def validate(self) -> list[str]:
         """Returns a list of human-readable violations, empty when well formed."""
         problems: list[str] = []
+        # NaN fails every comparison below, so non-finite entries are
+        # looked for first
+        for name, table in (
+            ("transition", self.transition),
+            ("observation", self.observation),
+            ("reward", self.reward),
+            ("initial belief", self.initial_belief.probs),
+        ):
+            bad = np.argwhere(~np.isfinite(table))
+            if bad.size:
+                problems.append(f"{name} has a non-finite entry at index {tuple(int(k) for k in bad[0])}")
         if np.any(self.transition < -PROB_TOL) or np.any(self.transition > 1 + PROB_TOL):
             bad = np.argwhere((self.transition < -PROB_TOL) | (self.transition > 1 + PROB_TOL))[0]
             problems.append(f"transition probability out of [0,1] at ja={bad[0]}, s={bad[1]}, s'={bad[2]}")
@@ -275,6 +291,15 @@ class DecPomdp:
             if len(set(seq)) != len(seq):
                 problems.append(f"duplicate {kind} names: {seq}")
         return problems
+
+    @cached_property
+    def _problems(self) -> tuple[str, ...]:
+        return tuple(self.validate())
+
+    def require_valid(self) -> None:
+        """Raises ``ModelError`` listing every violation; validates once per instance."""
+        if self._problems:
+            raise ModelError("invalid model: " + "; ".join(self._problems))
 
     # ---- belief arithmetic -------------------------------------------
 

@@ -112,9 +112,7 @@ class JointPolicy:
 class ValueTable:
     """Memo of state-value vectors keyed by joint subtree identity.
 
-    Entries are idempotent: the first write for a key wins, and repeated
-    writes are expected to carry identical values (concurrent evaluators
-    recompute the same pure function).
+    Entries are idempotent: the first write for a key wins.
     """
 
     __slots__ = ("_vectors",)

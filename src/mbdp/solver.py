@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import itertools
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .backup import (
     CandidateSet,
+    backup_values,
+    candidate_codes,
     exhaustive_backup,
     fill_missing,
     partial_backup,
@@ -28,8 +29,8 @@ from .backup import (
 )
 from .errors import CapacityError, ConfigError
 from .heuristics import PolicyReplayHeuristic, build_portfolio, generate_belief
-from .model import DecPomdp
-from .policy import JointPolicy, PolicyEvaluator, PolicyTree, ValueTable
+from .model import BeliefState, DecPomdp
+from .policy import JointPolicy, PolicyEvaluator, PolicyTree
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,6 @@ class SolverConfig:
     seed: int = 0
     recursion_depth: int = 0
     backup_cap: int = 1_000_000
-    threads: int = 1
 
     def __post_init__(self):
         if self.max_trees < 1:
@@ -57,8 +57,6 @@ class SolverConfig:
             raise ConfigError("max_obs must be >= 1 or None")
         if self.recursion_depth < 0:
             raise ConfigError("recursion_depth must be >= 0")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
         if not self.heuristics:
             raise ConfigError("heuristic portfolio is empty")
         object.__setattr__(self, "heuristics", tuple(self.heuristics))
@@ -97,35 +95,26 @@ def _flat_to_tuple(flat: int, sizes) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def _best_tuple_at_belief(model, evaluator, lists, belief, threads):
-    """Highest-value cross tuple; ties go to the lexicographically first."""
-    sizes = [len(ts) for ts in lists]
-    total = 1
-    for size in sizes:
-        total *= size
-    b = belief.probs
+# scores this close to the best count as ties: the kernel sums in another
+# order than exact evaluation, so mathematically equal tuples can differ
+# in the last bits
+TIE_TOL = 1e-12
 
-    def scan(start, stop):
-        best_val, best_flat = -np.inf, -1
-        for flat in range(start, stop):
-            idx = _flat_to_tuple(flat, sizes)
-            joint = tuple(ts[i] for ts, i in zip(lists, idx))
-            val = float(b @ evaluator.value_vector(joint))
-            if val > best_val:
-                best_val, best_flat = val, flat
-        return best_val, best_flat
 
-    if threads <= 1 or total < 64:
-        val, flat = scan(0, total)
-    else:
-        # table writes are idempotent (same inputs give identical bits),
-        # so concurrent scans stay deterministic
-        step = -(-total // threads)
-        bounds = [(i, min(i + step, total)) for i in range(0, total, step)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda se: scan(*se), bounds))
-        val, flat = max(results, key=lambda r: (r[0], -r[1]))
-    return _flat_to_tuple(flat, sizes), val
+def _best_tuple(tensor: np.ndarray, belief: np.ndarray, exclude=None):
+    """Highest-value joint tuple of a value tensor at ``belief``.
+
+    Ties go to the lexicographically first tuple.  ``exclude`` lists, per
+    agent, rows that no returned tuple may use.
+    """
+    scores = (tensor.reshape(-1, tensor.shape[-1]) @ belief).reshape(tensor.shape[:-1])
+    if exclude is not None:
+        for i, rows in enumerate(exclude):
+            scores[(slice(None),) * i + (rows,)] = -np.inf
+    flat = scores.reshape(-1)
+    best = float(flat.max())
+    pick = int(np.argmax(flat >= best - TIE_TOL * max(1.0, abs(best))))
+    return _flat_to_tuple(pick, scores.shape), float(flat[pick])
 
 
 def _initial_candidates(model: DecPomdp) -> CandidateSet:
@@ -140,9 +129,8 @@ def _initial_candidates(model: DecPomdp) -> CandidateSet:
 def _solve_round(model, cfg: SolverConfig, rng, portfolio, force_full):
     n = model.num_agents
     horizon = model.horizon
-    table = ValueTable()
-    evaluator = PolicyEvaluator(model, table)
     q = _initial_candidates(model)
+    tensor = backup_values(model, *candidate_codes(q, None), None)
     levels = []
 
     full_backups = force_full or cfg.max_obs is None or all(
@@ -151,8 +139,7 @@ def _solve_round(model, cfg: SolverConfig, rng, portfolio, force_full):
 
     for t in range(1, horizon):
         started = time.perf_counter()
-        work = [list(ts) for ts in q.trees]
-        sel: list[list[PolicyTree]] = [[] for _ in range(n)]
+        picked: list[list[int]] = [[] for _ in range(n)]
         traj = None
         sel_values: list[float] = []
         heur_names: list[str] = []
@@ -161,25 +148,28 @@ def _solve_round(model, cfg: SolverConfig, rng, portfolio, force_full):
             heuristic = portfolio[k % len(portfolio)]
             traj = generate_belief(heuristic, model, horizon - t, rng)
             heur_names.append(heuristic.name)
-            b_sel = traj.beliefs[-1]
-            if any(not w for w in work):
+            b_sel = traj.probs[-1]
+            if any(len(rows) == size for rows, size in zip(picked, q.sizes)):
                 # candidates ran out: clone the best pair picked so far
-                idx, val = _best_tuple_at_belief(model, evaluator, sel, b_sel, cfg.threads)
+                idx, val = _best_tuple(tensor[np.ix_(*picked)], b_sel)
                 for i in range(n):
-                    sel[i].append(sel[i][idx[i]])
+                    picked[i].append(picked[i][idx[i]])
                 duplicated += 1
             else:
-                idx, val = _best_tuple_at_belief(model, evaluator, work, b_sel, cfg.threads)
+                idx, val = _best_tuple(tensor, b_sel, exclude=picked)
                 for i in range(n):
-                    sel[i].append(work[i].pop(idx[i]))
+                    picked[i].append(idx[i])
             sel_values.append(val)
-        sel_set = CandidateSet(tuple(tuple(s) for s in sel))
+        sel_set = CandidateSet(
+            tuple(tuple(q.trees[i][r] for r in picked[i]) for i in range(n))
+        )
+        prev = tensor[np.ix_(*picked)]
 
         partial = False
         if full_backups:
             q = exhaustive_backup(model, sel_set, cfg.backup_cap)
         else:
-            b_prev = traj.beliefs[-2]
+            b_prev = BeliefState(traj.probs[-2])
             a_prev = traj.actions[-1]
             selection = rank_observations(model, b_prev, a_prev, cfg.max_obs)
             if selection.is_full(model):
@@ -187,16 +177,8 @@ def _solve_round(model, cfg: SolverConfig, rng, portfolio, force_full):
             else:
                 partial = True
                 sparse = partial_backup(model, sel_set, selection, cfg.backup_cap)
-                q = fill_missing(model, sparse, sel_set, b_prev, table)
-
-        # keep only the selected subtree tuples; everything above them
-        # re-derives from these, so the table stays bounded
-        keep = []
-        for idx in itertools.product(*(range(len(s)) for s in sel)):
-            joint = tuple(sel[i][idx[i]] for i in range(n))
-            evaluator.value_vector(joint)
-            keep.append(tuple(tree.uid for tree in joint))
-        table.retain(keep)
+                q = fill_missing(model, sparse, sel_set, b_prev, values=prev)
+        tensor = backup_values(model, *candidate_codes(q, sel_set), prev)
 
         levels.append(
             LevelRecord(
@@ -210,9 +192,7 @@ def _solve_round(model, cfg: SolverConfig, rng, portfolio, force_full):
             )
         )
 
-    idx, value = _best_tuple_at_belief(
-        model, evaluator, [list(ts) for ts in q.trees], model.initial_belief, cfg.threads
-    )
+    idx, value = _best_tuple(tensor, model.initial_belief.probs)
     policy = JointPolicy(tuple(q.trees[i][idx[i]] for i in range(n)))
     return value, policy, levels
 
@@ -247,6 +227,7 @@ def _solve(model: DecPomdp, cfg: SolverConfig, solver_name: str, force_full: boo
 def mbdp(model: DecPomdp, cfg: SolverConfig | None = None) -> SolveReport:
     """Memory-bounded planning with full backups."""
     cfg = cfg if cfg is not None else SolverConfig()
+    model.require_valid()
     for i in range(model.num_agents):
         count = model.action_counts[i] * cfg.max_trees ** model.observation_counts[i]
         if count > cfg.backup_cap:
@@ -260,6 +241,7 @@ def mbdp(model: DecPomdp, cfg: SolverConfig | None = None) -> SolveReport:
 def improved_mbdp(model: DecPomdp, cfg: SolverConfig | None = None) -> SolveReport:
     """Memory-bounded planning with partial backups over the likeliest observations."""
     cfg = cfg if cfg is not None else SolverConfig(max_obs=2)
+    model.require_valid()
     return _solve(model, cfg, "improved", force_full=False)
 
 
@@ -294,6 +276,7 @@ def exact_solve(
     the initial belief are computed in chunks and only the argmax and
     the per-state maxima are kept.
     """
+    model.require_valid()
     horizon = model.horizon if horizon is None else horizon
     if horizon < 1:
         raise ConfigError("horizon must be >= 1")

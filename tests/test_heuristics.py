@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mbdp import (
+    BeliefTrajectory,
     ConfigError,
+    ModelError,
     MdpHeuristic,
     PolicyReplayHeuristic,
     RandomHeuristic,
@@ -99,6 +103,31 @@ class TestTrajectories:
         assert len(traj.beliefs) == 3
         for b in traj.beliefs:
             assert abs(float(b.probs.sum()) - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("negative", [0.0, -1e-12], ids=["plain", "dust"])
+    def test_marginal_rows_match_propagate_chain(self, negative):
+        # a transition entry just below zero (validate tolerates it) makes
+        # beliefs carry negative dust, which every step must clip first
+        model = random_model(5, num_states=3, horizon=6)
+        transition = model.transition.copy()
+        transition[:, :, 1] += transition[:, :, 0] - negative
+        transition[:, :, 0] = negative
+        model = replace(model, transition=transition)
+        assert model.validate() == []
+        for heuristic in build_portfolio(model, ("mdp", "random")):
+            traj = generate_belief(heuristic, model, 5, np.random.default_rng(2))
+            belief = model.initial_belief
+            rows = [belief.probs]
+            for action in traj.actions:
+                belief = model.propagate(belief, action)
+                rows.append(belief.probs)
+            assert np.array_equal(traj.probs, np.array(rows))
+
+    def test_bad_rows_rejected(self):
+        with pytest.raises(ModelError):
+            BeliefTrajectory(np.array([[0.5, 0.5], [0.7, 0.7]]), (0,))
+        with pytest.raises(ModelError):
+            BeliefTrajectory(np.array([[0.5, 0.5], [np.nan, 1.0]]), (0,))
 
     def test_mdp_heuristic_is_deterministic_in_actions(self, mabc):
         heuristic = MdpHeuristic(mabc)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -69,6 +71,15 @@ class TestConstruction:
         )
         problems = broken.validate()
         assert problems and any("transition" in p for p in problems)
+
+    def test_validate_flags_non_finite_entries(self):
+        m = two_state_chain()
+        for field in ("transition", "observation", "initial_belief"):
+            table = (m.initial_belief.probs if field == "initial_belief" else getattr(m, field)).copy()
+            table.flat[0] = np.nan
+            broken = replace(m, **{field: table})
+            problems = broken.validate()
+            assert any("non-finite" in p for p in problems), (field, problems)
 
     def test_builtins_validate_clean(self):
         assert validate(build_mabc()) == []

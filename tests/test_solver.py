@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from mbdp import (
     CapacityError,
     ConfigError,
+    ModelError,
     SolverConfig,
     build_mabc,
     build_tiger,
@@ -16,6 +17,7 @@ from mbdp import (
     improved_mbdp,
     mbdp,
     random_policy_baseline,
+    serialize_policy,
     uniform_random_value,
 )
 
@@ -134,6 +136,14 @@ class TestPlanner:
         report = mbdp(mabc, SolverConfig(max_trees=2, seed=0))
         assert not any(lvl.partial for lvl in report.levels)
 
+    def test_invalid_model_refused_before_solving(self, mabc):
+        transition = mabc.transition.copy()
+        transition[0, 0, 0] = np.nan
+        broken = replace(mabc, transition=transition)
+        for solve in (mbdp, improved_mbdp, exact_solve):
+            with pytest.raises(ModelError, match="non-finite"):
+                solve(broken)
+
     def test_backup_cap_enforced(self, mabc):
         with pytest.raises(CapacityError):
             mbdp(mabc, SolverConfig(max_trees=9, backup_cap=50))
@@ -162,14 +172,15 @@ class TestDeterminism:
         for x, y in zip(a.policy.trees, b.policy.trees):
             assert x.same_structure(y)
 
-    def test_thread_count_does_not_change_result(self, mabc):
+    def test_repeated_runs_give_identical_records(self, mabc):
         model = replace(mabc, horizon=6)
-        base = improved_mbdp(model, SolverConfig(max_trees=3, seed=2, threads=1))
-        for threads in (2, 4):
-            other = improved_mbdp(model, SolverConfig(max_trees=3, seed=2, threads=threads))
-            assert other.value == base.value
-            for x, y in zip(base.policy.trees, other.policy.trees):
-                assert x.same_structure(y)
+        cfg = SolverConfig(max_trees=3, seed=2)
+        runs = [improved_mbdp(model, cfg) for _ in range(2)]
+        levels = [[replace(lvl, millis=0.0) for lvl in r.levels] for r in runs]
+        assert levels[0] == levels[1]
+        assert runs[0].value == runs[1].value
+        texts = [serialize_policy(model, r.policy) for r in runs]
+        assert texts[0] == texts[1]
 
 
 class TestBaselines:
