@@ -124,12 +124,9 @@ def _marginal_walk(model: DecPomdp, depth: int, choose) -> BeliefTrajectory:
     ``choose(step, belief)`` picks each joint action.  Every step starts
     from the previous belief with its rounding dust clipped, as
     ``BeliefState`` does, so the rows match a chain of
-    ``DecPomdp.propagate`` calls bit for bit.  Without negative
-    transition entries a nonnegative belief maps to a nonnegative one
-    exactly, and the clip is skipped.
+    ``DecPomdp.propagate`` calls bit for bit.
     """
     transition = list(model.transition)
-    clip = model._has_negative_transitions
     belief = model.initial_belief.probs
     rows = [belief]
     actions = []
@@ -137,7 +134,7 @@ def _marginal_walk(model: DecPomdp, depth: int, choose) -> BeliefTrajectory:
         ja = choose(step, belief)
         row = belief.dot(transition[ja])
         rows.append(row)
-        belief = np.maximum(row, 0.0) if clip else row  # np.clip(row, 0.0, None)
+        belief = np.maximum(row, 0.0)  # np.clip(row, 0.0, None)
         actions.append(ja)
     return BeliefTrajectory(np.array(rows), tuple(actions))
 

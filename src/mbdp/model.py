@@ -187,11 +187,6 @@ class DecPomdp:
         return er
 
     @cached_property
-    def _has_negative_transitions(self) -> bool:
-        # validate() tolerates entries down to -PROB_TOL
-        return bool((self.transition < 0.0).any())
-
-    @cached_property
     def reward_max(self) -> float:
         return float(self.reward.max())
 

@@ -149,7 +149,8 @@ def _solve_round(model, cfg: SolverConfig, rng, portfolio, force_full):
             traj = generate_belief(heuristic, model, horizon - t, rng)
             heur_names.append(heuristic.name)
             b_sel = traj.probs[-1]
-            if any(len(rows) == size for rows, size in zip(picked, q.sizes)):
+            # duplicates make a list longer than its candidate set
+            if any(len(rows) >= size for rows, size in zip(picked, q.sizes)):
                 # candidates ran out: clone the best pair picked so far
                 idx, val = _best_tuple(tensor[np.ix_(*picked)], b_sel)
                 for i in range(n):

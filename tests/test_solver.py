@@ -132,6 +132,31 @@ class TestPlanner:
             evaluate_at_belief(model, report.policy, model.initial_belief), abs=1e-9
         )
 
+    def test_exhausted_candidates_keep_cloning(self, mabc):
+        # two actions per agent: picks 3 to 5 of the first level all clone
+        # the best pick so far
+        report = mbdp(replace(mabc, horizon=3), SolverConfig(max_trees=5))
+        first, second = report.levels
+        assert first.duplicated == 3
+        assert first.selection_values == pytest.approx((1.0,) * 5)
+        # as scored pair by pair with PolicyEvaluator.value_vector
+        assert second.selection_values == pytest.approx((1.99, 2.0, 1.9, 1.9, 1.9))
+
+    @pytest.mark.parametrize("action_counts", [(3, 2), (4, 2), (2, 3)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_duplicates_never_add_unpicked_rows(self, action_counts, seed):
+        model = random_model(seed, action_counts=action_counts, horizon=3)
+        report = mbdp(model, SolverConfig(max_trees=5, seed=seed))
+        first = report.levels[0]
+        # the smaller action set runs out after min(action_counts) picks
+        assert first.duplicated == 5 - min(action_counts)
+        for level in report.levels:
+            assert np.isfinite(level.selection_values).all()
+        if (action_counts, seed) == ((4, 2), 2):
+            # a pick from masked rows would add a fourth action for agent 0
+            # and move the final value to 0.69624
+            assert report.value == pytest.approx(0.6906211102749917, abs=1e-12)
+
     def test_full_memory_levels_marked_full(self, mabc):
         report = mbdp(mabc, SolverConfig(max_trees=2, seed=0))
         assert not any(lvl.partial for lvl in report.levels)
