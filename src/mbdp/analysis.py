@@ -70,6 +70,7 @@ def epsilon_at(
     model: DecPomdp, belief: BeliefState, action, max_obs: int
 ) -> float:
     """Best joint observation mass captured by per-agent subsets at (belief, action)."""
+    model.require_valid()
     if max_obs < 1:
         raise ConfigError("max_obs must be >= 1")
     ja = action if isinstance(action, (int, np.integer)) else model.joint_action_index(action)
@@ -95,6 +96,7 @@ def epsilon_global(
     mode instead rolls out ``budget`` random conditioned histories and
     reports the minimum seen, an estimate only.
     """
+    model.require_valid()
     if mode not in ("exact", "sampled"):
         raise ConfigError("mode must be 'exact' or 'sampled'")
     if max_obs < 1:
@@ -232,6 +234,7 @@ def error_bound(model: DecPomdp, epsilon: float, horizon: int | None = None) -> 
     observation mass, each worth at most the full reward span per
     remaining step.
     """
+    model.require_valid()
     if not 0.0 <= epsilon <= 1.0:
         raise ConfigError("epsilon must be in [0, 1]")
     horizon = model.horizon if horizon is None else horizon

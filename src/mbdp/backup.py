@@ -1,55 +1,66 @@
-"""Backup operators over per-agent candidate tree sets.
+"""Backup operators over per-agent candidate tables.
 
-A backup turns depth-t candidate sets into depth-(t+1) sets by pairing
-every action with every assignment of children.  The partial variant
-assigns children only for a selected subset of each agent's observations
-and leaves the rest as holes, to be filled against a belief later.
-Enumeration order is fixed (action-major, child indices lexicographic)
-so downstream tie-breaking is reproducible.
+A level's candidates are integer tables (``CandidateSet``): per agent, an
+action per row and, per row and local observation, the row of the
+previous level's selected list that the tree continues with.  A backup
+turns the selected lists of one depth into the candidates of the next
+by pairing every action with every assignment of children.  The partial
+variant assigns children only for a selected subset of each agent's
+observations and leaves the rest as holes (-1), to be filled against a
+belief later.  Enumeration order is fixed (action-major, child rows
+lexicographic) so downstream tie-breaking is reproducible.  Values come
+from one kernel, ``backup_values``, which builds the joint value tensor
+of a table from the selected lists' tensor; policy trees are built only
+by the solvers, for the policy they return.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import CapacityError, ConfigError
 from .model import BeliefState, DecPomdp
-from .policy import PolicyEvaluator, PolicyTree, ValueTable
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CandidateSet:
-    """Per-agent lists of policy trees, all of one depth."""
+    """Per-agent integer tables of candidate trees, all of one depth.
 
-    trees: tuple[tuple[PolicyTree, ...], ...]
+    Row r of agent i is the tree that takes action ``actions[i][r]`` and,
+    after local observation o, continues with the tree in row
+    ``children[i][r, o]`` of the previous level's selected list; -1 marks
+    a branch not assigned yet.  Depth-1 tables have no children columns.
+    """
+
+    actions: tuple[np.ndarray, ...]
+    children: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "trees", tuple(tuple(ts) for ts in self.trees))
-        if not self.trees or any(not ts for ts in self.trees):
-            raise ConfigError("candidate set needs at least one tree per agent")
-        depths = {t.depth for ts in self.trees for t in ts}
-        if len(depths) != 1:
-            raise ConfigError(f"candidate trees have differing depths: {sorted(depths)}")
-
-    @property
-    def depth(self) -> int:
-        return self.trees[0][0].depth
+        for name in ("actions", "children"):
+            tables = tuple(np.asarray(t, dtype=np.int64) for t in getattr(self, name))
+            object.__setattr__(self, name, tables)
+        if not self.actions or len(self.children) != len(self.actions):
+            raise ConfigError("candidate set needs an actions and a children table per agent")
+        for i, (acts, kids) in enumerate(zip(self.actions, self.children)):
+            if acts.ndim != 1 or not len(acts) or kids.ndim != 2 or len(kids) != len(acts):
+                raise ConfigError(
+                    f"agent {i} needs at least one candidate and one children row per candidate"
+                )
 
     @property
     def sizes(self) -> tuple[int, ...]:
-        return tuple(len(ts) for ts in self.trees)
+        return tuple(len(a) for a in self.actions)
 
-    def validate(self) -> list[str]:
-        """Checks the no-duplicate-identity invariant expected of backup outputs."""
-        problems = []
-        for i, ts in enumerate(self.trees):
-            uids = [t.uid for t in ts]
-            if len(set(uids)) != len(uids):
-                problems.append(f"agent {i} list repeats a tree identity")
-        return problems
+    def rows_by_action(self, model: DecPomdp) -> list[list[np.ndarray]]:
+        """Per agent and action, the rows taking that action, ascending."""
+        return [
+            [np.flatnonzero(acts == a) for a in range(count)]
+            for acts, count in zip(self.actions, model.action_counts)
+        ]
 
 
 @dataclass(frozen=True)
@@ -77,62 +88,66 @@ class ObservationSelection:
         )
 
 
-def _check_backup_cap(num_actions: int, num_donors: int, slots: int, cap: int, agent: int):
-    count = num_actions * num_donors**slots
+def _backup_table(num_actions: int, num_donors: int, num_obs: int, slots, cap: int, agent: int):
+    """(actions, children) of every action crossed with every donor assignment to ``slots``."""
+    count = num_actions * num_donors ** len(slots)
     if count > cap:
         raise CapacityError(
             f"backup for agent {agent} would create {count} trees (cap {cap}); "
             "lower maxTrees or maxObs"
         )
-    return count
+    # child rows of one action's block: base-num_donors digits of 0..block-1,
+    # most significant first, so the block runs in lexicographic order
+    block = count // num_actions
+    powers = num_donors ** np.arange(len(slots) - 1, -1, -1)
+    digits = (np.arange(block)[:, None] // powers[None, :]) % num_donors
+    children = np.full((count, num_obs), -1, dtype=np.int64)
+    children[:, list(slots)] = np.tile(digits, (num_actions, 1))
+    return np.repeat(np.arange(num_actions), block), children
 
 
-def exhaustive_backup(model: DecPomdp, sets: CandidateSet, cap: int = 1_000_000) -> CandidateSet:
-    """All one-step extensions: every action crossed with every full child assignment."""
-    out = []
-    for i in range(model.num_agents):
-        donors = sets.trees[i]
-        num_obs = model.observation_counts[i]
-        _check_backup_cap(model.action_counts[i], len(donors), num_obs, cap, i)
-        trees = [
-            PolicyTree(action, tuple(donors[c] for c in combo))
-            for action in range(model.action_counts[i])
-            for combo in itertools.product(range(len(donors)), repeat=num_obs)
+def exhaustive_backup(
+    model: DecPomdp, donors: Sequence[int] | None, cap: int = 1_000_000
+) -> CandidateSet:
+    """All one-step extensions: every action crossed with every full child assignment.
+
+    ``donors`` gives, per agent, the number of rows in the previous
+    level's selected list.  With ``donors`` None the candidates are the
+    depth-1 trees, one per action.
+    """
+    if donors is None:
+        tables = [
+            _backup_table(model.action_counts[i], 1, 0, (), cap, i)
+            for i in range(model.num_agents)
         ]
-        out.append(tuple(trees))
-    return CandidateSet(tuple(out))
+    else:
+        tables = [
+            _backup_table(model.action_counts[i], donors[i], num_obs, range(num_obs), cap, i)
+            for i, num_obs in enumerate(model.observation_counts)
+        ]
+    return CandidateSet(*zip(*tables))
 
 
 def partial_backup(
     model: DecPomdp,
-    sets: CandidateSet,
+    donors: Sequence[int],
     selection: ObservationSelection,
     cap: int = 1_000_000,
 ) -> CandidateSet:
     """One-step extensions with children assigned only for selected observations.
 
     With a full selection this enumerates exactly like exhaustive_backup,
-    tree for tree, which keeps the two code paths interchangeable.
+    row for row, which keeps the two code paths interchangeable.
     """
     if len(selection.per_agent) != model.num_agents:
         raise ConfigError("selection does not cover every agent")
-    out = []
-    for i in range(model.num_agents):
-        donors = sets.trees[i]
+    tables = []
+    for i, num_obs in enumerate(model.observation_counts):
         slots = selection.per_agent[i]
-        num_obs = model.observation_counts[i]
         if slots[-1] >= num_obs:
             raise ConfigError(f"agent {i} selection references observation {slots[-1]}")
-        _check_backup_cap(model.action_counts[i], len(donors), len(slots), cap, i)
-        trees = []
-        for action in range(model.action_counts[i]):
-            for combo in itertools.product(range(len(donors)), repeat=len(slots)):
-                children: list[PolicyTree | None] = [None] * num_obs
-                for slot, c in zip(slots, combo):
-                    children[slot] = donors[c]
-                trees.append(PolicyTree(action, tuple(children)))
-        out.append(tuple(trees))
-    return CandidateSet(tuple(out))
+        tables.append(_backup_table(model.action_counts[i], donors[i], num_obs, slots, cap, i))
+    return CandidateSet(*zip(*tables))
 
 
 def rank_observations(
@@ -161,60 +176,27 @@ def rank_observations(
     return ObservationSelection(tuple(tuple(c) for c in collected))
 
 
-def joint_values(model: DecPomdp, sets: CandidateSet, table: ValueTable | None = None) -> np.ndarray:
-    """Joint value tensor of shape (m_0, ..., m_{n-1}, S), one exact evaluation per tuple."""
-    evaluator = PolicyEvaluator(model, table)
-    values = np.empty(sets.sizes + (model.num_states,))
-    for idx in itertools.product(*(range(size) for size in sets.sizes)):
-        values[idx] = evaluator.value_vector(tuple(ts[i] for ts, i in zip(sets.trees, idx)))
-    return values
-
-
-def candidate_codes(sets: CandidateSet, donors: CandidateSet | None):
-    """Integer tables of complete candidates: per agent, actions (m,) and children (m, |O_i|).
-
-    ``children[i][r, o]`` is the row in ``donors.trees[i]`` of the child
-    that candidate r of agent i follows after local observation o (the
-    first row holding that tree); ``donors`` is None for depth-1 sets,
-    whose children tables are None too.
-    """
-    actions, children = [], []
-    for i, trees in enumerate(sets.trees):
-        actions.append(np.array([t.action for t in trees], dtype=np.int64))
-        if donors is None:
-            children.append(None)
-            continue
-        row: dict[int, int] = {}
-        for r, tree in enumerate(donors.trees[i]):
-            row.setdefault(tree.uid, r)
-        children.append(
-            np.array([[row[c.uid] for c in t.children] for t in trees], dtype=np.int64)
-        )
-    return actions, children
-
-
-def backup_values(model: DecPomdp, actions, children, prev: np.ndarray | None) -> np.ndarray:
+def backup_values(model: DecPomdp, candidates: CandidateSet, prev: np.ndarray | None) -> np.ndarray:
     """Joint value tensor of backed-up candidates, shape (|Q_0|, ..., |Q_{n-1}|, S).
 
-    Candidate r of agent i takes action ``actions[i][r]`` and continues
-    with row ``children[i][r, o]`` of ``prev``'s axis i after local
-    observation o; ``prev`` is the (m_0, ..., m_{n-1}, S) value tensor of
-    those children.  With ``prev`` None the candidates are depth-1 trees
-    and a tuple's value is the expected immediate reward of its joint
-    action.  Per joint action and joint observation,
-    ``prev @ (T[ja] * O[ja][:, jo]).T`` weights every child tuple's
-    values by the step's mass; indexing it by the candidates' child rows
-    and summing over joint observations gives the tensor.
+    ``prev`` is the (m_0, ..., m_{n-1}, S) value tensor of the previous
+    level's selected lists, whose rows the candidates' children index.
+    With ``prev`` None the candidates are depth-1 trees and a tuple's
+    value is the expected immediate reward of its joint action.  Per
+    joint action and joint observation, ``prev @ (T[ja] * O[ja][:, jo]).T``
+    weights every child tuple's values by the step's mass; indexing it by
+    the candidates' child rows and summing over joint observations gives
+    the tensor.
     """
     n = model.num_agents
     num_s = model.num_states
     er = model.expected_reward
-    out = np.empty(tuple(len(a) for a in actions) + (num_s,))
+    children = candidates.children
+    if prev is not None and any((kids < 0).any() for kids in children):
+        raise ConfigError("candidate table has unassigned branches; fill them first")
+    out = np.empty(candidates.sizes + (num_s,))
     prev_flat = None if prev is None else prev.reshape(-1, num_s)
-    by_action = [
-        [np.flatnonzero(actions[i] == a) for a in range(model.action_counts[i])]
-        for i in range(n)
-    ]
+    by_action = candidates.rows_by_action(model)
     for ja, ja_tuple in enumerate(itertools.product(*(range(c) for c in model.action_counts))):
         rows = [by_action[i][a] for i, a in enumerate(ja_tuple)]
         if any(r.size == 0 for r in rows):
@@ -233,59 +215,35 @@ def backup_values(model: DecPomdp, actions, children, prev: np.ndarray | None) -
 def fill_missing(
     model: DecPomdp,
     partials: CandidateSet,
-    donors: CandidateSet,
+    values: np.ndarray,
     belief: BeliefState,
-    values: np.ndarray | None = None,
 ) -> CandidateSet:
-    """Completes partial trees with donor subtrees, hill-climbing on joint value.
+    """Completes partial candidates with donor rows, hill-climbing on joint value.
 
-    Trees are grouped into joint configurations by list index (shorter
-    lists wrap around); each configuration is optimized once, in index
-    order, and only the trees whose first occurrence it is get their
-    holes assigned.  Holes start at donor 0 and single-branch swaps are
-    applied only on strict improvement of the configuration's value at
-    ``belief``, so the value never decreases.  ``values`` is the donors'
-    joint value tensor (m_0, ..., m_{n-1}, S); without it the tensor is
-    evaluated here, over the donors and any other subtree the partial
-    trees already hold.  Complete inputs are returned unchanged, same
-    objects.
+    ``values`` is the (m_0, ..., m_{n-1}, S) joint value tensor of the
+    donors, the previous level's selected lists.  Candidates are grouped
+    into joint configurations by row (shorter tables wrap around); each
+    configuration is optimized once, in row order, and only the rows
+    whose first occurrence it is get their holes assigned.  Holes start
+    at donor 0 and single-branch swaps are applied only on strict
+    improvement of the configuration's value at ``belief``, so the value
+    never decreases.  Complete inputs are returned unchanged, same object.
     """
     n = model.num_agents
-    if len(partials.trees) != n or len(donors.trees) != n:
-        raise ConfigError("candidate sets do not cover every agent")
-    if donors.depth != partials.depth - 1:
+    if len(partials.actions) != n or values.shape[n:] != (model.num_states,):
         raise ConfigError(
-            f"donor depth {donors.depth} does not extend to partial depth {partials.depth}"
+            f"value tensor shape {values.shape} does not match {n} agents and "
+            f"{model.num_states} states"
         )
-    missing = [
-        [tuple(o for o, c in enumerate(t.children) if c is None) for t in ts]
-        for ts in partials.trees
-    ]
+    num_donors = values.shape[:-1]
+    for i, kids in enumerate(partials.children):
+        if kids.size and kids.max() >= num_donors[i]:
+            raise ConfigError(f"agent {i} references donor row {kids.max()} of {num_donors[i]}")
+    missing = [[np.flatnonzero(row < 0).tolist() for row in kids] for kids in partials.children]
     if not any(slots for per_agent in missing for slots in per_agent):
         return partials
-    # child rows index a pool per agent: the donors, then any other child
-    # the partial trees already hold
-    pool = [list(ts) for ts in donors.trees]
-    rows = []
-    for i, ts in enumerate(partials.trees):
-        row: dict[int, int] = {}
-        for r, tree in enumerate(pool[i]):
-            row.setdefault(tree.uid, r)
-        for child in (c for t in ts for c in t.children if c is not None):
-            if child.uid not in row:
-                row[child.uid] = len(pool[i])
-                pool[i].append(child)
-        # holes start at donor row 0
-        rows.append(
-            [np.array([0 if c is None else row[c.uid] for c in t.children]) for t in ts]
-        )
-    pool_sizes = tuple(len(p) for p in pool)
-    if values is None:
-        values = joint_values(model, CandidateSet(tuple(tuple(p) for p in pool)))
-    elif values.shape != pool_sizes + (model.num_states,):
-        raise ConfigError(
-            f"value tensor shape {values.shape} != {pool_sizes + (model.num_states,)}"
-        )
+    # holes start at donor row 0
+    rows = [np.maximum(kids, 0) for kids in partials.children]
 
     b = belief.probs
     er = model.expected_reward
@@ -302,7 +260,7 @@ def fill_missing(
         if ja not in tables:
             post = b @ model.transition[ja]
             u = (model.observation[ja] * post[:, None]).T
-            tables[ja] = (float(b @ er[ja]), (flat_values @ u.T).T.reshape((num_jo,) + pool_sizes))
+            tables[ja] = (float(b @ er[ja]), (flat_values @ u.T).T.reshape((num_jo,) + num_donors))
         return tables[ja]
 
     sizes = partials.sizes
@@ -323,7 +281,7 @@ def fill_missing(
         if not owned:
             continue
         base, g = table(
-            model.joint_action_index(tuple(partials.trees[i][idx[i]].action for i in range(n)))
+            model.joint_action_index(tuple(int(partials.actions[i][idx[i]]) for i in range(n)))
         )
         config_rows = [rows[i][idx[i]] for i in range(n)]
         current = config_value(base, g, config_rows)
@@ -334,8 +292,11 @@ def fill_missing(
                 slot_rows = config_rows[i]
                 incumbent = slot_rows[o]
                 best, best_row = current, incumbent
-                for r, donor in enumerate(donors.trees[i]):
-                    if donor is pool[i][incumbent]:
+                # a repeated pick of the incumbent's tree has a bit-identical
+                # tensor row and never strictly improves, so skipping the
+                # incumbent row alone is enough
+                for r in range(num_donors[i]):
+                    if r == incumbent:
                         continue
                     slot_rows[o] = r
                     value = config_value(base, g, config_rows)
@@ -345,17 +306,7 @@ def fill_missing(
                 if best > current:
                     current = best
                     improved = True
-
-    out = []
-    for i in range(n):
-        trees = [
-            t
-            if not missing[i][x]
-            else PolicyTree(t.action, tuple(pool[i][r] for r in rows[i][x]))
-            for x, t in enumerate(partials.trees[i])
-        ]
-        out.append(tuple(trees))
-    return CandidateSet(tuple(out))
+    return CandidateSet(partials.actions, tuple(rows))
 
 
 def _keep_rows(matrix: np.ndarray) -> list[int]:
@@ -410,27 +361,3 @@ def prune_value_tensor(values: np.ndarray):
                 values = values.take(keep, axis=i)
                 changed = True
     return keep_lists, values
-
-
-def pointwise_prune(
-    model: DecPomdp,
-    sets: CandidateSet,
-    values: np.ndarray | None = None,
-    table: ValueTable | None = None,
-) -> CandidateSet:
-    """Removes value-duplicate and strictly dominated trees, per agent, to fixpoint.
-
-    A tree of agent i is dominated when some other tree of agent i does at
-    least as well for every (state, opposing-tree tuple) and strictly
-    better somewhere.  Removal never changes the best achievable joint
-    value at any belief.  ``values`` may carry a precomputed tensor of
-    shape (m_0, ..., m_{n-1}, S); otherwise values are evaluated here.
-    """
-    if values is None:
-        values = joint_values(model, sets, table)
-    elif values.shape != sets.sizes + (model.num_states,):
-        raise ConfigError(f"value tensor shape {values.shape} != {sets.sizes + (model.num_states,)}")
-    keep_lists, _ = prune_value_tensor(values)
-    return CandidateSet(
-        tuple(tuple(ts[r] for r in keep) for ts, keep in zip(sets.trees, keep_lists))
-    )

@@ -14,6 +14,7 @@ too large), 4 bad data (unparseable or inconsistent problem/policy).
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -755,9 +756,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exact", help="solve exactly by exhaustive enumeration")
     common(p, seed=False)
-    p.add_argument("--max-candidates", type=int, default=200_000)
-    p.add_argument("--max-pairs", type=int, default=2_000_000)
-    p.add_argument("--max-stream", type=int, default=2_500_000_000)
+    # the caps default to exact_solve's own defaults
+    caps = inspect.signature(exact_solve).parameters
+    for cap in ("max_candidates", "max_pairs", "max_stream"):
+        p.add_argument("--" + cap.replace("_", "-"), type=int, default=caps[cap].default)
     p.add_argument("--output", default=None, help="write the policy to this file")
     p.set_defaults(func=_cmd_exact)
 

@@ -216,9 +216,6 @@ class DecPomdp:
             out.append((ja // stride) % size)
         return tuple(out)
 
-    def joint_actions(self) -> Iterator[tuple[int, ...]]:
-        return itertools.product(*[range(n) for n in self.action_counts])
-
     def action_names(self, action) -> tuple[str, ...]:
         parts = self.joint_action(self.joint_action_index(action))
         return tuple(self.actions[i][a] for i, a in enumerate(parts))
@@ -314,10 +311,6 @@ class DecPomdp:
         post = belief.probs @ self.transition[ja]
         return post @ self.observation[ja]
 
-    def joint_observation_probability(self, belief: BeliefState, action, obs) -> float:
-        jo = self.joint_observation_index(obs)
-        return float(self.observation_probabilities(belief, action)[jo])
-
     def bayes_update(self, belief: BeliefState, action, obs) -> BeliefState:
         """Conditions a belief on a joint observation after a joint action."""
         ja = self.joint_action_index(action)
@@ -331,7 +324,3 @@ class DecPomdp:
                 f"after action {self.action_names(ja)}"
             )
         return BeliefState(numer / denom)
-
-
-def validate(model: DecPomdp) -> list[str]:
-    return model.validate()

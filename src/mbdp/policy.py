@@ -153,6 +153,7 @@ class PolicyEvaluator:
     """
 
     def __init__(self, model: DecPomdp, table: ValueTable | None = None):
+        model.require_valid()
         self.model = model
         self.table = table if table is not None else ValueTable()
 
@@ -296,6 +297,7 @@ def simulate(model: DecPomdp, joint, episodes: int, seed: int) -> SimulationResu
     bit-for-bit because all draws happen in a fixed order on a single
     generator.
     """
+    model.require_valid()
     if episodes < 1:
         raise EvaluationError("episodes must be >= 1")
     compiled = CompiledPolicy(model, joint)

@@ -7,11 +7,17 @@ or only for the likeliest observations with the remaining branches
 filled greedily), and hands the result to the next level.  The exact
 oracle enumerates all policy trees level by level, pruning dominated
 ones, and is feasible only for short horizons.
+
+Both keep every level as integer candidate tables (``CandidateSet``)
+plus the rows they keep: the planner's picks or the exact solver's
+prune survivors.  ``PolicyTree`` objects are built once, at the end,
+for the returned policy only.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 
@@ -20,7 +26,6 @@ import numpy as np
 from .backup import (
     CandidateSet,
     backup_values,
-    candidate_codes,
     exhaustive_backup,
     fill_missing,
     partial_backup,
@@ -117,20 +122,45 @@ def _best_tuple(tensor: np.ndarray, belief: np.ndarray, exclude=None):
     return _flat_to_tuple(pick, scores.shape), float(flat[pick])
 
 
-def _initial_candidates(model: DecPomdp) -> CandidateSet:
-    return CandidateSet(
-        tuple(
-            tuple(PolicyTree(a) for a in range(model.action_counts[i]))
-            for i in range(model.num_agents)
-        )
-    )
+def _materialize(levels) -> JointPolicy:
+    """Shared policy trees for the rows selected at the top level.
+
+    ``levels`` lists (candidates, selected) per depth, depth 1 first:
+    ``selected[i]`` lists agent i's rows kept at that depth, and the
+    children of the next depth's candidates index that list.  The top
+    level selects one row per agent, the returned policy.  Only the rows
+    the policy reaches become ``PolicyTree`` nodes, one node per table
+    row, so a row that several parents reach is a shared node.
+    """
+    trees = []
+    for i in range(len(levels[0][0].actions)):
+        # table rows the root reaches at each depth, found top down
+        reached = [None] * len(levels)
+        reached[-1] = np.asarray(levels[-1][1][i])
+        for d in range(len(levels) - 1, 0, -1):
+            positions = levels[d][0].children[i][reached[d]]
+            reached[d - 1] = np.unique(np.asarray(levels[d - 1][1][i])[positions])
+        nodes: dict[int, PolicyTree] = {}
+        for d, (cands, _) in enumerate(levels):
+            # nodes of the selected list the children index
+            below = [nodes.get(r) for r in levels[d - 1][1][i]] if d else []
+            nodes = {
+                r: PolicyTree(
+                    cands.actions[i][r], tuple(below[c] for c in cands.children[i][r].tolist())
+                )
+                for r in reached[d].tolist()
+            }
+        trees.append(nodes[levels[-1][1][i][0]])
+    return JointPolicy(tuple(trees))
 
 
 def _solve_round(model, cfg: SolverConfig, rng, portfolio, force_full):
     n = model.num_agents
     horizon = model.horizon
-    q = _initial_candidates(model)
-    tensor = backup_values(model, *candidate_codes(q, None), None)
+    q = exhaustive_backup(model, None)
+    tensor = backup_values(model, q, None)
+    # (candidates, picked rows) per depth below the top
+    tables = []
     levels = []
 
     full_backups = force_full or cfg.max_obs is None or all(
@@ -161,25 +191,24 @@ def _solve_round(model, cfg: SolverConfig, rng, portfolio, force_full):
                 for i in range(n):
                     picked[i].append(idx[i])
             sel_values.append(val)
-        sel_set = CandidateSet(
-            tuple(tuple(q.trees[i][r] for r in picked[i]) for i in range(n))
-        )
+        tables.append((q, picked))
         prev = tensor[np.ix_(*picked)]
+        donors = prev.shape[:-1]
 
         partial = False
         if full_backups:
-            q = exhaustive_backup(model, sel_set, cfg.backup_cap)
+            q = exhaustive_backup(model, donors, cfg.backup_cap)
         else:
             b_prev = BeliefState(traj.probs[-2])
             a_prev = traj.actions[-1]
             selection = rank_observations(model, b_prev, a_prev, cfg.max_obs)
             if selection.is_full(model):
-                q = exhaustive_backup(model, sel_set, cfg.backup_cap)
+                q = exhaustive_backup(model, donors, cfg.backup_cap)
             else:
                 partial = True
-                sparse = partial_backup(model, sel_set, selection, cfg.backup_cap)
-                q = fill_missing(model, sparse, sel_set, b_prev, values=prev)
-        tensor = backup_values(model, *candidate_codes(q, sel_set), prev)
+                sparse = partial_backup(model, donors, selection, cfg.backup_cap)
+                q = fill_missing(model, sparse, prev, b_prev)
+        tensor = backup_values(model, q, prev)
 
         levels.append(
             LevelRecord(
@@ -194,8 +223,8 @@ def _solve_round(model, cfg: SolverConfig, rng, portfolio, force_full):
         )
 
     idx, value = _best_tuple(tensor, model.initial_belief.probs)
-    policy = JointPolicy(tuple(q.trees[i][idx[i]] for i in range(n)))
-    return value, policy, levels
+    tables.append((q, [[r] for r in idx]))
+    return value, _materialize(tables), levels
 
 
 def _solve(model: DecPomdp, cfg: SolverConfig, solver_name: str, force_full: bool):
@@ -261,6 +290,59 @@ def _joint_strides(sizes) -> list[int]:
     return strides
 
 
+def _stream_best(model: DecPomdp, cands: CandidateSet, prev, belief: np.ndarray, chunk: int):
+    """(value, flat index, per-state maxima) of the best joint tuple of ``cands`` at ``belief``.
+
+    Scans the joint tuples of each joint action in chunks of ``chunk``,
+    reading child rows from the candidate tables, so memory stays
+    proportional to the chunk size; ``prev`` is the children's joint
+    value tensor, None for depth-1 candidates.  Ties go to the smallest
+    flat index.
+    """
+    n = model.num_agents
+    num_s = model.num_states
+    er = model.expected_reward
+    strides = _joint_strides(cands.sizes)
+    if prev is not None:
+        prev_flat = prev.reshape(-1, num_s)
+        prev_strides = _joint_strides(prev.shape[:-1])
+    by_action = cands.rows_by_action(model)
+    best_val, best_flat = -np.inf, -1
+    state_max = np.full(num_s, -np.inf)
+    for ja, ja_tuple in enumerate(itertools.product(*(range(c) for c in model.action_counts))):
+        groups = [by_action[i][a] for i, a in enumerate(ja_tuple)]
+        group_sizes = [len(g) for g in groups]
+        group_strides = _joint_strides(group_sizes)
+        if prev is not None:
+            # R[jo][c, s] = sum_{s'} Vprev[c, s'] P[ja][s, s'] O[ja][s', jo]
+            weighted = [
+                prev_flat @ (model.transition[ja] * model.observation[ja][:, jo][None, :]).T
+                for jo in range(model.num_joint_observations)
+            ]
+        group_total = math.prod(group_sizes)
+        for lo in range(0, group_total, chunk):
+            hi = min(lo + chunk, group_total)
+            base = np.arange(lo, hi)
+            rows = [
+                groups[i][(base // group_strides[i]) % group_sizes[i]] for i in range(n)
+            ]
+            flats = sum(rows[i] * strides[i] for i in range(n))
+            vals = np.broadcast_to(er[ja], (hi - lo, num_s)).copy()
+            if prev is not None:
+                for jo, local in enumerate(model._joint_obs_tuples):
+                    childflat = sum(
+                        cands.children[i][rows[i], local[i]] * prev_strides[i] for i in range(n)
+                    )
+                    vals += weighted[jo][childflat]
+            np.maximum(state_max, vals.max(axis=0), out=state_max)
+            scores = vals @ belief
+            j = int(np.argmax(scores))
+            if scores[j] > best_val or (scores[j] == best_val and flats[j] < best_flat):
+                best_val = float(scores[j])
+                best_flat = int(flats[j])
+    return best_val, best_flat, state_max
+
+
 def exact_solve(
     model: DecPomdp,
     horizon: int | None = None,
@@ -271,7 +353,8 @@ def exact_solve(
 ) -> ExactResult:
     """Optimal joint value and policy by exhaustive level-wise enumeration.
 
-    Levels below the horizon are materialized as joint value tensors and
+    Levels below the horizon are backed up from the previous level's
+    survivors, evaluated as joint value tensors by ``backup_values`` and
     pruned (duplicates and strictly dominated trees removed, which never
     changes any achievable value).  The top level is streamed: values at
     the initial belief are computed in chunks and only the argmax and
@@ -281,203 +364,50 @@ def exact_solve(
     horizon = model.horizon if horizon is None else horizon
     if horizon < 1:
         raise ConfigError("horizon must be >= 1")
-    n = model.num_agents
-    num_s = model.num_states
-    er = model.expected_reward
-    obs_counts = model.observation_counts
-
-    # survivors per level: per agent, actions[level][i] is an int array and
-    # children[level][i] maps each survivor to previous-level survivor rows
-    actions_meta: list[list[np.ndarray]] = []
-    children_meta: list[list[np.ndarray | None]] = []
-
-    prev_vals: np.ndarray | None = None
-    prev_sizes: list[int] | None = None
+    # (candidates, survivor rows) per level; survivor lists are what the
+    # next level's children index
+    levels = []
+    donors = None
+    prev = None
     counts_log: list[tuple[int, ...]] = []
-
-    def expand_sizes():
-        if prev_sizes is None:
-            return list(model.action_counts)
-        return [
-            model.action_counts[i] * prev_sizes[i] ** obs_counts[i] for i in range(n)
+    for level in range(1, horizon + 1):
+        sizes = [
+            count * (1 if donors is None else donors[i] ** model.observation_counts[i])
+            for i, count in enumerate(model.action_counts)
         ]
-
-    def enumerate_level(sizes, stream_belief=None):
-        """Builds the joint value tensor for the next level, or streams it.
-
-        With ``stream_belief`` set, returns (value, flat index, per-state
-        maxima) of the best joint tuple at that belief instead of the
-        tensor.  Index arrays are built chunk by chunk so memory stays
-        proportional to the chunk size.
-        """
-        joint = 1
-        for size in sizes:
-            joint *= size
-        strides = _joint_strides(sizes)
-        digit_arrays = []
-        if prev_sizes is not None:
-            for i in range(n):
-                m, k = prev_sizes[i], obs_counts[i]
-                codes = np.arange(m**k)
-                powers = m ** np.arange(k - 1, -1, -1)
-                digit_arrays.append((codes[:, None] // powers[None, :]) % m)
-            prev_strides = _joint_strides(prev_sizes)
-
-        out = None if stream_belief is not None else np.empty((joint, num_s))
-        best_val, best_flat = -np.inf, -1
-        state_max = np.full(num_s, -np.inf)
-
-        for ja_tuple in itertools.product(*(range(c) for c in model.action_counts)):
-            ja = model.joint_action_index(ja_tuple)
-            if prev_sizes is None:
-                flat = sum(ja_tuple[i] * strides[i] for i in range(n))
-                vals = er[ja][None, :]
-                if stream_belief is None:
-                    out[flat] = vals[0]
-                else:
-                    np.maximum(state_max, vals[0], out=state_max)
-                    score = float(vals[0] @ stream_belief)
-                    if score > best_val or (score == best_val and flat < best_flat):
-                        best_val, best_flat = score, int(flat)
-                continue
-
-            # R[jo][c, s] = sum_{s'} Vprev[c, s'] P[ja][s, s'] O[ja][s', jo]
-            weighted = [
-                prev_vals @ (model.transition[ja] * model.observation[ja][:, jo][None, :]).T
-                for jo in range(model.num_joint_observations)
-            ]
-            group_sizes = [prev_sizes[i] ** obs_counts[i] for i in range(n)]
-            group_total = 1
-            for size in group_sizes:
-                group_total *= size
-            group_strides = _joint_strides(group_sizes)
-            offset = sum(
-                ja_tuple[i] * group_sizes[i] * strides[i] for i in range(n)
-            )
-            for lo in range(0, group_total, chunk):
-                hi = min(lo + chunk, group_total)
-                base = np.arange(lo, hi)
-                codes = [
-                    (base // group_strides[i]) % group_sizes[i] for i in range(n)
-                ]
-                flats = offset + sum(codes[i] * strides[i] for i in range(n))
-                vals = np.broadcast_to(er[ja], (hi - lo, num_s)).copy()
-                for jo, local in enumerate(model._joint_obs_tuples):
-                    childflat = sum(
-                        digit_arrays[i][codes[i], local[i]] * prev_strides[i]
-                        for i in range(n)
-                    )
-                    vals += weighted[jo][childflat]
-                if stream_belief is None:
-                    out[flats] = vals
-                else:
-                    np.maximum(state_max, vals.max(axis=0), out=state_max)
-                    scores = vals @ stream_belief
-                    j = int(np.argmax(scores))
-                    if scores[j] > best_val or (
-                        scores[j] == best_val and flats[j] < best_flat
-                    ):
-                        best_val = float(scores[j])
-                        best_flat = int(flats[j])
-        if stream_belief is None:
-            return out
-        return best_val, best_flat, state_max
-
-    for level in range(1, horizon):
-        sizes = expand_sizes()
         for i, size in enumerate(sizes):
             if size > max_candidates:
                 raise CapacityError(
                     f"exact level {level} needs {size} trees for agent {i} "
                     f"(cap {max_candidates}); the horizon is out of exact reach"
                 )
-        joint = 1
-        for size in sizes:
-            joint *= size
+        joint = math.prod(sizes)
+        if level == horizon:
+            if joint > max_stream:
+                raise CapacityError(
+                    f"exact final level streams {joint} joint tuples (cap {max_stream}); "
+                    "the horizon is out of exact reach"
+                )
+            break
         if joint > max_pairs:
             raise CapacityError(
                 f"exact level {level} needs a {joint}-tuple value tensor "
                 f"(cap {max_pairs}); the horizon is out of exact reach"
             )
-        tensor = enumerate_level(sizes).reshape(tuple(sizes) + (num_s,))
-        keep, tensor = prune_value_tensor(tensor)
-        level_actions, level_children = [], []
-        for i in range(n):
-            kept = np.asarray(keep[i], dtype=np.int64)
-            if prev_sizes is None:
-                level_actions.append(kept)
-                level_children.append(None)
-            else:
-                block = prev_sizes[i] ** obs_counts[i]
-                level_actions.append(kept // block)
-                codes = kept % block
-                powers = prev_sizes[i] ** np.arange(obs_counts[i] - 1, -1, -1)
-                level_children.append((codes[:, None] // powers[None, :]) % prev_sizes[i])
-        actions_meta.append(level_actions)
-        children_meta.append(level_children)
-        prev_sizes = [len(k) for k in keep]
-        counts_log.append(tuple(prev_sizes))
-        prev_vals = tensor.reshape(-1, num_s)
-
-    sizes = expand_sizes()
-    for i, size in enumerate(sizes):
-        if size > max_candidates:
-            raise CapacityError(
-                f"exact level {horizon} needs {size} trees for agent {i} "
-                f"(cap {max_candidates}); the horizon is out of exact reach"
-            )
-    joint = 1
-    for size in sizes:
-        joint *= size
-    if joint > max_stream:
-        raise CapacityError(
-            f"exact final level streams {joint} joint tuples (cap {max_stream}); "
-            "the horizon is out of exact reach"
-        )
+        cands = exhaustive_backup(model, donors, max_candidates)
+        keep, prev = prune_value_tensor(backup_values(model, cands, prev))
+        levels.append((cands, keep))
+        donors = prev.shape[:-1]
+        counts_log.append(donors)
     counts_log.append(tuple(sizes))
-    value, flat, state_max = enumerate_level(sizes, stream_belief=model.initial_belief.probs)
-
-    # decode the winning flat index into one policy tree per agent
-    tree_indices = _flat_to_tuple(flat, sizes)
-
-    def materialize(agent, level, row, memo):
-        key = (agent, level, row)
-        if key in memo:
-            return memo[key]
-        action = int(actions_meta[level - 1][agent][row])
-        kids = children_meta[level - 1][agent]
-        if kids is None:
-            node = PolicyTree(action)
-        else:
-            node = PolicyTree(
-                action,
-                tuple(
-                    materialize(agent, level - 1, int(c), memo) for c in kids[row]
-                ),
-            )
-        memo[key] = node
-        return node
-
-    trees = []
-    memo: dict = {}
-    for i in range(n):
-        if horizon == 1:
-            trees.append(PolicyTree(tree_indices[i]))
-            continue
-        block = prev_sizes[i] ** obs_counts[i]
-        action = tree_indices[i] // block
-        code = tree_indices[i] % block
-        powers = prev_sizes[i] ** np.arange(obs_counts[i] - 1, -1, -1)
-        child_rows = (code // powers) % prev_sizes[i]
-        trees.append(
-            PolicyTree(
-                int(action),
-                tuple(materialize(i, horizon - 1, int(r), memo) for r in child_rows),
-            )
-        )
+    cands = exhaustive_backup(model, donors, max_candidates)
+    value, flat, state_max = _stream_best(
+        model, cands, prev, model.initial_belief.probs, chunk
+    )
+    levels.append((cands, [[r] for r in _flat_to_tuple(flat, cands.sizes)]))
     return ExactResult(
         value=value,
-        policy=JointPolicy(tuple(trees)),
+        policy=_materialize(levels),
         state_values=state_max,
         candidate_counts=tuple(counts_log),
     )
@@ -485,6 +415,7 @@ def exact_solve(
 
 def uniform_random_value(model: DecPomdp, horizon: int | None = None) -> float:
     """Exact expected value of picking joint actions uniformly at random."""
+    model.require_valid()
     horizon = model.horizon if horizon is None else horizon
     p_mean = model.transition.mean(axis=0)
     er_mean = model.expected_reward.mean(axis=0)
@@ -544,6 +475,7 @@ def random_policy_baseline(
     value; with more samples only the mean and its standard error are,
     since the policies are independent draws.
     """
+    model.require_valid()
     if samples < 1:
         raise ConfigError("samples must be >= 1")
     horizon = model.horizon if horizon is None else horizon

@@ -41,6 +41,21 @@ def belief_value(model, trees, belief):
     )
 
 
+def table_trees(cands, below=()):
+    """One PolicyTree per row of each agent's candidate table.
+
+    ``below[i]`` holds the trees of agent i's previous selected list,
+    which the children entries index; holes (-1) become None branches.
+    """
+    return tuple(
+        tuple(
+            PolicyTree(a, tuple(None if c < 0 else below[i][c] for c in kids))
+            for a, kids in zip(actions.tolist(), children.tolist())
+        )
+        for i, (actions, children) in enumerate(zip(cands.actions, cands.children))
+    )
+
+
 def all_trees(model, agent, depth):
     """Every depth-`depth` policy tree for one agent. Exponential; tiny inputs only."""
     if depth == 1:

@@ -33,8 +33,6 @@ from mbdp import (
     serialize_policy,
     simulate,
     uniform_random_value,
-    CandidateSet,
-    PolicyTree,
 )
 from mbdp.cli import main as cli_main
 
@@ -240,13 +238,7 @@ def test_08_count_laws_and_bound_shape():
         model = random_model(
             50, num_states=2, action_counts=(actions, actions), obs_counts=(obs, obs)
         )
-        sets = CandidateSet(
-            tuple(
-                tuple(PolicyTree(i % actions) for i in range(sources))
-                for _ in range(2)
-            )
-        )
-        out = exhaustive_backup(model, sets, cap=10_000)
+        out = exhaustive_backup(model, (sources, sources), cap=10_000)
         assert out.sizes == (actions * sources**obs,) * 2
     assert 2 * 5**5 == 6250
     assert (2 * 5**5) ** 2 == 39_062_500

@@ -14,21 +14,20 @@ from mbdp import (
     exhaustive_backup,
     fill_missing,
     partial_backup,
-    pointwise_prune,
     rank_observations,
 )
+from mbdp.backup import backup_values, prune_value_tensor
 
 import _reference as ref
 from conftest import random_model
 
 
-def leaves(model, agent, count):
-    actions = model.action_counts[agent]
-    return tuple(PolicyTree(i % actions) for i in range(count))
-
-
-def leaf_sets(model, count):
-    return CandidateSet(tuple(leaves(model, i, count) for i in range(model.num_agents)))
+def donor_lists(model, rows):
+    """Leaf trees picked by ``rows`` per agent and their joint value tensor."""
+    leaves = exhaustive_backup(model, None)
+    trees = ref.table_trees(leaves)
+    values = backup_values(model, leaves, None)[np.ix_(*rows)]
+    return tuple(tuple(trees[i][r] for r in rs) for i, rs in enumerate(rows)), values
 
 
 def obs_table_model(joint_probs):
@@ -54,48 +53,57 @@ class TestCounts:
     )
     def test_exhaustive_size_law(self, num_src, actions, obs):
         model = random_model(0, num_states=2, action_counts=(actions, actions), obs_counts=(obs, obs))
-        out = exhaustive_backup(model, leaf_sets(model, num_src))
+        out = exhaustive_backup(model, (num_src, num_src))
         assert out.sizes == (actions * num_src**obs,) * 2
+        assert all(kids.shape == (actions * num_src**obs, obs) for kids in out.children)
 
     def test_published_count_example(self):
         # 2 actions and 5 observations over 5 sources: 2 * 5^5 = 6250 per
         # agent, 6250^2 = 39,062,500 joint pairs
         model = random_model(1, num_states=2, action_counts=(2, 2), obs_counts=(5, 5))
-        out = exhaustive_backup(model, leaf_sets(model, 5), cap=10_000)
+        out = exhaustive_backup(model, (5, 5), cap=10_000)
         assert out.sizes == (6250, 6250)
         assert out.sizes[0] * out.sizes[1] == 39_062_500
 
     def test_partial_size_law(self):
         model = random_model(2, num_states=2, action_counts=(2, 2), obs_counts=(3, 3))
         sel = ObservationSelection(((0, 2), (1,)))
-        out = partial_backup(model, leaf_sets(model, 4), sel)
+        out = partial_backup(model, (4, 4), sel)
         assert out.sizes == (2 * 4**2, 2 * 4**1)
 
     def test_cap_enforced(self):
         model = random_model(3, num_states=2, action_counts=(2, 2), obs_counts=(4, 4))
         with pytest.raises(CapacityError):
-            exhaustive_backup(model, leaf_sets(model, 6), cap=1000)
+            exhaustive_backup(model, (6, 6), cap=1000)
 
     def test_depth_grows_by_one(self, tiger):
-        out = exhaustive_backup(tiger, leaf_sets(tiger, 2))
-        assert all(t.depth == 2 for agent in out.trees for t in agent)
+        trees = ref.table_trees(exhaustive_backup(tiger, None))
+        assert [len(ts) for ts in trees] == list(tiger.action_counts)
+        for depth in (2, 3):
+            below = tuple(ts[:2] for ts in trees)
+            trees = ref.table_trees(exhaustive_backup(tiger, (2, 2)), below)
+            assert all(t.depth == depth and t.complete for agent in trees for t in agent)
 
 
 class TestPartial:
     def test_full_selection_matches_exhaustive_order(self, tiger):
-        src = leaf_sets(tiger, 2)
-        full = exhaustive_backup(tiger, src)
-        part = partial_backup(tiger, src, ObservationSelection.full(tiger))
+        full = exhaustive_backup(tiger, (2, 2))
+        part = partial_backup(tiger, (2, 2), ObservationSelection.full(tiger))
         assert part.sizes == full.sizes
         for agent in range(2):
-            for a, b in zip(full.trees[agent], part.trees[agent]):
-                assert a.action == b.action
-                assert [k.uid for k in a.children] == [k.uid for k in b.children]
+            np.testing.assert_array_equal(part.actions[agent], full.actions[agent])
+            np.testing.assert_array_equal(part.children[agent], full.children[agent])
+        # action-major, child rows lexicographic
+        assert full.actions[0].tolist() == [a for a in range(3) for _ in range(4)]
+        assert full.children[0][:4].tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
 
     def test_unselected_slots_are_holes(self):
         model = random_model(4, num_states=2, action_counts=(2, 2), obs_counts=(3, 3))
-        out = partial_backup(model, leaf_sets(model, 2), ObservationSelection(((1,), (0, 2))))
-        tree = out.trees[0][0]
+        out = partial_backup(model, (2, 2), ObservationSelection(((1,), (0, 2))))
+        assert out.children[0][0].tolist() == [-1, 0, -1]
+        assert (out.children[1][:, 1] == -1).all()
+        below = tuple((PolicyTree(0), PolicyTree(1)) for _ in range(2))
+        tree = ref.table_trees(out, below)[0][0]
         assert tree.children[1] is not None
         assert tree.children[0] is None and tree.children[2] is None
         assert not tree.complete
@@ -127,75 +135,60 @@ class TestRanking:
 
 class TestFill:
     def fill_case(self, seed):
-        # donors live at the child depth: hole slots take whole donor trees
+        # three donors per agent, the third repeating the first
         model = random_model(seed, num_states=3, action_counts=(2, 2), obs_counts=(2, 2))
-        donors = leaf_sets(model, 3)
-        sel = ObservationSelection(((0,), (1,)))
-        partial = partial_backup(model, leaf_sets(model, 2), sel)
-        return model, donors, partial
+        donors, values = donor_lists(model, ([0, 1, 0], [0, 1, 0]))
+        partial = partial_backup(model, (3, 3), ObservationSelection(((0,), (1,))))
+        return model, donors, values, partial
 
     def test_output_complete_and_hole_count_preserved(self):
-        model, donors, partial = self.fill_case(11)
-        filled = fill_missing(model, partial, donors, model.initial_belief)
+        model, _, values, partial = self.fill_case(11)
+        filled = fill_missing(model, partial, values, model.initial_belief)
         assert filled.sizes == partial.sizes
-        assert all(t.complete for agent in filled.trees for t in agent)
+        for agent in range(2):
+            np.testing.assert_array_equal(filled.actions[agent], partial.actions[agent])
+            assert (filled.children[agent] >= 0).all()
 
     def test_holes_filled_from_donor_pool(self):
-        model, donors, partial = self.fill_case(12)
-        donor_uids = {t.uid for agent in donors.trees for t in agent}
-        filled = fill_missing(model, partial, donors, model.initial_belief)
-        for agent_idx, agent in enumerate(filled.trees):
-            for tree, orig in zip(agent, partial.trees[agent_idx]):
-                for slot, kid in enumerate(tree.children):
-                    if orig.children[slot] is None:
-                        assert kid.uid in donor_uids
-                    else:
-                        assert kid.uid == orig.children[slot].uid
+        model, _, values, partial = self.fill_case(12)
+        filled = fill_missing(model, partial, values, model.initial_belief)
+        for kids, orig in zip(filled.children, partial.children):
+            holes = orig < 0
+            assert ((kids[holes] >= 0) & (kids[holes] < 3)).all()
+            np.testing.assert_array_equal(kids[~holes], orig[~holes])
 
     def test_no_worse_than_any_uniform_donor_assignment(self):
         """Hill climbing starts from paired donor assignments, so the
         result must dominate every single-donor completion."""
-        model, donors, partial = self.fill_case(13)
-        filled = fill_missing(model, partial, donors, model.initial_belief)
+        model, donors, values, partial = self.fill_case(13)
+        filled = fill_missing(model, partial, values, model.initial_belief)
         b = model.initial_belief
 
-        def best_pair(sets):
+        def best_pair(cands):
+            trees = ref.table_trees(cands, donors)
             return max(
-                ref.belief_value(model, (t0, t1), b)
-                for t0 in sets.trees[0]
-                for t1 in sets.trees[1]
+                ref.belief_value(model, (t0, t1), b) for t0 in trees[0] for t1 in trees[1]
             )
 
         got = best_pair(filled)
-        for donor_idx in range(min(len(donors.trees[0]), len(donors.trees[1]))):
-            uniform = complete_with_donor(partial, donors, donor_idx)
+        for donor_idx in range(3):
+            uniform = CandidateSet(
+                partial.actions,
+                tuple(np.where(kids < 0, donor_idx, kids) for kids in partial.children),
+            )
             assert got >= best_pair(uniform) - 1e-9
 
     def test_identity_on_complete_input(self, tiger):
-        complete = exhaustive_backup(tiger, leaf_sets(tiger, 2))
-        filled = fill_missing(tiger, complete, leaf_sets(tiger, 2), tiger.initial_belief)
-        for agent in range(2):
-            assert [t.uid for t in filled.trees[agent]] == [t.uid for t in complete.trees[agent]]
+        complete = exhaustive_backup(tiger, (2, 2))
+        _, values = donor_lists(tiger, ([0, 1], [0, 1]))
+        assert fill_missing(tiger, complete, values, tiger.initial_belief) is complete
 
     def test_deterministic(self):
-        model, donors, partial = self.fill_case(14)
-        a = fill_missing(model, partial, donors, model.initial_belief)
-        b = fill_missing(model, partial, donors, model.initial_belief)
-        for agent in range(2):
-            for x, y in zip(a.trees[agent], b.trees[agent]):
-                assert x.same_structure(y)
-
-
-def complete_with_donor(partial, donors, donor_idx):
-    out = []
-    for agent, trees in enumerate(partial.trees):
-        donor = donors.trees[agent][donor_idx]
-        fixed = []
-        for t in trees:
-            kids = tuple(donor if kid is None else kid for kid in t.children)
-            fixed.append(PolicyTree(t.action, kids))
-        out.append(tuple(fixed))
-    return CandidateSet(tuple(out))
+        model, _, values, partial = self.fill_case(14)
+        a = fill_missing(model, partial, values, model.initial_belief)
+        b = fill_missing(model, partial, values, model.initial_belief)
+        for x, y in zip(a.children, b.children):
+            np.testing.assert_array_equal(x, y)
 
 
 class TestPrune:
@@ -211,28 +204,30 @@ class TestPrune:
     @settings(max_examples=15)
     def test_upper_envelope_preserved(self, seed):
         model = random_model(seed, num_states=3)
-        sets = exhaustive_backup(model, leaf_sets(model, 2))
-        pruned = pointwise_prune(model, sets)
-        assert all(len(p) >= 1 for p in pruned.trees)
+        donors, prev = donor_lists(model, ([0, 1], [0, 1]))
+        sets = exhaustive_backup(model, (2, 2))
+        keep, _ = prune_value_tensor(backup_values(model, sets, prev))
+        assert all(len(k) >= 1 for k in keep)
+        trees = ref.table_trees(sets, donors)
 
-        def pair_vectors(cs):
+        def pair_vectors(rows):
             return [
-                np.array([ref.tree_value(model, (t0, t1), s) for s in range(3)])
-                for t0 in cs.trees[0]
-                for t1 in cs.trees[1]
+                np.array([ref.tree_value(model, (trees[0][r0], trees[1][r1]), s) for s in range(3)])
+                for r0 in rows[0]
+                for r1 in rows[1]
             ]
 
-        before_v = pair_vectors(sets)
-        after_v = pair_vectors(pruned)
+        before_v = pair_vectors([range(size) for size in sets.sizes])
+        after_v = pair_vectors(keep)
         for b in self.grid(3, step=4):
             before = max(float(b.probs @ v) for v in before_v)
             after = max(float(b.probs @ v) for v in after_v)
             assert after == pytest.approx(before, abs=1e-9)
 
     def test_duplicates_are_merged(self, tiger):
-        t = PolicyTree(0)
-        dup = CandidateSet(((t, PolicyTree(0), PolicyTree(1)), (PolicyTree(0), PolicyTree(2))))
-        pruned = pointwise_prune(tiger, dup)
-        assert pruned.sizes[0] == 2
-        assert pruned.sizes[1] == 2
-        assert pruned.trees[0][0].uid == t.uid
+        leaves = CandidateSet(
+            ([0, 0, 1], [0, 2]), (np.empty((3, 0)), np.empty((2, 0)))
+        )
+        keep, pruned = prune_value_tensor(backup_values(tiger, leaves, None))
+        assert keep == [[0, 2], [0, 1]]
+        assert pruned.shape == (2, 2, tiger.num_states)

@@ -12,7 +12,6 @@ from mbdp import (
     build_tiger,
     exact_solve,
     load_boxpush_config,
-    validate,
 )
 
 
@@ -123,7 +122,7 @@ class TestBoxPush:
         assert model.num_states == 100
         assert model.action_counts == (4, 4)
         assert model.observation_counts == (5, 5)
-        assert validate(model) == []
+        assert model.validate() == []
 
     def test_observations_are_deterministic(self):
         model = build_boxpush()

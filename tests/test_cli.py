@@ -1,10 +1,19 @@
+import inspect
 import json
 
 import numpy as np
 import pytest
 
-from mbdp import DecPomdp, ParseError, build_mabc, build_tiger, evaluate_at_belief, parse_policy
-from mbdp.cli import load_problem, main, parse_problem_text, problem_to_text
+from mbdp import (
+    DecPomdp,
+    ParseError,
+    build_mabc,
+    build_tiger,
+    evaluate_at_belief,
+    exact_solve,
+    parse_policy,
+)
+from mbdp.cli import build_parser, load_problem, main, parse_problem_text, problem_to_text
 
 from conftest import random_model
 
@@ -212,6 +221,13 @@ class TestOtherCommands:
         rows = [r for r in records(out) if r["type"] == "bench-row"]
         assert [r["horizon"] for r in rows] == [1, 2, 3]
         assert all(r["optimal"] is None for r in rows)
+
+
+    def test_exact_cap_defaults_match_api(self):
+        args = build_parser().parse_args(["exact", "--problem", "tiger"])
+        caps = inspect.signature(exact_solve).parameters
+        for cap in ("max_candidates", "max_pairs", "max_stream"):
+            assert getattr(args, cap) == caps[cap].default
 
 
 class TestExitCodes:

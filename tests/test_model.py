@@ -12,7 +12,14 @@ from mbdp import (
     PROB_TOL,
     build_mabc,
     build_tiger,
-    validate,
+    epsilon_at,
+    epsilon_global,
+    error_bound,
+    evaluate_at_belief,
+    evaluate_at_state,
+    random_policy_baseline,
+    simulate,
+    uniform_random_value,
 )
 
 from conftest import random_model
@@ -82,8 +89,30 @@ class TestConstruction:
             assert any("non-finite" in p for p in problems), (field, problems)
 
     def test_builtins_validate_clean(self):
-        assert validate(build_mabc()) == []
-        assert validate(build_tiger()) == []
+        assert build_mabc().validate() == []
+        assert build_tiger().validate() == []
+
+
+ENTRY_POINTS = {
+    "simulate": lambda m, policy: simulate(m, policy, 10, 0),
+    "evaluate_at_belief": lambda m, policy: evaluate_at_belief(m, policy, m.initial_belief),
+    "evaluate_at_state": lambda m, policy: evaluate_at_state(m, policy, 0),
+    "uniform_random_value": lambda m, policy: uniform_random_value(m),
+    "random_policy_baseline": lambda m, policy: random_policy_baseline(m),
+    "epsilon_at": lambda m, policy: epsilon_at(m, m.initial_belief, 0, 1),
+    "epsilon_global": lambda m, policy: epsilon_global(m, max_obs=1),
+    "error_bound": lambda m, policy: error_bound(m, 0.5),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_entry_points_refuse_invalid_model(entry):
+    tiger = build_tiger(horizon=3)
+    policy = random_policy_baseline(tiger).policy
+    transition = tiger.transition.copy()
+    transition[0, 0, 0] = np.nan
+    with pytest.raises(ModelError, match="non-finite"):
+        ENTRY_POINTS[entry](replace(tiger, transition=transition), policy)
 
 
 class TestBeliefs:

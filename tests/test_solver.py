@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from mbdp import (
     CapacityError,
+    CompiledPolicy,
     ConfigError,
     ModelError,
     SolverConfig,
@@ -156,6 +157,19 @@ class TestPlanner:
             # a pick from masked rows would add a fourth action for agent 0
             # and move the final value to 0.69624
             assert report.value == pytest.approx(0.6906211102749917, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "build,horizon,heuristics", [(build_mabc, 100, ("random",)), (build_tiger, 8, ("mdp", "random"))]
+    )
+    def test_policy_keeps_max_trees_nodes_per_depth(self, build, horizon, heuristics):
+        # the returned policy shares subtrees: each depth of each agent's
+        # tree holds at most max_trees distinct nodes (tiger's reaches 3)
+        model = build(horizon=horizon)
+        report = mbdp(model, SolverConfig(max_trees=3, heuristics=heuristics))
+        compiled = CompiledPolicy(model, report.policy)
+        for per_depth in compiled.actions:
+            assert len(per_depth) == horizon
+            assert max(len(rows) for rows in per_depth) <= 3
 
     def test_full_memory_levels_marked_full(self, mabc):
         report = mbdp(mabc, SolverConfig(max_trees=2, seed=0))

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from mbdp import (
     CandidateSet,
     ObservationSelection,
-    PolicyTree,
     SolverConfig,
     exact_solve,
     exhaustive_backup,
@@ -19,7 +18,7 @@ from mbdp import (
     mbdp,
     partial_backup,
 )
-from mbdp.backup import backup_values, candidate_codes
+from mbdp.backup import backup_values
 from mbdp.solver import _best_tuple
 
 import _reference as ref
@@ -36,23 +35,21 @@ def two_agent_or_three(seed, agents, horizon=3):
 
 
 def leaf_values(model):
-    leaves = CandidateSet(
-        tuple(tuple(PolicyTree(a) for a in range(c)) for c in model.action_counts)
-    )
-    return leaves, backup_values(model, *candidate_codes(leaves, None), None)
+    leaves = exhaustive_backup(model, None)
+    return ref.table_trees(leaves), backup_values(model, leaves, None)
 
 
-def pick(sets, values, rng, keep):
-    """A random selection of ``keep`` rows per agent and its sub-tensor."""
-    rows = [sorted(rng.choice(size, size=min(keep, size), replace=False)) for size in sets.sizes]
-    chosen = CandidateSet(tuple(tuple(ts[r] for r in rs) for ts, rs in zip(sets.trees, rows)))
+def pick(trees, values, rng, keep):
+    """A random selection of ``keep`` rows per agent, their trees and sub-tensor."""
+    rows = [sorted(rng.choice(len(ts), size=min(keep, len(ts)), replace=False)) for ts in trees]
+    chosen = tuple(tuple(ts[r] for r in rs) for ts, rs in zip(trees, rows))
     return chosen, values[np.ix_(*rows)]
 
 
-def assert_matches_recursion(model, sets, values):
-    for idx in itertools.product(*(range(size) for size in sets.sizes)):
-        trees = tuple(ts[i] for ts, i in zip(sets.trees, idx))
-        want = [ref.tree_value(model, trees, s) for s in range(model.num_states)]
+def assert_matches_recursion(model, trees, values):
+    for idx in itertools.product(*(range(len(ts)) for ts in trees)):
+        joint = tuple(ts[i] for ts, i in zip(trees, idx))
+        want = [ref.tree_value(model, joint, s) for s in range(model.num_states)]
         np.testing.assert_allclose(values[idx], want, rtol=0, atol=1e-9)
 
 
@@ -61,13 +58,14 @@ def assert_matches_recursion(model, sets, values):
 def test_tensor_entries_match_recursive_values(seed, agents):
     model = two_agent_or_three(seed, agents)
     rng = np.random.default_rng(seed)
-    sets, values = leaf_values(model)
-    assert_matches_recursion(model, sets, values)
+    trees, values = leaf_values(model)
+    assert_matches_recursion(model, trees, values)
     for _ in range(2):
-        chosen, prev = pick(sets, values, rng, keep=2)
-        sets = exhaustive_backup(model, chosen)
-        values = backup_values(model, *candidate_codes(sets, chosen), prev)
-        assert_matches_recursion(model, sets, values)
+        chosen, prev = pick(trees, values, rng, keep=2)
+        sets = exhaustive_backup(model, prev.shape[:-1])
+        values = backup_values(model, sets, prev)
+        trees = ref.table_trees(sets, chosen)
+        assert_matches_recursion(model, trees, values)
 
 
 def brute_force_pick(values, belief, exclude):
@@ -111,19 +109,54 @@ def test_one_ulp_tie_goes_to_lowest_index():
     assert _best_tuple(values, belief)[0] == (1, 0)
 
 
+def reference_fill(model, partial, donors, belief):
+    """The fill's hill climb, valuing each configuration by recursion."""
+    n = model.num_agents
+    rows = [np.maximum(kids, 0) for kids in partial.children]
+    sizes = partial.sizes
+
+    def value(idx):
+        trees = ref.table_trees(CandidateSet(partial.actions, rows), donors)
+        return ref.belief_value(model, tuple(trees[i][idx[i]] for i in range(n)), belief)
+
+    for c in range(max(sizes)):
+        idx = tuple(c % size for size in sizes)
+        owned = [
+            (i, o)
+            for i in range(n)
+            if c < sizes[i]
+            for o in np.flatnonzero(partial.children[i][idx[i]] < 0)
+        ]
+        improved = bool(owned)
+        while improved:
+            improved = False
+            for i, o in owned:
+                current = value(idx)
+                incumbent = rows[i][idx[i], o]
+                best, best_row = current, incumbent
+                for r in range(len(donors[i])):
+                    rows[i][idx[i], o] = r
+                    v = value(idx)
+                    if v > best + 1e-9:
+                        best, best_row = v, r
+                rows[i][idx[i], o] = best_row
+                improved |= best_row != incumbent
+    return rows
+
+
 @given(seed=st.integers(0, 5_000), agents=st.sampled_from([2, 3]))
 @settings(max_examples=15)
-def test_fill_with_and_without_values_agree(seed, agents):
+def test_fill_matches_reference_hill_climb(seed, agents):
     model = two_agent_or_three(seed, agents)
     rng = np.random.default_rng(seed)
-    sets, values = leaf_values(model)
-    donors, prev = pick(sets, values, rng, keep=2)
+    trees, values = leaf_values(model)
+    donors, prev = pick(trees, values, rng, keep=2)
     selection = ObservationSelection(tuple((0,) for _ in range(agents)))
-    partial = partial_backup(model, donors, selection)
-    with_values = fill_missing(model, partial, donors, model.initial_belief, values=prev)
-    evaluated = fill_missing(model, partial, donors, model.initial_belief)
-    for a, b in zip(with_values.trees, evaluated.trees):
-        assert [[c.uid for c in t.children] for t in a] == [[c.uid for c in t.children] for t in b]
+    partial = partial_backup(model, prev.shape[:-1], selection)
+    filled = fill_missing(model, partial, prev, model.initial_belief)
+    want = reference_fill(model, partial, donors, model.initial_belief)
+    for got, expected in zip(filled.children, want):
+        np.testing.assert_array_equal(got, expected)
 
 
 @given(seed=st.integers(0, 2_000))
