@@ -176,6 +176,17 @@ def rank_observations(
     return ObservationSelection(tuple(tuple(c) for c in collected))
 
 
+def weighted_children(model: DecPomdp, prev_flat: np.ndarray, ja: int, jo: int) -> np.ndarray:
+    """Child tuples' values weighted by one step's mass, shape (M, S).
+
+    ``prev_flat`` holds one child tuple's values per row, (M, S).  Entry
+    [c, s] is sum_{s'} T[ja][s, s'] O[ja][s', jo] prev_flat[c, s']: the
+    share of child tuple c in the value of a tuple that takes joint
+    action ``ja`` in state s and then sees joint observation ``jo``.
+    """
+    return prev_flat @ (model.transition[ja] * model.observation[ja][:, jo][None, :]).T
+
+
 def backup_values(model: DecPomdp, candidates: CandidateSet, prev: np.ndarray | None) -> np.ndarray:
     """Joint value tensor of backed-up candidates, shape (|Q_0|, ..., |Q_{n-1}|, S).
 
@@ -183,10 +194,10 @@ def backup_values(model: DecPomdp, candidates: CandidateSet, prev: np.ndarray | 
     level's selected lists, whose rows the candidates' children index.
     With ``prev`` None the candidates are depth-1 trees and a tuple's
     value is the expected immediate reward of its joint action.  Per
-    joint action and joint observation, ``prev @ (T[ja] * O[ja][:, jo]).T``
-    weights every child tuple's values by the step's mass; indexing it by
-    the candidates' child rows and summing over joint observations gives
-    the tensor.
+    joint action and joint observation, ``weighted_children`` weights
+    every child tuple's values by the step's mass; indexing that by the
+    candidates' child rows and summing over joint observations gives the
+    tensor.
     """
     n = model.num_agents
     num_s = model.num_states
@@ -204,8 +215,7 @@ def backup_values(model: DecPomdp, candidates: CandidateSet, prev: np.ndarray | 
         block = np.broadcast_to(er[ja], tuple(r.size for r in rows) + (num_s,)).copy()
         if prev is not None:
             for jo, local in enumerate(model._joint_obs_tuples):
-                weighted = prev_flat @ (model.transition[ja] * model.observation[ja][:, jo][None, :]).T
-                block += weighted.reshape(prev.shape)[
+                block += weighted_children(model, prev_flat, ja, jo).reshape(prev.shape)[
                     np.ix_(*(children[i][rows[i], local[i]] for i in range(n)))
                 ]
         out[np.ix_(*rows)] = block

@@ -284,16 +284,34 @@ class SimulationResult:
     episodes: int
 
 
-def _sample_rows(rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    # row-wise categorical sampling: rows (N, K) of probabilities, draws (N,)
-    cumulative = np.cumsum(rows, axis=1)
-    return np.minimum((draws[:, None] > cumulative).sum(axis=1), rows.shape[1] - 1)
+# floats per block of gathered rows in simulate's sampling (2 MB)
+_SIM_BLOCK_ELEMENTS = 1 << 18
+
+
+def _sample_rows(cumulative: np.ndarray, index: tuple[np.ndarray, ...], draws) -> np.ndarray:
+    """Row-wise categorical draws, one per episode.
+
+    ``cumulative`` holds cumulative distributions along its last axis;
+    episode e compares ``draws[e]`` against row ``cumulative[index][e]``.
+    Rows are gathered and compared a block of episodes at a time, so no
+    (episodes, K) array is ever built whole; each row's result does not
+    depend on the block it falls in.
+    """
+    out = np.empty(len(draws), dtype=np.int64)
+    last = cumulative.shape[-1] - 1
+    block = max(1, _SIM_BLOCK_ELEMENTS // cumulative.shape[-1])
+    for lo in range(0, len(draws), block):
+        part = slice(lo, lo + block)
+        rows = cumulative[tuple(k[part] for k in index)]
+        out[part] = np.minimum((draws[part, None] > rows).sum(axis=1), last)
+    return out
 
 
 def simulate(model: DecPomdp, joint, episodes: int, seed: int) -> SimulationResult:
     """Monte Carlo estimate of a joint policy's value from the initial belief.
 
-    Fully vectorized over episodes; a fixed seed reproduces results
+    Vectorized over episodes, with each step's categorical draws made in
+    blocks of episodes to bound memory; a fixed seed reproduces results
     bit-for-bit because all draws happen in a fixed order on a single
     generator.
     """
@@ -306,7 +324,13 @@ def simulate(model: DecPomdp, joint, episodes: int, seed: int) -> SimulationResu
     rng = np.random.default_rng(seed)
     n = int(episodes)
 
-    state = _sample_rows(np.tile(model.initial_belief.probs, (n, 1)), rng.random(n))
+    # cumulative sums along each row, taken once; summing a gathered
+    # copy of a row gives the same bits
+    start = np.cumsum(model.initial_belief.probs)[None, :]
+    transition = np.cumsum(model.transition, axis=2)
+    observation = np.cumsum(model.observation, axis=2)
+
+    state = _sample_rows(start, (np.zeros(n, dtype=np.int64),), rng.random(n))
     rows = [np.zeros(n, dtype=np.int64) for _ in range(model.num_agents)]
     total = np.zeros(n)
     action_strides = model._action_strides
@@ -315,10 +339,10 @@ def simulate(model: DecPomdp, joint, episodes: int, seed: int) -> SimulationResu
         ja = np.zeros(n, dtype=np.int64)
         for i in range(model.num_agents):
             ja += compiled.actions[i][t][rows[i]] * action_strides[i]
-        nxt = _sample_rows(model.transition[ja, state], rng.random(n))
+        nxt = _sample_rows(transition, (ja, state), rng.random(n))
         total += model.reward[ja, state, nxt]
         if t < horizon - 1:
-            jo = _sample_rows(model.observation[ja, nxt], rng.random(n))
+            jo = _sample_rows(observation, (ja, nxt), rng.random(n))
             for i in range(model.num_agents):
                 local = (jo // obs_strides[i]) % model.observation_counts[i]
                 rows[i] = compiled.children[i][t][rows[i], local]

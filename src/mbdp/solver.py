@@ -6,7 +6,9 @@ per heuristically sampled belief, backs the picks up by one step (fully,
 or only for the likeliest observations with the remaining branches
 filled greedily), and hands the result to the next level.  The exact
 oracle enumerates all policy trees level by level, pruning dominated
-ones, and is feasible only for short horizons.
+ones, and solves the last level by best response: one agent's children
+are picked per observation instead of enumerating its trees.  It is
+feasible only for short horizons.
 
 Both keep every level as integer candidate tables (``CandidateSet``)
 plus the rows they keep: the planner's picks or the exact solver's
@@ -31,6 +33,7 @@ from .backup import (
     partial_backup,
     prune_value_tensor,
     rank_observations,
+    weighted_children,
 )
 from .errors import CapacityError, ConfigError
 from .heuristics import PolicyReplayHeuristic, build_portfolio, generate_belief
@@ -106,6 +109,11 @@ def _flat_to_tuple(flat: int, sizes) -> tuple[int, ...]:
 TIE_TOL = 1e-12
 
 
+def _tie_floor(best):
+    """Lowest score that still ties with ``best`` (elementwise for arrays)."""
+    return best - TIE_TOL * np.maximum(1.0, np.abs(best))
+
+
 def _best_tuple(tensor: np.ndarray, belief: np.ndarray, exclude=None):
     """Highest-value joint tuple of a value tensor at ``belief``.
 
@@ -118,7 +126,7 @@ def _best_tuple(tensor: np.ndarray, belief: np.ndarray, exclude=None):
             scores[(slice(None),) * i + (rows,)] = -np.inf
     flat = scores.reshape(-1)
     best = float(flat.max())
-    pick = int(np.argmax(flat >= best - TIE_TOL * max(1.0, abs(best))))
+    pick = int(np.argmax(flat >= _tie_floor(best)))
     return _flat_to_tuple(pick, scores.shape), float(flat[pick])
 
 
@@ -290,57 +298,92 @@ def _joint_strides(sizes) -> list[int]:
     return strides
 
 
-def _stream_best(model: DecPomdp, cands: CandidateSet, prev, belief: np.ndarray, chunk: int):
-    """(value, flat index, per-state maxima) of the best joint tuple of ``cands`` at ``belief``.
+# floats in one block's per-observation child tensor (8 MB)
+_BLOCK_ELEMENTS = 1 << 20
 
-    Scans the joint tuples of each joint action in chunks of ``chunk``,
-    reading child rows from the candidate tables, so memory stays
-    proportional to the chunk size; ``prev`` is the children's joint
-    value tensor, None for depth-1 candidates.  Ties go to the smallest
-    flat index.
+
+def _best_response(model: DecPomdp, cands: CandidateSet, prev: np.ndarray, belief: np.ndarray):
+    """(value, flat index, per-state maxima) of the best joint tuple of a full backup.
+
+    ``cands`` is ``exhaustive_backup`` of ``prev``'s selected lists and
+    ``prev`` their (m_0, ..., m_{n-1}, S) joint value tensor.  Agent d,
+    the one with the largest table, is never enumerated: once the other
+    agents' rows and d's action are fixed, a tuple's value splits into
+    one term per observation o of d, F[o, c] summed over the joint
+    observations whose d-component is o, where c is the child row d
+    continues with after o.  So d's best children are one argmax per
+    observation, and d's row follows from its action block and those
+    children (action-major, children lexicographic), the smallest row
+    on ties.  The per-state maxima take the same maxima per state.  The
+    other agents' rows are enumerated in blocks of bounded size.  Ties,
+    per observation and across tuples, go to the smallest index within
+    ``TIE_TOL``.
     """
     n = model.num_agents
     num_s = model.num_states
     er = model.expected_reward
-    strides = _joint_strides(cands.sizes)
-    if prev is not None:
-        prev_flat = prev.reshape(-1, num_s)
-        prev_strides = _joint_strides(prev.shape[:-1])
+    sizes = cands.sizes
+    strides = _joint_strides(sizes)
+    d = int(np.argmax(sizes))
+    others = [i for i in range(n) if i != d]
+    m_d = prev.shape[d]
+    num_obs = model.observation_counts[d]
+    # d's row within its action block, from its child rows
+    powers = m_d ** np.arange(num_obs - 1, -1, -1)
+    # child tuples as (others' rows flat, d's row) in C order
+    prev_flat = np.moveaxis(prev, d, n - 1).reshape(-1, num_s)
+    child_strides = _joint_strides([prev.shape[i] for i in others])
+    # the longer of d's child rows and the states goes innermost, where
+    # numpy reduces fastest
+    rows_inner = m_d >= num_s
+    block = max(1, _BLOCK_ELEMENTS // (num_obs * m_d * num_s))
     by_action = cands.rows_by_action(model)
-    best_val, best_flat = -np.inf, -1
+    best_val = -np.inf
+    kept_vals, kept_flats = np.empty(0), np.empty(0, dtype=np.int64)
     state_max = np.full(num_s, -np.inf)
     for ja, ja_tuple in enumerate(itertools.product(*(range(c) for c in model.action_counts))):
         groups = [by_action[i][a] for i, a in enumerate(ja_tuple)]
-        group_sizes = [len(g) for g in groups]
+        weighted = []
+        for jo in range(model.num_joint_observations):
+            w = weighted_children(model, prev_flat, ja, jo).reshape(-1, m_d, num_s)
+            weighted.append(np.ascontiguousarray(w.transpose(0, 2, 1)) if rows_inner else w)
+        reward_at_belief = float(er[ja] @ belief)
+        group_sizes = [len(groups[i]) for i in others]
         group_strides = _joint_strides(group_sizes)
-        if prev is not None:
-            # R[jo][c, s] = sum_{s'} Vprev[c, s'] P[ja][s, s'] O[ja][s', jo]
-            weighted = [
-                prev_flat @ (model.transition[ja] * model.observation[ja][:, jo][None, :]).T
-                for jo in range(model.num_joint_observations)
-            ]
         group_total = math.prod(group_sizes)
-        for lo in range(0, group_total, chunk):
-            hi = min(lo + chunk, group_total)
+        for lo in range(0, group_total, block):
+            hi = min(lo + block, group_total)
             base = np.arange(lo, hi)
-            rows = [
-                groups[i][(base // group_strides[i]) % group_sizes[i]] for i in range(n)
-            ]
-            flats = sum(rows[i] * strides[i] for i in range(n))
-            vals = np.broadcast_to(er[ja], (hi - lo, num_s)).copy()
-            if prev is not None:
-                for jo, local in enumerate(model._joint_obs_tuples):
-                    childflat = sum(
-                        cands.children[i][rows[i], local[i]] * prev_strides[i] for i in range(n)
-                    )
-                    vals += weighted[jo][childflat]
-            np.maximum(state_max, vals.max(axis=0), out=state_max)
-            scores = vals @ belief
-            j = int(np.argmax(scores))
-            if scores[j] > best_val or (scores[j] == best_val and flats[j] < best_flat):
-                best_val = float(scores[j])
-                best_flat = int(flats[j])
-    return best_val, best_flat, state_max
+            rows = {
+                i: groups[i][(base // group_strides[j]) % group_sizes[j]]
+                for j, i in enumerate(others)
+            }
+            # F[k, o, c, s] (or [k, o, s, c]): value share of d continuing
+            # with child row c after its observation o
+            f = np.zeros((hi - lo, num_obs) + weighted[0].shape[1:])
+            for jo, local in enumerate(model._joint_obs_tuples):
+                child = sum(
+                    cands.children[i][rows[i], local[i]] * child_strides[j]
+                    for j, i in enumerate(others)
+                )
+                f[:, local[d]] += weighted[jo][child]
+            per_state = f.max(axis=3 if rows_inner else 2).sum(axis=1)
+            np.maximum(state_max, (er[ja] + per_state).max(axis=0), out=state_max)
+            # scores[k, o, c] at the belief; per o the smallest tying c
+            scores = belief @ f if rows_inner else f @ belief
+            picks = np.argmax(scores >= _tie_floor(scores.max(axis=2))[..., None], axis=2)
+            chosen = np.take_along_axis(scores, picks[..., None], axis=2)[..., 0]
+            vals = reward_at_belief + chosen.sum(axis=1)
+            flats = groups[d][picks @ powers] * strides[d]
+            flats += sum(rows[i] * strides[i] for i in others)
+            best_val = max(best_val, float(vals.max()))
+            # tuples below the running floor stay below the final one
+            keep = kept_vals >= _tie_floor(best_val)
+            fresh = vals >= _tie_floor(best_val)
+            kept_vals = np.concatenate([kept_vals[keep], vals[fresh]])
+            kept_flats = np.concatenate([kept_flats[keep], flats[fresh]])
+    j = int(np.argmin(kept_flats))
+    return float(kept_vals[j]), int(kept_flats[j]), state_max
 
 
 def exact_solve(
@@ -349,16 +392,18 @@ def exact_solve(
     max_candidates: int = 200_000,
     max_pairs: int = 5_000_000,
     max_stream: int = 2_500_000_000,
-    chunk: int = 65_536,
 ) -> ExactResult:
     """Optimal joint value and policy by exhaustive level-wise enumeration.
 
     Levels below the horizon are backed up from the previous level's
     survivors, evaluated as joint value tensors by ``backup_values`` and
     pruned (duplicates and strictly dominated trees removed, which never
-    changes any achievable value).  The top level is streamed: values at
-    the initial belief are computed in chunks and only the argmax and
-    the per-state maxima are kept.
+    changes any achievable value).  The top level is never evaluated
+    tuple by tuple: ``_best_response`` fixes every agent's row but the
+    largest table's, and picks that agent's children by one argmax per
+    observation at the initial belief; the per-state maxima come from
+    the same decomposition.  ``max_stream`` caps the top level's joint
+    tuple count all the same.
     """
     model.require_valid()
     horizon = model.horizon if horizon is None else horizon
@@ -401,10 +446,15 @@ def exact_solve(
         counts_log.append(donors)
     counts_log.append(tuple(sizes))
     cands = exhaustive_backup(model, donors, max_candidates)
-    value, flat, state_max = _stream_best(
-        model, cands, prev, model.initial_belief.probs, chunk
-    )
-    levels.append((cands, [[r] for r in _flat_to_tuple(flat, cands.sizes)]))
+    belief = model.initial_belief.probs
+    if prev is None:
+        tensor = backup_values(model, cands, None)
+        idx, value = _best_tuple(tensor, belief)
+        state_max = tensor.reshape(-1, model.num_states).max(axis=0)
+    else:
+        value, flat, state_max = _best_response(model, cands, prev, belief)
+        idx = _flat_to_tuple(flat, cands.sizes)
+    levels.append((cands, [[r] for r in idx]))
     return ExactResult(
         value=value,
         policy=_materialize(levels),

@@ -1,5 +1,6 @@
 import inspect
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,10 +8,13 @@ import pytest
 from mbdp import (
     DecPomdp,
     ParseError,
+    SolverConfig,
     build_mabc,
     build_tiger,
     evaluate_at_belief,
     exact_solve,
+    improved_mbdp,
+    mbdp,
     parse_policy,
 )
 from mbdp.cli import build_parser, load_problem, main, parse_problem_text, problem_to_text
@@ -208,6 +212,26 @@ class TestOtherCommands:
             assert row["mbdp"] <= row["optimal"] + 1e-9
             assert row["improved"] <= row["optimal"] + 1e-9
             assert row["random"] <= row["optimal"] + 1e-9
+
+    def test_bench_seeds_report_best_over_seeds(self, capsys):
+        base = ["bench", "--problem", "mabc", "--horizons", "3,5", "--oracle-limit", "0",
+                "--heuristics", "random", "--seed", "2", "--format", "records"]
+        code, out, _ = run(capsys, base + ["--seeds", "3"])
+        assert code == 0
+        rows = [r for r in records(out) if r["type"] == "bench-row"]
+        for row in rows:
+            model = build_mabc(horizon=row["horizon"])
+            cfg = SolverConfig(max_trees=3, heuristics=("random",))
+            for name, solve in (("mbdp", mbdp), ("improved", improved_mbdp)):
+                assert row[name] == max(solve(model, replace(cfg, seed=s)).value for s in (2, 3, 4))
+        code, out, _ = run(capsys, base)
+        one = [r for r in records(out) if r["type"] == "bench-row"]
+        cfg = SolverConfig(heuristics=("random",), seed=2)
+        assert [r["mbdp"] for r in one] == [
+            mbdp(build_mabc(horizon=h), cfg).value for h in (3, 5)
+        ]
+        code, _, _ = run(capsys, base + ["--seeds", "0"])
+        assert code == 4
 
     def test_horizon_range_syntax(self, capsys):
         code, out, _ = run(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import mbdp.policy
 from mbdp import (
     JointPolicy,
     ParseError,
@@ -114,6 +115,16 @@ class TestSimulation:
         a = simulate(tiger, joint, episodes=500, seed=4)
         b = simulate(tiger, joint, episodes=500, seed=4)
         assert a.mean == b.mean and a.std_error == b.std_error
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_blocked_sampling_matches_one_pass(self, monkeypatch, block):
+        model = random_model(5, num_states=4, action_counts=(2, 3), obs_counts=(3, 2), horizon=3)
+        joint = random_joint(11, model, 3)
+        whole = simulate(model, joint, episodes=1_001, seed=6)
+        # one row per block up to a few rows: the tables have 3 to 6 columns
+        monkeypatch.setattr(mbdp.policy, "_SIM_BLOCK_ELEMENTS", block)
+        blocked = simulate(model, joint, episodes=1_001, seed=6)
+        assert (blocked.mean, blocked.std_error) == (whole.mean, whole.std_error)
 
 
 class TestSerialization:

@@ -2,6 +2,7 @@
 
 import itertools
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from mbdp import (
     CandidateSet,
+    DecPomdp,
     ObservationSelection,
     SolverConfig,
     exact_solve,
@@ -17,9 +19,10 @@ from mbdp import (
     improved_mbdp,
     mbdp,
     partial_backup,
+    serialize_policy,
 )
-from mbdp.backup import backup_values
-from mbdp.solver import _best_tuple
+from mbdp.backup import backup_values, prune_value_tensor
+from mbdp.solver import _best_response, _best_tuple, _materialize
 
 import _reference as ref
 from conftest import random_model
@@ -183,3 +186,149 @@ def test_planner_never_beats_exact_with_three_agents(seed):
         assert report.value == pytest.approx(
             ref.belief_value(model, report.policy.trees, model.initial_belief), abs=1e-9
         )
+
+
+# exact_solve's final level, in models whose full final tensor stays small;
+# the first agent's table is the larger in the "wide" shapes, the second's
+# in the "tall" ones, like box pushing's (4096, 128)
+FINAL_LEVEL_SHAPES = {
+    ("2 agents", 2): dict(action_counts=(2, 3), obs_counts=(3, 2)),
+    ("2 agents", 3): dict(action_counts=(2, 2), obs_counts=(2, 2)),
+    ("3 agents", 2): dict(action_counts=(2, 2, 2), obs_counts=(2, 2, 1)),
+    ("3 agents", 3): dict(action_counts=(2, 2, 2), obs_counts=(2, 2, 1)),
+    ("wide", 2): dict(action_counts=(2, 3), obs_counts=(3, 1)),
+    ("wide", 3): dict(action_counts=(2, 2), obs_counts=(3, 1)),
+    ("tall", 2): dict(action_counts=(3, 2), obs_counts=(1, 3)),
+    ("tall", 3): dict(action_counts=(2, 2), obs_counts=(1, 3)),
+}
+final_level_shapes = st.sampled_from(sorted(FINAL_LEVEL_SHAPES))
+
+
+def final_level_model(seed, shape, ties=False):
+    """A random model, or with ``ties`` one whose equal values are exactly equal.
+
+    The tie-heavy variant has dyadic probabilities, integer rewards, and
+    a second action of agent 0 that copies the first, so whole blocks of
+    final tuples tie and every sum is exact.
+    """
+    model = random_model(
+        seed, num_states=4 if ties else 3, horizon=shape[1], **FINAL_LEVEL_SHAPES[shape]
+    )
+    if not ties:
+        return model
+    rng = np.random.default_rng(seed)
+
+    def dyadic_rows(shape):
+        # each row puts 1/2 on two entries (possibly the same one)
+        rows = np.zeros(shape)
+        flat = rows.reshape(-1, shape[-1])
+        for r, (a, b) in enumerate(rng.integers(shape[-1], size=(len(flat), 2))):
+            flat[r, a] += 0.5
+            flat[r, b] += 0.5
+        return rows
+
+    transition = dyadic_rows(model.transition.shape)
+    observation = dyadic_rows(model.observation.shape)
+    reward = rng.integers(-2, 3, size=model.reward.shape).astype(float)
+    # joint actions are agent-0-major: the second half copies the first
+    half = len(transition) // model.action_counts[0]
+    for table in (transition, observation, reward):
+        table[half : 2 * half] = table[:half]
+    belief = np.zeros(model.num_states)
+    np.add.at(belief, rng.integers(model.num_states, size=4), 0.25)
+    return replace(
+        model, transition=transition, observation=observation, reward=reward, initial_belief=belief
+    )
+
+
+def exact_oracle(model, belief):
+    """exact_solve with the final level evaluated as one whole value tensor.
+
+    The tensor's entries are checked against recursion above; the pick is
+    its lowest-index argmax within the tie tolerance, and the per-state
+    maxima are maxima over all its tuples.
+    """
+    levels, donors, prev = [], None, None
+    for _ in range(model.horizon - 1):
+        cands = exhaustive_backup(model, donors)
+        keep, prev = prune_value_tensor(backup_values(model, cands, prev))
+        levels.append((cands, keep))
+        donors = prev.shape[:-1]
+    cands = exhaustive_backup(model, donors)
+    tensor = backup_values(model, cands, prev)
+    idx, value = _best_tuple(tensor, belief)
+    levels.append((cands, [[r] for r in idx]))
+    return SimpleNamespace(
+        cands=cands,
+        prev=prev,
+        value=value,
+        flat=int(np.ravel_multi_index(idx, cands.sizes)),
+        state_values=tensor.reshape(-1, model.num_states).max(axis=0),
+        policy=_materialize(levels),
+    )
+
+
+@given(
+    seed=st.integers(0, 5_000),
+    shape=final_level_shapes,
+    ties=st.booleans(),
+    at_initial=st.booleans(),
+)
+@settings(max_examples=40)
+def test_best_response_matches_full_tensor(seed, shape, ties, at_initial):
+    model = final_level_model(seed, shape, ties)
+    rng = np.random.default_rng(seed)
+    belief = model.initial_belief.probs if at_initial else rng.dirichlet(np.ones(model.num_states))
+    want = exact_oracle(model, belief)
+    value, flat, state_values = _best_response(model, want.cands, want.prev, belief)
+    assert flat == want.flat
+    assert value == pytest.approx(want.value, rel=1e-12, abs=1e-12)
+    np.testing.assert_allclose(state_values, want.state_values, rtol=0, atol=1e-12)
+
+
+@given(seed=st.integers(0, 5_000), shape=final_level_shapes, ties=st.booleans())
+@settings(max_examples=25)
+def test_exact_solve_matches_full_tensor_oracle(seed, shape, ties):
+    model = final_level_model(seed, shape, ties)
+    want = exact_oracle(model, model.initial_belief.probs)
+    got = exact_solve(model)
+    assert got.value == pytest.approx(want.value, rel=1e-12, abs=1e-12)
+    np.testing.assert_allclose(got.state_values, want.state_values, rtol=0, atol=1e-12)
+    assert serialize_policy(model, got.policy) == serialize_policy(model, want.policy)
+    assert ref.belief_value(model, got.policy.trees, model.initial_belief) == pytest.approx(
+        got.value, abs=1e-9
+    )
+
+
+def test_final_tie_goes_to_lowest_flat_index_not_first_scanned():
+    # one state and one observation, so trees are action sequences; each
+    # step pays 1 when the two actions differ.  The four best tuples tie,
+    # and the kernel, which scans joint actions first, meets flat index 6
+    # before 3
+    model = DecPomdp(
+        states=("s",),
+        actions=(("a", "b"), ("a", "b")),
+        observations=(("o",), ("o",)),
+        transition=np.ones((4, 1, 1)),
+        observation=np.ones((4, 1, 1)),
+        reward=np.array([0.0, 1.0, 1.0, 0.0]).reshape(4, 1, 1),
+        initial_belief=np.ones(1),
+        horizon=2,
+    )
+    belief = model.initial_belief.probs
+    want = exact_oracle(model, belief)
+    assert (want.value, want.flat) == (2.0, 3)
+    assert _best_response(model, want.cands, want.prev, belief)[:2] == (2.0, 3)
+
+
+def test_tie_heavy_models_tie_in_the_final_level():
+    # the tie-heavy models above do exercise the tie rule: the lowest
+    # index wins over an equal tuple with another action or child row
+    tied = 0
+    for seed in range(8):
+        model = final_level_model(seed, ("2 agents", 2), ties=True)
+        want = exact_oracle(model, model.initial_belief.probs)
+        tensor = backup_values(model, want.cands, want.prev)
+        scores = tensor.reshape(-1, model.num_states) @ model.initial_belief.probs
+        tied += int((scores == want.value).sum() > 1)
+    assert tied >= 6
