@@ -4,14 +4,14 @@ A per-agent policy tree carries an action at every node and one child
 slot per local observation.  Trees are immutable and shared: backups
 reference existing subtrees instead of copying them, so a horizon-100
 policy is a small DAG even though its unrolled tree is astronomically
-large.  Every node gets a process-unique ``uid`` at construction; memo
-tables are keyed on tuples of uids, which makes identity-based sharing
-safe and deterministic within a run.
+large.  ``CompiledPolicy`` turns a joint policy into integer tables, one
+action array and one child-row table per agent and depth, with each
+shared subtree in a single row; simulation, trajectory replay and exact
+evaluation all read those tables.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -36,9 +36,7 @@ class PolicyTree:
     by partial backups).  Depth-1 nodes carry an empty children tuple.
     """
 
-    __slots__ = ("action", "children", "depth", "complete", "uid")
-
-    _uids = itertools.count()
+    __slots__ = ("action", "children", "depth", "complete")
 
     def __init__(self, action: int, children: Sequence["PolicyTree | None"] = ()):
         children = tuple(children)
@@ -58,28 +56,32 @@ class PolicyTree:
         object.__setattr__(self, "children", children)
         object.__setattr__(self, "depth", depth)
         object.__setattr__(self, "complete", complete)
-        object.__setattr__(self, "uid", next(PolicyTree._uids))
 
     def __setattr__(self, name, value):
         raise AttributeError("PolicyTree nodes are immutable")
 
     def __repr__(self):
-        return f"PolicyTree(action={self.action}, depth={self.depth}, complete={self.complete}, uid={self.uid})"
+        return f"PolicyTree(action={self.action}, depth={self.depth}, complete={self.complete})"
 
     def child(self, obs: int) -> "PolicyTree | None":
         return self.children[obs] if self.children else None
 
     def same_structure(self, other: "PolicyTree") -> bool:
-        """Structural equality (actions and branch shapes), ignoring uids."""
-        if self.action != other.action or self.depth != other.depth:
-            return False
-        if len(self.children) != len(other.children):
-            return False
-        for a, b in zip(self.children, other.children):
-            if (a is None) != (b is None):
+        """Structural equality (actions and branch shapes); each pair of shared nodes is compared once."""
+        seen: set[tuple[int, int]] = set()
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if (id(a), id(b)) in seen:
+                continue
+            seen.add((id(a), id(b)))
+            if a.action != b.action or a.depth != b.depth or len(a.children) != len(b.children):
                 return False
-            if a is not None and not a.same_structure(b):
-                return False
+            for x, y in zip(a.children, b.children):
+                if (x is None) != (y is None):
+                    return False
+                if x is not None:
+                    stack.append((x, y))
         return True
 
 
@@ -109,6 +111,7 @@ class JointPolicy:
         return len(self.trees)
 
 
+# Unused by the package; kept only because perfbench/bench_trace.py imports it and patches ``retain``.
 class ValueTable:
     """Memo of state-value vectors keyed by joint subtree identity.
 
@@ -134,9 +137,6 @@ class ValueTable:
     def __len__(self):
         return len(self._vectors)
 
-    def __contains__(self, key):
-        return key in self._vectors
-
 
 def _tree_tuple(joint) -> tuple[PolicyTree, ...]:
     if isinstance(joint, JointPolicy):
@@ -144,72 +144,110 @@ def _tree_tuple(joint) -> tuple[PolicyTree, ...]:
     return tuple(joint)
 
 
-class PolicyEvaluator:
-    """Exact joint-policy evaluation against a fixed model.
+class CompiledPolicy:
+    """Integer tables of a joint policy, the form every policy consumer reads.
 
-    Values are state-indexed vectors memoized per tuple of subtree uids
-    and computed iteratively from the leaves up, so deep policies never
-    recurse near the interpreter stack limit.
+    For each agent and tree level d (0 is the root), ``actions[i][d]`` is
+    an int array over that level's distinct nodes and ``children[i][d]``
+    maps (node_row, local_obs) to a row of level d+1.  Shared subtrees
+    occupy a single row, so the tables stay small for solver output.
+    Compiling checks the input: one tree per agent, equal depths and no
+    missing branch.
     """
 
-    def __init__(self, model: DecPomdp, table: ValueTable | None = None):
+    def __init__(self, model: DecPomdp, joint):
+        trees = _tree_tuple(joint)
+        if len(trees) != model.num_agents:
+            raise EvaluationError(f"expected {model.num_agents} trees, got {len(trees)}")
+        if len({t.depth for t in trees}) != 1:
+            raise EvaluationError("joint configuration mixes tree depths")
+        self.depth = trees[0].depth
+        self.actions: list[list[np.ndarray]] = []
+        self.children: list[list[np.ndarray]] = []
+        for i, root in enumerate(trees):
+            acts, kids = self._compile(model, i, root)
+            self.actions.append(acts)
+            self.children.append(kids)
+
+    @staticmethod
+    def _compile(model: DecPomdp, agent: int, root: PolicyTree):
+        # nodes are told apart by id(); the trees keep them alive meanwhile
+        level = [root]
+        actions = [np.array([root.action], dtype=np.int64)]
+        children = []
+        for _ in range(root.depth - 1):
+            below: list[PolicyTree] = []
+            index: dict[int, int] = {}
+            table = np.empty((len(level), model.observation_counts[agent]), dtype=np.int64)
+            for r, node in enumerate(level):
+                for o, name in enumerate(model.observations[agent]):
+                    child = node.children[o] if o < len(node.children) else None
+                    if child is None:
+                        raise EvaluationError(
+                            f"agent {agent} tree (action {node.action}, depth {node.depth}) "
+                            f"is missing the branch for observation '{name}'"
+                        )
+                    if id(child) not in index:
+                        index[id(child)] = len(below)
+                        below.append(child)
+                    table[r, o] = index[id(child)]
+            children.append(table)
+            actions.append(np.array([n.action for n in below], dtype=np.int64))
+            level = below
+        bad = [a for acts in actions for a in acts.tolist() if not 0 <= a < model.action_counts[agent]]
+        if bad:
+            raise ModelError(f"action {bad[0]} out of range for agent {agent}")
+        return actions, children
+
+
+# joint row tuples are coded as int64 numbers below this
+_CODE_LIMIT = np.iinfo(np.int64).max
+
+
+class PolicyEvaluator:
+    """Exact joint-policy evaluation on ``CompiledPolicy`` tables.
+
+    Top down, the distinct joint row tuples each depth reaches are found
+    by ``np.unique`` on one int64 code per tuple.  Bottom up, per joint
+    action, their children's values are gathered, weighted by O and
+    carried back through one T matmul.
+    """
+
+    def __init__(self, model: DecPomdp):
         model.require_valid()
         self.model = model
-        self.table = table if table is not None else ValueTable()
-
-    def _joint_action(self, nodes) -> int:
-        return self.model.joint_action_index(tuple(n.action for n in nodes))
-
-    def _child_key(self, nodes, local_obs) -> tuple:
-        children = []
-        for i, node in enumerate(nodes):
-            child = node.children[local_obs[i]] if node.children else None
-            if child is None:
-                name = self.model.observations[i][local_obs[i]]
-                raise EvaluationError(
-                    f"agent {i} tree (action {node.action}, depth {node.depth}) "
-                    f"is missing the branch for observation '{name}'"
-                )
-            children.append(child)
-        return tuple(children)
 
     def value_vector(self, joint) -> np.ndarray:
         """State-indexed exact value vector of a joint configuration."""
-        nodes = _tree_tuple(joint)
-        if len(nodes) != self.model.num_agents:
-            raise EvaluationError(f"expected {self.model.num_agents} trees, got {len(nodes)}")
-        if len({n.depth for n in nodes}) != 1:
-            raise EvaluationError("joint configuration mixes tree depths")
         model = self.model
-        er = model.expected_reward
-        table = self.table
-        root_key = tuple(n.uid for n in nodes)
-        if (cached := table.get(root_key)) is not None:
-            return cached
-        obs_tuples = model._joint_obs_tuples
-        stack: list[tuple[tuple[PolicyTree, ...], bool]] = [(nodes, False)]
-        while stack:
-            current, expanded = stack.pop()
-            key = tuple(n.uid for n in current)
-            if key in table:
-                continue
-            if current[0].depth == 1:
-                table.put(key, er[self._joint_action(current)])
-                continue
-            kids = [self._child_key(current, lo) for lo in obs_tuples]
-            if not expanded:
-                stack.append((current, True))
-                for kid in kids:
-                    if tuple(n.uid for n in kid) not in table:
-                        stack.append((kid, False))
-            else:
-                ja = self._joint_action(current)
-                child_vals = np.stack([table.get(tuple(n.uid for n in kid)) for kid in kids])
-                weighted = (model.observation[ja] * child_vals.T).sum(axis=1)
-                vec = er[ja] + model.transition[ja] @ weighted
-                vec.setflags(write=False)
-                table.put(key, vec)
-        return table.get(root_key)
+        policy = CompiledPolicy(model, joint)
+        local = np.array(model._joint_obs_tuples, dtype=np.int64).T
+        # rows[d][i]: agent i's row in each tuple depth d reaches;
+        # below[d][k, jo]: the depth-d+1 tuple that tuple k moves to on jo
+        rows = [[np.zeros(1, dtype=np.int64)] * model.num_agents]
+        below = []
+        for d in range(policy.depth - 1):
+            kids = [table[d][r][:, o].ravel() for table, r, o in zip(policy.children, rows[d], local)]
+            code = np.zeros(len(kids[0]), dtype=np.int64)
+            for kid, acts in zip(kids, policy.actions):
+                size = len(acts[d + 1])
+                if code.max() >= _CODE_LIMIT // size:  # renumber densely before it overflows
+                    code = np.unique(code, return_inverse=True)[1]
+                code = code * size + kid
+            _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+            rows.append([kid[first] for kid in kids])
+            below.append(inverse.reshape(len(rows[d][0]), -1))
+        values = None
+        for d in range(policy.depth - 1, -1, -1):
+            ja = sum(a[d][r] * stride for a, r, stride in zip(policy.actions, rows[d], model._action_strides))
+            level = model.expected_reward[ja]
+            if values is not None:
+                for a in np.unique(ja):
+                    sel = np.flatnonzero(ja == a)
+                    weighted = (values[below[d][sel]] * model.observation[a].T).sum(axis=1)
+                    level[sel] += weighted @ model.transition[a].T
+            values = level
+        return values[0]
 
     def at_state(self, joint, state: int) -> float:
         return float(self.value_vector(joint)[state])
@@ -218,63 +256,17 @@ class PolicyEvaluator:
         return float(belief.probs @ self.value_vector(joint))
 
 
-def evaluate_at_state(model: DecPomdp, joint, state: int, table: ValueTable | None = None) -> float:
+def evaluate_at_state(model: DecPomdp, joint, state: int) -> float:
     """Exact value of a joint policy started in a single state."""
-    return PolicyEvaluator(model, table).at_state(joint, state)
+    return PolicyEvaluator(model).at_state(joint, state)
 
 
-def evaluate_at_belief(model: DecPomdp, joint, belief: BeliefState, table: ValueTable | None = None) -> float:
+def evaluate_at_belief(model: DecPomdp, joint, belief: BeliefState) -> float:
     """Exact value of a joint policy under a starting belief (linear in the belief)."""
-    return PolicyEvaluator(model, table).at_belief(joint, belief)
+    return PolicyEvaluator(model).at_belief(joint, belief)
 
 
-# ---- vectorized tree walking (simulation, trajectory replay) ---------
-
-
-class CompiledPolicy:
-    """Integer tables for walking a joint policy without touching objects.
-
-    For each agent and tree level d (0 is the root), ``actions[i][d]`` is
-    an int array over that level's distinct nodes and ``children[i][d]``
-    maps (node_row, local_obs) to a row of level d+1.  Shared subtrees
-    occupy a single row, so the tables stay small for solver output.
-    """
-
-    def __init__(self, model: DecPomdp, joint):
-        trees = _tree_tuple(joint)
-        self.depth = trees[0].depth
-        self.actions: list[list[np.ndarray]] = []
-        self.children: list[list[np.ndarray]] = []
-        for i, root in enumerate(trees):
-            if not root.complete:
-                raise EvaluationError(f"agent {i} tree is incomplete")
-            acts, kids = self._compile(root, model.observation_counts[i])
-            self.actions.append(acts)
-            self.children.append(kids)
-
-    @staticmethod
-    def _compile(root: PolicyTree, num_obs: int):
-        levels = [[root]]
-        index = [{root.uid: 0}]
-        for d in range(root.depth - 1):
-            nxt: list[PolicyTree] = []
-            idx: dict[int, int] = {}
-            for node in levels[d]:
-                for child in node.children:
-                    if child.uid not in idx:
-                        idx[child.uid] = len(nxt)
-                        nxt.append(child)
-            levels.append(nxt)
-            index.append(idx)
-        actions = [np.array([n.action for n in level], dtype=np.int64) for level in levels]
-        children = []
-        for d in range(root.depth - 1):
-            table = np.empty((len(levels[d]), num_obs), dtype=np.int64)
-            for r, node in enumerate(levels[d]):
-                for o, child in enumerate(node.children):
-                    table[r, o] = index[d + 1][child.uid]
-            children.append(table)
-        return actions, children
+# ---- simulation ----------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -319,8 +311,7 @@ def simulate(model: DecPomdp, joint, episodes: int, seed: int) -> SimulationResu
     if episodes < 1:
         raise EvaluationError("episodes must be >= 1")
     compiled = CompiledPolicy(model, joint)
-    trees = _tree_tuple(joint)
-    horizon = trees[0].depth
+    horizon = compiled.depth
     rng = np.random.default_rng(seed)
     n = int(episodes)
 
@@ -356,10 +347,10 @@ def simulate(model: DecPomdp, joint, episodes: int, seed: int) -> SimulationResu
 
 
 def _expanded_node_count(tree: PolicyTree, memo: dict[int, int]) -> int:
-    if tree.uid in memo:
-        return memo[tree.uid]
+    if id(tree) in memo:
+        return memo[id(tree)]
     total = 1 + sum(_expanded_node_count(c, memo) for c in tree.children if c is not None)
-    memo[tree.uid] = total
+    memo[id(tree)] = total
     return total
 
 
@@ -383,11 +374,11 @@ def _shared_payload(model: DecPomdp, agent: int, tree: PolicyTree):
     index: dict[int, int] = {}
 
     def visit(node: PolicyTree):
-        if node.uid in index:
+        if id(node) in index:
             return
         for child in node.children:
             visit(child)
-        index[node.uid] = len(order)
+        index[id(node)] = len(order)
         order.append(node)
 
     visit(tree)
@@ -395,9 +386,9 @@ def _shared_payload(model: DecPomdp, agent: int, tree: PolicyTree):
     for node in order:
         record = {"action": action_names[node.action]}
         if node.children:
-            record["children"] = {obs_names[o]: index[c.uid] for o, c in enumerate(node.children)}
+            record["children"] = {obs_names[o]: index[id(c)] for o, c in enumerate(node.children)}
         nodes.append(record)
-    return {"root": index[tree.uid], "nodes": nodes}
+    return {"root": index[id(tree)], "nodes": nodes}
 
 
 def serialize_policy(model: DecPomdp, joint, inline_node_limit: int = DEFAULT_INLINE_NODE_LIMIT) -> str:

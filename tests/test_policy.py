@@ -1,17 +1,23 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import mbdp.policy
 from mbdp import (
+    EvaluationError,
     JointPolicy,
+    ModelError,
     ParseError,
-    PolicyEvaluator,
     PolicyTree,
+    SolverConfig,
     ValueTable,
+    build_mabc,
     evaluate_at_belief,
     evaluate_at_state,
     parse_policy,
+    mbdp as plan,
     serialize_policy,
     simulate,
 )
@@ -31,8 +37,24 @@ def random_tree(rng, model, agent, depth):
     return PolicyTree(action, kids)
 
 
-def random_joint(seed, model, depth):
+def random_dag(rng, model, agent, depth, width):
+    """A tree whose every level holds ``width`` nodes, shared by all parents above."""
+    below = [PolicyTree(int(rng.integers(model.action_counts[agent]))) for _ in range(width)]
+    for _ in range(depth - 1):
+        below = [
+            PolicyTree(
+                int(rng.integers(model.action_counts[agent])),
+                tuple(below[int(rng.integers(width))] for _ in range(model.observation_counts[agent])),
+            )
+            for _ in range(width)
+        ]
+    return below[0]
+
+
+def random_joint(seed, model, depth, width=None):
     rng = np.random.default_rng(seed)
+    if width is not None:
+        return tuple(random_dag(rng, model, i, depth, width) for i in range(model.num_agents))
     return tuple(random_tree(rng, model, i, depth) for i in range(model.num_agents))
 
 
@@ -44,10 +66,6 @@ class TestTree:
         assert node.depth == 2 and node.complete
         holey = PolicyTree(1, (leaf, None))
         assert not holey.complete
-
-    def test_uids_are_unique(self):
-        a, b = PolicyTree(0), PolicyTree(0)
-        assert a.uid != b.uid
 
     def test_immutable(self):
         t = PolicyTree(0)
@@ -62,36 +80,60 @@ class TestTree:
         assert a.same_structure(b)
         assert not a.same_structure(c)
 
+    def test_same_structure_on_shared_dags(self):
+        model = build_mabc(horizon=100)
+        policy = plan(model, SolverConfig(max_trees=3, heuristics=("random",))).policy
+        text = serialize_policy(model, policy)
+        back = parse_policy(model, text)
+        assert all(t.same_structure(u) for t, u in zip(policy.trees, back.trees))
+        doc = json.loads(text)
+        assert doc["representation"] == "shared"
+        # the shared form lists nodes children first, so node 0 is a deepest leaf
+        leaf = doc["agents"][0]["nodes"][0]
+        assert "children" not in leaf
+        leaf["action"] = "wait" if leaf["action"] == "send" else "send"
+        changed = parse_policy(model, json.dumps(doc))
+        assert not policy.trees[0].same_structure(changed.trees[0])
+
     def test_joint_policy_checks_depth(self):
         with pytest.raises(Exception):
             JointPolicy((PolicyTree(0), PolicyTree(0, (PolicyTree(0), PolicyTree(0)))))
 
 
+# (action counts, observation counts) per agent
+SHAPES = [((2, 2), (2, 2)), ((3, 2), (2, 3)), ((2, 3), (3, 2)), ((2, 2, 2), (2, 2, 2))]
+
+
 class TestEvaluator:
-    @given(seed=st.integers(0, 5_000), depth=st.integers(1, 3))
-    def test_matches_recursive_reference(self, seed, depth):
-        model = random_model(seed, horizon=depth)
-        joint = random_joint(seed + 1, model, depth)
+    @given(
+        seed=st.integers(0, 5_000),
+        depth=st.integers(1, 3),
+        shape=st.sampled_from(SHAPES),
+        width=st.sampled_from([None, 1, 2]),
+    )
+    def test_matches_recursive_reference(self, seed, depth, shape, width):
+        # width None: every node distinct; 1 or 2: levels shared as a DAG
+        actions, observations = shape
+        model = random_model(seed, action_counts=actions, obs_counts=observations, horizon=depth)
+        joint = random_joint(seed + 1, model, depth, width)
         for s in range(model.num_states):
             got = evaluate_at_state(model, joint, s)
             want = ref.tree_value(model, joint, s)
             assert got == pytest.approx(want, abs=1e-10)
+
+    def test_dense_renumbering_keeps_values(self, monkeypatch):
+        # a limit of 1 renumbers the tuple codes before every agent's rows
+        model = random_model(3, action_counts=(2, 2, 2), obs_counts=(2, 2, 2), horizon=3)
+        joint = random_joint(4, model, 3, width=2)
+        monkeypatch.setattr(mbdp.policy, "_CODE_LIMIT", 1)
+        for s in range(model.num_states):
+            assert evaluate_at_state(model, joint, s) == pytest.approx(ref.tree_value(model, joint, s), abs=1e-10)
 
     def test_belief_value_is_state_mixture(self, tiger):
         joint = random_joint(0, tiger, 2)
         by_state = [evaluate_at_state(tiger, joint, s) for s in range(tiger.num_states)]
         mix = float(np.dot(tiger.initial_belief.probs, by_state))
         assert evaluate_at_belief(tiger, joint, tiger.initial_belief) == pytest.approx(mix)
-
-    def test_shared_table_reuses_results(self, tiger):
-        joint = random_joint(1, tiger, 2)
-        table = ValueTable()
-        ev = PolicyEvaluator(tiger, table)
-        first = ev.at_belief(joint, tiger.initial_belief)
-        again = ev.at_belief(joint, tiger.initial_belief)
-        assert first == again
-        key = tuple(t.uid for t in joint)
-        assert table.get(key) is not None
 
     def test_retain_drops_unlisted_entries(self):
         table = ValueTable()
@@ -125,6 +167,31 @@ class TestSimulation:
         monkeypatch.setattr(mbdp.policy, "_SIM_BLOCK_ELEMENTS", block)
         blocked = simulate(model, joint, episodes=1_001, seed=6)
         assert (blocked.mean, blocked.std_error) == (whole.mean, whole.std_error)
+
+
+_LEAF = PolicyTree(0)
+_NODE = PolicyTree(0, (PolicyTree(0), PolicyTree(1)))
+BAD_JOINTS = {
+    "one tree": ((_NODE,), EvaluationError, "expected 2 trees, got 1"),
+    "three trees": ((_NODE, _NODE, _NODE), EvaluationError, "expected 2 trees, got 3"),
+    "leaf first": ((_LEAF, _NODE), EvaluationError, "mixes tree depths"),
+    "leaf last": ((_NODE, _LEAF), EvaluationError, "mixes tree depths"),
+    "missing branch": ((_NODE, PolicyTree(2, (_LEAF, None))), EvaluationError, "missing the branch"),
+    "too few branches": ((_NODE, PolicyTree(2, (_LEAF,))), EvaluationError, "missing the branch"),
+    "unknown action": ((_NODE, PolicyTree(1, (_LEAF, PolicyTree(3)))), ModelError, "action 3 out of range"),
+}
+CONSUMERS = {
+    "simulate": lambda model, joint: simulate(model, joint, 10, 0),
+    "evaluate_at_belief": lambda model, joint: evaluate_at_belief(model, joint, model.initial_belief),
+}
+
+
+@pytest.mark.parametrize("consumer", CONSUMERS)
+@pytest.mark.parametrize("case", BAD_JOINTS)
+def test_consumers_reject_malformed_joint_policies(tiger, consumer, case):
+    joint, error, message = BAD_JOINTS[case]
+    with pytest.raises(error, match=message):
+        CONSUMERS[consumer](tiger, joint)
 
 
 class TestSerialization:
