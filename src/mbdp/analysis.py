@@ -3,9 +3,13 @@
 A partial backup branches only on a per-agent subset of observations.
 ``epsilon_at`` measures the joint probability mass the best such subsets
 capture at one (belief, action); ``epsilon_global`` takes the minimum
-over beliefs reachable within the horizon (exactly, or sampled), and
-``error_bound`` turns that into a worst-case value loss for the whole
-plan.
+over beliefs reachable within the horizon, and ``error_bound`` turns
+that into a worst-case value loss for the whole plan.
+
+Exact mode enumerates reachable beliefs depth by depth on arrays, keeps
+each distinct belief once (rows rounded to 12 decimals) and links it to
+its parent by integer arrays, from which the witness history is read
+back.  Sampled mode rolls out random histories and only estimates.
 """
 
 from __future__ import annotations
@@ -45,38 +49,41 @@ class EpsilonReport:
 
 
 def _subset_families(model: DecPomdp, max_obs: int):
-    """All per-agent observation subsets of the kept size, with flat indices."""
-    sizes = [min(max_obs, c) for c in model.observation_counts]
-    per_agent = [
-        list(itertools.combinations(range(count), size))
-        for count, size in zip(model.observation_counts, sizes)
-    ]
-    families = []
-    for combo in itertools.product(*per_agent):
-        flat = [
-            model.joint_observation_index(jo)
-            for jo in itertools.product(*combo)
-        ]
-        families.append((combo, np.asarray(flat, dtype=np.int64)))
-    return families
+    """All per-agent observation subsets of the kept size.
+
+    Returns the subsets of each family and an (F, k) array of the joint
+    observations each family keeps.
+    """
+    per_agent = [itertools.combinations(range(c), min(max_obs, c)) for c in model.observation_counts]
+    combos = list(itertools.product(*per_agent))
+    flat = [[model.joint_observation_index(jo) for jo in itertools.product(*c)] for c in combos]
+    return combos, np.array(flat, dtype=np.int64)
 
 
-def _capture_matrix(q: np.ndarray, families) -> np.ndarray:
-    """Captured mass per (family, belief row) for joint obs probabilities q."""
-    return np.stack([q[:, flat].sum(axis=1) for _, flat in families])
+def _capture_matrix(q: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """Captured mass per (family, row) for joint observation probabilities q.
+
+    Each family's mass is numpy's sum over a gathered (kept observation,
+    row) block, the same sum as ``q[:, family].sum(axis=1)``; families go
+    a few at a time so the gathered block stays near 1 MB.
+    """
+    cols = np.ascontiguousarray(q.T)
+    captures = np.empty((len(flat), len(q)))
+    step = max(1, (1 << 17) // (flat.shape[1] * len(q)))
+    for f in range(0, len(flat), step):
+        cols[flat[f:f + step]].sum(axis=1, out=captures[f:f + step])
+    return captures
 
 
-def epsilon_at(
-    model: DecPomdp, belief: BeliefState, action, max_obs: int
-) -> float:
+def epsilon_at(model: DecPomdp, belief: BeliefState, action, max_obs: int) -> float:
     """Best joint observation mass captured by per-agent subsets at (belief, action)."""
     model.require_valid()
     if max_obs < 1:
         raise ConfigError("max_obs must be >= 1")
     ja = action if isinstance(action, (int, np.integer)) else model.joint_action_index(action)
     q = model.observation_probabilities(belief, int(ja))[None, :]
-    captures = _capture_matrix(q, _subset_families(model, max_obs))
-    return float(captures.max())
+    _, flat = _subset_families(model, max_obs)
+    return float(_capture_matrix(q, flat).max())
 
 
 def epsilon_global(
@@ -92,7 +99,8 @@ def epsilon_global(
 
     Exact mode enumerates every belief reachable by some action and
     observation history of length < horizon, paired with every next
-    action; it is a guarantee but exponential in the horizon.  Sampled
+    action; it is a guarantee but exponential in the horizon.
+    ``max_beliefs`` caps the distinct beliefs it may visit.  Sampled
     mode instead rolls out ``budget`` random conditioned histories and
     reports the minimum seen, an estimate only.
     """
@@ -101,130 +109,120 @@ def epsilon_global(
         raise ConfigError("mode must be 'exact' or 'sampled'")
     if max_obs < 1:
         raise ConfigError("max_obs must be >= 1")
+    if budget < 1:
+        raise ConfigError("budget must be >= 1")
+    if max_beliefs < 1:
+        raise ConfigError("max_beliefs must be >= 1")
     horizon = model.horizon if horizon is None else horizon
     if horizon < 1:
         raise ConfigError("horizon must be >= 1")
-    families = _subset_families(model, max_obs)
-    num_ja = model.num_joint_actions
-    num_jo = model.num_joint_observations
-
-    best = np.inf
-    best_where = None  # (entry, ja, family index)
-
+    combos, flat = _subset_families(model, max_obs)
     if mode == "exact":
-        # entries: (belief row, parent entry or None, (ja, jo) that led here)
-        entries = [(model.initial_belief.probs, None, None)]
-        checked = 0
-        level = [0]
-        for depth in range(horizon):
-            rows = np.stack([entries[i][0] for i in level])
-            checked += len(level)
-            if checked > max_beliefs:
-                raise CapacityError(
-                    f"exact reachability needs more than {max_beliefs} beliefs; "
-                    "use sampled mode or raise max_beliefs"
-                )
-            next_level = []
-            for ja in range(num_ja):
-                post = rows @ model.transition[ja]
-                q = post @ model.observation[ja]
-                captures = _capture_matrix(q, families)
-                fam = captures.argmax(axis=0)
-                eps_rows = captures.max(axis=0)
-                r = int(eps_rows.argmin())
-                if eps_rows[r] < best:
-                    best = float(eps_rows[r])
-                    best_where = (level[r], ja, int(fam[r]))
-                if depth == horizon - 1:
-                    continue
-                numer = post[:, :, None] * model.observation[ja][None, :, :]
-                mass = numer.sum(axis=1)
-                for r_i in range(len(level)):
-                    for jo in range(num_jo):
-                        m = mass[r_i, jo]
-                        if m <= PROB_TOL:
-                            continue
-                        child = numer[r_i, :, jo] / m
-                        entries.append((child, level[r_i], (ja, jo)))
-                        next_level.append(len(entries) - 1)
-            # identical beliefs only repeat work, drop them
-            seen: dict[bytes, int] = {}
-            deduped = []
-            for idx in next_level:
-                key = np.round(entries[idx][0], 12).tobytes()
-                if key not in seen:
-                    seen[key] = idx
-                    deduped.append(idx)
-            level = deduped
-            if not level:
-                break
-        witness = None
-        if best_where is not None:
-            entry_idx, ja, fam_idx = best_where
-            history = []
-            cursor = entry_idx
-            while entries[cursor][1] is not None:
-                history.append(entries[cursor][2])
-                cursor = entries[cursor][1]
-            witness = EpsilonWitness(
-                history=tuple(reversed(history)),
-                action=ja,
-                belief=tuple(float(x) for x in entries[entry_idx][0]),
-                subsets=families[fam_idx][0],
-            )
-        return EpsilonReport(
-            epsilon=best,
-            mode="exact",
-            max_obs=max_obs,
-            horizon=horizon,
-            beliefs_checked=checked,
-            witness=witness,
-        )
+        best, checked, where = _exact_minimum(model, flat, horizon, max_beliefs)
+    else:
+        best, checked, where = _sampled_minimum(model, flat, horizon, budget, seed)
+    history, ja, belief, fam = where
+    return EpsilonReport(
+        epsilon=best,
+        mode=mode,
+        max_obs=max_obs,
+        horizon=horizon,
+        beliefs_checked=checked,
+        witness=EpsilonWitness(tuple(history), ja, tuple(belief.tolist()), combos[fam]),
+    )
 
+
+def _exact_minimum(model, flat, horizon, max_beliefs):
+    """Enumerate reachable beliefs one depth at a time, as arrays.
+
+    A depth keeps its distinct beliefs (rounded to 12 decimals, first
+    occurrence in (action, parent row, observation) order) and, per row,
+    the parent row, action and observation that reached it; the witness
+    history is walked back through those.
+    """
+    obs_t = np.ascontiguousarray(model.observation.transpose(0, 2, 1))
+    rows = model.initial_belief.probs[None, :]
+    links = []  # per depth after the first: (parent row, ja, jo) arrays
+    checked, best = 0, np.inf
+    for depth in range(horizon):
+        checked += len(rows)
+        if checked > max_beliefs:
+            raise CapacityError(
+                f"exact reachability needs more than {max_beliefs} beliefs; "
+                "use sampled mode or raise max_beliefs"
+            )
+        seen: set[bytes] = set()
+        blocks = []
+        for ja in range(model.num_joint_actions):
+            post = rows @ model.transition[ja]
+            q = post @ model.observation[ja]
+            captures = _capture_matrix(q, flat)
+            eps_rows = captures.max(axis=0)
+            r = int(eps_rows.argmin())
+            if eps_rows[r] < best:
+                best = float(eps_rows[r])
+                best_where = (depth, r, ja, int(captures[:, r].argmax()))
+                best_belief = rows[r].copy()
+            if depth == horizon - 1:
+                continue
+            # q adds the same terms as the mass in another order, so the
+            # two agree to rounding and q > tol / 2 keeps every pair whose
+            # mass is > tol.  The mass adds its terms state by state.
+            parent, jo = np.nonzero(q > PROB_TOL / 2)
+            prods = post[parent] * obs_t[ja][jo]
+            mass = prods[:, 0].copy()
+            for column in prods.T[1:]:
+                mass += column
+            live = np.flatnonzero(mass > PROB_TOL)
+            children = prods[live] / mass[live, None]
+            keys = np.round(children, 12)
+            fresh = []
+            for i, key in enumerate(keys.view(f"V{keys.shape[1] * 8}").ravel().tolist()):
+                if key not in seen:
+                    seen.add(key)
+                    fresh.append(i)
+            kept = live[fresh]
+            blocks.append((children[fresh], parent[kept], np.full(len(kept), ja), jo[kept]))
+        if not blocks:
+            break
+        rows, *link = (np.concatenate(part) for part in zip(*blocks))
+        links.append(link)
+    depth, r, ja, fam = best_where
+    history = []
+    for parent, jas, jos in reversed(links[:depth]):
+        history.append((int(jas[r]), int(jos[r])))
+        r = int(parent[r])
+    return best, checked, (history[::-1], ja, best_belief, fam)
+
+
+def _sampled_minimum(model, flat, horizon, budget, seed):
+    """Roll out ``budget`` random conditioned histories; the first is empty."""
+    num_ja = model.num_joint_actions
     rng = np.random.default_rng(seed)
-    checked = 0
-    witness = None
+    best, checked = np.inf, 0
     for rollout in range(budget):
         length = int(rng.integers(horizon)) if rollout else 0
         belief = model.initial_belief
         history = []
-        ok = True
         for _ in range(length):
             ja = int(rng.integers(num_ja))
             probs = model.observation_probabilities(belief, ja)
             total = probs.sum()
             if total <= PROB_TOL:
-                ok = False
                 break
-            jo = int(rng.choice(num_jo, p=probs / total))
+            jo = int(rng.choice(model.num_joint_observations, p=probs / total))
             belief = model.bayes_update(belief, ja, jo)
             history.append((ja, jo))
-        if not ok:
-            continue
-        checked += 1
-        q = np.stack(
-            [model.observation_probabilities(belief, ja) for ja in range(num_ja)]
-        )
-        captures = _capture_matrix(q, families)
-        fam = captures.argmax(axis=0)
-        eps_rows = captures.max(axis=0)
-        ja = int(eps_rows.argmin())
-        if eps_rows[ja] < best:
-            best = float(eps_rows[ja])
-            witness = EpsilonWitness(
-                history=tuple(history),
-                action=ja,
-                belief=tuple(float(x) for x in belief.probs),
-                subsets=families[int(fam[ja])][0],
-            )
-    return EpsilonReport(
-        epsilon=best,
-        mode="sampled",
-        max_obs=max_obs,
-        horizon=horizon,
-        beliefs_checked=checked,
-        witness=witness,
-    )
+        else:
+            checked += 1
+            q = np.stack([model.observation_probabilities(belief, ja) for ja in range(num_ja)])
+            captures = _capture_matrix(q, flat)
+            eps_rows = captures.max(axis=0)
+            ja = int(eps_rows.argmin())
+            if eps_rows[ja] < best:
+                best = float(eps_rows[ja])
+                where = (history, ja, belief.probs, int(captures[:, ja].argmax()))
+    return best, checked, where
 
 
 def error_bound(model: DecPomdp, epsilon: float, horizon: int | None = None) -> float:
@@ -238,5 +236,7 @@ def error_bound(model: DecPomdp, epsilon: float, horizon: int | None = None) -> 
     if not 0.0 <= epsilon <= 1.0:
         raise ConfigError("epsilon must be in [0, 1]")
     horizon = model.horizon if horizon is None else horizon
+    if horizon < 1:
+        raise ConfigError("horizon must be >= 1")
     span = model.reward_max - model.reward_min
     return horizon * horizon * (1.0 - epsilon) * span

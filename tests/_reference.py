@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from mbdp import PolicyTree
+from mbdp import PROB_TOL, CapacityError, EpsilonReport, EpsilonWitness, PolicyTree
 
 
 def tree_value(model, trees, state):
@@ -98,3 +98,75 @@ def value_iteration(transition, reward, steps):
             cur[s] = best
         values.append(cur)
     return values
+
+
+def epsilon_global_reference(model, max_obs, horizon=None, max_beliefs=500_000):
+    """Exact-mode ``epsilon_global``, one child belief at a time.
+
+    Every (belief, joint action, joint observation) child is built on its
+    own, kept in one list with a link to its parent, and deduplicated by
+    the bytes of its row rounded to 12 decimals. The capture masses are
+    the same numpy sums the package makes, so reports agree bit for bit.
+    """
+    horizon = model.horizon if horizon is None else horizon
+    per_agent = [
+        list(itertools.combinations(range(c), min(max_obs, c))) for c in model.observation_counts
+    ]
+    families = [
+        (combo, [model.joint_observation_index(jo) for jo in itertools.product(*combo)])
+        for combo in itertools.product(*per_agent)
+    ]
+    # entries: (belief row, parent entry or None, (ja, jo) that led here)
+    entries = [(model.initial_belief.probs, None, None)]
+    best, best_where = math.inf, None
+    checked = 0
+    level = [0]
+    for depth in range(horizon):
+        rows = np.stack([entries[i][0] for i in level])
+        checked += len(level)
+        if checked > max_beliefs:
+            raise CapacityError(f"more than {max_beliefs} beliefs")
+        next_level = []
+        for ja in range(model.num_joint_actions):
+            post = rows @ model.transition[ja]
+            q = post @ model.observation[ja]
+            captures = np.stack([q[:, flat].sum(axis=1) for _, flat in families])
+            fam = captures.argmax(axis=0)
+            eps_rows = captures.max(axis=0)
+            r = int(eps_rows.argmin())
+            if eps_rows[r] < best:
+                best = float(eps_rows[r])
+                best_where = (level[r], ja, int(fam[r]))
+            if depth == horizon - 1:
+                continue
+            numer = post[:, :, None] * model.observation[ja][None, :, :]
+            mass = numer.sum(axis=1)
+            for r_i in range(len(level)):
+                for jo in range(model.num_joint_observations):
+                    m = mass[r_i, jo]
+                    if m <= PROB_TOL:
+                        continue
+                    entries.append((numer[r_i, :, jo] / m, level[r_i], (ja, jo)))
+                    next_level.append(len(entries) - 1)
+        seen = set()
+        level = []
+        for idx in next_level:
+            key = np.round(entries[idx][0], 12).tobytes()
+            if key not in seen:
+                seen.add(key)
+                level.append(idx)
+        if not level:
+            break
+    entry, ja, fam = best_where
+    history = []
+    cursor = entry
+    while entries[cursor][1] is not None:
+        history.append(entries[cursor][2])
+        cursor = entries[cursor][1]
+    witness = EpsilonWitness(
+        history=tuple(reversed(history)),
+        action=ja,
+        belief=tuple(float(x) for x in entries[entry][0]),
+        subsets=families[fam][0],
+    )
+    return EpsilonReport(best, "exact", max_obs, horizon, checked, witness)

@@ -1,18 +1,29 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mbdp import (
     CapacityError,
+    ConfigError,
     DecPomdp,
     PROB_TOL,
+    build_boxpush,
     build_mabc,
+    build_tiger,
     epsilon_at,
     epsilon_global,
     error_bound,
 )
 
+from _reference import epsilon_global_reference
 from conftest import random_model
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def obs_table_model(joint_probs, rewards=(0.0,)):
@@ -29,6 +40,49 @@ def obs_table_model(joint_probs, rewards=(0.0,)):
         initial_belief=np.array([1.0]),
         horizon=3,
     )
+
+
+def with_observation(model, observation, transition=None):
+    return DecPomdp(
+        states=model.states,
+        actions=model.actions,
+        observations=model.observations,
+        transition=model.transition if transition is None else transition,
+        observation=observation,
+        reward=model.reward,
+        initial_belief=model.initial_belief.probs,
+        horizon=model.horizon,
+    )
+
+
+def sparse_observation_model(seed):
+    """Joint observations that never occur, occur only from some states, or sit on PROB_TOL."""
+    model = random_model(seed, num_states=4, action_counts=(2, 2), obs_counts=(2, 3), horizon=4)
+    obs = np.array(model.observation)
+    obs[:, :, 1] = 0.0
+    obs[1, :2, 4] = 0.0
+    obs[0, :, 5] = 0.0
+    obs /= obs.sum(axis=2, keepdims=True)
+    obs[0, :, 5] = PROB_TOL
+    obs[0, :, 0] -= PROB_TOL
+    return with_observation(model, obs)
+
+
+def echo_model(seed):
+    """Joint actions 0 and 1 act alike and agent 1 observes noise, so distinct histories meet."""
+    model = random_model(seed, num_states=3, action_counts=(2, 2), obs_counts=(2, 2), horizon=4)
+    trans = np.array(model.transition)
+    trans[1] = trans[0]
+    obs = np.array(model.observation).reshape(4, 3, 2, 2)
+    obs[1] = obs[0]
+    obs[:] = obs.sum(axis=3, keepdims=True) / 2
+    return with_observation(model, obs.reshape(4, 3, 4), transition=trans)
+
+
+def branch_count(model, horizon):
+    """Beliefs an enumeration without deduplication or filtering would visit."""
+    fan = model.num_joint_actions * model.num_joint_observations
+    return sum(fan**d for d in range(horizon))
 
 
 def reachable_beliefs(model, horizon):
@@ -129,6 +183,84 @@ class TestEpsilonGlobal:
         with pytest.raises(CapacityError):
             epsilon_global(model, max_obs=1, max_beliefs=2)
 
+    @pytest.mark.parametrize(
+        "model, max_obs",
+        [(build_mabc(horizon=4), 1), (build_tiger(horizon=4), 1), (build_boxpush(horizon=3), 2)],
+        ids=["mabc-h4", "tiger-h4", "boxpush-h3"],
+    )
+    def test_cap_counts_distinct_beliefs(self, model, max_obs):
+        full = epsilon_global(model, max_obs)
+        n = full.beliefs_checked
+        assert epsilon_global(model, max_obs, max_beliefs=n) == full
+        with pytest.raises(CapacityError):
+            epsilon_global(model, max_obs, max_beliefs=n - 1)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"mode": "sampled", "budget": 0},
+            {"mode": "sampled", "budget": -4},
+            {"max_beliefs": 0},
+            {"max_beliefs": -1},
+            {"horizon": 0},
+            {"max_obs": 0},
+            {"mode": "grid"},
+        ],
+    )
+    def test_rejects_bad_input(self, kwargs):
+        kwargs = {"max_obs": 1, **kwargs}
+        with pytest.raises(ConfigError):
+            epsilon_global(build_mabc(horizon=3), **kwargs)
+
+
+def parity_cases():
+    cases = []
+    for seed in range(4):
+        three = random_model(seed, action_counts=(2, 2, 2), obs_counts=(2, 2, 2))
+        wide = random_model(seed, num_states=4, action_counts=(2, 3), obs_counts=(3, 2))
+        cases += [
+            pytest.param(random_model(seed, horizon=4), 1, id=f"random-{seed}"),
+            pytest.param(wide, 2, id=f"random-3x2-{seed}"),
+            pytest.param(echo_model(seed), 1, id=f"echo-{seed}"),
+        ]
+        for k in (1, 2):
+            cases.append(pytest.param(three, k, id=f"three-agent-{seed}-k{k}"))
+            cases.append(pytest.param(sparse_observation_model(seed), k, id=f"sparse-{seed}-k{k}"))
+    cases.append(pytest.param(build_tiger(horizon=4), 1, id="tiger-h4"))
+    for k in (1, 2, 3):
+        cases.append(pytest.param(build_mabc(horizon=5), k, id=f"mabc-h5-k{k}"))
+        cases.append(pytest.param(build_boxpush(horizon=4), k, id=f"boxpush-h4-k{k}"))
+    return cases
+
+
+class TestExactParity:
+    """The array enumeration reproduces the one-belief-at-a-time reference bit for bit."""
+
+    @pytest.mark.parametrize("model, max_obs", parity_cases())
+    def test_matches_reference(self, model, max_obs):
+        got = epsilon_global(model, max_obs)
+        want = epsilon_global_reference(model, max_obs)
+        assert got.epsilon == want.epsilon
+        assert got == want
+
+    @pytest.mark.parametrize("rows", [1, 2, 50, 3000])
+    def test_capture_sums_match_per_family_gathers(self, rows):
+        from mbdp.analysis import _capture_matrix, _subset_families
+
+        model = build_boxpush(horizon=2)
+        _, flat = _subset_families(model, 3)
+        assert flat.shape[1] >= 8
+        q = np.random.default_rng(rows).random((rows, model.num_joint_observations))
+        want = np.stack([q[:, family].sum(axis=1) for family in flat])
+        assert np.array_equal(_capture_matrix(q, flat), want)
+
+    def test_filter_and_deduplication_are_exercised(self):
+        sparse = sparse_observation_model(0)
+        assert epsilon_global(sparse, 1).beliefs_checked < branch_count(sparse, 4)
+        # joint action 1 repeats joint action 0 and agent 1's observation
+        # tells nothing, so at most 6 of a belief's 16 children differ
+        assert epsilon_global(echo_model(0), 1).beliefs_checked <= sum(6**d for d in range(4))
+
 
 class TestErrorBound:
     def test_span_and_quadratic_growth(self):
@@ -155,3 +287,23 @@ class TestErrorBound:
     def test_monotone_in_epsilon(self):
         model = random_model(10)
         assert error_bound(model, 0.5) >= error_bound(model, 0.8) - 1e-12
+
+    @pytest.mark.parametrize("horizon", [0, -3])
+    def test_rejects_horizon_below_one(self, horizon):
+        with pytest.raises(ConfigError):
+            error_bound(build_mabc(horizon=3), 0.5, horizon=horizon)
+
+
+def test_bound_convergence_script_runs():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [
+            sys.executable, str(REPO / "scripts" / "bound_convergence.py"),
+            "--problem", "mabc", "--horizon", "3", "--seeds", "1",
+        ],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()]
+    assert any(row[:3] == ["2", "1.0000", "0.0000"] for row in rows), proc.stdout

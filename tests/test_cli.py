@@ -196,6 +196,25 @@ class TestOtherCommands:
         assert rec["bound"] >= 0.0
         assert rec["mode"] == "exact"
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--mode", "sampled", "--budget", "0"], "budget must be >= 1"),
+            (["--max-beliefs", "0"], "max_beliefs must be >= 1"),
+        ],
+        ids=["budget", "max-beliefs"],
+    )
+    def test_bound_rejects_non_positive_knobs(self, capsys, flags, message):
+        code, out, err = run(
+            capsys,
+            ["bound", "--problem", "mabc", "--horizon", "3", "--max-obs", "1", "--format", "records"]
+            + flags,
+        )
+        assert code == 4
+        error = json.loads(err.splitlines()[-1])
+        assert (error["error"], error["message"]) == ("ConfigError", message)
+        assert not any(r["type"] == "bound" for r in records(out))
+
     def test_bench_rows(self, capsys):
         code, out, _ = run(
             capsys,
