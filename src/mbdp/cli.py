@@ -378,13 +378,16 @@ def _meta(command: str, model: DecPomdp) -> dict:
     }
 
 
-def _write_policy(args, model, policy) -> str | None:
-    if not getattr(args, "output", None):
-        return None
+def _write_policy(args, model, policy) -> tuple[str | None, str | None]:
+    """(text, path) of the policy file, made only when a record or ``--output`` needs it."""
+    if policy is None or not (args.format == "records" or args.output):
+        return None, None
     text = serialize_policy(model, policy)
+    if not args.output:
+        return text, None
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(text)
-    return args.output
+    return text, args.output
 
 
 def _solver_config(args) -> SolverConfig:
@@ -409,10 +412,7 @@ def _cmd_solve(args) -> int:
 
     if args.solver == "random":
         result = random_policy_baseline(model, samples=args.samples, seed=args.seed)
-        policy_text = (
-            serialize_policy(model, result.policy) if result.policy is not None else None
-        )
-        path = _write_policy(args, model, result.policy) if result.policy else None
+        policy_text, path = _write_policy(args, model, result.policy)
         out.record(
             {
                 "schema": SCHEMA,
@@ -459,8 +459,7 @@ def _cmd_solve(args) -> int:
             f"backup={list(level.backup_sizes)}"
             + (" (partial)" if level.partial else ""),
         )
-    policy_text = serialize_policy(model, report.policy)
-    path = _write_policy(args, model, report.policy)
+    policy_text, path = _write_policy(args, model, report.policy)
     out.record(
         {
             "schema": SCHEMA,
@@ -502,8 +501,7 @@ def _cmd_exact(args) -> int:
         max_pairs=args.max_pairs,
         max_stream=args.max_stream,
     )
-    policy_text = serialize_policy(model, result.policy)
-    path = _write_policy(args, model, result.policy)
+    policy_text, path = _write_policy(args, model, result.policy)
     out.record(
         {
             "schema": SCHEMA,

@@ -25,24 +25,15 @@ class BeliefTrajectory:
 
     ``probs`` is a read-only (len(actions) + 1, S) array, checked once
     with the tolerances of ``BeliefState`` and clipped the same way.
-    ``conditioned`` marks trajectories whose beliefs were updated on
-    sampled observations (stored in ``observations``) rather than
-    marginalized over all of them.
     """
 
     probs: np.ndarray
     actions: tuple[int, ...]
-    observations: tuple[int, ...] | None = None
-    conditioned: bool = False
 
     def __post_init__(self):
         arr = np.asarray(self.probs, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != len(self.actions) + 1 or arr.shape[1] == 0:
             raise ConfigError("trajectory needs one belief per step plus the start")
-        if self.conditioned and (
-            self.observations is None or len(self.observations) != len(self.actions)
-        ):
-            raise ConfigError("conditioned trajectory must record its observations")
         # a non-finite entry makes its row's sum non-finite, which fails
         # the sum test as well
         sums = arr.sum(axis=1)
@@ -158,7 +149,6 @@ class PolicyReplayHeuristic:
         nodes = [0] * model.num_agents
         beliefs = [model.initial_belief]
         actions: list[int] = []
-        observations: list[int] = []
         for level in range(depth):
             if level >= self.depth:
                 ja = int(rng.integers(model.num_joint_actions))
@@ -177,13 +167,7 @@ class PolicyReplayHeuristic:
                 for i in range(model.num_agents):
                     nodes[i] = int(compiled.children[i][level][nodes[i], local[i]])
             actions.append(ja)
-            observations.append(jo)
-        return BeliefTrajectory(
-            np.array([b.probs for b in beliefs]),
-            tuple(actions),
-            observations=tuple(observations) if depth else None,
-            conditioned=depth > 0,
-        )
+        return BeliefTrajectory(np.array([b.probs for b in beliefs]), tuple(actions))
 
 
 def generate_belief(

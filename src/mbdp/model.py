@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -236,9 +236,6 @@ class DecPomdp:
 
     def joint_observation(self, jo: int) -> tuple[int, ...]:
         return self._joint_obs_tuples[jo]
-
-    def joint_observations(self) -> Iterator[tuple[int, ...]]:
-        return iter(self._joint_obs_tuples)
 
     def observation_names(self, obs) -> tuple[str, ...]:
         parts = self.joint_observation(self.joint_observation_index(obs))

@@ -6,8 +6,10 @@ reference existing subtrees instead of copying them, so a horizon-100
 policy is a small DAG even though its unrolled tree is astronomically
 large.  ``CompiledPolicy`` turns a joint policy into integer tables, one
 action array and one child-row table per agent and depth, with each
-shared subtree in a single row; simulation, trajectory replay and exact
-evaluation all read those tables.
+shared subtree in a single row.  Simulation, trajectory replay, exact
+evaluation and serialization all work on those tables a depth at a
+time, without recursion.  Only parsing a nested policy file recurses,
+and a file nested too deeply for that is rejected with ``ParseError``.
 """
 
 from __future__ import annotations
@@ -26,14 +28,16 @@ POLICY_VERSION = 1
 # nested serialization switches to the shared-node form above this many
 # expanded nodes per policy
 DEFAULT_INLINE_NODE_LIMIT = 20_000
+# ... or above this depth, so that json can still write and read the file
+NESTED_MAX_DEPTH = 200
 
 
 class PolicyTree:
     """Immutable per-agent decision tree node.
 
     ``children`` has one slot per local observation; ``None`` marks a
-    branch that has not been assigned yet (a partial tree, as produced
-    by partial backups).  Depth-1 nodes carry an empty children tuple.
+    branch that has not been assigned yet (a partial tree).  Depth-1
+    nodes carry an empty children tuple.
     """
 
     __slots__ = ("action", "children", "depth", "complete")
@@ -346,77 +350,63 @@ def simulate(model: DecPomdp, joint, episodes: int, seed: int) -> SimulationResu
 # ---- serialization ----------------------------------------------------
 
 
-def _expanded_node_count(tree: PolicyTree, memo: dict[int, int]) -> int:
-    if id(tree) in memo:
-        return memo[id(tree)]
-    total = 1 + sum(_expanded_node_count(c, memo) for c in tree.children if c is not None)
-    memo[id(tree)] = total
-    return total
-
-
-def _nested_payload(model: DecPomdp, agent: int, tree: PolicyTree):
-    obs_names = model.observations[agent]
-    action_names = model.actions[agent]
-
-    def build(node: PolicyTree):
-        record = {"action": action_names[node.action]}
-        if node.children:
-            record["children"] = {obs_names[o]: build(child) for o, child in enumerate(node.children)}
-        return record
-
-    return build(tree)
-
-
-def _shared_payload(model: DecPomdp, agent: int, tree: PolicyTree):
-    obs_names = model.observations[agent]
-    action_names = model.actions[agent]
-    order: list[PolicyTree] = []
-    index: dict[int, int] = {}
-
-    def visit(node: PolicyTree):
-        if id(node) in index:
-            return
-        for child in node.children:
-            visit(child)
-        index[id(node)] = len(order)
-        order.append(node)
-
-    visit(tree)
-    nodes = []
-    for node in order:
-        record = {"action": action_names[node.action]}
-        if node.children:
-            record["children"] = {obs_names[o]: index[id(c)] for o, c in enumerate(node.children)}
-        nodes.append(record)
-    return {"root": index[id(tree)], "nodes": nodes}
-
-
 def serialize_policy(model: DecPomdp, joint, inline_node_limit: int = DEFAULT_INLINE_NODE_LIMIT) -> str:
-    """Canonical text form of a joint policy.
+    """Canonical text form of a joint policy, written from its ``CompiledPolicy`` tables.
 
     Children keys appear in observation-set order, so output is
-    byte-deterministic.  Policies whose unrolled trees exceed
-    ``inline_node_limit`` nodes switch to the shared-node representation,
-    which lists each distinct subtree once and references it by index.
+    byte-deterministic.  The nested form writes each agent's unrolled
+    tree; it is used while the trees have at most ``inline_node_limit``
+    unrolled nodes in all and a depth of at most ``NESTED_MAX_DEPTH``.
+    Otherwise the shared-node form lists each table row once, children
+    before parents, and references it by index.
     """
-    trees = _tree_tuple(joint)
-    memo: dict[int, int] = {}
-    expanded = sum(_expanded_node_count(t, memo) for t in trees)
-    doc: dict = {
-        "format": POLICY_FORMAT,
-        "version": POLICY_VERSION,
-        "horizon": trees[0].depth,
-    }
-    if expanded <= inline_node_limit:
-        doc["representation"] = "nested"
-        doc["agents"] = [
-            {"agent": i, "tree": _nested_payload(model, i, t)} for i, t in enumerate(trees)
-        ]
-    else:
-        doc["representation"] = "shared"
-        doc["agents"] = [
-            {"agent": i, **_shared_payload(model, i, t)} for i, t in enumerate(trees)
-        ]
+    policy = CompiledPolicy(model, joint)
+    last = policy.depth - 1
+    # unrolled node counts, clipped just above the limit (and 2**40) so
+    # that they fit in int64 however deep the trees are
+    cap = min(max(inline_node_limit, 0), 1 << 40) + 1
+    expanded = 0
+    for acts, kids in zip(policy.actions, policy.children):
+        count = np.ones(len(acts[-1]), dtype=np.int64)
+        for table in reversed(kids):
+            count = np.minimum(1 + count[table].sum(axis=1), cap)
+        expanded += int(count[0])
+    nested = expanded < cap and policy.depth <= NESTED_MAX_DEPTH
+    agents = []
+    for i, (acts, kids) in enumerate(zip(policy.actions, policy.children)):
+        action_names, obs_names = model.actions[i], model.observations[i]
+        acts, kids = [a.tolist() for a in acts], [k.tolist() for k in kids]
+        if nested:
+            # one record per row, deepest level first; json.dumps writes a
+            # shared child record out at every place that references it
+            records = [{"action": action_names[a]} for a in acts[last]]
+            for d in range(last - 1, -1, -1):
+                records = [
+                    {"action": action_names[a], "children": dict(zip(obs_names, (records[c] for c in row)))}
+                    for a, row in zip(acts[d], kids[d])
+                ]
+            agents.append({"agent": i, "tree": records[0]})
+            continue
+        # post-order from the root, children in observation order; a row
+        # is numbered once all its children are
+        index = [[-1] * len(a) for a in acts]
+        nodes = []
+        stack = [(0, 0, False)]
+        while stack:
+            d, r, ready = stack.pop()
+            if index[d][r] >= 0:
+                continue
+            if d < last and not ready:
+                stack.append((d, r, True))
+                stack.extend((d + 1, c, False) for c in reversed(kids[d][r]))
+                continue
+            index[d][r] = len(nodes)
+            nodes.append({"action": action_names[acts[d][r]]})
+            if d < last:
+                nodes[-1]["children"] = {name: index[d + 1][c] for name, c in zip(obs_names, kids[d][r])}
+        agents.append({"agent": i, "root": index[0][0], "nodes": nodes})
+    doc = {"format": POLICY_FORMAT, "version": POLICY_VERSION, "horizon": policy.depth,
+           "representation": "nested" if nested else "shared", "agents": agents}
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -474,6 +464,13 @@ def _parse_shared(model: DecPomdp, agent: int, entry) -> PolicyTree:
 
 def parse_policy(model: DecPomdp, text: str) -> JointPolicy:
     """Parses the canonical policy text form back into a joint policy."""
+    try:
+        return _parse_document(model, text)
+    except RecursionError as exc:
+        raise ParseError("policy nests too deeply") from exc
+
+
+def _parse_document(model: DecPomdp, text: str) -> JointPolicy:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

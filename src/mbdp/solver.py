@@ -37,7 +37,7 @@ from .backup import (
 )
 from .errors import CapacityError, ConfigError
 from .heuristics import PolicyReplayHeuristic, build_portfolio, generate_belief
-from .model import BeliefState, DecPomdp
+from .model import BeliefState, DecPomdp, _mixed_radix_strides
 from .policy import JointPolicy, PolicyEvaluator, PolicyTree
 
 
@@ -95,14 +95,6 @@ class SolveReport:
     millis: float
 
 
-def _flat_to_tuple(flat: int, sizes) -> tuple[int, ...]:
-    out = []
-    for size in reversed(sizes):
-        out.append(flat % size)
-        flat //= size
-    return tuple(reversed(out))
-
-
 # scores this close to the best count as ties: the kernel sums in another
 # order than exact evaluation, so mathematically equal tuples can differ
 # in the last bits
@@ -127,7 +119,7 @@ def _best_tuple(tensor: np.ndarray, belief: np.ndarray, exclude=None):
     flat = scores.reshape(-1)
     best = float(flat.max())
     pick = int(np.argmax(flat >= _tie_floor(best)))
-    return _flat_to_tuple(pick, scores.shape), float(flat[pick])
+    return tuple(int(k) for k in np.unravel_index(pick, scores.shape)), float(flat[pick])
 
 
 def _materialize(levels) -> JointPolicy:
@@ -291,13 +283,6 @@ class ExactResult:
     candidate_counts: tuple[tuple[int, ...], ...]
 
 
-def _joint_strides(sizes) -> list[int]:
-    strides = [1] * len(sizes)
-    for i in range(len(sizes) - 2, -1, -1):
-        strides[i] = strides[i + 1] * sizes[i + 1]
-    return strides
-
-
 # floats in one block's per-observation child tensor (8 MB)
 _BLOCK_ELEMENTS = 1 << 20
 
@@ -323,7 +308,7 @@ def _best_response(model: DecPomdp, cands: CandidateSet, prev: np.ndarray, belie
     num_s = model.num_states
     er = model.expected_reward
     sizes = cands.sizes
-    strides = _joint_strides(sizes)
+    strides = _mixed_radix_strides(sizes)
     d = int(np.argmax(sizes))
     others = [i for i in range(n) if i != d]
     m_d = prev.shape[d]
@@ -332,7 +317,7 @@ def _best_response(model: DecPomdp, cands: CandidateSet, prev: np.ndarray, belie
     powers = m_d ** np.arange(num_obs - 1, -1, -1)
     # child tuples as (others' rows flat, d's row) in C order
     prev_flat = np.moveaxis(prev, d, n - 1).reshape(-1, num_s)
-    child_strides = _joint_strides([prev.shape[i] for i in others])
+    child_strides = _mixed_radix_strides([prev.shape[i] for i in others])
     # the longer of d's child rows and the states goes innermost, where
     # numpy reduces fastest
     rows_inner = m_d >= num_s
@@ -349,7 +334,7 @@ def _best_response(model: DecPomdp, cands: CandidateSet, prev: np.ndarray, belie
             weighted.append(np.ascontiguousarray(w.transpose(0, 2, 1)) if rows_inner else w)
         reward_at_belief = float(er[ja] @ belief)
         group_sizes = [len(groups[i]) for i in others]
-        group_strides = _joint_strides(group_sizes)
+        group_strides = _mixed_radix_strides(group_sizes)
         group_total = math.prod(group_sizes)
         for lo in range(0, group_total, block):
             hi = min(lo + block, group_total)
@@ -453,7 +438,7 @@ def exact_solve(
         state_max = tensor.reshape(-1, model.num_states).max(axis=0)
     else:
         value, flat, state_max = _best_response(model, cands, prev, belief)
-        idx = _flat_to_tuple(flat, cands.sizes)
+        idx = tuple(int(k) for k in np.unravel_index(flat, cands.sizes))
     levels.append((cands, [[r] for r in idx]))
     return ExactResult(
         value=value,
@@ -490,13 +475,18 @@ def _random_tree(model, agent, depth, rng, node_cap, level_width):
     num_act = model.action_counts[agent]
     full_nodes = sum(num_obs**k for k in range(depth))
     if full_nodes <= node_cap:
-        def grow(d):
-            if d == 1:
-                return PolicyTree(int(rng.integers(num_act)))
-            return PolicyTree(
-                int(rng.integers(num_act)), tuple(grow(d - 1) for _ in range(num_obs))
-            )
-        return grow(depth)
+        # actions are drawn in pre-order; nodes are built in reverse, each
+        # taking its children off the stack
+        depths, pending = [], [depth]
+        while pending:
+            d = pending.pop()
+            depths.append(d)
+            pending.extend([d - 1] * (num_obs if d > 1 else 0))
+        actions = [int(rng.integers(num_act)) for _ in depths]
+        built: list[PolicyTree] = []
+        for d, a in zip(reversed(depths), reversed(actions)):
+            built.append(PolicyTree(a, tuple(built.pop() for _ in range(num_obs)) if d > 1 else ()))
+        return built[0]
     # wide levels share sampled nodes; any single path is still uniform
     below = [PolicyTree(int(rng.integers(num_act))) for _ in range(min(num_obs ** (depth - 1), level_width))]
     for k in range(depth - 2, -1, -1):

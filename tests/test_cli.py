@@ -149,6 +149,45 @@ class TestSolveCommand:
         assert code == 0
         assert "value" in out.lower()
 
+    def test_deep_horizon_policy_round_trips(self, capsys):
+        code, out, _ = run(
+            capsys,
+            [
+                "solve", "--problem", "mabc", "--horizon", "500", "--solver", "mbdp",
+                "--heuristics", "random", "--format", "records",
+            ],
+        )
+        assert code == 0
+        result = next(r for r in records(out) if r["type"] == "result")
+        model = build_mabc(horizon=500)
+        policy = parse_policy(model, result["policy"])
+        assert policy.depth == 500
+        assert evaluate_at_belief(model, policy, model.initial_belief) == pytest.approx(
+            result["value"], abs=1e-9
+        )
+
+    @pytest.mark.parametrize(
+        "argv, calls",
+        [
+            (["solve"], 0),
+            (["solve", "--format", "records"], 1),
+            (["solve", "--output", "OUT"], 1),
+            (["solve", "--solver", "random", "--format", "records", "--output", "OUT"], 1),
+            (["exact", "--format", "records", "--output", "OUT"], 1),
+        ],
+    )
+    def test_policy_serialized_only_when_needed(self, capsys, monkeypatch, tmp_path, argv, calls):
+        seen = []
+        monkeypatch.setattr(
+            "mbdp.cli.serialize_policy", lambda model, policy: seen.append(policy) or "{}\n"
+        )
+        target = tmp_path / "p.policy"
+        argv = [str(target) if a == "OUT" else a for a in argv]
+        code, _, _ = run(capsys, argv + ["--problem", "tiger", "--horizon", "2"])
+        assert code == 0
+        assert len(seen) == calls
+        assert target.exists() == (str(target) in argv)
+
 
 class TestOtherCommands:
     def test_evaluate_and_simulate_agree(self, capsys, tmp_path):
@@ -294,6 +333,29 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--no-such-flag"])
         assert exc.value.code == 2
+
+    def test_deeply_nested_policy_file_exits_four(self, capsys, tmp_path):
+        model = random_model(2, obs_counts=(1, 1), horizon=600)
+        problem = tmp_path / "single.problem"
+        problem.write_text(problem_to_text(model))
+        trees = []
+        for i in range(2):
+            action, obs = model.actions[i][0], model.observations[i][0]
+            opening = f'{{"action": "{action}", "children": {{"{obs}": ' * 599
+            trees.append(f'{{"agent": {i}, "tree": {opening}{{"action": "{action}"}}{"}}" * 599}}}')
+        policy = tmp_path / "deep.policy"
+        policy.write_text(
+            '{"format": "mbdp-joint-policy", "version": 1, "representation": "nested", '
+            f'"agents": [{", ".join(trees)}]}}'
+        )
+        code, _, err = run(
+            capsys,
+            ["evaluate", "--problem", str(problem), "--policy", str(policy), "--format", "records"],
+        )
+        assert code == 4
+        assert json.loads(err.splitlines()[-1]) == {
+            "schema": 1, "type": "error", "error": "ParseError", "message": "policy nests too deeply",
+        }
 
     def test_malformed_problem_file(self, capsys, tmp_path):
         path = tmp_path / "broken.problem"

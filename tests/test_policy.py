@@ -1,4 +1,6 @@
 import json
+import sys
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -18,9 +20,11 @@ from mbdp import (
     evaluate_at_state,
     parse_policy,
     mbdp as plan,
+    random_policy_baseline,
     serialize_policy,
     simulate,
 )
+from mbdp.policy import NESTED_MAX_DEPTH
 
 import _reference as ref
 from conftest import random_model
@@ -229,3 +233,65 @@ class TestSerialization:
         text = serialize_policy(tiger, random_joint(8, tiger, 2))
         with pytest.raises(ParseError):
             parse_policy(tiger, text.replace("listen", "shout"))
+
+    def test_shared_form_numbers_nodes_in_post_order(self, tiger):
+        # post-order from the root reaches leaf l1 only after mid node m1
+        # is finished, so the numbering is not deepest-level first
+        l0, l1 = PolicyTree(0), PolicyTree(1)
+        m1, m2 = PolicyTree(2, (l0, l0)), PolicyTree(0, (l1, l0))
+        root = PolicyTree(1, (m1, m2))
+        doc = json.loads(serialize_policy(tiger, (root, root), inline_node_limit=0))
+        assert doc["representation"] == "shared"
+        assert doc["agents"][0]["root"] == 4
+        assert doc["agents"][0]["nodes"] == [
+            {"action": "listen"},
+            {"action": "open-right", "children": {"hear-left": 0, "hear-right": 0}},
+            {"action": "open-left"},
+            {"action": "listen", "children": {"hear-left": 2, "hear-right": 0}},
+            {"action": "open-left", "children": {"hear-left": 1, "hear-right": 3}},
+        ]
+        assert doc["agents"][1]["nodes"] == doc["agents"][0]["nodes"]
+
+    @pytest.mark.parametrize("depth, form", [(NESTED_MAX_DEPTH, "nested"), (NESTED_MAX_DEPTH + 1, "shared")])
+    def test_nested_form_stops_at_its_depth_limit(self, depth, form):
+        model = random_model(3, obs_counts=(1, 1), horizon=depth)
+        joint = random_joint(4, model, depth, width=1)
+        text = serialize_policy(model, joint)
+        assert json.loads(text)["representation"] == form
+        back = parse_policy(model, text)
+        assert all(t.same_structure(u) for t, u in zip(joint, back.trees))
+        assert evaluate_at_belief(model, back, model.initial_belief) == evaluate_at_belief(
+            model, joint, model.initial_belief
+        )
+
+
+@contextmanager
+def shallow_stack(room=100):
+    """Lets the block nest at most ``room`` frames below the caller."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + room)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_deep_policies_need_no_recursion(tiger):
+    node = PolicyTree(0)
+    for d in range(1, 2000):
+        node = PolicyTree(d % 3, (node, node))
+    single = random_model(5, obs_counts=(1, 1), horizon=2000)
+    with shallow_stack():
+        text = serialize_policy(tiger, (node, node))
+        back = parse_policy(tiger, text)
+        value = evaluate_at_belief(tiger, back, tiger.initial_belief)
+        sampled = simulate(tiger, back, 50, 0)
+        baseline = random_policy_baseline(single, samples=1, seed=0)
+    assert json.loads(text)["representation"] == "shared"
+    assert value == evaluate_at_belief(tiger, (node, node), tiger.initial_belief)
+    assert sampled == simulate(tiger, (node, node), 50, 0)
+    assert baseline.policy.depth == 2000
+    assert baseline.value == evaluate_at_belief(single, baseline.policy, single.initial_belief)
