@@ -6,6 +6,17 @@ value function of the underlying fully-observable problem, the random
 heuristic samples joint actions uniformly, and the replay heuristic
 walks a previously computed joint policy (sampling observations and
 conditioning the belief on them, which the other two do not need).
+
+A planning round needs one trajectory per level and pick, of length
+horizon - t at level t, and reads only its last two beliefs and last
+action.  ``selection_beliefs`` draws all of them before the first level,
+with the generator calls ``generate_belief`` would make in the same
+order.  Random trajectories then advance together, one batched step per
+numpy call, so a round costs O(horizon) steps rather than O(horizon^2);
+the MDP heuristic's trajectories are prefixes of one cached walk, and
+the replay heuristic walks its own.  Every step is the vector-matrix
+product of ``DecPomdp.propagate``, so the rows match a chain of
+``propagate`` calls bit for bit.
 """
 
 from __future__ import annotations
@@ -17,6 +28,38 @@ import numpy as np
 from .errors import ConfigError, ModelError
 from .model import PROB_TOL, BeliefState, DecPomdp
 from .policy import CompiledPolicy, JointPolicy
+
+
+def _check_rows(rows: np.ndarray) -> None:
+    """Raises ModelError unless every row is a belief within ``PROB_TOL``."""
+    # a non-finite entry makes its row's sum non-finite, which fails
+    # the sum test as well
+    sums = rows.sum(axis=1)
+    off = ~(np.abs(sums - 1.0) <= PROB_TOL)
+    if off.any():
+        raise ModelError(f"belief sums to {sums[np.argmax(off)]!r}, not 1")
+    if float(rows.min()) < -PROB_TOL:
+        raise ModelError(f"belief has a negative entry: {rows.min()!r}")
+
+
+# floats of gathered transition matrices per batched product (8 MB)
+_STEP_FLOATS = 1 << 20
+
+
+def _step(transition: np.ndarray, beliefs: np.ndarray, actions) -> np.ndarray:
+    """Row r of ``beliefs`` pushed through ``transition[actions[r]]``, shape (R, S).
+
+    A stack of (1, S) @ (S, S) products is one vector-matrix product per
+    row, bit for bit ``DecPomdp.propagate``; a 2-D ``beliefs @ T`` or
+    ``einsum`` sums in another order.  Rows go in blocks whose gathered
+    matrices stay within ``_STEP_FLOATS``.
+    """
+    out = np.empty(beliefs.shape)
+    block = max(1, _STEP_FLOATS // transition[0].size)
+    for lo in range(0, len(beliefs), block):
+        rows = beliefs[lo : lo + block, None, :]
+        out[lo : lo + block] = np.matmul(rows, transition[actions[lo : lo + block]])[:, 0, :]
+    return out
 
 
 @dataclass(frozen=True)
@@ -34,14 +77,7 @@ class BeliefTrajectory:
         arr = np.asarray(self.probs, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != len(self.actions) + 1 or arr.shape[1] == 0:
             raise ConfigError("trajectory needs one belief per step plus the start")
-        # a non-finite entry makes its row's sum non-finite, which fails
-        # the sum test as well
-        sums = arr.sum(axis=1)
-        off = ~(np.abs(sums - 1.0) <= PROB_TOL)
-        if off.any():
-            raise ModelError(f"belief sums to {sums[np.argmax(off)]!r}, not 1")
-        if float(arr.min()) < -PROB_TOL:
-            raise ModelError(f"belief has a negative entry: {arr.min()!r}")
+        _check_rows(arr)
         arr = np.maximum(arr, 0.0)  # remove rounding dust, as np.clip(arr, 0.0, None)
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
@@ -83,7 +119,8 @@ class MdpHeuristic:
         self.values, self.greedy = solve_underlying_mdp(model, horizon)
         self._walk: tuple[DecPomdp, BeliefTrajectory] | None = None
 
-    def trajectory(self, model: DecPomdp, depth: int, rng) -> BeliefTrajectory:
+    def walk(self, model: DecPomdp, depth: int) -> BeliefTrajectory:
+        """The cached walk, at least ``depth`` steps long; trajectories are its prefixes."""
         if self._walk is None or self._walk[0] is not model or len(self._walk[1].actions) < depth:
             top = self.values.shape[0] - 1
 
@@ -91,7 +128,10 @@ class MdpHeuristic:
                 return int(self.greedy[min(max(model.horizon - step, 1), top)][int(np.argmax(belief))])
 
             self._walk = (model, _marginal_walk(model, max(depth, model.horizon), choose))
-        walk = self._walk[1]
+        return self._walk[1]
+
+    def trajectory(self, model: DecPomdp, depth: int, rng) -> BeliefTrajectory:
+        walk = self.walk(model, depth)
         return BeliefTrajectory(walk.probs[: depth + 1], walk.actions[:depth])
 
 
@@ -103,9 +143,14 @@ class RandomHeuristic:
     def __init__(self, model: DecPomdp):
         self.model = model
 
-    def trajectory(self, model: DecPomdp, depth: int, rng) -> BeliefTrajectory:
+    @staticmethod
+    def draw(model: DecPomdp, depth: int, rng) -> np.ndarray:
+        """The ``depth`` joint actions of one trajectory, in one generator call."""
         # one call draws the same stream as ``depth`` scalar draws
-        draws = rng.integers(model.num_joint_actions, size=depth).tolist()
+        return rng.integers(model.num_joint_actions, size=depth)
+
+    def trajectory(self, model: DecPomdp, depth: int, rng) -> BeliefTrajectory:
+        draws = self.draw(model, depth, rng).tolist()
         return _marginal_walk(model, depth, lambda step, belief: draws[step])
 
 
@@ -115,19 +160,19 @@ def _marginal_walk(model: DecPomdp, depth: int, choose) -> BeliefTrajectory:
     ``choose(step, belief)`` picks each joint action.  Every step starts
     from the previous belief with its rounding dust clipped, as
     ``BeliefState`` does, so the rows match a chain of
-    ``DecPomdp.propagate`` calls bit for bit.
+    ``DecPomdp.propagate`` calls bit for bit.  It steps one row at a
+    time with the ``_step`` that ``_walk_batch`` uses for many.
     """
-    transition = list(model.transition)
-    belief = model.initial_belief.probs
+    belief = model.initial_belief.probs[None, :]
     rows = [belief]
     actions = []
     for step in range(depth):
-        ja = choose(step, belief)
-        row = belief.dot(transition[ja])
+        ja = choose(step, belief[0])
+        row = _step(model.transition, belief, [ja])
         rows.append(row)
         belief = np.maximum(row, 0.0)  # np.clip(row, 0.0, None)
         actions.append(ja)
-    return BeliefTrajectory(np.array(rows), tuple(actions))
+    return BeliefTrajectory(np.concatenate(rows), tuple(actions))
 
 
 class PolicyReplayHeuristic:
@@ -181,6 +226,89 @@ def generate_belief(
     if depth < 0:
         raise ConfigError("trajectory depth must be >= 0")
     return heuristic.trajectory(model, depth, rng)
+
+
+# pre-drawn random actions held at once: a round draws about
+# max_trees * horizon^2 / 2 of them, walked in batches of at most this
+# many (or one trajectory, if longer)
+_ACTION_CHUNK = 1 << 20
+
+
+def _walk_batch(model: DecPomdp, batch, b_sel, b_prev, a_prev) -> None:
+    """Walks random trajectories together, one ``_step`` per step.
+
+    ``batch`` lists (t, k, actions) in drawing order, so lengths never
+    increase and the rows still walking at any step are a prefix.  Each
+    row's last two beliefs and last action go to [t - 1, k] of
+    ``b_sel``, ``b_prev`` and ``a_prev``.  Steps are checked and clipped
+    as ``_marginal_walk`` does.
+    """
+    levels = np.array([t - 1 for t, _, _ in batch])
+    picks = np.array([k for _, k, _ in batch])
+    lengths = [len(acts) for _, _, acts in batch]
+    flat = np.concatenate([acts for _, _, acts in batch])
+    offsets = np.cumsum([0] + lengths[:-1])
+    belief = np.repeat(model.initial_belief.probs[None, :], len(batch), axis=0)
+    active = len(batch)
+    for step in range(lengths[0]):
+        while lengths[active - 1] <= step:
+            active -= 1
+        acts = flat[offsets[:active] + step]
+        row = _step(model.transition, belief[:active], acts)
+        _check_rows(row)
+        after = np.maximum(row, 0.0)
+        # rows whose last step this is: the tail of the prefix
+        done = active
+        while done and lengths[done - 1] == step + 1:
+            done -= 1
+        if done < active:
+            where = (levels[done:active], picks[done:active])
+            b_sel[where] = after[done:]
+            b_prev[where] = belief[done:active]
+            a_prev[where] = acts[done:]
+        belief = after
+
+
+def selection_beliefs(portfolio, model: DecPomdp, max_trees: int, rng: np.random.Generator):
+    """Selection points of one planning round, every trajectory drawn up front.
+
+    Level t (1 .. horizon - 1) makes ``max_trees`` picks; pick k runs
+    ``portfolio[k % len(portfolio)]`` for horizon - t steps.  Trajectories
+    are drawn in (t, k) order with the generator calls ``generate_belief``
+    would make, so the stream is the same.  Returns (b_sel, b_prev,
+    a_prev), indexed [t - 1, k]: each trajectory's last belief, the
+    belief before it and the joint action between them, equal bit for
+    bit to ``probs[-1]``, ``probs[-2]`` and ``actions[-1]`` of
+    ``generate_belief``.
+    """
+    horizon = model.horizon
+    b_sel = np.empty((max(horizon - 1, 0), max_trees, model.num_states))
+    b_prev = np.empty_like(b_sel)
+    a_prev = np.empty(b_sel.shape[:2], dtype=np.int64)
+    batch: list[tuple[int, int, np.ndarray]] = []
+    held = 0
+    for t in range(1, horizon):
+        depth = horizon - t
+        for k in range(max_trees):
+            heuristic = portfolio[k % len(portfolio)]
+            if isinstance(heuristic, RandomHeuristic):
+                if batch and held + depth > _ACTION_CHUNK:
+                    _walk_batch(model, batch, b_sel, b_prev, a_prev)
+                    batch, held = [], 0
+                batch.append((t, k, heuristic.draw(model, depth, rng)))
+                held += depth
+                continue
+            # the MDP heuristic's trajectories are prefixes of its walk
+            if isinstance(heuristic, MdpHeuristic):
+                traj = heuristic.walk(model, depth)
+            else:
+                traj = generate_belief(heuristic, model, depth, rng)
+            b_sel[t - 1, k] = traj.probs[depth]
+            b_prev[t - 1, k] = traj.probs[depth - 1]
+            a_prev[t - 1, k] = traj.actions[depth - 1]
+    if batch:
+        _walk_batch(model, batch, b_sel, b_prev, a_prev)
+    return b_sel, b_prev, a_prev
 
 
 def build_portfolio(model: DecPomdp, names: tuple[str, ...] | list[str]):

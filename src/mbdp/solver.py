@@ -36,7 +36,13 @@ from .backup import (
     weighted_children,
 )
 from .errors import CapacityError, ConfigError
-from .heuristics import PolicyReplayHeuristic, build_portfolio, generate_belief
+# generate_belief stays importable from here: perfbench/bench_trace.py wraps it
+from .heuristics import (  # noqa: F401
+    PolicyReplayHeuristic,
+    build_portfolio,
+    generate_belief,
+    selection_beliefs,
+)
 from .model import BeliefState, DecPomdp, _mixed_radix_strides
 from .policy import JointPolicy, PolicyEvaluator, PolicyTree
 
@@ -72,7 +78,12 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class LevelRecord:
-    """What one planning level did: selection values and backup sizes."""
+    """What one planning level did: selection values and backup sizes.
+
+    ``millis`` covers the level's selection, backup and fill.  The
+    round's selection beliefs are sampled before its first level, so
+    only ``SolveReport.millis`` includes sampling them.
+    """
 
     tree_depth: int
     selection_values: tuple[float, ...]
@@ -157,11 +168,16 @@ def _materialize(levels) -> JointPolicy:
 def _solve_round(model, cfg: SolverConfig, rng, portfolio, force_full):
     n = model.num_agents
     horizon = model.horizon
+    b_sel, b_prev, a_prev = selection_beliefs(portfolio, model, cfg.max_trees, rng)
+    heur_names = tuple(portfolio[k % len(portfolio)].name for k in range(cfg.max_trees))
     q = exhaustive_backup(model, None)
     tensor = backup_values(model, q, None)
     # (candidates, picked rows) per depth below the top
     tables = []
     levels = []
+    # the last full backup, reused (with its gather plan) while the
+    # donor counts stay the same
+    full = None
 
     full_backups = force_full or cfg.max_obs is None or all(
         cfg.max_obs >= count for count in model.observation_counts
@@ -170,24 +186,19 @@ def _solve_round(model, cfg: SolverConfig, rng, portfolio, force_full):
     for t in range(1, horizon):
         started = time.perf_counter()
         picked: list[list[int]] = [[] for _ in range(n)]
-        traj = None
         sel_values: list[float] = []
-        heur_names: list[str] = []
         duplicated = 0
         for k in range(cfg.max_trees):
-            heuristic = portfolio[k % len(portfolio)]
-            traj = generate_belief(heuristic, model, horizon - t, rng)
-            heur_names.append(heuristic.name)
-            b_sel = traj.probs[-1]
+            belief = b_sel[t - 1, k]
             # duplicates make a list longer than its candidate set
             if any(len(rows) >= size for rows, size in zip(picked, q.sizes)):
                 # candidates ran out: clone the best pair picked so far
-                idx, val = _best_tuple(tensor[np.ix_(*picked)], b_sel)
+                idx, val = _best_tuple(tensor[np.ix_(*picked)], belief)
                 for i in range(n):
                     picked[i].append(picked[i][idx[i]])
                 duplicated += 1
             else:
-                idx, val = _best_tuple(tensor, b_sel, exclude=picked)
+                idx, val = _best_tuple(tensor, belief, exclude=picked)
                 for i in range(n):
                     picked[i].append(idx[i])
             sel_values.append(val)
@@ -196,25 +207,28 @@ def _solve_round(model, cfg: SolverConfig, rng, portfolio, force_full):
         donors = prev.shape[:-1]
 
         partial = False
-        if full_backups:
-            q = exhaustive_backup(model, donors, cfg.backup_cap)
+        selection = None
+        if not full_backups:
+            # ranked at the last pick's trajectory, its last step
+            ranking_belief = BeliefState(b_prev[t - 1, -1])
+            selection = rank_observations(
+                model, ranking_belief, int(a_prev[t - 1, -1]), cfg.max_obs
+            )
+        if selection is None or selection.is_full(model):
+            if full is None or full[0] != donors:
+                full = (donors, exhaustive_backup(model, donors, cfg.backup_cap))
+            q = full[1]
         else:
-            b_prev = BeliefState(traj.probs[-2])
-            a_prev = traj.actions[-1]
-            selection = rank_observations(model, b_prev, a_prev, cfg.max_obs)
-            if selection.is_full(model):
-                q = exhaustive_backup(model, donors, cfg.backup_cap)
-            else:
-                partial = True
-                sparse = partial_backup(model, donors, selection, cfg.backup_cap)
-                q = fill_missing(model, sparse, prev, b_prev)
+            partial = True
+            sparse = partial_backup(model, donors, selection, cfg.backup_cap)
+            q = fill_missing(model, sparse, prev, ranking_belief)
         tensor = backup_values(model, q, prev)
 
         levels.append(
             LevelRecord(
                 tree_depth=t,
                 selection_values=tuple(sel_values),
-                heuristic_names=tuple(heur_names),
+                heuristic_names=heur_names,
                 duplicated=duplicated,
                 backup_sizes=q.sizes,
                 partial=partial,

@@ -10,7 +10,22 @@ import math
 
 import numpy as np
 
-from mbdp import PROB_TOL, CapacityError, EpsilonReport, EpsilonWitness, PolicyTree
+from mbdp import (
+    PROB_TOL,
+    BeliefState,
+    CandidateSet,
+    CapacityError,
+    ConfigError,
+    EpsilonReport,
+    EpsilonWitness,
+    PolicyTree,
+    exhaustive_backup,
+    generate_belief,
+    partial_backup,
+    rank_observations,
+)
+from mbdp.backup import weighted_children
+from mbdp.solver import _best_tuple, _materialize
 
 
 def tree_value(model, trees, state):
@@ -170,3 +185,140 @@ def epsilon_global_reference(model, max_obs, horizon=None, max_beliefs=500_000):
         subsets=families[fam][0],
     )
     return EpsilonReport(best, "exact", max_obs, horizon, checked, witness)
+
+
+def backup_values_reference(model, candidates, prev):
+    """``backup_values`` one (joint action, joint observation) block at a time.
+
+    Each block starts from the joint action's expected reward and adds,
+    per joint observation in order, the weighted children indexed by the
+    candidates' child rows with ``np.ix_``; the package must agree bit
+    for bit.
+    """
+    n = model.num_agents
+    num_s = model.num_states
+    er = model.expected_reward
+    children = candidates.children
+    if prev is not None and any((kids < 0).any() for kids in children):
+        raise ConfigError("candidate table has unassigned branches; fill them first")
+    out = np.empty(candidates.sizes + (num_s,))
+    prev_flat = None if prev is None else prev.reshape(-1, num_s)
+    by_action = candidates.rows_by_action(model)
+    for ja, ja_tuple in enumerate(itertools.product(*(range(c) for c in model.action_counts))):
+        rows = [by_action[i][a] for i, a in enumerate(ja_tuple)]
+        if any(r.size == 0 for r in rows):
+            continue
+        block = np.broadcast_to(er[ja], tuple(r.size for r in rows) + (num_s,)).copy()
+        if prev is not None:
+            for jo, local in enumerate(model._joint_obs_tuples):
+                block += weighted_children(model, prev_flat, ja, jo).reshape(prev.shape)[
+                    np.ix_(*(children[i][rows[i], local[i]] for i in range(n)))
+                ]
+        out[np.ix_(*rows)] = block
+    return out
+
+
+def fill_missing_reference(model, partials, values, belief):
+    """``fill_missing`` scoring one donor row at a time.
+
+    Same sweep order, strict-improvement rule and per-configuration sums
+    as the package, which must agree bit for bit.
+    """
+    n = model.num_agents
+    num_donors = values.shape[:-1]
+    missing = [[np.flatnonzero(row < 0).tolist() for row in kids] for kids in partials.children]
+    if not any(slots for per_agent in missing for slots in per_agent):
+        return partials
+    rows = [np.maximum(kids, 0) for kids in partials.children]
+    b = belief.probs
+    er = model.expected_reward
+    flat_values = values.reshape(-1, model.num_states)
+    num_jo = model.num_joint_observations
+    local = np.array(model._joint_obs_tuples, dtype=np.int64).T
+    jo_index = np.arange(num_jo)
+
+    def table(ja):
+        post = b @ model.transition[ja]
+        u = (model.observation[ja] * post[:, None]).T
+        return float(b @ er[ja]), (flat_values @ u.T).T.reshape((num_jo,) + num_donors)
+
+    def config_value(base, g, config_rows):
+        kids = tuple(r[local[i]] for i, r in enumerate(config_rows))
+        return base + float(g[(jo_index,) + kids].sum())
+
+    sizes = partials.sizes
+    for c in range(max(sizes)):
+        idx = tuple(c % sizes[i] for i in range(n))
+        owned = [(i, o) for i in range(n) if c < sizes[i] for o in missing[i][idx[i]]]
+        if not owned:
+            continue
+        base, g = table(
+            model.joint_action_index(tuple(int(partials.actions[i][idx[i]]) for i in range(n)))
+        )
+        config_rows = [rows[i][idx[i]] for i in range(n)]
+        current = config_value(base, g, config_rows)
+        improved = True
+        while improved:
+            improved = False
+            for i, o in owned:
+                slot_rows = config_rows[i]
+                incumbent = slot_rows[o]
+                best, best_row = current, incumbent
+                for r in range(num_donors[i]):
+                    if r == incumbent:
+                        continue
+                    slot_rows[o] = r
+                    value = config_value(base, g, config_rows)
+                    if value > best:
+                        best, best_row = value, r
+                slot_rows[o] = best_row
+                if best > current:
+                    current = best
+                    improved = True
+    return CandidateSet(partials.actions, tuple(rows))
+
+
+def solve_round_reference(model, cfg, rng, portfolio, force_full):
+    """One planner round with a fresh trajectory per level and pick.
+
+    Every level and pick runs ``generate_belief`` for horizon - t steps,
+    rebuilds its full backup, and values and fills candidates with the
+    reference kernels above.  Returns (value, policy); the package's
+    round must give the same bits.
+    """
+    n = model.num_agents
+    q = exhaustive_backup(model, None)
+    tensor = backup_values_reference(model, q, None)
+    tables = []
+    full_backups = force_full or cfg.max_obs is None or all(
+        cfg.max_obs >= count for count in model.observation_counts
+    )
+    for t in range(1, model.horizon):
+        picked = [[] for _ in range(n)]
+        for k in range(cfg.max_trees):
+            traj = generate_belief(portfolio[k % len(portfolio)], model, model.horizon - t, rng)
+            if any(len(rows) >= size for rows, size in zip(picked, q.sizes)):
+                idx, _ = _best_tuple(tensor[np.ix_(*picked)], traj.probs[-1])
+                for i in range(n):
+                    picked[i].append(picked[i][idx[i]])
+            else:
+                idx, _ = _best_tuple(tensor, traj.probs[-1], exclude=picked)
+                for i in range(n):
+                    picked[i].append(idx[i])
+        tables.append((q, picked))
+        prev = tensor[np.ix_(*picked)]
+        donors = prev.shape[:-1]
+        if full_backups:
+            q = exhaustive_backup(model, donors, cfg.backup_cap)
+        else:
+            b_prev = BeliefState(traj.probs[-2])
+            selection = rank_observations(model, b_prev, traj.actions[-1], cfg.max_obs)
+            if selection.is_full(model):
+                q = exhaustive_backup(model, donors, cfg.backup_cap)
+            else:
+                sparse = partial_backup(model, donors, selection, cfg.backup_cap)
+                q = fill_missing_reference(model, sparse, prev, b_prev)
+        tensor = backup_values_reference(model, q, prev)
+    idx, value = _best_tuple(tensor, model.initial_belief.probs)
+    tables.append((q, [[r] for r in idx]))
+    return value, _materialize(tables)

@@ -6,11 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from mbdp import (
     CapacityError,
+    PolicyReplayHeuristic,
     CompiledPolicy,
     ConfigError,
     ModelError,
     SolverConfig,
+    build_boxpush,
     build_mabc,
+    build_portfolio,
     build_tiger,
     evaluate_at_belief,
     evaluate_at_state,
@@ -255,3 +258,50 @@ class TestBaselines:
         model = replace(mabc, horizon=12)
         res = random_policy_baseline(model, samples=1, seed=0, node_cap=1000)
         assert res.policy.depth == 12
+
+
+def reference_rounds(model, cfg, force_full):
+    """(value, policy) per round of ``solve_round_reference``, replaying the best as the solver does."""
+    children = np.random.SeedSequence(cfg.seed).spawn(cfg.recursion_depth + 1)
+    rounds, best = [], None
+    for child in children:
+        portfolio = build_portfolio(model, cfg.heuristics)
+        if best is not None:
+            portfolio.append(PolicyReplayHeuristic(model, best[1]))
+        value, policy = ref.solve_round_reference(
+            model, cfg, np.random.default_rng(child), portfolio, force_full
+        )
+        rounds.append((value, policy))
+        if best is None or value > best[0]:
+            best = (value, policy)
+    return rounds
+
+
+ROUND_CASES = [
+    pytest.param("mabc", 100, mbdp, SolverConfig(max_trees=3, heuristics=("random",), seed=seed),
+                 id=f"mabc-h100-mbdp-seed{seed}")
+    for seed in range(3)
+] + [
+    pytest.param("boxpush", 10, improved_mbdp, SolverConfig(max_trees=3, max_obs=3, seed=0),
+                 id="boxpush-h10-improved-seed0"),
+    pytest.param("tiger", 8, improved_mbdp,
+                 SolverConfig(max_trees=2, max_obs=1, seed=3, recursion_depth=2),
+                 id="tiger-h8-improved-replay"),
+    pytest.param("mabc", 12, mbdp,
+                 SolverConfig(max_trees=3, heuristics=("random", "mdp"), seed=1, recursion_depth=1),
+                 id="mabc-h12-mbdp-replay"),
+]
+BUILDERS = {"mabc": build_mabc, "boxpush": build_boxpush, "tiger": build_tiger}
+
+
+@pytest.mark.parametrize("problem,horizon,solve,cfg", ROUND_CASES)
+def test_rounds_match_reference_round(problem, horizon, solve, cfg):
+    # pre-sampled beliefs, reused full tables and the planned gather give
+    # the bits of a walk per level and pick, fresh tables and np.ix_ blocks
+    model = BUILDERS[problem](horizon=horizon)
+    report = solve(model, cfg)
+    rounds = reference_rounds(model, cfg, force_full=solve is mbdp)
+    assert report.round_values == tuple(value for value, _ in rounds)
+    value, policy = max(rounds, key=lambda r: r[0])
+    assert report.value == value
+    assert serialize_policy(model, report.policy) == serialize_policy(model, policy)

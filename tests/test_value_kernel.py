@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mbdp import (
+    BeliefState,
     CandidateSet,
+    ConfigError,
     DecPomdp,
     ObservationSelection,
     SolverConfig,
@@ -160,6 +162,96 @@ def test_fill_matches_reference_hill_climb(seed, agents):
     want = reference_fill(model, partial, donors, model.initial_belief)
     for got, expected in zip(filled.children, want):
         np.testing.assert_array_equal(got, expected)
+
+
+def backed_up_tables(model, rng, keep):
+    """(prev, full table, filled partial table) one level above random leaf picks.
+
+    Each agent picks ``keep`` leaf rows with one repeated, so the donor
+    lists hold duplicate tensor rows as the planner's can.
+    """
+    leaves = exhaustive_backup(model, None)
+    values = backup_values(model, leaves, None)
+    rows = [
+        np.append(rng.choice(n, size=keep - 1), 0) for n in leaves.sizes
+    ]
+    prev = values[np.ix_(*rows)]
+    donors = prev.shape[:-1]
+    selection = ObservationSelection(
+        tuple(
+            tuple(rng.choice(n, size=max(1, n - 1), replace=False).tolist())
+            for n in model.observation_counts
+        )
+    )
+    belief = BeliefState(rng.dirichlet(np.ones(model.num_states)))
+    filled = fill_missing(model, partial_backup(model, donors, selection), prev, belief)
+    return prev, exhaustive_backup(model, donors), filled
+
+
+@pytest.mark.parametrize("num_states", [2, 3, 4, 7, 100])
+@pytest.mark.parametrize("agents", [2, 3])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_backup_values_equals_reference_bitwise(seed, agents, num_states):
+    # three donors per agent make 1458 (2 agents) and 1944 (3 agents)
+    # output tuples: several gather blocks at 100 states
+    model = random_model(seed, num_states=num_states, **AGENT_SHAPES[agents])
+    leaves = exhaustive_backup(model, None)
+    assert np.array_equal(
+        backup_values(model, leaves, None), ref.backup_values_reference(model, leaves, None)
+    )
+    prev, full, filled = backed_up_tables(model, np.random.default_rng(seed), keep=3)
+    for table in (full, filled):
+        got = backup_values(model, table, prev)
+        assert np.array_equal(got, ref.backup_values_reference(model, table, prev))
+        # the level above reads a sub-tensor of this one
+        upper = exhaustive_backup(model, (2,) * agents)
+        sub = got[np.ix_(*[[0, len(r) - 1] for r in table.actions])]
+        assert np.array_equal(
+            backup_values(model, upper, sub), ref.backup_values_reference(model, upper, sub)
+        )
+
+
+def test_gather_plan_follows_model_and_donor_counts():
+    model = two_agent_or_three(4, 2)
+    other = two_agent_or_three(5, 2)
+    rng = np.random.default_rng(4)
+    table = exhaustive_backup(model, (2, 2))
+    # the table's child rows are valid for any donor counts from 2 up
+    for m, donors in ((model, (2, 2)), (model, (3, 2)), (other, (3, 2)), (model, (2, 2))):
+        prev = rng.normal(size=donors + (model.num_states,))
+        assert np.array_equal(
+            backup_values(m, table, prev), ref.backup_values_reference(m, table, prev)
+        )
+    with pytest.raises(ConfigError, match="donor row"):
+        backup_values(model, exhaustive_backup(model, (3, 3)), rng.normal(size=(2, 2, 3)))
+
+
+# 12 joint observations: numpy sums 8 or more terms pairwise, not in order
+FILL_SHAPES = {**AGENT_SHAPES, "12 obs": dict(action_counts=(2, 2), obs_counts=(3, 4))}
+
+
+@given(
+    seed=st.integers(0, 5_000),
+    shape=st.sampled_from(sorted(FILL_SHAPES, key=str)),
+    keep=st.integers(1, 4),
+    num_states=st.sampled_from([2, 3, 5]),
+)
+@settings(max_examples=40)
+def test_fill_equals_reference_bitwise(seed, shape, keep, num_states):
+    model = random_model(seed, num_states=num_states, **FILL_SHAPES[shape])
+    rng = np.random.default_rng(seed)
+    leaves = exhaustive_backup(model, None)
+    values = backup_values(model, leaves, None)
+    prev = values[np.ix_(*[rng.choice(n, size=keep) for n in leaves.sizes])]
+    selection = ObservationSelection(
+        tuple((int(rng.integers(n)),) for n in model.observation_counts)
+    )
+    partial = partial_backup(model, prev.shape[:-1], selection)
+    belief = BeliefState(rng.dirichlet(np.ones(num_states)))
+    got = fill_missing(model, partial, prev, belief)
+    want = ref.fill_missing_reference(model, partial, prev, belief)
+    for a, b in zip(got.children, want.children):
+        assert np.array_equal(a, b)
 
 
 @given(seed=st.integers(0, 2_000))
