@@ -251,22 +251,19 @@ def _walk_batch(model: DecPomdp, batch, b_sel, b_prev, a_prev) -> None:
     belief = np.repeat(model.initial_belief.probs[None, :], len(batch), axis=0)
     active = len(batch)
     for step in range(lengths[0]):
-        while lengths[active - 1] <= step:
-            active -= 1
         acts = flat[offsets[:active] + step]
-        row = _step(model.transition, belief[:active], acts)
+        row = _step(model.transition, belief, acts)
         _check_rows(row)
         after = np.maximum(row, 0.0)
         # rows whose last step this is: the tail of the prefix
         done = active
         while done and lengths[done - 1] == step + 1:
             done -= 1
-        if done < active:
-            where = (levels[done:active], picks[done:active])
-            b_sel[where] = after[done:]
-            b_prev[where] = belief[done:active]
-            a_prev[where] = acts[done:]
-        belief = after
+        where = (levels[done:active], picks[done:active])
+        b_sel[where] = after[done:]
+        b_prev[where] = belief[done:]
+        a_prev[where] = acts[done:]
+        belief, active = after[:done], done
 
 
 def selection_beliefs(portfolio, model: DecPomdp, max_trees: int, rng: np.random.Generator):

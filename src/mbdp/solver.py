@@ -202,7 +202,8 @@ def _solve_round(model, cfg: SolverConfig, rng, portfolio, force_full):
                 for i in range(n):
                     picked[i].append(idx[i])
             sel_values.append(val)
-        tables.append((q, picked))
+        # a copy without the gather plan, which only this level's backup read
+        tables.append((CandidateSet(q.actions, q.children), picked))
         prev = tensor[np.ix_(*picked)]
         donors = prev.shape[:-1]
 
