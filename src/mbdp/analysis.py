@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError
+from .errors import CapacityError, ConfigError, require_seed
 from .model import PROB_TOL, BeliefState, DecPomdp
 
 
@@ -113,6 +113,8 @@ def epsilon_global(
         raise ConfigError("budget must be >= 1")
     if max_beliefs < 1:
         raise ConfigError("max_beliefs must be >= 1")
+    if mode == "sampled":
+        seed = require_seed(seed, ConfigError)
     horizon = model.horizon if horizon is None else horizon
     if horizon < 1:
         raise ConfigError("horizon must be >= 1")

@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the argument checks that raise them."""
+
+from numbers import Integral
 
 
 class MbdpError(Exception):
@@ -27,3 +29,15 @@ class CapacityError(MbdpError):
 
 class ConfigError(MbdpError):
     """Invalid solver or benchmark configuration."""
+
+
+def require_count(value, name: str, error: type[MbdpError], least: int = 1) -> int:
+    """``value`` as an int, if it is an integer (not a bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise error(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def require_seed(value, error: type[MbdpError]) -> int:
+    """``value`` as an int, if it is a non-negative integer (not a bool or None)."""
+    return require_count(value, "seed", error, least=0)

@@ -8,8 +8,11 @@ large.  ``CompiledPolicy`` turns a joint policy into integer tables, one
 action array and one child-row table per agent and depth, with each
 shared subtree in a single row.  Simulation, trajectory replay, exact
 evaluation and serialization all work on those tables a depth at a
-time, without recursion.  Only parsing a nested policy file recurses,
-and a file nested too deeply for that is rejected with ``ParseError``.
+time, without recursion.  Simulation draws each categorical outcome by
+a binary search over a sorted cumulative row, which gives the outcome
+of comparing the draw with the whole row.  Only parsing a nested policy
+file recurses, and a file nested too deeply for that is rejected with
+``ParseError``.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import EvaluationError, ModelError, ParseError
+from .errors import EvaluationError, ModelError, ParseError, require_count, require_seed
 from .model import BeliefState, DecPomdp
 
 POLICY_FORMAT = "mbdp-joint-policy"
@@ -280,68 +283,113 @@ class SimulationResult:
     episodes: int
 
 
-# floats per block of gathered rows in simulate's sampling (2 MB)
-_SIM_BLOCK_ELEMENTS = 1 << 18
+class _RowSampler:
+    """Categorical draws from the rows of a cumulative table, by binary search.
 
-
-def _sample_rows(cumulative: np.ndarray, index: tuple[np.ndarray, ...], draws) -> np.ndarray:
-    """Row-wise categorical draws, one per episode.
-
-    ``cumulative`` holds cumulative distributions along its last axis;
-    episode e compares ``draws[e]`` against row ``cumulative[index][e]``.
-    Rows are gathered and compared a block of episodes at a time, so no
-    (episodes, K) array is ever built whole; each row's result does not
-    depend on the block it falls in.
+    A draw ``u`` on row ``r`` of ``cumulative`` (rows, K) has outcome
+    ``min(#{k : cumulative[r, k] < u}, K - 1)``, as if ``u`` were compared
+    with the whole row.  That count does not depend on the order of the
+    row, so each row is sorted and a fixed-step binary search finds it in
+    log2(P) gathers (Khuong & Morin 2017).  Sorting is required, not a
+    shortcut: rows may carry negative dust down to ``-PROB_TOL``, so a
+    cumulative row need not be monotone.  Only the K - 1 smallest entries
+    are kept, padded with ``+inf`` to a power-of-two width P >= K, so a
+    draw above all of them counts K - 1, which is the clamp.  The search
+    compares the draw with the same doubles as the whole-row comparison,
+    so every outcome is identical to it.
     """
-    out = np.empty(len(draws), dtype=np.int64)
-    last = cumulative.shape[-1] - 1
-    block = max(1, _SIM_BLOCK_ELEMENTS // cumulative.shape[-1])
-    for lo in range(0, len(draws), block):
-        part = slice(lo, lo + block)
-        rows = cumulative[tuple(k[part] for k in index)]
-        out[part] = np.minimum((draws[part, None] > rows).sum(axis=1), last)
-    return out
+
+    def __init__(self, cumulative: np.ndarray):
+        rows, k = cumulative.shape
+        self.width = 1 << (k - 1).bit_length()
+        table = np.full((rows, self.width), np.inf)
+        table[:, : k - 1] = np.sort(cumulative, axis=1)[:, : k - 1]
+        # one unused entry in front: entry j of row r is table[r * width + j + 1]
+        self.table = np.concatenate(([np.nan], table.ravel()))
+
+    def draw(self, rows: np.ndarray, draws: np.ndarray, out: np.ndarray, scratch) -> np.ndarray:
+        """Writes the outcome of ``draws[e]`` on row ``rows[e]`` to ``out[e]``.
+
+        ``scratch`` is an (int64, float64, bool) triple of buffers as long
+        as ``draws``; their contents are overwritten.
+        """
+        index, value, below = scratch
+        # out holds row * width + count, and count rises by step when the
+        # row's entry count + step - 1 lies below the draw; indices are in
+        # range by construction, and mode="clip" skips the copy that the
+        # bounds check makes
+        np.multiply(rows, self.width, out=out)
+        step = self.width >> 1
+        while step:
+            np.add(out, step, out=index)
+            np.take(self.table, index, out=value, mode="clip")
+            np.less(value, draws, out=below)
+            np.multiply(below, step, out=index)
+            out += index
+            step >>= 1
+        out -= np.multiply(rows, self.width, out=index)
+        return out
 
 
 def simulate(model: DecPomdp, joint, episodes: int, seed: int) -> SimulationResult:
     """Monte Carlo estimate of a joint policy's value from the initial belief.
 
-    Vectorized over episodes, with each step's categorical draws made in
-    blocks of episodes to bound memory; a fixed seed reproduces results
-    bit-for-bit because all draws happen in a fixed order on a single
-    generator.
+    Vectorized over episodes.  Each categorical draw is a binary search
+    over a sorted cumulative row of the start belief, ``T`` or ``O``
+    (``_RowSampler``), and every lookup uses flat 1-D indices.  A fixed
+    seed reproduces results bit-for-bit: the draws come in a fixed order
+    from one generator (the start state, then per step the next state
+    and, before the last step, the joint observation), and each outcome
+    equals comparing the draw with its whole cumulative row.
     """
     model.require_valid()
-    if episodes < 1:
-        raise EvaluationError("episodes must be >= 1")
+    n = require_count(episodes, "episodes", EvaluationError)
+    rng = np.random.default_rng(require_seed(seed, EvaluationError))
     compiled = CompiledPolicy(model, joint)
     horizon = compiled.depth
-    rng = np.random.default_rng(seed)
-    n = int(episodes)
+    num_states = model.num_states
 
-    # cumulative sums along each row, taken once; summing a gathered
-    # copy of a row gives the same bits
-    start = np.cumsum(model.initial_belief.probs)[None, :]
-    transition = np.cumsum(model.transition, axis=2)
-    observation = np.cumsum(model.observation, axis=2)
+    start = _RowSampler(np.cumsum(model.initial_belief.probs)[None, :])
+    transition = _RowSampler(np.cumsum(model.transition, axis=-1).reshape(-1, num_states))
+    observation = _RowSampler(
+        np.cumsum(model.observation, axis=-1).reshape(-1, model.num_joint_observations)
+    )
+    reward = model.reward.ravel()
+    # per agent and depth, each node's share of joint action * num_states:
+    # a T or O row is the agents' shares plus a state
+    offsets = [
+        [a * (stride * num_states) for a in acts]
+        for acts, stride in zip(compiled.actions, model._action_strides)
+    ]
+    children = [[table.ravel() for table in kids] for kids in compiled.children]
+    local = np.array(model._joint_obs_tuples, dtype=np.int64).T
 
-    state = _sample_rows(start, (np.zeros(n, dtype=np.int64),), rng.random(n))
+    # per-episode buffers, reused by every step; row 0 is the start belief's
+    scratch = (np.empty(n, dtype=np.int64), np.empty(n), np.empty(n, dtype=bool))
+    index, value, _ = scratch
+    draws, total = np.empty(n), np.zeros(n)
+    state, nxt, jo, row = (np.zeros(n, dtype=np.int64) for _ in range(4))
     rows = [np.zeros(n, dtype=np.int64) for _ in range(model.num_agents)]
-    total = np.zeros(n)
-    action_strides = model._action_strides
-    obs_strides = model._obs_strides
+    start.draw(row, rng.random(n, out=draws), state, scratch)
     for t in range(horizon):
-        ja = np.zeros(n, dtype=np.int64)
-        for i in range(model.num_agents):
-            ja += compiled.actions[i][t][rows[i]] * action_strides[i]
-        nxt = _sample_rows(transition, (ja, state), rng.random(n))
-        total += model.reward[ja, state, nxt]
+        np.copyto(row, state)
+        for shares, r in zip(offsets, rows):
+            row += np.take(shares[t], r, out=index, mode="clip")
+        transition.draw(row, rng.random(n, out=draws), nxt, scratch)
+        np.multiply(row, num_states, out=index)
+        index += nxt
+        total += np.take(reward, index, out=value, mode="clip")
         if t < horizon - 1:
-            jo = _sample_rows(observation, (ja, nxt), rng.random(n))
-            for i in range(model.num_agents):
-                local = (jo // obs_strides[i]) % model.observation_counts[i]
-                rows[i] = compiled.children[i][t][rows[i], local]
-        state = nxt
+            row -= state
+            row += nxt
+            observation.draw(row, rng.random(n, out=draws), jo, scratch)
+            # row is free again, so each agent's new rows are taken into it
+            for i, count in enumerate(model.observation_counts):
+                rows[i] *= count
+                rows[i] += np.take(local[i], jo, out=index, mode="clip")
+                np.take(children[i][t], rows[i], out=row, mode="clip")
+                rows[i], row = row, rows[i]
+        state, nxt = nxt, state
     mean = float(total.mean())
     std_error = float(total.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     return SimulationResult(mean=mean, std_error=std_error, episodes=n)

@@ -35,7 +35,7 @@ from .backup import (
     rank_observations,
     weighted_children,
 )
-from .errors import CapacityError, ConfigError
+from .errors import CapacityError, ConfigError, require_seed
 # generate_belief stays importable from here: perfbench/bench_trace.py wraps it
 from .heuristics import (  # noqa: F401
     PolicyReplayHeuristic,
@@ -74,6 +74,7 @@ class SolverConfig:
         if not self.heuristics:
             raise ConfigError("heuristic portfolio is empty")
         object.__setattr__(self, "heuristics", tuple(self.heuristics))
+        object.__setattr__(self, "seed", require_seed(self.seed, ConfigError))
 
 
 @dataclass(frozen=True)
@@ -533,8 +534,8 @@ def random_policy_baseline(
     model.require_valid()
     if samples < 1:
         raise ConfigError("samples must be >= 1")
+    rng = np.random.default_rng(require_seed(seed, ConfigError))
     horizon = model.horizon if horizon is None else horizon
-    rng = np.random.default_rng(seed)
     values = []
     policy = None
     evaluator = PolicyEvaluator(model)

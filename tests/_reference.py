@@ -1,7 +1,8 @@
 """Slow reference implementations used as oracles in tests.
 
 Everything in this module is deliberately recursive and unvectorized so
-that it can be checked by eye. Production code must agree with these on
+that it can be checked by eye, except ``simulate_reference``, which
+compares every draw with its whole cumulative row. Production code must agree with these on
 small models; disagreement means the fast path is wrong, not this one.
 """
 
@@ -15,9 +16,11 @@ from mbdp import (
     BeliefState,
     CandidateSet,
     CapacityError,
+    CompiledPolicy,
     ConfigError,
     EpsilonReport,
     EpsilonWitness,
+    EvaluationError,
     PolicyTree,
     exhaustive_backup,
     generate_belief,
@@ -25,6 +28,7 @@ from mbdp import (
     rank_observations,
 )
 from mbdp.backup import weighted_children
+from mbdp.policy import SimulationResult
 from mbdp.solver import _best_tuple, _materialize
 
 
@@ -322,3 +326,70 @@ def solve_round_reference(model, cfg, rng, portfolio, force_full):
     idx, value = _best_tuple(tensor, model.initial_belief.probs)
     tables.append((q, [[r] for r in idx]))
     return value, _materialize(tables)
+
+
+# floats per block of gathered rows in simulate's sampling (2 MB)
+_SIM_BLOCK_ELEMENTS = 1 << 18
+
+
+def _sample_rows(cumulative: np.ndarray, index: tuple[np.ndarray, ...], draws) -> np.ndarray:
+    """Row-wise categorical draws, one per episode.
+
+    ``cumulative`` holds cumulative distributions along its last axis;
+    episode e compares ``draws[e]`` against row ``cumulative[index][e]``.
+    Rows are gathered and compared a block of episodes at a time, so no
+    (episodes, K) array is ever built whole; each row's result does not
+    depend on the block it falls in.
+    """
+    out = np.empty(len(draws), dtype=np.int64)
+    last = cumulative.shape[-1] - 1
+    block = max(1, _SIM_BLOCK_ELEMENTS // cumulative.shape[-1])
+    for lo in range(0, len(draws), block):
+        part = slice(lo, lo + block)
+        rows = cumulative[tuple(k[part] for k in index)]
+        out[part] = np.minimum((draws[part, None] > rows).sum(axis=1), last)
+    return out
+
+
+def simulate_reference(model, joint, episodes: int, seed: int) -> SimulationResult:
+    """Monte Carlo estimate of a joint policy's value from the initial belief.
+
+    Vectorized over episodes, with each step's categorical draws made in
+    blocks of episodes to bound memory; a fixed seed reproduces results
+    bit-for-bit because all draws happen in a fixed order on a single
+    generator.
+    """
+    model.require_valid()
+    if episodes < 1:
+        raise EvaluationError("episodes must be >= 1")
+    compiled = CompiledPolicy(model, joint)
+    horizon = compiled.depth
+    rng = np.random.default_rng(seed)
+    n = int(episodes)
+
+    # cumulative sums along each row, taken once; summing a gathered
+    # copy of a row gives the same bits
+    start = np.cumsum(model.initial_belief.probs)[None, :]
+    transition = np.cumsum(model.transition, axis=2)
+    observation = np.cumsum(model.observation, axis=2)
+
+    state = _sample_rows(start, (np.zeros(n, dtype=np.int64),), rng.random(n))
+    rows = [np.zeros(n, dtype=np.int64) for _ in range(model.num_agents)]
+    total = np.zeros(n)
+    action_strides = model._action_strides
+    obs_strides = model._obs_strides
+    for t in range(horizon):
+        ja = np.zeros(n, dtype=np.int64)
+        for i in range(model.num_agents):
+            ja += compiled.actions[i][t][rows[i]] * action_strides[i]
+        nxt = _sample_rows(transition, (ja, state), rng.random(n))
+        total += model.reward[ja, state, nxt]
+        if t < horizon - 1:
+            jo = _sample_rows(observation, (ja, nxt), rng.random(n))
+            for i in range(model.num_agents):
+                local = (jo // obs_strides[i]) % model.observation_counts[i]
+                rows[i] = compiled.children[i][t][rows[i], local]
+        state = nxt
+    mean = float(total.mean())
+    std_error = float(total.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    return SimulationResult(mean=mean, std_error=std_error, episodes=n)

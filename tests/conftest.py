@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -43,6 +45,21 @@ def random_model(
         horizon=horizon,
         name=f"random-{seed}",
     )
+
+
+def dusty_model(negative, horizon=6):
+    """A random model whose transitions put ``negative`` on state 0.
+
+    A transition entry just below zero (validate tolerates it) makes
+    beliefs carry negative dust, which every step must clip first.
+    """
+    model = random_model(5, num_states=3, horizon=horizon)
+    transition = model.transition.copy()
+    transition[:, :, 1] += transition[:, :, 0] - negative
+    transition[:, :, 0] = negative
+    model = replace(model, transition=transition)
+    assert model.validate() == []
+    return model
 
 
 @pytest.fixture(scope="session")

@@ -200,6 +200,8 @@ class TestEpsilonGlobal:
         [
             {"mode": "sampled", "budget": 0},
             {"mode": "sampled", "budget": -4},
+            {"mode": "sampled", "seed": -1},
+            {"mode": "sampled", "seed": None},
             {"max_beliefs": 0},
             {"max_beliefs": -1},
             {"horizon": 0},

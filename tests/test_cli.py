@@ -190,6 +190,37 @@ class TestSolveCommand:
 
 
 class TestOtherCommands:
+    @pytest.mark.parametrize(
+        "argv,error",
+        [
+            (["solve", "--problem", "tiger", "--horizon", "2"], "ConfigError"),
+            (["solve", "--problem", "tiger", "--horizon", "2", "--solver", "random"], "ConfigError"),
+            (["bound", "--problem", "mabc", "--horizon", "3", "--max-obs", "1", "--mode", "sampled"],
+             "ConfigError"),
+            (["simulate", "--problem", "tiger", "--horizon", "2", "--policy", "{policy}"], "EvaluationError"),
+        ],
+        ids=["solve", "solve-random", "bound-sampled", "simulate"],
+    )
+    def test_negative_seed_exits_four(self, capsys, tmp_path, argv, error):
+        policy = tmp_path / "tiger.policy"
+        run(capsys, ["solve", "--problem", "tiger", "--horizon", "2", "--output", str(policy)])
+        argv = [arg.format(policy=policy) for arg in argv]
+        code, out, err = run(capsys, argv + ["--seed", "-1", "--format", "records"])
+        assert code == 4
+        record = json.loads(err.splitlines()[-1])
+        assert (record["error"], record["message"]) == (error, "seed must be an integer >= 0, got -1")
+        assert not any(r["type"] == "result" for r in records(out))
+
+    def test_simulate_rejects_zero_episodes(self, capsys, tmp_path):
+        policy = tmp_path / "tiger.policy"
+        run(capsys, ["solve", "--problem", "tiger", "--horizon", "2", "--output", str(policy)])
+        code, _, err = run(
+            capsys,
+            ["simulate", "--problem", "tiger", "--horizon", "2", "--policy", str(policy), "--episodes", "0"],
+        )
+        assert code == 4
+        assert "episodes must be an integer >= 1" in err
+
     def test_evaluate_and_simulate_agree(self, capsys, tmp_path):
         target = tmp_path / "p.policy"
         run(

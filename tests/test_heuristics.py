@@ -25,22 +25,7 @@ from mbdp import (
 from mbdp.heuristics import selection_beliefs
 
 import _reference as ref
-from conftest import random_model
-
-
-def dusty_model(negative, horizon=6):
-    """A random model whose transitions put ``negative`` on state 0.
-
-    A transition entry just below zero (validate tolerates it) makes
-    beliefs carry negative dust, which every step must clip first.
-    """
-    model = random_model(5, num_states=3, horizon=horizon)
-    transition = model.transition.copy()
-    transition[:, :, 1] += transition[:, :, 0] - negative
-    transition[:, :, 0] = negative
-    model = replace(model, transition=transition)
-    assert model.validate() == []
-    return model
+from conftest import dusty_model, random_model
 
 
 class TestUnderlyingMdp:

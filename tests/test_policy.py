@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 import mbdp.policy
 from mbdp import (
+    PROB_TOL,
     EvaluationError,
     JointPolicy,
     ModelError,
@@ -15,19 +16,22 @@ from mbdp import (
     PolicyTree,
     SolverConfig,
     ValueTable,
+    build_boxpush,
     build_mabc,
+    build_tiger,
     evaluate_at_belief,
     evaluate_at_state,
+    exact_solve,
     parse_policy,
     mbdp as plan,
     random_policy_baseline,
     serialize_policy,
     simulate,
 )
-from mbdp.policy import NESTED_MAX_DEPTH
+from mbdp.policy import NESTED_MAX_DEPTH, _RowSampler
 
 import _reference as ref
-from conftest import random_model
+from conftest import dusty_model, random_model
 
 
 def random_tree(rng, model, agent, depth):
@@ -162,15 +166,118 @@ class TestSimulation:
         b = simulate(tiger, joint, episodes=500, seed=4)
         assert a.mean == b.mean and a.std_error == b.std_error
 
-    @pytest.mark.parametrize("block", [1, 7, 64])
-    def test_blocked_sampling_matches_one_pass(self, monkeypatch, block):
-        model = random_model(5, num_states=4, action_counts=(2, 3), obs_counts=(3, 2), horizon=3)
-        joint = random_joint(11, model, 3)
-        whole = simulate(model, joint, episodes=1_001, seed=6)
-        # one row per block up to a few rows: the tables have 3 to 6 columns
-        monkeypatch.setattr(mbdp.policy, "_SIM_BLOCK_ELEMENTS", block)
-        blocked = simulate(model, joint, episodes=1_001, seed=6)
-        assert (blocked.mean, blocked.std_error) == (whole.mean, whole.std_error)
+    @pytest.mark.parametrize("bad", [0, -3, 2.7, True, None, "5"])
+    def test_rejects_bad_episode_counts(self, tiger, bad):
+        with pytest.raises(EvaluationError, match="episodes must be an integer >= 1"):
+            simulate(tiger, random_joint(3, tiger, 2), bad, 0)
+
+    @pytest.mark.parametrize("bad", [-1, 1.0, False, None, "0"])
+    def test_rejects_bad_seeds(self, tiger, bad):
+        with pytest.raises(EvaluationError, match="seed must be an integer >= 0"):
+            simulate(tiger, random_joint(3, tiger, 2), 10, bad)
+
+    def test_numpy_integers_are_accepted(self, tiger):
+        joint = random_joint(3, tiger, 2)
+        assert simulate(tiger, joint, np.int64(10), np.uint32(4)) == simulate(tiger, joint, 10, 4)
+
+
+def _random_case(seed, depth, **shape):
+    model = random_model(seed, horizon=depth, **shape)
+    return model, random_joint(seed + 1, model, depth)
+
+
+def _dusty_case(negative):
+    model = dusty_model(negative, horizon=4)
+    return model, random_joint(17, model, 4)
+
+
+def _exact_case(build, horizon):
+    model = build(horizon=horizon)
+    return model, exact_solve(model).policy
+
+
+PARITY_CASES = {
+    "random-2-agents": lambda: _random_case(5, 3, num_states=4, action_counts=(2, 3), obs_counts=(3, 2)),
+    "random-3-agents": lambda: _random_case(
+        8, 3, num_states=5, action_counts=(2, 3, 2), obs_counts=(2, 3, 2)
+    ),
+    "dusty-0": lambda: _dusty_case(0.0),
+    "dusty-neg-1e-12": lambda: _dusty_case(-1e-12),
+    "tiger-h3-exact": lambda: _exact_case(build_tiger, 3),
+    "mabc-h3-exact": lambda: _exact_case(build_mabc, 3),
+    "boxpush-h2-exact": lambda: _exact_case(build_boxpush, 2),
+}
+
+
+@pytest.mark.parametrize("case", PARITY_CASES)
+def test_simulate_matches_reference(case):
+    # the binary-search sampler on flat indices against whole-row
+    # comparisons on nested indices, run on the same seeds
+    model, joint = PARITY_CASES[case]()
+    for episodes in (1, 2, 1001):
+        got = simulate(model, joint, episodes, 6)
+        want = ref.simulate_reference(model, joint, episodes, 6)
+        assert (got.mean, got.std_error, got.episodes) == (want.mean, want.std_error, want.episodes)
+
+
+def _row_sampler_draws(cumulative, rows, draws):
+    n = len(draws)
+    scratch = (np.empty(n, dtype=np.int64), np.empty(n), np.empty(n, dtype=bool))
+    return _RowSampler(cumulative).draw(rows, draws, np.empty(n, dtype=np.int64), scratch)
+
+
+@st.composite
+def cumulative_tables(draw):
+    """Cumulative rows of width 1 to 8: dusty, short of 1 by < PROB_TOL, or unordered."""
+    k = draw(st.sampled_from([1, 2, 3, 4, 7, 8]))
+    num_rows = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(num_rows):
+        if draw(st.booleans()):
+            # any row at all: the outcome is a count, whatever the order
+            rows.append(draw(st.lists(st.floats(-PROB_TOL, 1.0), min_size=k, max_size=k)))
+            continue
+        weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k))) + 1e-3
+        probs = weights / weights.sum()
+        dust = draw(st.lists(st.sampled_from([0.0, -PROB_TOL / 2, -PROB_TOL]), min_size=k, max_size=k))
+        probs = probs + np.array(dust)
+        probs[-1] -= draw(st.sampled_from([0.0, PROB_TOL / 3, 0.99 * PROB_TOL]))
+        rows.append(np.cumsum(probs))
+    return np.array(rows, dtype=float).reshape(num_rows, k)
+
+
+@given(table=cumulative_tables(), data=st.data())
+def test_row_sampler_matches_whole_row_comparison(table, data):
+    n = data.draw(st.integers(1, 40))
+    rows = np.array(data.draw(st.lists(st.integers(0, len(table) - 1), min_size=n, max_size=n)))
+    # exactly 0, exactly an entry of the row, just above the row's largest
+    # entry, or anywhere in [0, 1)
+    entries = [float(x) for x in table.ravel() if 0.0 <= x < 1.0]
+    above = [float(np.nextafter(x, 1.0)) for x in table.max(axis=1) if 0.0 <= x < 1.0]
+    draw = st.one_of(
+        st.just(0.0),
+        st.floats(0.0, 1.0, exclude_max=True),
+        *([st.sampled_from(entries)] if entries else []),
+        *([st.sampled_from(above)] if above else []),
+    )
+    draws = np.array(data.draw(st.lists(draw, min_size=n, max_size=n)))
+    got = _row_sampler_draws(table, rows, draws)
+    np.testing.assert_array_equal(got, ref._sample_rows(table, (rows,), draws))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 8])
+def test_row_sampler_edge_draws(k):
+    # a row short of 1 by less than PROB_TOL, with a dip (negative dust)
+    probs = np.full(k, 1.0 / k)
+    probs[-1] -= 0.5 * PROB_TOL
+    if k > 2:
+        probs[1], probs[2] = probs[1] + probs[2] + PROB_TOL, -PROB_TOL
+    row = np.cumsum(probs)[None, :]
+    draws = np.array([0.0, *row[0], float(np.nextafter(row.max(), 1.0)), 1.0 - 2**-53])
+    rows = np.zeros(len(draws), dtype=np.int64)
+    got = _row_sampler_draws(row, rows, draws)
+    np.testing.assert_array_equal(got, ref._sample_rows(row, (rows,), draws))
+    assert got[0] == 0 and got[-2] == got[-1] == k - 1
 
 
 _LEAF = PolicyTree(0)

@@ -46,6 +46,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SolverConfig(heuristics=())
 
+    @pytest.mark.parametrize("bad", [-1, 0.5, True, None, "3"])
+    def test_rejects_bad_seeds(self, bad):
+        with pytest.raises(ConfigError, match="seed must be an integer >= 0"):
+            SolverConfig(seed=bad)
+
+    def test_numpy_seed_is_stored_as_int(self):
+        assert type(SolverConfig(seed=np.int64(4)).seed) is int
+
 
 class TestExact:
     def test_tiger_two_steps(self, tiger):
@@ -246,6 +254,11 @@ class TestBaselines:
         want = evaluate_at_belief(tiger, res.policy, tiger.initial_belief)
         assert res.value == pytest.approx(want, abs=1e-12)
         assert res.std_error is None
+
+    @pytest.mark.parametrize("bad", [-1, 2.0, False, None])
+    def test_rejects_bad_seeds(self, tiger, bad):
+        with pytest.raises(ConfigError, match="seed must be an integer >= 0"):
+            random_policy_baseline(tiger, seed=bad)
 
     def test_multi_sample_mean_and_spread(self, tiger):
         res = random_policy_baseline(tiger, samples=12, seed=3)
