@@ -8,16 +8,25 @@ by pairing every action with every assignment of children.  The partial
 variant assigns children only for a selected subset of each agent's
 observations and leaves the rest as holes (-1), to be filled against a
 belief later.  Enumeration order is fixed (action-major, child rows
-lexicographic) so downstream tie-breaking is reproducible.  Values come
-from one kernel, ``backup_values``, which builds the joint value tensor
-of a table from the selected lists' tensor; policy trees are built only
-by the solvers, for the policy they return.
+lexicographic) so downstream tie-breaking is reproducible.
+
+Values come from one kernel, ``gather_values``.  A table's gather plan
+says, per joint tuple, which expected reward and which weighted child
+tuple per joint observation make up its value; the weighted children
+(``weighted_stack``) are the selected lists' values weighted by one
+step's mass.  Gathered in state columns the kernel gives value vectors:
+of every tuple in ``backup_values``, the joint value tensor the exact
+solver prunes, or of a few picked tuples.  Gathered after projecting
+its inputs onto K beliefs it gives every tuple's value at those
+beliefs in K columns, which is how the planner scores a level without
+its tensor.  Policy trees are built only by the solvers, for the policy
+they return.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -38,8 +47,6 @@ class CandidateSet:
 
     actions: tuple[np.ndarray, ...]
     children: tuple[np.ndarray, ...]
-    # backup_values' gather plan, built on first use
-    _plan: "_GatherPlan | None" = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         for name in ("actions", "children"):
@@ -189,34 +196,55 @@ def weighted_children(model: DecPomdp, prev_flat: np.ndarray, ja: int, jo: int) 
     return prev_flat @ (model.transition[ja] * model.observation[ja][:, jo][None, :]).T
 
 
-# floats per output block of backup_values (512 KiB): 2^16 measured
+def weighted_stack(model: DecPomdp, prev: np.ndarray) -> np.ndarray:
+    """``weighted_children`` of every joint action and observation, shape (JO, JA * M, S).
+
+    Row ja * M + c of block jo is ``weighted_children(model, prev_flat,
+    ja, jo)[c]``, where ``prev_flat`` is ``prev`` with one child tuple
+    per row.  Each joint action makes one stacked matmul over its
+    observations; the step matrices are laid out C-contiguous, so every
+    stacked product is the same BLAS call as the 2-D one and gives the
+    same bits for any M, one child tuple included.
+    """
+    num_s = model.num_states
+    prev_flat = prev.reshape(-1, num_s)
+    num_jo = model.num_joint_observations
+    out = np.empty((num_jo, model.num_joint_actions) + prev_flat.shape)
+    # steps[jo, s, s'] = T[ja][s, s'] O[ja][s', jo], one buffer for all
+    # joint actions: a fresh array per joint action took 3x as long
+    steps = np.empty((num_jo, num_s, num_s))
+    for ja in range(model.num_joint_actions):
+        np.multiply(model.transition[ja][None], model.observation[ja].T[:, None], out=steps)
+        np.matmul(prev_flat, steps.transpose(0, 2, 1), out=out[:, ja])
+    return out.reshape(num_jo, -1, num_s)
+
+
+# floats per output block of gather_values (512 KiB): 2^16 measured
 # fastest, and box pushing's kernel ran 20-35% slower at 2^20
 _GATHER_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
-class _GatherPlan:
-    """Where ``backup_values`` reads each output tuple's terms.
+class GatherPlan:
+    """Where ``gather_values`` reads each joint tuple's terms.
 
-    Output tuples are numbered in C order over the tables' rows.
+    Joint tuples are numbered in C order over the tables' rows.
     ``joint_actions[p]`` is tuple p's joint action, the row of the
     expected reward it starts from, and ``children[jo, p]`` the row it
-    adds after joint observation jo: ja * M + c in the weighted children
-    of every joint action stacked, where M counts the child tuples and c
-    is the child tuple's row in C order.
+    adds after joint observation jo: ja * M + c in ``weighted_stack``,
+    where M counts the child tuples and c is the child tuple's row in C
+    order.  ``children`` is None for depth-1 tables.
     """
 
-    model: DecPomdp
-    donors: tuple[int, ...] | None
     joint_actions: np.ndarray
     children: np.ndarray | None
 
 
-def _gather_plan(model: DecPomdp, candidates: CandidateSet, donors) -> _GatherPlan:
-    """The table's gather plan for ``model`` and ``donors``, built once and kept on the table."""
-    plan = candidates._plan
-    if plan is not None and plan.model is model and plan.donors == donors:
-        return plan
+def gather_plan(model: DecPomdp, candidates: CandidateSet, donors) -> GatherPlan:
+    """The gather plan of ``candidates``, whose children index lists of ``donors`` rows.
+
+    ``donors`` is None for depth-1 tables.
+    """
     n = model.num_agents
     if len(candidates.actions) != n:
         raise ConfigError(f"candidate set has {len(candidates.actions)} agents, model {n}")
@@ -229,23 +257,60 @@ def _gather_plan(model: DecPomdp, candidates: CandidateSet, donors) -> _GatherPl
     strides = model._action_strides
     ja = sum(spread(i, acts * strides[i]) for i, acts in enumerate(candidates.actions))
     joint_actions = np.broadcast_to(ja, sizes).reshape(-1)
-    children = None
-    if donors is not None:
-        for i, kids in enumerate(candidates.children):
-            if kids.size and kids.max() >= donors[i]:
-                raise ConfigError(f"agent {i} references donor row {kids.max()} of {donors[i]}")
-        child_strides = _mixed_radix_strides(donors)
-        base = joint_actions * math.prod(donors)
-        children = np.empty((model.num_joint_observations, base.size), dtype=np.int64)
-        for jo, local in enumerate(model._joint_obs_tuples):
-            child = sum(
-                spread(i, kids[:, local[i]] * child_strides[i])
-                for i, kids in enumerate(candidates.children)
-            )
-            np.add(base, np.broadcast_to(child, sizes).reshape(-1), out=children[jo])
-    plan = _GatherPlan(model, donors, joint_actions, children)
-    object.__setattr__(candidates, "_plan", plan)
-    return plan
+    if donors is None:
+        return GatherPlan(joint_actions, None)
+    if any((kids < 0).any() for kids in candidates.children):
+        raise ConfigError("candidate table has unassigned branches; fill them first")
+    for i, kids in enumerate(candidates.children):
+        if kids.size and kids.max() >= donors[i]:
+            raise ConfigError(f"agent {i} references donor row {kids.max()} of {donors[i]}")
+    child_strides = _mixed_radix_strides(donors)
+    base = joint_actions * math.prod(donors)
+    # int32 rows where they fit halve the plan, its largest array
+    rows = model.num_joint_actions * math.prod(donors)
+    dtype = np.int32 if rows <= np.iinfo(np.int32).max else np.int64
+    children = np.empty((model.num_joint_observations, base.size), dtype=dtype)
+    for jo, local in enumerate(model._joint_obs_tuples):
+        child = sum(
+            spread(i, kids[:, local[i]] * child_strides[i])
+            for i, kids in enumerate(candidates.children)
+        )
+        np.add(base, np.broadcast_to(child, sizes).reshape(-1), out=children[jo])
+    return GatherPlan(joint_actions, children)
+
+
+def gather_values(
+    plan: GatherPlan,
+    rewards: np.ndarray,
+    weighted: np.ndarray | None,
+    tuples: np.ndarray | None = None,
+) -> np.ndarray:
+    """The value kernel: one row per joint tuple, in the columns of its inputs.
+
+    Row p is ``rewards[ja]`` plus, per joint observation jo in order,
+    ``weighted[jo][children[jo, p]]``, with ja and the children from
+    ``plan``.  Given ``model.expected_reward`` and ``weighted_stack``
+    the columns are states and row p is tuple p's value in every state;
+    given both multiplied by K beliefs on the right they are tuple p's
+    K values at those beliefs, without its S-wide row ever being built.
+    ``tuples`` picks flat tuple indices (default all).  Rows are filled
+    in blocks of ``_GATHER_BLOCK`` floats, and each row's sum does not
+    depend on the block or the other rows, so picking tuples gives the
+    same bits as picking rows of the whole output.
+    """
+    joint_actions, children = plan.joint_actions, plan.children
+    if tuples is not None:
+        joint_actions = joint_actions[tuples]
+        children = None if children is None else children[:, tuples]
+    out = np.empty((joint_actions.size, rewards.shape[1]))
+    rows = max(1, _GATHER_BLOCK // rewards.shape[1])
+    for lo in range(0, out.shape[0], rows):
+        block = out[lo : lo + rows]
+        np.take(rewards, joint_actions[lo : lo + rows], axis=0, out=block)
+        if weighted is not None:
+            for jo, part in enumerate(weighted):
+                block += part.take(children[jo, lo : lo + rows], axis=0)
+    return out
 
 
 def backup_values(model: DecPomdp, candidates: CandidateSet, prev: np.ndarray | None) -> np.ndarray:
@@ -254,40 +319,16 @@ def backup_values(model: DecPomdp, candidates: CandidateSet, prev: np.ndarray | 
     ``prev`` is the (m_0, ..., m_{n-1}, S) value tensor of the previous
     level's selected lists, whose rows the candidates' children index.
     With ``prev`` None the candidates are depth-1 trees and a tuple's
-    value is the expected immediate reward of its joint action.  Per
-    joint action and joint observation, ``weighted_children`` weights
-    every child tuple's values by the step's mass.  Each output tuple is
-    then its joint action's expected reward plus, per joint observation
-    in order, one gathered row of those products: the table's gather
-    plan says which, and output blocks of ``_GATHER_BLOCK`` floats are
-    summed in place.  Every entry adds the same terms in the same order
-    as indexing each (joint action, joint observation) block by the
-    child rows, so the result is the same bit for bit.
+    value is the expected immediate reward of its joint action.  This is
+    ``gather_values`` over every tuple in state columns: every entry
+    adds the same terms in the same order as indexing each (joint
+    action, joint observation) block of weighted children by the child
+    rows, so the result is the same bit for bit.
     """
-    children = candidates.children
-    if prev is not None and any((kids < 0).any() for kids in children):
-        raise ConfigError("candidate table has unassigned branches; fill them first")
-    num_s = model.num_states
-    plan = _gather_plan(model, candidates, None if prev is None else prev.shape[:-1])
-    if prev is not None:
-        prev_flat = prev.reshape(-1, num_s)
-        weighted = np.empty(
-            (model.num_joint_observations, model.num_joint_actions) + prev_flat.shape
-        )
-        for ja in range(model.num_joint_actions):
-            for jo in range(model.num_joint_observations):
-                weighted[jo, ja] = weighted_children(model, prev_flat, ja, jo)
-        weighted = weighted.reshape(model.num_joint_observations, -1, num_s)
-    out = np.empty((plan.joint_actions.size, num_s))
-    er = model.expected_reward
-    rows = max(1, _GATHER_BLOCK // num_s)
-    for lo in range(0, out.shape[0], rows):
-        block = out[lo : lo + rows]
-        np.take(er, plan.joint_actions[lo : lo + rows], axis=0, out=block)
-        if prev is not None:
-            for jo in range(model.num_joint_observations):
-                block += weighted[jo].take(plan.children[jo, lo : lo + rows], axis=0)
-    return out.reshape(candidates.sizes + (num_s,))
+    plan = gather_plan(model, candidates, None if prev is None else prev.shape[:-1])
+    weighted = None if prev is None else weighted_stack(model, prev)
+    values = gather_values(plan, model.expected_reward, weighted)
+    return values.reshape(candidates.sizes + (model.num_states,))
 
 
 def fill_missing(

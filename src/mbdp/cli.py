@@ -451,12 +451,13 @@ def _cmd_solve(args) -> int:
                 "selection_values": list(level.selection_values),
                 "heuristics": list(level.heuristic_names),
                 "duplicated": level.duplicated,
+                "tuples_scored": level.tuples_scored,
                 "backup_sizes": list(level.backup_sizes),
                 "partial": level.partial,
             },
             f"level {level.tree_depth}: "
             f"selections={['%.4f' % v for v in level.selection_values]} "
-            f"backup={list(level.backup_sizes)}"
+            f"scored={level.tuples_scored} backup={list(level.backup_sizes)}"
             + (" (partial)" if level.partial else ""),
         )
     policy_text, path = _write_policy(args, model, report.policy)

@@ -228,10 +228,11 @@ def generate_belief(
     return heuristic.trajectory(model, depth, rng)
 
 
-# pre-drawn random actions held at once: a round draws about
-# max_trees * horizon^2 / 2 of them, walked in batches of at most this
-# many (or one trajectory, if longer)
-_ACTION_CHUNK = 1 << 20
+# bytes of pre-drawn random actions held at once (8 MiB): a round draws
+# about max_trees * horizon^2 / 2 of them, walked in batches of at most
+# this size (or one trajectory, if longer), and every batch walks from
+# the first step, so fewer, larger batches walk fewer steps
+_ACTION_CHUNK = 8 << 20
 
 
 def _walk_batch(model: DecPomdp, batch, b_sel, b_prev, a_prev) -> None:
@@ -284,15 +285,19 @@ def selection_beliefs(portfolio, model: DecPomdp, max_trees: int, rng: np.random
     a_prev = np.empty(b_sel.shape[:2], dtype=np.int64)
     batch: list[tuple[int, int, np.ndarray]] = []
     held = 0
+    # draws are kept in the smallest unsigned type that holds every joint
+    # action, so a batch holds up to 8 times as many
+    dtype = np.min_scalar_type(model.num_joint_actions - 1)
+    capacity = max(1, _ACTION_CHUNK // dtype.itemsize)
     for t in range(1, horizon):
         depth = horizon - t
         for k in range(max_trees):
             heuristic = portfolio[k % len(portfolio)]
             if isinstance(heuristic, RandomHeuristic):
-                if batch and held + depth > _ACTION_CHUNK:
+                if batch and held + depth > capacity:
                     _walk_batch(model, batch, b_sel, b_prev, a_prev)
                     batch, held = [], 0
-                batch.append((t, k, heuristic.draw(model, depth, rng)))
+                batch.append((t, k, heuristic.draw(model, depth, rng).astype(dtype)))
                 held += depth
                 continue
             # the MDP heuristic's trajectories are prefixes of its walk

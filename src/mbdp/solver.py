@@ -12,8 +12,12 @@ feasible only for short horizons.
 
 Both keep every level as integer candidate tables (``CandidateSet``)
 plus the rows they keep: the planner's picks or the exact solver's
-prune survivors.  ``PolicyTree`` objects are built once, at the end,
-for the returned policy only.
+prune survivors.  The planner never builds a level's joint value
+tensor: it scores every joint tuple at the level's sampled beliefs
+only, and gathers value vectors for the picked tuples alone, which the
+next level's backup reads.  The exact solver prunes whole tensors
+below its final level.  ``PolicyTree`` objects are built once, at the
+end, for the returned policy only.
 """
 
 from __future__ import annotations
@@ -30,10 +34,13 @@ from .backup import (
     backup_values,
     exhaustive_backup,
     fill_missing,
+    gather_plan,
+    gather_values,
     partial_backup,
     prune_value_tensor,
     rank_observations,
     weighted_children,
+    weighted_stack,
 )
 from .errors import CapacityError, ConfigError, require_seed
 # generate_belief stays importable from here: perfbench/bench_trace.py wraps it
@@ -81,15 +88,21 @@ class SolverConfig:
 class LevelRecord:
     """What one planning level did: selection values and backup sizes.
 
-    ``millis`` covers the level's selection, backup and fill.  The
-    round's selection beliefs are sampled before its first level, so
-    only ``SolveReport.millis`` includes sampling them.
+    ``tuples_scored`` counts the joint tuples scored at the level's
+    selection beliefs: every tuple of its candidate tables.  A selection
+    value is the pick's value at its belief, summed from terms projected
+    onto that belief, so it can differ in the last bits from the picked
+    tuple's value vector times the belief.  ``millis`` covers the
+    level's selection, backup and fill.  The round's selection beliefs
+    are sampled before its first level, so only ``SolveReport.millis``
+    includes sampling them.
     """
 
     tree_depth: int
     selection_values: tuple[float, ...]
     heuristic_names: tuple[str, ...]
     duplicated: int
+    tuples_scored: int
     backup_sizes: tuple[int, ...]
     partial: bool
     millis: float
@@ -118,20 +131,34 @@ def _tie_floor(best):
     return best - TIE_TOL * np.maximum(1.0, np.abs(best))
 
 
-def _best_tuple(tensor: np.ndarray, belief: np.ndarray, exclude=None):
-    """Highest-value joint tuple of a value tensor at ``belief``.
+def _best_tuple(scores: np.ndarray, exclude=None):
+    """Highest-scoring joint tuple of ``scores``, shaped (|Q_0|, ..., |Q_{n-1}|).
 
     Ties go to the lexicographically first tuple.  ``exclude`` lists, per
     agent, rows that no returned tuple may use.
     """
-    scores = (tensor.reshape(-1, tensor.shape[-1]) @ belief).reshape(tensor.shape[:-1])
     if exclude is not None:
+        scores = scores.copy()
         for i, rows in enumerate(exclude):
             scores[(slice(None),) * i + (rows,)] = -np.inf
     flat = scores.reshape(-1)
     best = float(flat.max())
     pick = int(np.argmax(flat >= _tie_floor(best)))
     return tuple(int(k) for k in np.unravel_index(pick, scores.shape)), float(flat[pick])
+
+
+def _scores_at(model: DecPomdp, plan, weighted, beliefs: np.ndarray) -> np.ndarray:
+    """Every tuple's value at each of K beliefs, shape (tuples, K).
+
+    The expected rewards and the weighted children are projected onto
+    the beliefs first, so the value kernel gathers K columns per tuple
+    instead of S.
+    """
+    cols = beliefs.T
+    if weighted is not None:
+        projected = weighted.reshape(-1, model.num_states) @ cols
+        weighted = projected.reshape(weighted.shape[:2] + (-1,))
+    return gather_values(plan, model.expected_reward @ cols, weighted)
 
 
 def _materialize(levels) -> JointPolicy:
@@ -171,13 +198,16 @@ def _solve_round(model, cfg: SolverConfig, rng, portfolio, force_full):
     horizon = model.horizon
     b_sel, b_prev, a_prev = selection_beliefs(portfolio, model, cfg.max_trees, rng)
     heur_names = tuple(portfolio[k % len(portfolio)].name for k in range(cfg.max_trees))
+    # the level's candidates, their gather plan and the weighted children
+    # of the picks below them; no level's whole value tensor is built
     q = exhaustive_backup(model, None)
-    tensor = backup_values(model, q, None)
+    plan = gather_plan(model, q, None)
+    weighted = None
     # (candidates, picked rows) per depth below the top
     tables = []
     levels = []
-    # the last full backup, reused (with its gather plan) while the
-    # donor counts stay the same
+    # the last full backup and its plan, reused while the donor counts
+    # stay the same
     full = None
 
     full_backups = force_full or cfg.max_obs is None or all(
@@ -186,27 +216,31 @@ def _solve_round(model, cfg: SolverConfig, rng, portfolio, force_full):
 
     for t in range(1, horizon):
         started = time.perf_counter()
+        sizes = q.sizes
+        scores = _scores_at(model, plan, weighted, b_sel[t - 1])
         picked: list[list[int]] = [[] for _ in range(n)]
         sel_values: list[float] = []
         duplicated = 0
         for k in range(cfg.max_trees):
-            belief = b_sel[t - 1, k]
+            column = scores[:, k].reshape(sizes)
             # duplicates make a list longer than its candidate set
-            if any(len(rows) >= size for rows, size in zip(picked, q.sizes)):
+            if any(len(rows) >= size for rows, size in zip(picked, sizes)):
                 # candidates ran out: clone the best pair picked so far
-                idx, val = _best_tuple(tensor[np.ix_(*picked)], belief)
+                idx, val = _best_tuple(column[np.ix_(*picked)])
                 for i in range(n):
                     picked[i].append(picked[i][idx[i]])
                 duplicated += 1
             else:
-                idx, val = _best_tuple(tensor, belief, exclude=picked)
+                idx, val = _best_tuple(column, exclude=picked)
                 for i in range(n):
                     picked[i].append(idx[i])
             sel_values.append(val)
-        # a copy without the gather plan, which only this level's backup read
-        tables.append((CandidateSet(q.actions, q.children), picked))
-        prev = tensor[np.ix_(*picked)]
-        donors = prev.shape[:-1]
+        tables.append((q, picked))
+        # the picks' value vectors, the same bits as the whole tensor's rows
+        flat = np.ravel_multi_index(np.ix_(*picked), sizes).reshape(-1)
+        donors = tuple(len(rows) for rows in picked)
+        prev = gather_values(plan, model.expected_reward, weighted, flat)
+        prev = prev.reshape(donors + (model.num_states,))
 
         partial = False
         selection = None
@@ -218,13 +252,15 @@ def _solve_round(model, cfg: SolverConfig, rng, portfolio, force_full):
             )
         if selection is None or selection.is_full(model):
             if full is None or full[0] != donors:
-                full = (donors, exhaustive_backup(model, donors, cfg.backup_cap))
-            q = full[1]
+                table = exhaustive_backup(model, donors, cfg.backup_cap)
+                full = (donors, table, gather_plan(model, table, donors))
+            _, q, plan = full
         else:
             partial = True
             sparse = partial_backup(model, donors, selection, cfg.backup_cap)
             q = fill_missing(model, sparse, prev, ranking_belief)
-        tensor = backup_values(model, q, prev)
+            plan = gather_plan(model, q, donors)
+        weighted = weighted_stack(model, prev)
 
         levels.append(
             LevelRecord(
@@ -232,13 +268,20 @@ def _solve_round(model, cfg: SolverConfig, rng, portfolio, force_full):
                 selection_values=tuple(sel_values),
                 heuristic_names=heur_names,
                 duplicated=duplicated,
+                tuples_scored=math.prod(sizes),
                 backup_sizes=q.sizes,
                 partial=partial,
                 millis=(time.perf_counter() - started) * 1000.0,
             )
         )
 
-    idx, value = _best_tuple(tensor, model.initial_belief.probs)
+    # the winner at the initial belief; its value is its value vector
+    # times that belief
+    b0 = model.initial_belief.probs
+    scores = _scores_at(model, plan, weighted, b0[None, :])
+    idx, _ = _best_tuple(scores.reshape(q.sizes))
+    flat = [np.ravel_multi_index(idx, q.sizes)]
+    value = float(gather_values(plan, model.expected_reward, weighted, flat)[0] @ b0)
     tables.append((q, [[r] for r in idx]))
     return value, _materialize(tables), levels
 
@@ -449,9 +492,9 @@ def exact_solve(
     cands = exhaustive_backup(model, donors, max_candidates)
     belief = model.initial_belief.probs
     if prev is None:
-        tensor = backup_values(model, cands, None)
-        idx, value = _best_tuple(tensor, belief)
-        state_max = tensor.reshape(-1, model.num_states).max(axis=0)
+        tensor = backup_values(model, cands, None).reshape(-1, model.num_states)
+        idx, value = _best_tuple((tensor @ belief).reshape(cands.sizes))
+        state_max = tensor.max(axis=0)
     else:
         value, flat, state_max = _best_response(model, cands, prev, belief)
         idx = tuple(int(k) for k in np.unravel_index(flat, cands.sizes))

@@ -282,6 +282,12 @@ def fill_missing_reference(model, partials, values, belief):
     return CandidateSet(partials.actions, tuple(rows))
 
 
+def best_tuple_reference(tensor, belief, exclude=None):
+    """``_best_tuple`` of a whole value tensor's scores, ``tensor @ belief``."""
+    scores = tensor.reshape(-1, tensor.shape[-1]) @ belief
+    return _best_tuple(scores.reshape(tensor.shape[:-1]), exclude)
+
+
 def solve_round_reference(model, cfg, rng, portfolio, force_full):
     """One planner round with a fresh trajectory per level and pick.
 
@@ -302,11 +308,11 @@ def solve_round_reference(model, cfg, rng, portfolio, force_full):
         for k in range(cfg.max_trees):
             traj = generate_belief(portfolio[k % len(portfolio)], model, model.horizon - t, rng)
             if any(len(rows) >= size for rows, size in zip(picked, q.sizes)):
-                idx, _ = _best_tuple(tensor[np.ix_(*picked)], traj.probs[-1])
+                idx, _ = best_tuple_reference(tensor[np.ix_(*picked)], traj.probs[-1])
                 for i in range(n):
                     picked[i].append(picked[i][idx[i]])
             else:
-                idx, _ = _best_tuple(tensor, traj.probs[-1], exclude=picked)
+                idx, _ = best_tuple_reference(tensor, traj.probs[-1], exclude=picked)
                 for i in range(n):
                     picked[i].append(idx[i])
         tables.append((q, picked))
@@ -323,9 +329,11 @@ def solve_round_reference(model, cfg, rng, portfolio, force_full):
                 sparse = partial_backup(model, donors, selection, cfg.backup_cap)
                 q = fill_missing_reference(model, sparse, prev, b_prev)
         tensor = backup_values_reference(model, q, prev)
-    idx, value = _best_tuple(tensor, model.initial_belief.probs)
+    b0 = model.initial_belief.probs
+    idx, _ = best_tuple_reference(tensor, b0)
     tables.append((q, [[r] for r in idx]))
-    return value, _materialize(tables)
+    # the winner's value vector at the initial belief
+    return float(tensor[idx] @ b0), _materialize(tables)
 
 
 # floats per block of gathered rows in simulate's sampling (2 MB)

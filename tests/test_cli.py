@@ -115,6 +115,19 @@ class TestSolveCommand:
         again = evaluate_at_belief(model, policy, model.initial_belief)
         assert again == pytest.approx(result["value"], abs=1e-9)
 
+    def test_level_records_count_scored_tuples(self, capsys):
+        code, out, _ = run(
+            capsys,
+            ["solve", "--problem", "tiger", "--horizon", "4", "--max-obs", "1",
+             "--format", "records"],
+        )
+        assert code == 0
+        levels = [r for r in records(out) if r["type"] == "level"]
+        # level 1 scores every pair of depth-1 trees, then every pair of
+        # the tables the level below backed up
+        sizes = [[3, 3]] + [r["backup_sizes"] for r in levels[:-1]]
+        assert [r["tuples_scored"] for r in levels] == [int(np.prod(s)) for s in sizes]
+
     def test_output_file_round_trips(self, capsys, tmp_path):
         target = tmp_path / "tiger.policy"
         code, out, _ = run(

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -290,6 +291,27 @@ def reference_rounds(model, cfg, force_full):
     return rounds
 
 
+def near_tie_model(horizon):
+    """Joint actions (0, 1) and (1, 0) are twins, the second 1e-13 better per step.
+
+    Both beat every other joint action by far, so each level's best
+    tuples come in twin pairs within ``TIE_TOL`` of each other, and the
+    lower flat index, the one starting with (0, 1), must win.
+    """
+    model = random_model(17, num_states=3, horizon=horizon)
+    transition, observation = model.transition.copy(), model.observation.copy()
+    reward = model.reward.copy()
+    reward[1] += 2.0
+    transition[2], observation[2], reward[2] = transition[1], observation[1], reward[1] + 1e-13
+    return replace(model, transition=transition, observation=observation, reward=reward)
+
+
+def three_agent_model(horizon):
+    return random_model(
+        23, num_states=4, action_counts=(2, 3, 2), obs_counts=(2, 2, 3), horizon=horizon
+    )
+
+
 ROUND_CASES = [
     pytest.param("mabc", 100, mbdp, SolverConfig(max_trees=3, heuristics=("random",), seed=seed),
                  id=f"mabc-h100-mbdp-seed{seed}")
@@ -297,14 +319,29 @@ ROUND_CASES = [
 ] + [
     pytest.param("boxpush", 10, improved_mbdp, SolverConfig(max_trees=3, max_obs=3, seed=0),
                  id="boxpush-h10-improved-seed0"),
+    pytest.param("boxpush", 10, improved_mbdp, SolverConfig(max_trees=5, max_obs=3, seed=0),
+                 id="boxpush-h10-improved-5x3-seed0"),
+    pytest.param("boxpush", 4, mbdp, SolverConfig(max_trees=2, seed=0),
+                 id="boxpush-h4-mbdp"),
     pytest.param("tiger", 8, improved_mbdp,
                  SolverConfig(max_trees=2, max_obs=1, seed=3, recursion_depth=2),
                  id="tiger-h8-improved-replay"),
     pytest.param("mabc", 12, mbdp,
                  SolverConfig(max_trees=3, heuristics=("random", "mdp"), seed=1, recursion_depth=1),
                  id="mabc-h12-mbdp-replay"),
+    pytest.param("three-agent", 6, improved_mbdp, SolverConfig(max_trees=3, max_obs=1, seed=2),
+                 id="three-agent-h6-improved"),
+    pytest.param("three-agent", 5, mbdp, SolverConfig(max_trees=2, seed=4, recursion_depth=1),
+                 id="three-agent-h5-mbdp-replay"),
+    pytest.param("near-tie", 5, mbdp, SolverConfig(max_trees=2, seed=0), id="near-tie-h5-mbdp"),
 ]
-BUILDERS = {"mabc": build_mabc, "boxpush": build_boxpush, "tiger": build_tiger}
+BUILDERS = {
+    "mabc": build_mabc,
+    "boxpush": build_boxpush,
+    "tiger": build_tiger,
+    "three-agent": three_agent_model,
+    "near-tie": near_tie_model,
+}
 
 
 @pytest.mark.parametrize("problem,horizon,solve,cfg", ROUND_CASES)
@@ -318,3 +355,44 @@ def test_rounds_match_reference_round(problem, horizon, solve, cfg):
     value, policy = max(rounds, key=lambda r: r[0])
     assert report.value == value
     assert serialize_policy(model, report.policy) == serialize_policy(model, policy)
+
+
+def test_near_tie_goes_to_the_lowest_flat_index():
+    model = near_tie_model(5)
+    belief = model.initial_belief.probs
+    # the later twin is the better one by a margin inside the tolerance
+    er = model.expected_reward
+    assert 0.0 < float(er[2] @ belief) - float(er[1] @ belief) < 1e-12
+    report = mbdp(model, SolverConfig(max_trees=2, seed=0))
+    (_, policy), = reference_rounds(model, SolverConfig(max_trees=2, seed=0), force_full=True)
+    for joint in (report.policy, policy):
+        assert tuple(tree.action for tree in joint.trees) == (0, 1)
+
+
+@pytest.mark.parametrize(
+    "model,solve,cfg",
+    [
+        (build_mabc(horizon=6), mbdp, SolverConfig(max_trees=3)),
+        (build_tiger(horizon=5), improved_mbdp, SolverConfig(max_trees=3, max_obs=1)),
+        (three_agent_model(4), improved_mbdp, SolverConfig(max_trees=2, max_obs=1)),
+    ],
+    ids=["mabc-full", "tiger-partial", "three-agent"],
+)
+def test_levels_count_the_tuples_they_score(model, solve, cfg):
+    # level t scores every tuple of the tables backed up at level t - 1
+    levels = solve(model, cfg).levels
+    sizes = [model.action_counts] + [level.backup_sizes for level in levels[:-1]]
+    assert [level.tuples_scored for level in levels] == [int(np.prod(s)) for s in sizes]
+
+
+def test_full_backups_never_build_the_joint_tensor():
+    # level 2 of full-backup box pushing has 972 trees per agent: its
+    # joint value tensor alone takes 972 * 972 * 100 doubles, 721 MiB
+    tracemalloc.start()
+    try:
+        report = mbdp(build_boxpush(horizon=3), SolverConfig(max_trees=3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.levels[-1].tuples_scored == 972 * 972
+    assert peak < 721 * 2**20 / 3

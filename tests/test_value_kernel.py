@@ -23,8 +23,14 @@ from mbdp import (
     partial_backup,
     serialize_policy,
 )
-from mbdp.backup import backup_values, prune_value_tensor
-from mbdp.solver import _best_response, _best_tuple, _materialize
+from mbdp.backup import (
+    backup_values,
+    gather_plan,
+    gather_values,
+    prune_value_tensor,
+    weighted_stack,
+)
+from mbdp.solver import _best_response, _best_tuple, _materialize, _scores_at
 
 import _reference as ref
 from conftest import random_model
@@ -95,7 +101,7 @@ def test_masked_pick_matches_brute_force_scan(seed, agents):
     values = rng.normal(size=sizes + (3,))
     belief = rng.dirichlet(np.ones(3))
     exclude = [sorted(rng.choice(size, size=int(rng.integers(0, size)), replace=False)) for size in sizes]
-    idx, score = _best_tuple(values, belief, exclude=[list(map(int, e)) for e in exclude])
+    idx, score = _best_tuple(values @ belief, exclude=[list(map(int, e)) for e in exclude])
     want_idx, want_score = brute_force_pick(values, belief, exclude)
     assert idx == want_idx
     assert score == pytest.approx(want_score, abs=1e-12)
@@ -106,12 +112,12 @@ def test_one_ulp_tie_goes_to_lowest_index():
     values[0, 1, 0] = 183.42
     values[1, 0, 0] = np.nextafter(183.42, np.inf)
     belief = np.ones(1)
-    assert _best_tuple(values, belief)[0] == (0, 1)
+    assert _best_tuple(values @ belief)[0] == (0, 1)
     # with the tie's first tuple masked, the later one wins
-    assert _best_tuple(values, belief, exclude=[[0], []])[0] == (1, 0)
+    assert _best_tuple(values @ belief, exclude=[[0], []])[0] == (1, 0)
     # a gap well above the tolerance is not a tie
     values[1, 0, 0] = 183.42 + 1e-6
-    assert _best_tuple(values, belief)[0] == (1, 0)
+    assert _best_tuple(values @ belief)[0] == (1, 0)
 
 
 def reference_fill(model, partial, donors, belief):
@@ -203,11 +209,34 @@ def test_backup_values_equals_reference_bitwise(seed, agents, num_states):
     for table in (full, filled):
         got = backup_values(model, table, prev)
         assert np.array_equal(got, ref.backup_values_reference(model, table, prev))
-        # the level above reads a sub-tensor of this one
-        upper = exhaustive_backup(model, (2,) * agents)
-        sub = got[np.ix_(*[[0, len(r) - 1] for r in table.actions])]
+        # the level above reads a sub-tensor of this one; with one child
+        # tuple (M = 1) a 2-D product of another layout sums in another order
+        for keep in (1, 2):
+            upper = exhaustive_backup(model, (keep,) * agents)
+            sub = got[np.ix_(*[[0, len(r) - 1][:keep] for r in table.actions])]
+            assert np.array_equal(
+                backup_values(model, upper, sub), ref.backup_values_reference(model, upper, sub)
+            )
+
+
+@pytest.mark.parametrize("agents", [2, 3])
+def test_picked_rows_and_belief_scores_match_the_whole_tensor(agents):
+    # the planner gathers only the picked tuples' rows, bit for bit the
+    # tensor's, and scores every tuple at its beliefs without the tensor
+    model = random_model(5, num_states=7, **AGENT_SHAPES[agents])
+    rng = np.random.default_rng(5)
+    prev, full, filled = backed_up_tables(model, rng, keep=3)
+    weighted = weighted_stack(model, prev)
+    for table in (full, filled):
+        tensor = backup_values(model, table, prev).reshape(-1, model.num_states)
+        plan = gather_plan(model, table, prev.shape[:-1])
+        picks = rng.choice(len(tensor), size=10)
         assert np.array_equal(
-            backup_values(model, upper, sub), ref.backup_values_reference(model, upper, sub)
+            gather_values(plan, model.expected_reward, weighted, picks), tensor[picks]
+        )
+        beliefs = rng.dirichlet(np.ones(model.num_states), size=3)
+        np.testing.assert_allclose(
+            _scores_at(model, plan, weighted, beliefs), tensor @ beliefs.T, rtol=1e-13, atol=1e-13
         )
 
 
@@ -348,7 +377,7 @@ def exact_oracle(model, belief):
         donors = prev.shape[:-1]
     cands = exhaustive_backup(model, donors)
     tensor = backup_values(model, cands, prev)
-    idx, value = _best_tuple(tensor, belief)
+    idx, value = ref.best_tuple_reference(tensor, belief)
     levels.append((cands, [[r] for r in idx]))
     return SimpleNamespace(
         cands=cands,
