@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError, require_seed
+from .errors import CapacityError, ConfigError, require_count, require_seed
 from .model import PROB_TOL, BeliefState, DecPomdp
 
 
@@ -78,8 +78,7 @@ def _capture_matrix(q: np.ndarray, flat: np.ndarray) -> np.ndarray:
 def epsilon_at(model: DecPomdp, belief: BeliefState, action, max_obs: int) -> float:
     """Best joint observation mass captured by per-agent subsets at (belief, action)."""
     model.require_valid()
-    if max_obs < 1:
-        raise ConfigError("max_obs must be >= 1")
+    max_obs = require_count(max_obs, "max_obs", ConfigError)
     ja = action if isinstance(action, (int, np.integer)) else model.joint_action_index(action)
     q = model.observation_probabilities(belief, int(ja))[None, :]
     _, flat = _subset_families(model, max_obs)
@@ -107,8 +106,7 @@ def epsilon_global(
     model.require_valid()
     if mode not in ("exact", "sampled"):
         raise ConfigError("mode must be 'exact' or 'sampled'")
-    if max_obs < 1:
-        raise ConfigError("max_obs must be >= 1")
+    max_obs = require_count(max_obs, "max_obs", ConfigError)
     if budget < 1:
         raise ConfigError("budget must be >= 1")
     if max_beliefs < 1:

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError
+from .errors import CapacityError, ConfigError, require_count
 from .model import BeliefState, DecPomdp, _mixed_radix_strides
 
 
@@ -84,6 +84,8 @@ class ObservationSelection:
         )
         if any(not s for s in self.per_agent):
             raise ConfigError("every agent must keep at least one observation")
+        if any(s[0] < 0 for s in self.per_agent):
+            raise ConfigError(f"observation indices must be >= 0, got {self.per_agent}")
 
     def is_full(self, model: DecPomdp) -> bool:
         return all(
@@ -169,8 +171,7 @@ def rank_observations(
     local components it has not seen until it holds min(max_obs, |O_i|)
     of them.
     """
-    if max_obs < 1:
-        raise ConfigError("max_obs must be >= 1")
+    max_obs = require_count(max_obs, "max_obs", ConfigError)
     probs = model.observation_probabilities(belief, action)
     order = sorted(range(len(probs)), key=lambda j: (-probs[j], j))
     quota = [min(max_obs, n) for n in model.observation_counts]
@@ -341,12 +342,20 @@ def fill_missing(
 
     ``values`` is the (m_0, ..., m_{n-1}, S) joint value tensor of the
     donors, the previous level's selected lists.  Candidates are grouped
-    into joint configurations by row (shorter tables wrap around); each
-    configuration is optimized once, in row order, and only the rows
-    whose first occurrence it is get their holes assigned.  Holes start
-    at donor 0 and single-branch swaps are applied only on strict
-    improvement of the configuration's value at ``belief``, so the value
-    never decreases.  Complete inputs are returned unchanged, same object.
+    into joint configurations by row (shorter tables wrap around); only
+    the rows whose first occurrence a configuration is get their holes
+    assigned.  Holes start at donor 0, and a configuration sweeps its
+    holes in (agent, observation) order, moving a branch to the first
+    best other donor row only on strict improvement of its value at
+    ``belief``, until a sweep improves nothing.  Configurations climb in
+    lockstep, in batches of min(sizes) consecutive ones: per sweep and
+    hole, one (configurations, donor rows, joint observations) gather
+    scores every live owner's donor rows.  Within a batch each agent's
+    rows are distinct and wrapped rows are final (an earlier batch owns
+    them), and every score is summed over a C-contiguous last axis like
+    one configuration's row, so the result is the same bit for bit as
+    climbing one configuration at a time.  Complete inputs are returned
+    unchanged, same object.
     """
     n = model.num_agents
     if len(partials.actions) != n or values.shape[n:] != (model.num_states,):
@@ -358,74 +367,64 @@ def fill_missing(
     for i, kids in enumerate(partials.children):
         if kids.size and kids.max() >= num_donors[i]:
             raise ConfigError(f"agent {i} references donor row {kids.max()} of {num_donors[i]}")
-    missing = [[np.flatnonzero(row < 0).tolist() for row in kids] for kids in partials.children]
-    if not any(slots for per_agent in missing for slots in per_agent):
+    holes = [kids < 0 for kids in partials.children]
+    if not any(h.any() for h in holes):
         return partials
-    # holes start at donor row 0
-    rows = [np.maximum(kids, 0) for kids in partials.children]
-
-    b = belief.probs
-    er = model.expected_reward
-    flat_values = values.reshape(-1, model.num_states)
-    num_jo = model.num_joint_observations
-    # local[i][jo]: agent i's component of joint observation jo
-    local = np.array(model._joint_obs_tuples, dtype=np.int64).T
-    tables: dict[int, tuple[float, np.ndarray]] = {}
-
-    def table(ja: int):
-        # G[jo, c_0, ..., c_{n-1}] = sum_{s'} U[jo, s'] V[c, s'] with
-        # U[jo, s'] = O[ja][s', jo] * (b P[ja])(s'), the unnormalized
-        # one-step posterior mass that weights the child tuple's values
-        if ja not in tables:
-            post = b @ model.transition[ja]
-            u = (model.observation[ja] * post[:, None]).T
-            tables[ja] = (float(b @ er[ja]), (flat_values @ u.T).T.reshape((num_jo,) + num_donors))
-        return tables[ja]
+    rows = [np.maximum(kids, 0) for kids in partials.children]  # holes start at donor 0
 
     sizes = partials.sizes
-    jo_index = np.arange(num_jo)
+    configs = np.arange(max(sizes))
+    idx = [configs % size for size in sizes]
+    joint = sum(partials.actions[i][idx[i]] * model._action_strides[i] for i in range(n))
+    used, which = np.unique(joint, return_inverse=True)
+    # per joint action used, its expected reward at b and G[jo, c] = sum_{s'}
+    # U[jo, s'] V[c, s'] with U[jo, s'] = O[ja][s', jo] * (b P[ja])(s'),
+    # the unnormalized one-step posterior mass weighting child tuple c
+    flat = values.reshape(-1, model.num_states)
+    num_jo, num_kids = model.num_joint_observations, len(flat)
+    b = belief.probs
+    base = np.array([b @ model.expected_reward[ja] for ja in used])
+    g = np.stack(
+        [(flat @ (model.observation[ja] * (b @ model.transition[ja])[:, None])).T for ja in used]
+    ).reshape(-1)
+    # local[i][jo]: agent i's component of joint observation jo
+    local = np.array(model._joint_obs_tuples, dtype=np.int64).T
+    strides = _mixed_radix_strides(num_donors)
+    start = (which * num_jo)[:, None] * num_kids + np.arange(num_jo) * num_kids
+    pairs = [(i, o) for i, h in enumerate(holes) for o in np.flatnonzero(h.any(axis=0))]
 
-    def config_value(base: float, g: np.ndarray, config_rows) -> float:
-        kids = tuple(r[local[i]] for i, r in enumerate(config_rows))
-        return base + float(g[(jo_index,) + kids].sum())
+    def child_index(c):
+        # each configuration's entry of g per joint observation, (A, JO)
+        return start[c] + sum(rows[j][idx[j][c]][:, local[j]] * strides[j] for j in range(n))
 
-    def donor_values(base: float, g: np.ndarray, config_rows, i: int, o: int) -> np.ndarray:
-        # the configuration's value with agent i's branch o set to each
-        # donor row in turn: one gather, summed per row as config_value sums
-        kids = [r[local[j]] for j, r in enumerate(config_rows)]
-        kids[i] = np.where(local[i] == o, np.arange(num_donors[i])[:, None], kids[i])
-        return base + g[(jo_index,) + tuple(kids)].sum(axis=1)
-
-    for c in range(max(sizes)):
-        idx = tuple(c % sizes[i] for i in range(n))
-        owned = [
-            (i, o)
-            for i in range(n)
-            if c < sizes[i]
-            for o in missing[i][idx[i]]
-        ]
-        if not owned:
-            continue
-        base, g = table(
-            model.joint_action_index(tuple(int(partials.actions[i][idx[i]]) for i in range(n)))
-        )
-        config_rows = [rows[i][idx[i]] for i in range(n)]
-        current = config_value(base, g, config_rows)
-        improved = True
-        while improved:
-            improved = False
-            for i, o in owned:
-                scores = donor_values(base, g, config_rows, i, o)
-                # a repeated pick of the incumbent's tree has a bit-identical
-                # tensor row and never strictly improves, so skipping the
-                # incumbent row alone is enough
-                scores[config_rows[i][o]] = -np.inf
-                # the first row of the best value, if it strictly improves
-                best_row = int(np.argmax(scores))
-                if scores[best_row] > current:
-                    config_rows[i][o] = best_row
-                    current = float(scores[best_row])
-                    improved = True
+    for lo in range(0, len(configs), min(sizes)):
+        batch = configs[lo : lo + min(sizes)]
+        # owns[i][p, o]: configuration lo + p assigns agent i's branch o
+        owns = [holes[i][idx[i][batch]] & (batch < sizes[i])[:, None] for i in range(n)]
+        live = np.flatnonzero(np.any([own.any(axis=1) for own in owns], axis=0))
+        current = base[which[batch]] + g.take(child_index(batch)).sum(axis=1)
+        while live.size:
+            improved = np.zeros(len(batch), dtype=bool)
+            for i, o in pairs:
+                p = live[owns[i][live, o]]
+                if not p.size:
+                    continue
+                c, step = lo + p, (local[i] == o) * strides[i]
+                index = child_index(c) - np.outer(rows[i][c, o], step)
+                # (A, D, JO) donor trials; take, unlike g[trial], returns them
+                # C-ordered whatever the layout of trial, so each sum is pairwise
+                trial = index[:, None, :] + np.outer(np.arange(num_donors[i]), step)
+                scores = base[which[c]][:, None] + g.take(trial).sum(axis=2)
+                # a repeat of the incumbent's tree has a bit-identical tensor row
+                # and never strictly improves, so skipping its row is enough
+                scores[np.arange(len(p)), rows[i][c, o]] = -np.inf
+                best = scores.argmax(axis=1)
+                score = scores[np.arange(len(p)), best]
+                gain = score > current[p]
+                rows[i][c[gain], o] = best[gain]
+                current[p[gain]] = score[gain]
+                improved[p[gain]] = True
+            live = live[improved[live]]
     return CandidateSet(partials.actions, tuple(rows))
 
 

@@ -42,7 +42,7 @@ from .backup import (
     weighted_children,
     weighted_stack,
 )
-from .errors import CapacityError, ConfigError, require_seed
+from .errors import CapacityError, ConfigError, require_count, require_seed
 # generate_belief stays importable from here: perfbench/bench_trace.py wraps it
 from .heuristics import (  # noqa: F401
     PolicyReplayHeuristic,
@@ -72,12 +72,11 @@ class SolverConfig:
     backup_cap: int = 1_000_000
 
     def __post_init__(self):
-        if self.max_trees < 1:
-            raise ConfigError("max_trees must be >= 1")
-        if self.max_obs is not None and self.max_obs < 1:
-            raise ConfigError("max_obs must be >= 1 or None")
-        if self.recursion_depth < 0:
-            raise ConfigError("recursion_depth must be >= 0")
+        counts = {"max_trees": 1, "recursion_depth": 0, "backup_cap": 1}
+        if self.max_obs is not None:
+            counts["max_obs"] = 1
+        for name, least in counts.items():
+            object.__setattr__(self, name, require_count(getattr(self, name), name, ConfigError, least))
         if not self.heuristics:
             raise ConfigError("heuristic portfolio is empty")
         object.__setattr__(self, "heuristics", tuple(self.heuristics))
