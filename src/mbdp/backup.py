@@ -390,7 +390,7 @@ def fill_missing(
     # local[i][jo]: agent i's component of joint observation jo
     local = np.array(model._joint_obs_tuples, dtype=np.int64).T
     strides = _mixed_radix_strides(num_donors)
-    start = (which * num_jo)[:, None] * num_kids + np.arange(num_jo) * num_kids
+    start = ((which * num_jo)[:, None] + np.arange(num_jo)) * num_kids
     pairs = [(i, o) for i, h in enumerate(holes) for o in np.flatnonzero(h.any(axis=0))]
 
     def child_index(c):

@@ -119,6 +119,12 @@ class TestEpsilonAt:
         model = obs_table_model([0.35, 0.25, 0.0, 0.4])
         assert epsilon_at(model, model.initial_belief, 0, 1) == pytest.approx(0.4)
 
+    @pytest.mark.parametrize("bad", [1.5, True, 0])
+    def test_rejects_bad_max_obs(self, bad):
+        model = obs_table_model([0.4, 0.1, 0.2, 0.3])
+        with pytest.raises(ConfigError, match="max_obs must be an integer >= 1"):
+            epsilon_at(model, model.initial_belief, 0, bad)
+
     @given(seed=st.integers(0, 5_000), action=st.integers(0, 3))
     @settings(max_examples=30)
     def test_monotone_in_budget(self, seed, action):
@@ -206,6 +212,8 @@ class TestEpsilonGlobal:
             {"max_beliefs": -1},
             {"horizon": 0},
             {"max_obs": 0},
+            {"max_obs": 1.5},
+            {"max_obs": True},
             {"mode": "grid"},
         ],
     )

@@ -8,9 +8,11 @@ from mbdp import (
     BeliefState,
     CandidateSet,
     CapacityError,
+    ConfigError,
     DecPomdp,
     ObservationSelection,
     PolicyTree,
+    build_boxpush,
     exhaustive_backup,
     fill_missing,
     partial_backup,
@@ -109,6 +111,12 @@ class TestPartial:
         assert not tree.complete
 
 
+    def test_rejects_negative_observation_index(self, tiger):
+        # -1 once assigned the children to the last observation column
+        with pytest.raises(ConfigError, match="observation indices must be >= 0"):
+            partial_backup(tiger, (2, 2), ObservationSelection(((-1,), (0,))))
+
+
 class TestRanking:
     def test_hand_ranked_masses(self):
         model = obs_table_model([0.1, 0.4, 0.3, 0.2])
@@ -126,6 +134,13 @@ class TestRanking:
         model = obs_table_model([0.1, 0.4, 0.3, 0.2])
         sel = rank_observations(model, model.initial_belief, 0, max_obs=9)
         assert sel.is_full(model)
+
+    @pytest.mark.parametrize("bad", [1.5, True, 0])
+    def test_rejects_bad_max_obs(self, bad):
+        # 1.5 once kept two observations per agent: the quota was min(1.5, n)
+        model = build_boxpush(horizon=2)
+        with pytest.raises(ConfigError, match="max_obs must be an integer >= 1"):
+            rank_observations(model, model.initial_belief, 0, max_obs=bad)
 
     def test_components_sorted_ascending(self, mabc):
         sel = rank_observations(mabc, mabc.initial_belief, 0, max_obs=2)

@@ -55,6 +55,32 @@ class TestConfig:
     def test_numpy_seed_is_stored_as_int(self):
         assert type(SolverConfig(seed=np.int64(4)).seed) is int
 
+    @pytest.mark.parametrize(
+        "name, bad",
+        [
+            ("max_trees", 2.5),
+            ("max_trees", True),
+            ("max_trees", 0),
+            ("max_obs", 1.5),
+            ("max_obs", True),
+            ("max_obs", 0),
+            ("recursion_depth", 0.5),
+            ("recursion_depth", -1),
+            ("backup_cap", 10.0),
+            ("backup_cap", 0),
+        ],
+    )
+    def test_rejects_bad_counts(self, name, bad):
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            SolverConfig(**{name: bad})
+
+    def test_numpy_counts_are_stored_as_int(self):
+        names = ("max_trees", "max_obs", "recursion_depth", "backup_cap")
+        cfg = SolverConfig(**{name: np.int64(2) for name in names})
+        assert all(type(getattr(cfg, name)) is int for name in names)
+        assert SolverConfig(max_obs=None).max_obs is None
+        assert SolverConfig(recursion_depth=0).recursion_depth == 0
+
 
 class TestExact:
     def test_tiger_two_steps(self, tiger):

@@ -15,6 +15,7 @@ from mbdp import (
     DecPomdp,
     ObservationSelection,
     SolverConfig,
+    build_boxpush,
     exact_solve,
     exhaustive_backup,
     fill_missing,
@@ -30,6 +31,7 @@ from mbdp.backup import (
     prune_value_tensor,
     weighted_stack,
 )
+import mbdp.solver as solver_module
 from mbdp.solver import _best_response, _best_tuple, _materialize, _scores_at
 
 import _reference as ref
@@ -281,6 +283,101 @@ def test_fill_equals_reference_bitwise(seed, shape, keep, num_states):
     want = ref.fill_missing_reference(model, partial, prev, belief)
     for a, b in zip(got.children, want.children):
         assert np.array_equal(a, b)
+
+
+def assert_fill_is_reference(model, partial, prev, belief):
+    got = fill_missing(model, partial, prev, belief)
+    want = ref.fill_missing_reference(model, partial, prev, belief)
+    for a, b in zip(got.children, want.children):
+        assert np.array_equal(a, b)
+    return got
+
+
+def test_fill_equals_reference_on_box_pushing_levels(monkeypatch):
+    # every fill of a box-pushing h=10 solve at (3, 3): 108 configurations
+    # climb in one batch, and each score is a pairwise sum of 25 terms
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return fill_missing(*args)
+
+    monkeypatch.setattr(solver_module, "fill_missing", spy)
+    improved_mbdp(build_boxpush(horizon=10), SolverConfig(max_trees=3, max_obs=3, seed=0))
+    assert len(calls) == 9
+    for model, partial, prev, belief in calls:
+        assert partial.sizes == (108, 108) and model.num_joint_observations == 25
+        assert_fill_is_reference(model, partial, prev, belief)
+
+
+def hand_built_partial(model, rng, sizes, donors, hole_rate=None):
+    """A partial table of the given sizes, with random actions and children.
+
+    With ``hole_rate`` None each agent keeps one random observation
+    column, as ``partial_backup`` would; otherwise every entry outside
+    each third row is a hole with that probability, so rows differ in
+    their hole sets and some have none.
+    """
+    actions, children = [], []
+    for i, (size, num_obs) in enumerate(zip(sizes, model.observation_counts)):
+        actions.append(rng.integers(model.action_counts[i], size=size))
+        kids = rng.integers(donors[i], size=(size, num_obs))
+        if hole_rate is None:
+            kids[:, np.arange(num_obs) != rng.integers(num_obs)] = -1
+        else:
+            holes = rng.random(kids.shape) < hole_rate
+            holes[::3] = False
+            kids[holes] = -1
+        children.append(kids)
+    return CandidateSet(tuple(actions), tuple(children))
+
+
+# (observation counts, table sizes, donor counts): the shorter tables
+# wrap, and with 12 or 18 joint observations every sum is pairwise
+WRAPPED_SHAPES = [
+    ((3, 4), (7, 3), (2, 3)),
+    ((3, 4), (4, 9), (3, 2)),
+    ((2, 2, 3), (5, 3, 8), (2, 3, 4)),
+    ((3, 3, 2), (4, 9, 6), (3, 1, 2)),
+]
+
+
+@pytest.mark.parametrize("hole_rate", [None, 0.5])
+@pytest.mark.parametrize("obs_counts, sizes, donors", WRAPPED_SHAPES)
+@pytest.mark.parametrize("seed", range(3))
+def test_fill_equals_reference_on_hand_built_tables(seed, obs_counts, sizes, donors, hole_rate):
+    model = random_model(
+        seed, num_states=4, action_counts=(2,) * len(sizes), obs_counts=obs_counts
+    )
+    rng = np.random.default_rng(seed)
+    partial = hand_built_partial(model, rng, sizes, donors, hole_rate)
+    if hole_rate is not None:
+        assert len({tuple(row) for kids in partial.children for row in kids < 0}) > 2
+    prev = rng.normal(size=donors + (model.num_states,))
+    belief = BeliefState(rng.dirichlet(np.ones(model.num_states)))
+    assert_fill_is_reference(model, partial, prev, belief)
+
+
+def test_fill_takes_an_improvement_of_one_ulp():
+    # one state, agent 0 sees two observations with mass 1/2 each; a
+    # configuration's value is (V[kept] + V[hole]) / 2, and donor values
+    # 1, 1 + eps and 1 + 2 eps make its improvements one or two ulps
+    model = DecPomdp(
+        states=("only",),
+        actions=(("go",), ("go",)),
+        observations=(("x0", "x1"), ("y0",)),
+        transition=np.ones((1, 1, 1)),
+        observation=np.full((1, 1, 2), 0.5),
+        reward=np.zeros((1, 1, 1)),
+        initial_belief=np.array([1.0]),
+        horizon=2,
+    )
+    eps = np.finfo(float).eps
+    prev = np.array([1.0, 1.0 + eps, 1.0 + 2 * eps]).reshape(3, 1, 1)
+    partial = partial_backup(model, (3, 1), ObservationSelection(((0,), (0,))))
+    filled = assert_fill_is_reference(model, partial, prev, model.initial_belief)
+    # row 0: 1 + eps/2 rounds to 1, so only donor 2 (value 1 + eps) improves
+    assert filled.children[0].tolist() == [[0, 2], [1, 2], [2, 1]]
 
 
 @given(seed=st.integers(0, 2_000))
