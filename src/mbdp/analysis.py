@@ -107,15 +107,11 @@ def epsilon_global(
     if mode not in ("exact", "sampled"):
         raise ConfigError("mode must be 'exact' or 'sampled'")
     max_obs = require_count(max_obs, "max_obs", ConfigError)
-    if budget < 1:
-        raise ConfigError("budget must be >= 1")
-    if max_beliefs < 1:
-        raise ConfigError("max_beliefs must be >= 1")
+    budget = require_count(budget, "budget", ConfigError)
+    max_beliefs = require_count(max_beliefs, "max_beliefs", ConfigError)
     if mode == "sampled":
         seed = require_seed(seed, ConfigError)
-    horizon = model.horizon if horizon is None else horizon
-    if horizon < 1:
-        raise ConfigError("horizon must be >= 1")
+    horizon = require_count(model.horizon if horizon is None else horizon, "horizon", ConfigError)
     combos, flat = _subset_families(model, max_obs)
     if mode == "exact":
         best, checked, where = _exact_minimum(model, flat, horizon, max_beliefs)
@@ -235,8 +231,6 @@ def error_bound(model: DecPomdp, epsilon: float, horizon: int | None = None) -> 
     model.require_valid()
     if not 0.0 <= epsilon <= 1.0:
         raise ConfigError("epsilon must be in [0, 1]")
-    horizon = model.horizon if horizon is None else horizon
-    if horizon < 1:
-        raise ConfigError("horizon must be >= 1")
+    horizon = require_count(model.horizon if horizon is None else horizon, "horizon", ConfigError)
     span = model.reward_max - model.reward_min
     return horizon * horizon * (1.0 - epsilon) * span

@@ -19,8 +19,8 @@ of every tuple in ``backup_values``, the joint value tensor the exact
 solver prunes, or of a few picked tuples.  Gathered after projecting
 its inputs onto K beliefs it gives every tuple's value at those
 beliefs in K columns, which is how the planner scores a level without
-its tensor.  Policy trees are built only by the solvers, for the policy
-they return.
+its tensor.  The solvers return the rows their policy reaches as tables
+(``JointPolicy._from_tables``); no policy tree is built.
 """
 
 from __future__ import annotations

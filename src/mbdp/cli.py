@@ -365,6 +365,11 @@ class _Out:
         elif human is not None:
             print(human)
 
+    def timing(self, started: float):
+        """Writes the timing record of a command begun at ``perf_counter()`` time ``started``."""
+        millis = (time.perf_counter() - started) * 1000.0
+        self.record({"schema": SCHEMA, "type": "timing", "millis": millis}, None)
+
 
 def _meta(command: str, model: DecPomdp) -> dict:
     return {
@@ -429,14 +434,7 @@ def _cmd_solve(args) -> int:
             + (f" +- {result.std_error:.6f} (se)" if result.std_error else "")
             + f" over {result.samples} sample(s)",
         )
-        out.record(
-            {
-                "schema": SCHEMA,
-                "type": "timing",
-                "millis": (time.perf_counter() - started) * 1000.0,
-            },
-            None,
-        )
+        out.timing(started)
         return 0
 
     cfg = _solver_config(args)
@@ -517,14 +515,7 @@ def _cmd_exact(args) -> int:
         f"exact: value={result.value:.6f} (horizon {model.horizon}, "
         f"levels {[list(c) for c in result.candidate_counts]})",
     )
-    out.record(
-        {
-            "schema": SCHEMA,
-            "type": "timing",
-            "millis": (time.perf_counter() - started) * 1000.0,
-        },
-        None,
-    )
+    out.timing(started)
     return 0
 
 
@@ -572,14 +563,7 @@ def _cmd_simulate(args) -> int:
         f"simulated value: {result.mean:.6f} +- {result.std_error:.6f} (se) "
         f"over {result.episodes} episodes",
     )
-    out.record(
-        {
-            "schema": SCHEMA,
-            "type": "timing",
-            "millis": (time.perf_counter() - started) * 1000.0,
-        },
-        None,
-    )
+    out.timing(started)
     return 0
 
 
@@ -621,14 +605,7 @@ def _cmd_bound(args) -> int:
         f"epsilon={report.epsilon:.6f} ({report.mode}, {guarantee}; "
         f"{report.beliefs_checked} beliefs), worst-case loss bound={bound:.6f}",
     )
-    out.record(
-        {
-            "schema": SCHEMA,
-            "type": "timing",
-            "millis": (time.perf_counter() - started) * 1000.0,
-        },
-        None,
-    )
+    out.timing(started)
     return 0
 
 

@@ -187,7 +187,6 @@ class PolicyReplayHeuristic:
     def __init__(self, model: DecPomdp, policy: JointPolicy):
         self.model = model
         self.compiled = CompiledPolicy(model, policy)
-        self.depth = policy.depth
 
     def trajectory(self, model: DecPomdp, depth: int, rng) -> BeliefTrajectory:
         compiled = self.compiled
@@ -195,7 +194,7 @@ class PolicyReplayHeuristic:
         beliefs = [model.initial_belief]
         actions: list[int] = []
         for level in range(depth):
-            if level >= self.depth:
+            if level >= compiled.depth:
                 ja = int(rng.integers(model.num_joint_actions))
             else:
                 ja = model.joint_action_index(
@@ -207,7 +206,7 @@ class PolicyReplayHeuristic:
             probs = model.observation_probabilities(beliefs[-1], ja)
             jo = int(rng.choice(len(probs), p=probs / probs.sum()))
             beliefs.append(model.bayes_update(beliefs[-1], ja, jo))
-            if level < self.depth - 1:
+            if level < compiled.depth - 1:
                 local = model.joint_observation(jo)
                 for i in range(model.num_agents):
                     nodes[i] = int(compiled.children[i][level][nodes[i], local[i]])

@@ -1,24 +1,25 @@
 """Policy trees, joint policies, exact evaluation, simulation, serialization.
 
-A per-agent policy tree carries an action at every node and one child
-slot per local observation.  Trees are immutable and shared: backups
-reference existing subtrees instead of copying them, so a horizon-100
-policy is a small DAG even though its unrolled tree is astronomically
-large.  ``CompiledPolicy`` turns a joint policy into integer tables, one
-action array and one child-row table per agent and depth, with each
-shared subtree in a single row.  Simulation, trajectory replay, exact
-evaluation and serialization all work on those tables a depth at a
-time, without recursion.  Simulation draws each categorical outcome by
-a binary search over a sorted cumulative row, which gives the outcome
-of comparing the draw with the whole row.  Only parsing a nested policy
-file recurses, and a file nested too deeply for that is rejected with
-``ParseError``.
+A joint policy holds integer tables, one action array and one child-row
+table per agent and depth, with each shared subtree in a single row.
+The solvers build these tables directly.  Policy trees (immutable,
+shared nodes) exist only at the API boundary: parsed policy files and
+hand-built policies are trees, compiled once into a ``JointPolicy``, and
+``JointPolicy.trees`` builds nodes from the tables on request.
+``CompiledPolicy`` checks the tables against a model; simulation,
+trajectory replay, exact evaluation and serialization all read them a
+depth at a time, without recursion.  Simulation draws each categorical
+outcome by a binary search over a sorted cumulative row, which gives
+the outcome of comparing the draw with the whole row.  Only parsing a
+nested policy file recurses, and a file nested too deeply for that is
+rejected with ``ParseError``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -92,30 +93,102 @@ class PolicyTree:
         return True
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False, init=False)
 class JointPolicy:
-    """One complete policy tree per agent, all of the same depth."""
+    """One complete policy per agent, all of one depth, held as integer tables.
 
-    trees: tuple[PolicyTree, ...]
+    For agent i and depth d (0 is the root), ``actions[i][d]`` is an int
+    array over that depth's rows and ``children[i][d]`` maps (row, local
+    observation) to a row of depth d + 1.  Rows are numbered by first
+    reference from the depth above, parent row first, then observation,
+    so a shared subtree is a single row.  The arrays are read-only.  Trees
+    given to the constructor are compiled once and not kept: ``trees`` is
+    built from the tables on first use, one shared node per row.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "trees", tuple(self.trees))
-        if not self.trees:
-            raise ModelError("joint policy needs at least one tree")
-        depths = {t.depth for t in self.trees}
+    actions: tuple[tuple[np.ndarray, ...], ...]
+    children: tuple[tuple[np.ndarray, ...], ...]
+
+    def __init__(self, trees: Sequence[PolicyTree]):
+        self._hold([_compile(i, t, range(len(t.children))) for i, t in enumerate(trees)])
+
+    @classmethod
+    def _from_tables(cls, actions, children) -> "JointPolicy":
+        """The policy that starts each agent i at row 0 of ``actions[i][0]``.
+
+        ``children[i][d]`` indexes the rows of ``actions[i][d + 1]``.  Only
+        the rows the root reaches are kept, renumbered by first reference.
+        """
+        tables = []
+        for acts, kids in zip(actions, children):
+            rows, kept_actions, kept_children = [0], [], []
+            for d, level in enumerate(acts):
+                kept_actions.append(np.asarray(level, dtype=np.int64)[rows])
+                if d < len(kids):
+                    index: dict[int, int] = {}
+                    below = np.asarray(kids[d])[rows].tolist()
+                    kept_children.append(np.array([[index.setdefault(c, len(index)) for c in row] for row in below]))
+                    rows = list(index)
+            tables.append((kept_actions, kept_children))
+        policy = cls.__new__(cls)
+        policy._hold(tables)
+        return policy
+
+    def _hold(self, tables):
+        depths = {len(acts) for acts, _ in tables}
         if len(depths) != 1:
-            raise ModelError(f"joint policy trees have differing depths: {sorted(depths)}")
-        for i, t in enumerate(self.trees):
-            if not t.complete:
-                raise ModelError(f"agent {i} tree is incomplete")
+            raise ModelError(f"joint policy needs trees of one depth, got depths {sorted(depths)}")
+        for table in (t for acts, kids in tables for t in (*acts, *kids)):
+            table.flags.writeable = False
+        object.__setattr__(self, "actions", tuple(tuple(acts) for acts, _ in tables))
+        object.__setattr__(self, "children", tuple(tuple(kids) for _, kids in tables))
+
+    @cached_property
+    def trees(self) -> tuple[PolicyTree, ...]:
+        """Each agent's root node, built on first use with one shared node per table row."""
+        roots = []
+        for acts, kids in zip(self.actions, self.children):
+            nodes = [PolicyTree(a) for a in acts[-1].tolist()]
+            for level, table in zip(acts[-2::-1], kids[::-1]):
+                nodes = [PolicyTree(a, [nodes[c] for c in row]) for a, row in zip(level.tolist(), table.tolist())]
+            roots.append(nodes[0])
+        return tuple(roots)
 
     @property
     def depth(self) -> int:
-        return self.trees[0].depth
+        return len(self.actions[0])
 
     @property
     def num_agents(self) -> int:
-        return len(self.trees)
+        return len(self.actions)
+
+
+def _compile(agent: int, root: PolicyTree, names: Sequence):
+    """(actions, children) per depth of one agent's tree, a child column per entry of ``names``."""
+    # nodes are told apart by id(); the tree keeps them alive meanwhile
+    level = [root]
+    actions = [np.array([root.action], dtype=np.int64)]
+    children = []
+    for _ in range(root.depth - 1):
+        below: list[PolicyTree] = []
+        index: dict[int, int] = {}
+        table = np.empty((len(level), len(names)), dtype=np.int64)
+        for r, node in enumerate(level):
+            for o, name in enumerate(names):
+                child = node.children[o] if o < len(node.children) else None
+                if child is None:
+                    raise EvaluationError(
+                        f"agent {agent} tree (action {node.action}, depth {node.depth}) "
+                        f"is missing the branch for observation '{name}'"
+                    )
+                if id(child) not in index:
+                    index[id(child)] = len(below)
+                    below.append(child)
+                table[r, o] = index[id(child)]
+        children.append(table)
+        actions.append(np.array([n.action for n in below], dtype=np.int64))
+        level = below
+    return actions, children
 
 
 # Unused by the package; kept only because perfbench/bench_trace.py imports it and patches ``retain``.
@@ -145,66 +218,36 @@ class ValueTable:
         return len(self._vectors)
 
 
-def _tree_tuple(joint) -> tuple[PolicyTree, ...]:
-    if isinstance(joint, JointPolicy):
-        return joint.trees
-    return tuple(joint)
-
-
 class CompiledPolicy:
     """Integer tables of a joint policy, the form every policy consumer reads.
 
-    For each agent and tree level d (0 is the root), ``actions[i][d]`` is
-    an int array over that level's distinct nodes and ``children[i][d]``
-    maps (node_row, local_obs) to a row of level d+1.  Shared subtrees
-    occupy a single row, so the tables stay small for solver output.
-    Compiling checks the input: one tree per agent, equal depths and no
-    missing branch.
+    The tables are laid out as in ``JointPolicy``.  A ``JointPolicy``'s
+    are only checked against the model: one policy per agent, a child
+    column per observation, actions in range.  A sequence of trees is
+    first checked for one tree per agent and equal depths, then
+    compiled, which finds any missing branch.
     """
 
     def __init__(self, model: DecPomdp, joint):
-        trees = _tree_tuple(joint)
-        if len(trees) != model.num_agents:
-            raise EvaluationError(f"expected {model.num_agents} trees, got {len(trees)}")
-        if len({t.depth for t in trees}) != 1:
-            raise EvaluationError("joint configuration mixes tree depths")
-        self.depth = trees[0].depth
-        self.actions: list[list[np.ndarray]] = []
-        self.children: list[list[np.ndarray]] = []
-        for i, root in enumerate(trees):
-            acts, kids = self._compile(model, i, root)
-            self.actions.append(acts)
-            self.children.append(kids)
-
-    @staticmethod
-    def _compile(model: DecPomdp, agent: int, root: PolicyTree):
-        # nodes are told apart by id(); the trees keep them alive meanwhile
-        level = [root]
-        actions = [np.array([root.action], dtype=np.int64)]
-        children = []
-        for _ in range(root.depth - 1):
-            below: list[PolicyTree] = []
-            index: dict[int, int] = {}
-            table = np.empty((len(level), model.observation_counts[agent]), dtype=np.int64)
-            for r, node in enumerate(level):
-                for o, name in enumerate(model.observations[agent]):
-                    child = node.children[o] if o < len(node.children) else None
-                    if child is None:
-                        raise EvaluationError(
-                            f"agent {agent} tree (action {node.action}, depth {node.depth}) "
-                            f"is missing the branch for observation '{name}'"
-                        )
-                    if id(child) not in index:
-                        index[id(child)] = len(below)
-                        below.append(child)
-                    table[r, o] = index[id(child)]
-            children.append(table)
-            actions.append(np.array([n.action for n in below], dtype=np.int64))
-            level = below
-        bad = [a for acts in actions for a in acts.tolist() if not 0 <= a < model.action_counts[agent]]
-        if bad:
-            raise ModelError(f"action {bad[0]} out of range for agent {agent}")
-        return actions, children
+        trees = None if isinstance(joint, JointPolicy) else tuple(joint)
+        count = joint.num_agents if trees is None else len(trees)
+        if count != model.num_agents:
+            raise EvaluationError(f"expected {model.num_agents} trees, got {count}")
+        if trees is None:
+            actions, children = joint.actions, joint.children
+        else:
+            if len({t.depth for t in trees}) != 1:
+                raise EvaluationError("joint configuration mixes tree depths")
+            actions, children = zip(*(_compile(i, t, model.observations[i]) for i, t in enumerate(trees)))
+        for i, (acts, kids) in enumerate(zip(actions, children)):
+            if {table.shape[1] for table in kids} - {model.observation_counts[i]}:
+                raise EvaluationError(f"agent {i} policy needs {model.observation_counts[i]} branches per node")
+            every = np.concatenate(acts)
+            bad = every[(every < 0) | (every >= model.action_counts[i])]
+            if len(bad):
+                raise ModelError(f"action {bad[0]} out of range for agent {i}")
+        self.depth = len(actions[0])
+        self.actions, self.children = actions, children
 
 
 # joint row tuples are coded as int64 numbers below this
@@ -257,6 +300,8 @@ class PolicyEvaluator:
         return values[0]
 
     def at_state(self, joint, state: int) -> float:
+        if require_count(state, "state", EvaluationError, least=0) >= self.model.num_states:
+            raise EvaluationError(f"state {state} out of range for {self.model.num_states} states")
         return float(self.value_vector(joint)[state])
 
     def at_belief(self, joint, belief: BeliefState) -> float:

@@ -16,8 +16,8 @@ prune survivors.  The planner never builds a level's joint value
 tensor: it scores every joint tuple at the level's sampled beliefs
 only, and gathers value vectors for the picked tuples alone, which the
 next level's backup reads.  The exact solver prunes whole tensors
-below its final level.  ``PolicyTree`` objects are built once, at the
-end, for the returned policy only.
+below its final level.  The returned policy is the tables of the rows
+the top level's pick reaches; no ``PolicyTree`` is built.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .heuristics import (  # noqa: F401
     selection_beliefs,
 )
 from .model import BeliefState, DecPomdp, _mixed_radix_strides
-from .policy import JointPolicy, PolicyEvaluator, PolicyTree
+from .policy import JointPolicy, PolicyEvaluator
 
 
 @dataclass(frozen=True)
@@ -161,35 +161,20 @@ def _scores_at(model: DecPomdp, plan, weighted, beliefs: np.ndarray) -> np.ndarr
 
 
 def _materialize(levels) -> JointPolicy:
-    """Shared policy trees for the rows selected at the top level.
+    """The policy of the rows selected at the top level, as tables.
 
     ``levels`` lists (candidates, selected) per depth, depth 1 first:
     ``selected[i]`` lists agent i's rows kept at that depth, and the
     children of the next depth's candidates index that list.  The top
-    level selects one row per agent, the returned policy.  Only the rows
-    the policy reaches become ``PolicyTree`` nodes, one node per table
-    row, so a row that several parents reach is a shared node.
+    level selects one row per agent, the returned policy; only the rows
+    it reaches are kept.
     """
-    trees = []
-    for i in range(len(levels[0][0].actions)):
-        # table rows the root reaches at each depth, found top down
-        reached = [None] * len(levels)
-        reached[-1] = np.asarray(levels[-1][1][i])
-        for d in range(len(levels) - 1, 0, -1):
-            positions = levels[d][0].children[i][reached[d]]
-            reached[d - 1] = np.unique(np.asarray(levels[d - 1][1][i])[positions])
-        nodes: dict[int, PolicyTree] = {}
-        for d, (cands, _) in enumerate(levels):
-            # nodes of the selected list the children index
-            below = [nodes.get(r) for r in levels[d - 1][1][i]] if d else []
-            nodes = {
-                r: PolicyTree(
-                    cands.actions[i][r], tuple(below[c] for c in cands.children[i][r].tolist())
-                )
-                for r in reached[d].tolist()
-            }
-        trees.append(nodes[levels[-1][1][i][0]])
-    return JointPolicy(tuple(trees))
+    top_down = levels[::-1]
+    agents = range(len(levels[0][0].actions))
+    return JointPolicy._from_tables(
+        [[cands.actions[i][rows[i]] for cands, rows in top_down] for i in agents],
+        [[cands.children[i][rows[i]] for cands, rows in top_down[:-1]] for i in agents],
+    )
 
 
 def _solve_round(model, cfg: SolverConfig, rng, portfolio, force_full):
@@ -449,9 +434,7 @@ def exact_solve(
     tuple count all the same.
     """
     model.require_valid()
-    horizon = model.horizon if horizon is None else horizon
-    if horizon < 1:
-        raise ConfigError("horizon must be >= 1")
+    horizon = require_count(model.horizon if horizon is None else horizon, "horizon", ConfigError)
     # (candidates, survivor rows) per level; survivor lists are what the
     # next level's children index
     levels = []
@@ -509,7 +492,7 @@ def exact_solve(
 def uniform_random_value(model: DecPomdp, horizon: int | None = None) -> float:
     """Exact expected value of picking joint actions uniformly at random."""
     model.require_valid()
-    horizon = model.horizon if horizon is None else horizon
+    horizon = require_count(model.horizon if horizon is None else horizon, "horizon", ConfigError)
     p_mean = model.transition.mean(axis=0)
     er_mean = model.expected_reward.mean(axis=0)
     occ = model.initial_belief.probs.copy()
@@ -528,35 +511,36 @@ class BaselineResult:
     samples: int
 
 
-def _random_tree(model, agent, depth, rng, node_cap, level_width):
+def _random_tables(model, agent, depth, rng, node_cap, level_width):
+    """(actions, children) per depth, root first, of one agent's random policy."""
     num_obs = model.observation_counts[agent]
     num_act = model.action_counts[agent]
     full_nodes = sum(num_obs**k for k in range(depth))
     if full_nodes <= node_cap:
-        # actions are drawn in pre-order; nodes are built in reverse, each
-        # taking its children off the stack
-        depths, pending = [], [depth]
-        while pending:
-            d = pending.pop()
-            depths.append(d)
-            pending.extend([d - 1] * (num_obs if d > 1 else 0))
-        actions = [int(rng.integers(num_act)) for _ in depths]
-        built: list[PolicyTree] = []
-        for d, a in zip(reversed(depths), reversed(actions)):
-            built.append(PolicyTree(a, tuple(built.pop() for _ in range(num_obs)) if d > 1 else ()))
-        return built[0]
+        # actions are drawn in pre-order, observation 0's subtree first;
+        # row r's child after observation o is row r * num_obs + o
+        drawn = np.array([rng.integers(num_act) for _ in range(full_nodes)], dtype=np.int64)
+        order = np.zeros(1, dtype=np.int64)
+        actions, children = [drawn[order]], []
+        for d in range(1, depth):
+            subtree = sum(num_obs**k for k in range(depth - d))
+            order = (order[:, None] + 1 + subtree * np.arange(num_obs)).ravel()
+            actions.append(drawn[order])
+            children.append(np.arange(len(order)).reshape(-1, num_obs))
+        return actions, children
     # wide levels share sampled nodes; any single path is still uniform
-    below = [PolicyTree(int(rng.integers(num_act))) for _ in range(min(num_obs ** (depth - 1), level_width))]
+    below = int(min(num_obs ** (depth - 1), level_width))
+    actions, children = [[int(rng.integers(num_act)) for _ in range(below)]], []
     for k in range(depth - 2, -1, -1):
-        width = int(min(num_obs**k, level_width))
-        below = [
-            PolicyTree(
-                int(rng.integers(num_act)),
-                tuple(below[int(rng.integers(len(below)))] for _ in range(num_obs)),
-            )
-            for _ in range(width)
+        # per node its action, then a row below per observation
+        drawn = [
+            [int(rng.integers(n)) for n in [num_act] + [below] * num_obs]
+            for _ in range(int(min(num_obs**k, level_width)))
         ]
-    return below[0]
+        actions.append([row[0] for row in drawn])
+        children.append([row[1:] for row in drawn])
+        below = len(drawn)
+    return actions[::-1], children[::-1]
 
 
 def random_policy_baseline(
@@ -574,19 +558,18 @@ def random_policy_baseline(
     since the policies are independent draws.
     """
     model.require_valid()
-    if samples < 1:
-        raise ConfigError("samples must be >= 1")
+    samples = require_count(samples, "samples", ConfigError)
+    horizon = require_count(model.horizon if horizon is None else horizon, "horizon", ConfigError)
+    level_width = require_count(level_width, "level_width", ConfigError)
     rng = np.random.default_rng(require_seed(seed, ConfigError))
-    horizon = model.horizon if horizon is None else horizon
     values = []
-    policy = None
     evaluator = PolicyEvaluator(model)
     for _ in range(samples):
-        trees = tuple(
-            _random_tree(model, i, horizon, rng, node_cap, level_width)
+        tables = [
+            _random_tables(model, i, horizon, rng, node_cap, level_width)
             for i in range(model.num_agents)
-        )
-        joint = JointPolicy(trees)
+        ]
+        joint = JointPolicy._from_tables(*zip(*tables))
         values.append(evaluator.at_belief(joint, model.initial_belief))
         policy = joint if samples == 1 else None
     mean = float(np.mean(values))

@@ -21,6 +21,7 @@ from mbdp import (
     EpsilonReport,
     EpsilonWitness,
     EvaluationError,
+    JointPolicy,
     PolicyTree,
     exhaustive_backup,
     generate_belief,
@@ -29,7 +30,7 @@ from mbdp import (
 )
 from mbdp.backup import weighted_children
 from mbdp.policy import SimulationResult
-from mbdp.solver import _best_tuple, _materialize
+from mbdp.solver import _best_tuple
 
 
 def tree_value(model, trees, state):
@@ -73,6 +74,76 @@ def table_trees(cands, below=()):
         )
         for i, (actions, children) in enumerate(zip(cands.actions, cands.children))
     )
+
+
+def materialize_reference(levels):
+    """Shared policy trees for the rows selected at the top level.
+
+    ``levels`` lists (candidates, selected) per depth, depth 1 first:
+    ``selected[i]`` lists agent i's rows kept at that depth, and the
+    children of the next depth's candidates index that list.  The top
+    level selects one row per agent, the returned policy.  Only the rows
+    the policy reaches become ``PolicyTree`` nodes, one node per table
+    row, so a row that several parents reach is a shared node.
+    """
+    trees = []
+    for i in range(len(levels[0][0].actions)):
+        # table rows the root reaches at each depth, found top down
+        reached = [None] * len(levels)
+        reached[-1] = np.asarray(levels[-1][1][i])
+        for d in range(len(levels) - 1, 0, -1):
+            positions = levels[d][0].children[i][reached[d]]
+            reached[d - 1] = np.unique(np.asarray(levels[d - 1][1][i])[positions])
+        nodes = {}
+        for d, (cands, _) in enumerate(levels):
+            # nodes of the selected list the children index
+            below = [nodes.get(r) for r in levels[d - 1][1][i]] if d else []
+            nodes = {
+                r: PolicyTree(
+                    cands.actions[i][r], tuple(below[c] for c in cands.children[i][r].tolist())
+                )
+                for r in reached[d].tolist()
+            }
+        trees.append(nodes[levels[-1][1][i][0]])
+    return JointPolicy(tuple(trees))
+
+
+def random_tree_reference(model, agent, depth, rng, node_cap, level_width):
+    """One agent's uniformly random policy tree, drawing from ``rng`` as the baseline does.
+
+    Up to ``node_cap`` nodes the whole tree is drawn, one action per node
+    in pre-order; beyond that each level holds at most ``level_width``
+    nodes, each drawing its action and then one child per observation
+    from the level below.
+    """
+    num_obs = model.observation_counts[agent]
+    num_act = model.action_counts[agent]
+    full_nodes = sum(num_obs**k for k in range(depth))
+    if full_nodes <= node_cap:
+        # actions are drawn in pre-order; nodes are built in reverse, each
+        # taking its children off the stack
+        depths, pending = [], [depth]
+        while pending:
+            d = pending.pop()
+            depths.append(d)
+            pending.extend([d - 1] * (num_obs if d > 1 else 0))
+        actions = [int(rng.integers(num_act)) for _ in depths]
+        built = []
+        for d, a in zip(reversed(depths), reversed(actions)):
+            built.append(PolicyTree(a, tuple(built.pop() for _ in range(num_obs)) if d > 1 else ()))
+        return built[0]
+    # wide levels share sampled nodes; any single path is still uniform
+    below = [PolicyTree(int(rng.integers(num_act))) for _ in range(min(num_obs ** (depth - 1), level_width))]
+    for k in range(depth - 2, -1, -1):
+        width = int(min(num_obs**k, level_width))
+        below = [
+            PolicyTree(
+                int(rng.integers(num_act)),
+                tuple(below[int(rng.integers(len(below)))] for _ in range(num_obs)),
+            )
+            for _ in range(width)
+        ]
+    return below[0]
 
 
 def all_trees(model, agent, depth):
@@ -333,7 +404,7 @@ def solve_round_reference(model, cfg, rng, portfolio, force_full):
     idx, _ = best_tuple_reference(tensor, b0)
     tables.append((q, [[r] for r in idx]))
     # the winner's value vector at the initial belief
-    return float(tensor[idx] @ b0), _materialize(tables)
+    return float(tensor[idx] @ b0), materialize_reference(tables)
 
 
 # floats per block of gathered rows in simulate's sampling (2 MB)

@@ -47,6 +47,13 @@ def random_model(
     )
 
 
+def three_agent_model(horizon):
+    """A random model with three agents of unequal action and observation counts."""
+    return random_model(
+        23, num_states=4, action_counts=(2, 3, 2), obs_counts=(2, 2, 3), horizon=horizon
+    )
+
+
 def dusty_model(negative, horizon=6):
     """A random model whose transitions put ``negative`` on state 0.
 

@@ -211,6 +211,12 @@ class TestEpsilonGlobal:
             {"max_beliefs": 0},
             {"max_beliefs": -1},
             {"horizon": 0},
+            {"horizon": True},
+            {"horizon": 2.5},
+            {"max_beliefs": 100.5},
+            {"max_beliefs": True},
+            {"mode": "sampled", "budget": True},
+            {"mode": "sampled", "budget": 2.5},
             {"max_obs": 0},
             {"max_obs": 1.5},
             {"max_obs": True},
@@ -301,6 +307,12 @@ class TestErrorBound:
     @pytest.mark.parametrize("horizon", [0, -3])
     def test_rejects_horizon_below_one(self, horizon):
         with pytest.raises(ConfigError):
+            error_bound(build_mabc(horizon=3), 0.5, horizon=horizon)
+
+    @pytest.mark.parametrize("horizon", [2.5, True])
+    def test_rejects_non_integer_horizon(self, horizon):
+        # 2.5 used to give 2.5 * 2.5 * 0.5 * span = 3.125 on mabc
+        with pytest.raises(ConfigError, match="horizon must be an integer >= 1"):
             error_bound(build_mabc(horizon=3), 0.5, horizon=horizon)
 
 

@@ -282,8 +282,8 @@ class TestOtherCommands:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--mode", "sampled", "--budget", "0"], "budget must be >= 1"),
-            (["--max-beliefs", "0"], "max_beliefs must be >= 1"),
+            (["--mode", "sampled", "--budget", "0"], "budget must be an integer >= 1, got 0"),
+            (["--max-beliefs", "0"], "max_beliefs must be an integer >= 1, got 0"),
         ],
         ids=["budget", "max-beliefs"],
     )

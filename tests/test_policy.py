@@ -13,6 +13,7 @@ from mbdp import (
     JointPolicy,
     ModelError,
     ParseError,
+    PolicyEvaluator,
     PolicyTree,
     SolverConfig,
     ValueTable,
@@ -142,6 +143,16 @@ class TestEvaluator:
         by_state = [evaluate_at_state(tiger, joint, s) for s in range(tiger.num_states)]
         mix = float(np.dot(tiger.initial_belief.probs, by_state))
         assert evaluate_at_belief(tiger, joint, tiger.initial_belief) == pytest.approx(mix)
+
+    @pytest.mark.parametrize("state", [-1, 2, 1.0, True])
+    def test_state_index_must_name_a_state(self, tiger, state):
+        # -1 used to give the last state's value and 2 a raw IndexError
+        joint = random_joint(0, tiger, 2)
+        with pytest.raises(EvaluationError, match="state"):
+            evaluate_at_state(tiger, joint, state)
+        with pytest.raises(EvaluationError, match="state"):
+            PolicyEvaluator(tiger).at_state(joint, state)
+        assert evaluate_at_state(tiger, joint, np.int64(1)) == evaluate_at_state(tiger, joint, 1)
 
     def test_retain_drops_unlisted_entries(self):
         table = ValueTable()

@@ -1,0 +1,241 @@
+"""Solvers and baselines return their policies as integer tables.
+
+The oracles are the node-building versions in ``_reference``: each
+solver's and baseline's tables must equal ``CompiledPolicy`` of the
+reference trees, and no ``PolicyTree`` may be built on the way.
+"""
+
+import numpy as np
+import pytest
+
+import mbdp.policy as policy_module
+import mbdp.solver as solver_module
+from mbdp import (
+    CompiledPolicy,
+    EvaluationError,
+    JointPolicy,
+    ModelError,
+    PolicyTree,
+    SolverConfig,
+    build_boxpush,
+    build_mabc,
+    build_tiger,
+    evaluate_at_belief,
+    exact_solve,
+    improved_mbdp,
+    mbdp,
+    parse_policy,
+    random_policy_baseline,
+    serialize_policy,
+    simulate,
+)
+
+import _reference as ref
+from conftest import three_agent_model
+
+
+def assert_same_tables(model, policy, reference):
+    """``policy``'s tables equal those of ``reference``, a ``JointPolicy`` or per-agent trees."""
+    if not isinstance(reference, JointPolicy):
+        reference = JointPolicy(reference)
+    want = CompiledPolicy(model, reference)
+    for name in ("actions", "children"):
+        got, expected = getattr(policy, name), getattr(want, name)
+        assert len(got) == len(expected) == model.num_agents
+        for mine, theirs in zip(got, expected):
+            assert len(mine) == len(theirs)
+            for a, b in zip(mine, theirs):
+                assert a.dtype == np.int64
+                np.testing.assert_array_equal(a, b)
+
+
+SOLVES = {
+    "mbdp-mabc": (lambda: mbdp(build_mabc(horizon=30), SolverConfig(seed=1)), build_mabc, 30),
+    "improved-tiger-replay": (
+        lambda: improved_mbdp(build_tiger(horizon=6), SolverConfig(max_trees=4, max_obs=1, recursion_depth=1)),
+        build_tiger,
+        6,
+    ),
+    "improved-boxpush": (
+        lambda: improved_mbdp(build_boxpush(horizon=6), SolverConfig(max_trees=3, max_obs=2, seed=1)),
+        build_boxpush,
+        6,
+    ),
+    "mbdp-three-agent-replay": (
+        lambda: mbdp(three_agent_model(5), SolverConfig(max_trees=2, seed=4, recursion_depth=1)),
+        three_agent_model,
+        5,
+    ),
+    "exact-tiger": (lambda: exact_solve(build_tiger(horizon=3)), build_tiger, 3),
+    "exact-mabc": (lambda: exact_solve(build_mabc(horizon=3)), build_mabc, 3),
+    "exact-three-agent": (lambda: exact_solve(three_agent_model(2)), three_agent_model, 2),
+}
+
+
+@pytest.mark.parametrize("case", SOLVES)
+def test_solver_tables_equal_the_reference_trees(monkeypatch, case):
+    # every call of _materialize, one per round for the planners, is
+    # checked against the node-building reference on the same levels
+    solve, build, horizon = SOLVES[case]
+    model = build(horizon=horizon)
+    calls = []
+    materialize = solver_module._materialize
+
+    def recorded(levels):
+        policy = materialize(levels)
+        calls.append((policy, ref.materialize_reference(levels)))
+        return policy
+
+    monkeypatch.setattr(solver_module, "_materialize", recorded)
+    result = solve()
+    if "replay" in case:
+        assert len(calls) == 2
+    for policy, reference in calls:
+        assert policy.depth == horizon
+        assert_same_tables(model, policy, reference)
+    reference = next(reference for policy, reference in calls if policy is result.policy)
+    assert evaluate_at_belief(model, reference, model.initial_belief) == pytest.approx(result.value, abs=1e-9)
+
+
+BASELINES = [
+    # (model, horizon, node_cap, level_width): the first three draw whole trees, the rest wide levels
+    (build_tiger, 4, 50_000, 32),
+    (three_agent_model, 3, 50_000, 32),
+    (build_mabc, 6, 50_000, 32),
+    (build_mabc, 6, 10, 3),
+    (build_boxpush, 10, 50_000, 32),
+    (build_mabc, 30, 50_000, 32),
+    (three_agent_model, 5, 0, 2),
+]
+
+
+@pytest.mark.parametrize("build,horizon,node_cap,level_width", BASELINES)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_baseline_tables_equal_the_reference_trees(build, horizon, node_cap, level_width, seed):
+    model = build(horizon=horizon)
+    got = random_policy_baseline(model, samples=1, seed=seed, node_cap=node_cap, level_width=level_width)
+    rng = np.random.default_rng(seed)
+    trees = tuple(
+        ref.random_tree_reference(model, i, horizon, rng, node_cap, level_width)
+        for i in range(model.num_agents)
+    )
+    assert_same_tables(model, got.policy, trees)
+    assert got.value == evaluate_at_belief(model, trees, model.initial_belief)
+
+
+@pytest.mark.parametrize("build,horizon,node_cap,level_width", BASELINES)
+def test_baseline_mean_equals_the_reference_draws(build, horizon, node_cap, level_width):
+    model = build(horizon=horizon)
+    got = random_policy_baseline(model, samples=5, seed=0, node_cap=node_cap, level_width=level_width)
+    rng = np.random.default_rng(0)
+    values = [
+        evaluate_at_belief(
+            model,
+            tuple(ref.random_tree_reference(model, i, horizon, rng, node_cap, level_width)
+                  for i in range(model.num_agents)),
+            model.initial_belief,
+        )
+        for _ in range(5)
+    ]
+    assert got.policy is None
+    assert got.value == float(np.mean(values))
+    assert got.std_error == float(np.std(values, ddof=1) / np.sqrt(5))
+
+
+def test_solvers_and_baselines_build_no_policy_tree(monkeypatch):
+    built = []
+    init = PolicyTree.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PolicyTree, "__init__", counted)
+    reports = [
+        mbdp(build_mabc(horizon=20), SolverConfig(recursion_depth=1)),
+        improved_mbdp(build_tiger(horizon=5), SolverConfig(max_trees=3, max_obs=1, recursion_depth=1)),
+        improved_mbdp(build_boxpush(horizon=4), SolverConfig(max_trees=2, max_obs=2)),
+        exact_solve(build_tiger(horizon=3)),
+        random_policy_baseline(build_tiger(horizon=4), samples=1, seed=0),
+        random_policy_baseline(build_mabc(horizon=30), samples=1, seed=0),
+        random_policy_baseline(build_mabc(horizon=8), samples=3, seed=0, node_cap=10),
+    ]
+    assert built == []
+    # the counter sees nodes once they are asked for
+    assert reports[0].policy.trees[0].depth == 20
+    assert built
+
+
+def test_compiling_a_table_policy_walks_no_nodes(monkeypatch):
+    model = build_mabc(horizon=40)
+    policy = mbdp(model, SolverConfig()).policy
+
+    def walk(*args):
+        raise AssertionError("a table-held policy was walked node by node")
+
+    monkeypatch.setattr(policy_module, "_compile", walk)
+    compiled = CompiledPolicy(model, policy)
+    assert compiled.actions is policy.actions and compiled.children is policy.children
+    simulate(model, policy, 100, 0)
+    serialize_policy(model, policy)
+
+
+def test_trees_share_one_node_per_row_and_round_trip():
+    model = build_mabc(horizon=100)
+    policy = mbdp(model, SolverConfig(max_trees=3, heuristics=("random",))).policy
+    for root, acts in zip(policy.trees, policy.actions):
+        nodes, stack = {}, [root]
+        while stack:
+            node = stack.pop()
+            if id(node) not in nodes:
+                nodes[id(node)] = node
+                stack.extend(node.children)
+        assert len(nodes) == sum(len(a) for a in acts)
+    assert policy.trees is policy.trees
+    # trees compile back to the same tables, and so does a parsed file
+    for joint in (JointPolicy(policy.trees), parse_policy(model, serialize_policy(model, policy))):
+        assert_same_tables(model, joint, policy.trees)
+
+
+def test_table_policy_is_immutable():
+    policy = mbdp(build_tiger(horizon=3), SolverConfig(max_trees=2)).policy
+    with pytest.raises(ValueError):
+        policy.actions[0][0][0] = 1
+    with pytest.raises(ValueError):
+        policy.children[1][0][0, 0] = 0
+    with pytest.raises(AttributeError):
+        policy.actions = ()
+
+
+def test_compiled_policy_checks_held_tables_against_the_model(tiger):
+    leaf = PolicyTree(0)
+    node = PolicyTree(0, (leaf, leaf))
+    wide = PolicyTree(0, (leaf, leaf, leaf))
+    cases = [
+        (JointPolicy((node,)), EvaluationError, "expected 2 trees, got 1"),
+        (JointPolicy((node, wide)), EvaluationError, "agent 1 policy needs 2 branches per node"),
+        (JointPolicy((node, PolicyTree(1, (leaf, PolicyTree(3))))), ModelError, "action 3 out of range"),
+    ]
+    for joint, error, message in cases:
+        with pytest.raises(error, match=message):
+            CompiledPolicy(tiger, joint)
+
+
+def test_joint_policy_from_trees_rejects_incomplete_and_mixed_trees():
+    leaf = PolicyTree(0)
+    with pytest.raises(EvaluationError, match="missing the branch"):
+        JointPolicy((PolicyTree(0, (leaf, None)),))
+    with pytest.raises(ModelError, match="trees of one depth"):
+        JointPolicy((leaf, PolicyTree(0, (leaf, leaf))))
+    with pytest.raises(ModelError, match="trees of one depth"):
+        JointPolicy(())
+
+
+def test_from_tables_keeps_reached_rows_in_first_reference_order():
+    # depth 1 holds an unreached row 0; rows are renumbered by first reference
+    policy = JointPolicy._from_tables(
+        [[[1], [2, 0, 1], [0, 1, 0]]],
+        [[[[2, 1]], [[9, 9], [2, 0], [0, 2]]]],
+    )
+    assert [a.tolist() for a in policy.actions[0]] == [[1], [1, 0], [0, 0]]
+    assert [c.tolist() for c in policy.children[0]] == [[[0, 1]], [[0, 1], [1, 0]]]

@@ -27,7 +27,7 @@ from mbdp import (
 )
 
 import _reference as ref
-from conftest import random_model
+from conftest import random_model, three_agent_model
 
 
 def best_over_seeds(solve, model, cfg, seeds):
@@ -110,6 +110,11 @@ class TestExact:
         res = exact_solve(tiger)
         assert len(res.candidate_counts) == 2
         assert all(len(level) == 2 for level in res.candidate_counts)
+
+    @pytest.mark.parametrize("horizon", [0, -1, 2.5, True])
+    def test_rejects_bad_horizons(self, tiger, horizon):
+        with pytest.raises(ConfigError, match="horizon must be an integer >= 1"):
+            exact_solve(tiger, horizon=horizon)
 
     def test_capacity_guards(self, mabc):
         model = replace(mabc, horizon=9)
@@ -292,6 +297,29 @@ class TestBaselines:
         assert res.samples == 12
         assert res.std_error >= 0.0
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"horizon": 0}, "horizon"),
+            ({"horizon": -3}, "horizon"),
+            ({"horizon": 2.5}, "horizon"),
+            ({"horizon": True}, "horizon"),
+            ({"samples": 0}, "samples"),
+            ({"samples": 2.5}, "samples"),
+            ({"samples": True}, "samples"),
+            ({"level_width": 0, "node_cap": 3}, "level_width"),
+            ({"level_width": 1.5}, "level_width"),
+        ],
+    )
+    def test_baseline_rejects_bad_counts(self, mabc, kwargs, name):
+        with pytest.raises(ConfigError, match=f"{name} must be an integer >= 1"):
+            random_policy_baseline(mabc, **kwargs)
+
+    @pytest.mark.parametrize("horizon", [0, -2, 1.5, True])
+    def test_uniform_value_rejects_bad_horizons(self, mabc, horizon):
+        with pytest.raises(ConfigError, match="horizon must be an integer >= 1"):
+            uniform_random_value(mabc, horizon)
+
     def test_sampler_handles_wide_horizon(self, mabc):
         # full enumeration would need 2^50-ish nodes; the width-capped
         # sampler must still return a playable policy
@@ -330,12 +358,6 @@ def near_tie_model(horizon):
     reward[1] += 2.0
     transition[2], observation[2], reward[2] = transition[1], observation[1], reward[1] + 1e-13
     return replace(model, transition=transition, observation=observation, reward=reward)
-
-
-def three_agent_model(horizon):
-    return random_model(
-        23, num_states=4, action_counts=(2, 3, 2), obs_counts=(2, 2, 3), horizon=horizon
-    )
 
 
 ROUND_CASES = [

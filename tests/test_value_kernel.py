@@ -32,7 +32,7 @@ from mbdp.backup import (
     weighted_stack,
 )
 import mbdp.solver as solver_module
-from mbdp.solver import _best_response, _best_tuple, _materialize, _scores_at
+from mbdp.solver import _best_response, _best_tuple, _scores_at
 
 import _reference as ref
 from conftest import random_model
@@ -482,7 +482,7 @@ def exact_oracle(model, belief):
         value=value,
         flat=int(np.ravel_multi_index(idx, cands.sizes)),
         state_values=tensor.reshape(-1, model.num_states).max(axis=0),
-        policy=_materialize(levels),
+        policy=ref.materialize_reference(levels),
     )
 
 
