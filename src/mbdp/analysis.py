@@ -6,10 +6,18 @@ capture at one (belief, action); ``epsilon_global`` takes the minimum
 over beliefs reachable within the horizon, and ``error_bound`` turns
 that into a worst-case value loss for the whole plan.
 
-Exact mode enumerates reachable beliefs depth by depth on arrays, keeps
-each distinct belief once (rows rounded to 12 decimals) and links it to
-its parent by integer arrays, from which the witness history is read
-back.  Sampled mode rolls out random histories and only estimates.
+Exact mode enumerates reachable beliefs depth by depth.  Per depth and
+joint action it makes the two belief products over all rows, in one
+buffer that the whole enumeration reuses, then scores the rows, builds
+their children and deduplicates them in row blocks of at most
+``_BLOCK_FLOATS`` child floats, so the working set stays near one
+block's.  It keeps each distinct belief once (rows rounded to 12
+decimals) and links it to its parent by integer arrays, from which the
+witness history is read back.  A block is first scored at the few
+families that were earlier rows' best: a row that already captures the
+running minimum or more at one of them cannot set it, and is not scored
+at every family.  Sampled mode rolls out random histories and only
+estimates.
 """
 
 from __future__ import annotations
@@ -99,9 +107,11 @@ def epsilon_global(
     Exact mode enumerates every belief reachable by some action and
     observation history of length < horizon, paired with every next
     action; it is a guarantee but exponential in the horizon.
-    ``max_beliefs`` caps the distinct beliefs it may visit.  Sampled
-    mode instead rolls out ``budget`` random conditioned histories and
-    reports the minimum seen, an estimate only.
+    ``max_beliefs`` caps the distinct beliefs it may visit; it raises
+    ``CapacityError`` as soon as the beliefs kept pass the cap, so the
+    cap bounds memory as well as time.  Sampled mode instead rolls out
+    ``budget`` random conditioned histories and reports the minimum
+    seen, an estimate only.
     """
     model.require_valid()
     if mode not in ("exact", "sampled"):
@@ -128,57 +138,134 @@ def epsilon_global(
     )
 
 
-def _exact_minimum(model, flat, horizon, max_beliefs):
-    """Enumerate reachable beliefs one depth at a time, as arrays.
+# floats of (row, joint observation, state) products per row block of
+# the exact enumeration (4 MiB); box pushing h=8 ran fastest at 2^19
+_BLOCK_FLOATS = 1 << 19
+# at most this many hint families: each was some scored row's best
+_HINT_FAMILIES = 16
 
-    A depth keeps its distinct beliefs (rounded to 12 decimals, first
-    occurrence in (action, parent row, observation) order) and, per row,
-    the parent row, action and observation that reached it; the witness
-    history is walked back through those.
+
+def _row_blocks(n: int, size: int) -> list[tuple[int, int]]:
+    """Bounds of an n-row depth's blocks; a one-row tail joins the block before it."""
+    bounds = [*range(0, max(n - 1, 1), size), n]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _state_sums(prods: np.ndarray) -> np.ndarray:
+    """Row sums of prods, each added state by state in order.
+
+    numpy adds the rows of the transposed copy term by term but a single
+    row pairwise, so a lone row is summed as two copies of itself.
+    """
+    n = len(prods)
+    cols = np.ascontiguousarray((np.repeat(prods, 2, axis=0) if n == 1 else prods).T)
+    return cols.sum(axis=0)[:n]
+
+
+def _block_minimum(q, flat, best, hints):
+    """The first row of a block whose best capture is below ``best``.
+
+    Returns (capture, row, family), or None if no row is below.  Given a
+    ``hints`` list, rows are first scored at those families only: a row
+    that captures ``best`` or more at one of them cannot be the first
+    minimum, so only the others are scored at every family, and the
+    families that were their best join ``hints``.  ``hints=None`` scores
+    every row in full, as for a depth that fits in one block.
+    """
+    pick = None
+    if hints:
+        pick = np.flatnonzero(_capture_matrix(q, flat[hints]).max(axis=0) < best)
+        if not len(pick):
+            return None
+        if len(pick) == 1:  # numpy sums a one-row capture in another order
+            pick = np.append(pick, pick[0] + 1 if pick[0] + 1 < len(q) else pick[0] - 1)
+        q = q[pick]
+    captures = _capture_matrix(q, flat)
+    eps_rows = captures.max(axis=0)
+    if hints is not None and len(hints) < _HINT_FAMILIES:
+        hints.extend(f for f in np.unique(captures.argmax(axis=0)).tolist() if f not in hints)
+        del hints[_HINT_FAMILIES:]
+    r = int(eps_rows.argmin())
+    if eps_rows[r] >= best:
+        return None
+    return float(eps_rows[r]), r if pick is None else int(pick[r]), int(captures[:, r].argmax())
+
+
+def _exact_minimum(model, flat, horizon, max_beliefs):
+    """Enumerate reachable beliefs one depth at a time, in row blocks.
+
+    Per depth and joint action, ``rows @ T[ja]`` and its product with
+    ``O[ja]`` are made over the whole depth (BLAS gives other bits on
+    parts of it), into one buffer that every joint action and depth
+    reuses; the capture scoring, the children and their deduplication
+    then go block by block, in (parent row, observation) order.  A depth
+    keeps its distinct beliefs (rounded to 12 decimals, first occurrence
+    in (action, parent row, observation) order) and, per row, the parent
+    row, action and observation that reached it; the witness history is
+    walked back through those.  The cap is checked after every block,
+    counting the next depth's rows kept so far.
     """
     obs_t = np.ascontiguousarray(model.observation.transpose(0, 2, 1))
+    num_states, num_obs = len(model.states), model.num_joint_observations
+    size = max(2, _BLOCK_FLOATS // (num_obs * num_states))
     rows = model.initial_belief.probs[None, :]
     links = []  # per depth after the first: (parent row, ja, jo) arrays
+    hints: list[int] = []
+    products = np.empty(0)
     checked, best = 0, np.inf
     for depth in range(horizon):
         checked += len(rows)
-        if checked > max_beliefs:
-            raise CapacityError(
-                f"exact reachability needs more than {max_beliefs} beliefs; "
-                "use sampled mode or raise max_beliefs"
-            )
+        spans = _row_blocks(len(rows), size)
         seen: set[bytes] = set()
-        blocks = []
+        kept, blocks = 0, []
+        # post and q of each joint action in turn go to one buffer, kept
+        # across depths and grown at least fourfold when a depth outgrows
+        # it, instead of two fresh arrays per joint action.  Its one large
+        # block also raises glibc's heap trim threshold (twice the largest
+        # block freed), so freed heap pages stay mapped for later calls.
+        n, width = len(rows), num_states + num_obs
+        if len(products) < n * width:
+            products = np.empty(max(n * width, 4 * len(products)))
+        post = products[: n * num_states].reshape(n, num_states)
+        q = products[n * num_states : n * width].reshape(n, num_obs)
         for ja in range(model.num_joint_actions):
-            post = rows @ model.transition[ja]
-            q = post @ model.observation[ja]
-            captures = _capture_matrix(q, flat)
-            eps_rows = captures.max(axis=0)
-            r = int(eps_rows.argmin())
-            if eps_rows[r] < best:
-                best = float(eps_rows[r])
-                best_where = (depth, r, ja, int(captures[:, r].argmax()))
-                best_belief = rows[r].copy()
-            if depth == horizon - 1:
-                continue
-            # q adds the same terms as the mass in another order, so the
-            # two agree to rounding and q > tol / 2 keeps every pair whose
-            # mass is > tol.  The mass adds its terms state by state.
-            parent, jo = np.nonzero(q > PROB_TOL / 2)
-            prods = post[parent] * obs_t[ja][jo]
-            mass = prods[:, 0].copy()
-            for column in prods.T[1:]:
-                mass += column
-            live = np.flatnonzero(mass > PROB_TOL)
-            children = prods[live] / mass[live, None]
-            keys = np.round(children, 12)
-            fresh = []
-            for i, key in enumerate(keys.view(f"V{keys.shape[1] * 8}").ravel().tolist()):
-                if key not in seen:
-                    seen.add(key)
-                    fresh.append(i)
-            kept = live[fresh]
-            blocks.append((children[fresh], parent[kept], np.full(len(kept), ja), jo[kept]))
+            np.matmul(rows, model.transition[ja], out=post)
+            np.matmul(post, model.observation[ja], out=q)
+            for lo, hi in spans:
+                found = _block_minimum(q[lo:hi], flat, best, hints if len(spans) > 1 else None)
+                if found is not None:
+                    best, r, fam = found
+                    best_where = (depth, lo + r, ja, fam)
+                    best_belief = rows[lo + r].copy()
+                if depth == horizon - 1:
+                    continue
+                # q adds the same terms as the mass in another order, so the
+                # two agree to rounding and q > tol / 2 keeps every pair whose
+                # mass is > tol.
+                parent, jo = np.nonzero(q[lo:hi] > PROB_TOL / 2)
+                parent += lo
+                prods = post[parent]
+                prods *= obs_t[ja][jo]
+                mass = _state_sums(prods)
+                live = np.flatnonzero(mass > PROB_TOL)
+                children = prods[live]
+                children /= mass[live, None]
+                keys = np.round(children, 12)
+                fresh = []
+                for i, key in enumerate(keys.view(f"V{keys.shape[1] * 8}").ravel().tolist()):
+                    if key not in seen:
+                        seen.add(key)
+                        fresh.append(i)
+                kept += len(fresh)
+                if checked + kept > max_beliefs:
+                    raise CapacityError(
+                        f"exact reachability needs more than {max_beliefs} beliefs; "
+                        "use sampled mode or raise max_beliefs"
+                    )
+                fresh = np.array(fresh, dtype=np.intp)
+                chosen = live[fresh]
+                blocks.append((children[fresh], parent[chosen], np.full(len(chosen), ja), jo[chosen]))
+        del seen, post, q  # freed before the next depth's rows are joined
         if not blocks:
             break
         rows, *link = (np.concatenate(part) for part in zip(*blocks))

@@ -262,6 +262,71 @@ def epsilon_global_reference(model, max_obs, horizon=None, max_beliefs=500_000):
     return EpsilonReport(best, "exact", max_obs, horizon, checked, witness)
 
 
+def epsilon_global_array_reference(model, max_obs, horizon=None, max_beliefs=500_000):
+    """Exact-mode ``epsilon_global`` with each depth built as whole arrays.
+
+    Per depth and joint action it scores every row at every family,
+    builds all children of the depth at once, and deduplicates them
+    against one set of rounded row bytes; the witness history is walked
+    back through per-depth (parent row, ja, jo) arrays.  It is fast
+    enough for box pushing h=8, where ``epsilon_global_reference`` is not.
+    """
+    horizon = model.horizon if horizon is None else horizon
+    per_agent = [
+        list(itertools.combinations(range(c), min(max_obs, c))) for c in model.observation_counts
+    ]
+    combos = list(itertools.product(*per_agent))
+    flat = [[model.joint_observation_index(jo) for jo in itertools.product(*c)] for c in combos]
+    obs_t = np.ascontiguousarray(model.observation.transpose(0, 2, 1))
+    rows = model.initial_belief.probs[None, :]
+    links = []  # per depth after the first: (parent row, ja, jo) arrays
+    checked, best = 0, math.inf
+    for depth in range(horizon):
+        checked += len(rows)
+        if checked > max_beliefs:
+            raise CapacityError(f"more than {max_beliefs} beliefs")
+        seen = set()
+        blocks = []
+        for ja in range(model.num_joint_actions):
+            post = rows @ model.transition[ja]
+            q = post @ model.observation[ja]
+            captures = np.stack([q[:, family].sum(axis=1) for family in flat])
+            eps_rows = captures.max(axis=0)
+            r = int(eps_rows.argmin())
+            if eps_rows[r] < best:
+                best = float(eps_rows[r])
+                best_where = (depth, r, ja, int(captures[:, r].argmax()))
+                best_belief = rows[r].copy()
+            if depth == horizon - 1:
+                continue
+            parent, jo = np.nonzero(q > PROB_TOL / 2)
+            prods = post[parent] * obs_t[ja][jo]
+            mass = prods[:, 0].copy()
+            for column in prods.T[1:]:
+                mass += column
+            live = np.flatnonzero(mass > PROB_TOL)
+            children = prods[live] / mass[live, None]
+            keys = np.round(children, 12)
+            fresh = []
+            for i, key in enumerate(keys.view(f"V{keys.shape[1] * 8}").ravel().tolist()):
+                if key not in seen:
+                    seen.add(key)
+                    fresh.append(i)
+            kept = live[fresh]
+            blocks.append((children[fresh], parent[kept], np.full(len(kept), ja), jo[kept]))
+        if not blocks:
+            break
+        rows, *link = (np.concatenate(part) for part in zip(*blocks))
+        links.append(link)
+    depth, r, ja, fam = best_where
+    history = []
+    for parent, jas, jos in reversed(links[:depth]):
+        history.append((int(jas[r]), int(jos[r])))
+        r = int(parent[r])
+    witness = EpsilonWitness(tuple(history[::-1]), ja, tuple(best_belief.tolist()), combos[fam])
+    return EpsilonReport(best, "exact", max_obs, horizon, checked, witness)
+
+
 def backup_values_reference(model, candidates, prev):
     """``backup_values`` one (joint action, joint observation) block at a time.
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,8 @@ from mbdp import (
     error_bound,
 )
 
-from _reference import epsilon_global_reference
+import mbdp.analysis
+from _reference import epsilon_global_array_reference, epsilon_global_reference
 from conftest import random_model
 
 REPO = Path(__file__).resolve().parents[1]
@@ -77,6 +79,52 @@ def echo_model(seed):
     obs[1] = obs[0]
     obs[:] = obs.sum(axis=3, keepdims=True) / 2
     return with_observation(model, obs.reshape(4, 3, 4), transition=trans)
+
+
+def tie_model():
+    """Point-mass beliefs whose lowest capture recurs across blocks and joint actions.
+
+    Joint action ja moves state s to s + ja + 1 (mod 8) for sure, so every
+    belief is a point mass and equal captures are equal bits.  Arriving
+    at state s by ja flattens the observations (best cell 0.4, not 0.85)
+    for the (s, ja) pairs listed below.  At depth 1 (rows s1, s2, s3, s4)
+    the lowest capture, 0.4, occurs at (ja 1, row 3), (ja 2, row 1),
+    (ja 3, row 0) and (ja 3, row 2): in two 2-row blocks and three joint
+    actions, and first in the later block.
+    """
+    num_s, num_ja = 8, 4
+    transition = np.zeros((num_ja, num_s, num_s))
+    for ja in range(num_ja):
+        transition[ja, np.arange(num_s), (np.arange(num_s) + ja + 1) % num_s] = 1.0
+    observation = np.tile([0.85, 0.05, 0.05, 0.05], (num_ja, num_s, 1))
+    for s, ja in [(5, 2), (6, 1), (7, 1), (7, 3), (5, 3)]:
+        observation[ja, s] = [0.1, 0.2, 0.3, 0.4]
+    return DecPomdp(
+        states=tuple(f"s{i}" for i in range(num_s)),
+        actions=(("a0", "a1"), ("b0", "b1")),
+        observations=(("x0", "x1"), ("y0", "y1")),
+        transition=transition,
+        observation=observation,
+        reward=np.zeros((num_ja, num_s, num_s)),
+        initial_belief=np.eye(num_s)[0],
+        horizon=3,
+    )
+
+
+def force_block_rows(monkeypatch, model, rows):
+    """Make every depth of ``model`` go in blocks of ``rows`` rows."""
+    floats = rows * model.num_joint_observations * len(model.states)
+    monkeypatch.setattr(mbdp.analysis, "_BLOCK_FLOATS", floats)
+
+
+def traced_peak_mb(call):
+    """Peak traced allocation, in MB, while ``call`` runs (exceptions propagate)."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def branch_count(model, horizon):
@@ -189,6 +237,18 @@ class TestEpsilonGlobal:
         with pytest.raises(CapacityError):
             epsilon_global(model, max_obs=1, max_beliefs=2)
 
+    def test_cap_raises_before_the_next_depth_is_built(self):
+        # depths 0-6 hold 4,125 beliefs and depth 7 holds 9,518; building
+        # all of depth 7 before the check peaked at 65.8 MB, raising once
+        # 75 of its rows are kept peaks near 10 MB
+        model = build_boxpush(horizon=8)
+
+        def call():
+            with pytest.raises(CapacityError, match="more than 4200 beliefs"):
+                epsilon_global(model, 3, max_beliefs=4_200)
+
+        assert traced_peak_mb(call) < 25
+
     @pytest.mark.parametrize(
         "model, max_obs",
         [(build_mabc(horizon=4), 1), (build_tiger(horizon=4), 1), (build_boxpush(horizon=3), 2)],
@@ -258,6 +318,83 @@ class TestExactParity:
         want = epsilon_global_reference(model, max_obs)
         assert got.epsilon == want.epsilon
         assert got == want
+
+    @pytest.mark.parametrize("rows", [2, 3])
+    @pytest.mark.parametrize("model, max_obs", parity_cases())
+    def test_matches_reference_in_small_blocks(self, monkeypatch, model, max_obs, rows):
+        force_block_rows(monkeypatch, model, rows)
+        assert epsilon_global(model, max_obs) == epsilon_global_reference(model, max_obs)
+
+    @pytest.mark.parametrize(
+        "model, max_obs, epsilon, checked",
+        [
+            (build_boxpush(horizon=8), 3, 0.9810000000000001, 13_643),
+            (build_mabc(horizon=6), 1, 0.41002889410228527, 73_202),
+        ],
+        ids=["boxpush-h8-k3", "mabc-h6-k1"],
+    )
+    def test_matches_array_reference(self, model, max_obs, epsilon, checked):
+        got = epsilon_global(model, max_obs)
+        assert got == epsilon_global_array_reference(model, max_obs)
+        assert (got.epsilon, got.beliefs_checked) == (epsilon, checked)
+
+    @pytest.mark.parametrize("rows", [2, 3, None])
+    def test_first_minimum_wins_across_blocks(self, monkeypatch, rows):
+        model = tie_model()
+        if rows is not None:
+            force_block_rows(monkeypatch, model, rows)
+        got = epsilon_global(model, 1)
+        assert got == epsilon_global_reference(model, 1)
+        assert got.epsilon == 0.4
+        assert got.witness.history == ((3, 0),)
+        assert got.witness.action == 1
+        assert got.witness.belief == tuple(np.eye(8)[4])
+
+    def test_working_set_is_bounded(self):
+        # the parent's whole-depth temporaries peaked at 65.8 MB here
+        model = build_boxpush(horizon=8)
+        assert traced_peak_mb(lambda: epsilon_global(model, 3)) < 40
+
+    @pytest.mark.parametrize(
+        "model", [build_tiger(horizon=3), build_mabc(horizon=3), build_boxpush(horizon=2)],
+        ids=["tiger-h3", "mabc-h3", "boxpush-h2"],
+    )
+    def test_depths_in_one_block_score_once_per_joint_action(self, monkeypatch, model):
+        from mbdp.analysis import _capture_matrix
+
+        calls = []
+
+        def counted(q, flat):
+            calls.append(len(q))
+            return _capture_matrix(q, flat)
+
+        monkeypatch.setattr(mbdp.analysis, "_capture_matrix", counted)
+        report = epsilon_global(model, 1)
+        assert len(calls) <= model.horizon * model.num_joint_actions
+        assert sum(calls) == report.beliefs_checked * model.num_joint_actions
+
+    @pytest.mark.parametrize("n, size", [(1, 2), (2, 2), (5, 2), (7, 3), (9, 4), (10, 3), (6, 3)])
+    def test_row_blocks_cover_the_depth_without_one_row_blocks(self, n, size):
+        from mbdp.analysis import _row_blocks
+
+        spans = _row_blocks(n, size)
+        assert spans[0][0] == 0 and spans[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+        sizes = [hi - lo for lo, hi in spans]
+        assert all(rows == size for rows in sizes[:-1])
+        assert 1 < sizes[-1] <= size + 1 or sizes == [1]
+
+    @pytest.mark.parametrize("rows", [0, 1, 2, 50, 3000])
+    def test_state_sums_add_state_by_state(self, rows):
+        from mbdp.analysis import _state_sums
+
+        prods = np.random.default_rng(rows).random((rows, 100))
+        want = np.zeros(rows)
+        if rows:
+            want = prods[:, 0].copy()
+            for column in prods.T[1:]:
+                want += column
+        assert np.array_equal(_state_sums(prods), want)
 
     @pytest.mark.parametrize("rows", [1, 2, 50, 3000])
     def test_capture_sums_match_per_family_gathers(self, rows):
