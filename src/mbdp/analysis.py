@@ -96,7 +96,6 @@ def epsilon_at(model: DecPomdp, belief: BeliefState, action, max_obs: int) -> fl
 def epsilon_global(
     model: DecPomdp,
     max_obs: int,
-    horizon: int | None = None,
     mode: str = "exact",
     budget: int = 256,
     seed: int = 0,
@@ -121,7 +120,7 @@ def epsilon_global(
     max_beliefs = require_count(max_beliefs, "max_beliefs", ConfigError)
     if mode == "sampled":
         seed = require_seed(seed, ConfigError)
-    horizon = require_count(model.horizon if horizon is None else horizon, "horizon", ConfigError)
+    horizon = model.horizon
     combos, flat = _subset_families(model, max_obs)
     if mode == "exact":
         best, checked, where = _exact_minimum(model, flat, horizon, max_beliefs)
@@ -308,7 +307,7 @@ def _sampled_minimum(model, flat, horizon, budget, seed):
     return best, checked, where
 
 
-def error_bound(model: DecPomdp, epsilon: float, horizon: int | None = None) -> float:
+def error_bound(model: DecPomdp, epsilon: float) -> float:
     """Worst-case total value lost to partial backups capturing mass >= epsilon.
 
     Every backup level can misplace at most (1 - epsilon) of the
@@ -318,6 +317,5 @@ def error_bound(model: DecPomdp, epsilon: float, horizon: int | None = None) -> 
     model.require_valid()
     if not 0.0 <= epsilon <= 1.0:
         raise ConfigError("epsilon must be in [0, 1]")
-    horizon = require_count(model.horizon if horizon is None else horizon, "horizon", ConfigError)
     span = model.reward_max - model.reward_min
-    return horizon * horizon * (1.0 - epsilon) * span
+    return model.horizon * model.horizon * (1.0 - epsilon) * span

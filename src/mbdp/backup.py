@@ -186,26 +186,18 @@ def rank_observations(
     return ObservationSelection(tuple(tuple(c) for c in collected))
 
 
-def weighted_children(model: DecPomdp, prev_flat: np.ndarray, ja: int, jo: int) -> np.ndarray:
-    """Child tuples' values weighted by one step's mass, shape (M, S).
-
-    ``prev_flat`` holds one child tuple's values per row, (M, S).  Entry
-    [c, s] is sum_{s'} T[ja][s, s'] O[ja][s', jo] prev_flat[c, s']: the
-    share of child tuple c in the value of a tuple that takes joint
-    action ``ja`` in state s and then sees joint observation ``jo``.
-    """
-    return prev_flat @ (model.transition[ja] * model.observation[ja][:, jo][None, :]).T
-
-
 def weighted_stack(model: DecPomdp, prev: np.ndarray) -> np.ndarray:
-    """``weighted_children`` of every joint action and observation, shape (JO, JA * M, S).
+    """Child tuples' values weighted by one step's mass, shape (JO, JA * M, S).
 
-    Row ja * M + c of block jo is ``weighted_children(model, prev_flat,
-    ja, jo)[c]``, where ``prev_flat`` is ``prev`` with one child tuple
-    per row.  Each joint action makes one stacked matmul over its
-    observations; the step matrices are laid out C-contiguous, so every
-    stacked product is the same BLAS call as the 2-D one and gives the
-    same bits for any M, one child tuple included.
+    ``prev`` holds the values of M child tuples, (..., S), flattened in C
+    order.  Entry [jo, ja * M + c, s] is sum_{s'} T[ja][s, s']
+    O[ja][s', jo] prev[c, s']: the share of child tuple c in the value of
+    a tuple that takes joint action ``ja`` in state s and then sees joint
+    observation ``jo``.  Each joint action makes one stacked matmul over
+    its observations; the step matrices are laid out C-contiguous, so
+    every stacked product is the same BLAS call as the 2-D one, ``prev
+    @ (T[ja] * O[ja][:, jo]).T``, and gives the same bits for any M, one
+    child tuple included.
     """
     num_s = model.num_states
     prev_flat = prev.reshape(-1, num_s)

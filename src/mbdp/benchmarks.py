@@ -533,8 +533,6 @@ def build_builtin(name: str, horizon: int | None = None) -> DecPomdp:
         raise ConfigError(f"unknown builtin problem '{name}' (have {sorted(builders)})")
     model = build_boxpush() if name == "boxpush" else builders[name]()
     if horizon is not None:
-        if horizon < 1:
-            raise ConfigError("horizon must be >= 1")
         model = replace(model, horizon=horizon)
     return model
 

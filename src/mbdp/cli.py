@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import math
 import os
 import sys
 import time
@@ -38,7 +39,7 @@ from .errors import (
     ModelError,
     ParseError,
 )
-from .model import DecPomdp
+from .model import DecPomdp, _mixed_radix_strides
 from .policy import PolicyEvaluator, parse_policy, serialize_policy, simulate
 from .solver import (
     SolverConfig,
@@ -72,51 +73,21 @@ def _auto_names(prefix: str, count: int) -> tuple[str, ...]:
     return tuple(f"{prefix}{i}" for i in range(count))
 
 
-class _ProblemBuilder:
-    def __init__(self):
-        self.name = ""
-        self.num_agents = None
-        self.states = None
-        self.actions = {}
-        self.observations = {}
-        self.horizon = None
-        self.start = None
-        self.entries = {"T": {}, "O": {}, "R": {}}
-
-    def missing_headers(self) -> list[str]:
-        missing = []
-        if self.num_agents is None:
-            missing.append("agents")
-        if self.states is None:
-            missing.append("states")
-        if self.horizon is None:
-            missing.append("horizon")
-        if self.start is None:
-            missing.append("start")
-        for i in range(self.num_agents or 0):
-            if i not in self.actions:
-                missing.append(f"actions {i}")
-            if i not in self.observations:
-                missing.append(f"observations {i}")
-        return missing
-
-    def ready_for_body(self, lineno):
-        missing = self.missing_headers()
-        if missing:
-            raise ParseError(
-                f"line {lineno}: table entries before headers ({', '.join(missing)})"
-            )
-
-
 def parse_problem_text(text: str, name: str = "") -> DecPomdp:
-    """Parses the plain-text problem format into a model.
+    """Parses the plain-text problem format into a model, in one pass.
 
-    The result is fully validated; inconsistent probability tables are
-    reported as parse errors with the header they violate.
+    Every header comes before the first table entry, so each entry is
+    written into its table on the line it is read, and the first bad
+    line in file order is the one reported.  The result is fully
+    validated; inconsistent probability tables are reported as parse
+    errors with the header they violate.
     """
-    builder = _ProblemBuilder()
-    builder.name = name
-    body_started = False
+    header = {"name": name, "actions": {}, "observations": {}}
+    # from the first entry on: name-to-index maps, the tables and the
+    # cells written so far
+    index = {}
+    tables = {}
+    written = set()
 
     def fail(lineno, message):
         raise ParseError(f"line {lineno}: {message}")
@@ -126,9 +97,9 @@ def parse_problem_text(text: str, name: str = "") -> DecPomdp:
             idx = int(token)
         except ValueError:
             fail(lineno, f"agent index expected, got {token!r}")
-        if builder.num_agents is None:
+        if "agents" not in header:
             fail(lineno, "agents header must come first")
-        if not 0 <= idx < builder.num_agents:
+        if not 0 <= idx < header["agents"]:
             fail(lineno, f"agent index {idx} out of range")
         return idx
 
@@ -138,6 +109,42 @@ def parse_problem_text(text: str, name: str = "") -> DecPomdp:
         except ValueError:
             fail(lineno, f"{what} expected a number, got {token!r}")
 
+    def missing_headers() -> list[str]:
+        missing = [h for h in ("agents", "states", "horizon", "start") if h not in header]
+        for i in range(header.get("agents", 0)):
+            missing += [f"{h} {i}" for h in ("actions", "observations") if i not in header[h]]
+        return missing
+
+    def open_tables():
+        states = header["states"]
+        if len(set(states)) != len(states):
+            raise ParseError("duplicate state names")
+        index["state"] = {s: k for k, s in enumerate(states)}
+        shape = [len(states)]
+        for kind in ("action", "observation"):
+            groups = [header[kind + "s"][i] for i in range(header["agents"])]
+            sizes = [len(g) for g in groups]
+            index[kind] = ([{t: k for k, t in enumerate(g)} for g in groups], _mixed_radix_strides(sizes))
+            shape.append(math.prod(sizes))
+        num_s, num_ja, num_jo = shape
+        tables["T"] = np.zeros((num_ja, num_s, num_s))
+        tables["O"] = np.zeros((num_ja, num_s, num_jo))
+        tables["R"] = np.zeros((num_ja, num_s, num_s))
+
+    def state(lineno, token):
+        if token not in index["state"]:
+            fail(lineno, f"unknown state {token!r}")
+        return index["state"][token]
+
+    def joint(lineno, kind, tokens):
+        maps, strides = index[kind]
+        flat = 0
+        for i, token in enumerate(tokens):
+            if token not in maps[i]:
+                fail(lineno, f"unknown {kind} of agent {i} {token!r}")
+            flat += maps[i][token] * strides[i]
+        return flat
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -146,145 +153,91 @@ def parse_problem_text(text: str, name: str = "") -> DecPomdp:
         head = head.strip()
         tokens = rest.split()
         if head in ("T", "O", "R"):
-            body_started = True
-            builder.ready_for_body(lineno)
-            n = builder.num_agents
-            table = builder.entries[head]
-            if head == "T" or head == "R":
-                if len(tokens) != n + 3:
-                    fail(lineno, f"{head}: needs {n} actions, state, state, value")
-                acts, s, s2, v = tokens[:n], tokens[n], tokens[n + 1], tokens[n + 2]
-                key = (tuple(acts), s, s2)
-            else:
+            if not tables:
+                missing = missing_headers()
+                if missing:
+                    fail(lineno, f"table entries before headers ({', '.join(missing)})")
+                open_tables()
+            n = header["agents"]
+            acts = tokens[:n]
+            if head == "O":
                 if len(tokens) != 2 * n + 2:
                     fail(lineno, f"O: needs {n} actions, state, {n} observations, value")
-                acts = tokens[:n]
-                s2 = tokens[n]
-                obs = tokens[n + 1 : 2 * n + 1]
-                v = tokens[2 * n + 1]
+                s2, obs = tokens[n], tokens[n + 1 : 2 * n + 1]
                 key = (tuple(acts), s2, tuple(obs))
-            if key in table:
+                cell = (joint(lineno, "action", acts), state(lineno, s2), joint(lineno, "observation", obs))
+            else:
+                if len(tokens) != n + 3:
+                    fail(lineno, f"{head}: needs {n} actions, state, state, value")
+                s, s2 = tokens[n], tokens[n + 1]
+                key = (tuple(acts), s, s2)
+                cell = (joint(lineno, "action", acts), state(lineno, s), state(lineno, s2))
+            if (head,) + cell in written:
                 fail(lineno, f"duplicate {head} entry for {key}")
-            table[key] = (lineno, number(lineno, v, head))
+            written.add((head,) + cell)
+            tables[head][cell] = number(lineno, tokens[-1], head)
             continue
-        if body_started:
+        if tables:
             fail(lineno, f"header '{head}' after table entries")
         if head == "name":
-            builder.name = rest.strip()
+            header["name"] = rest.strip()
         elif head == "agents":
-            if len(tokens) != 1 or not tokens[0].isdigit():
+            if len(tokens) != 1 or not tokens[0].isdecimal():
                 fail(lineno, "agents: needs one integer")
-            builder.num_agents = int(tokens[0])
-            if builder.num_agents < 2:
+            header["agents"] = int(tokens[0])
+            if header["agents"] < 2:
                 fail(lineno, "at least two agents required")
         elif head == "states":
             if not tokens:
                 fail(lineno, "states: needs names or a count")
-            if len(tokens) == 1 and tokens[0].isdigit():
-                builder.states = _auto_names("s", int(tokens[0]))
+            if len(tokens) == 1 and tokens[0].isdecimal():
+                header["states"] = _auto_names("s", int(tokens[0]))
             else:
-                builder.states = tuple(tokens)
-        elif head == "actions":
+                header["states"] = tuple(tokens)
+        elif head in ("actions", "observations"):
             if len(tokens) < 2:
-                fail(lineno, "actions: needs an agent index and names")
+                fail(lineno, f"{head}: needs an agent index and names")
             idx = agent_index(lineno, tokens[0])
-            if idx in builder.actions:
-                fail(lineno, f"duplicate actions header for agent {idx}")
-            builder.actions[idx] = tuple(tokens[1:])
-        elif head == "observations":
-            if len(tokens) < 2:
-                fail(lineno, "observations: needs an agent index and names")
-            idx = agent_index(lineno, tokens[0])
-            if idx in builder.observations:
-                fail(lineno, f"duplicate observations header for agent {idx}")
-            builder.observations[idx] = tuple(tokens[1:])
+            if idx in header[head]:
+                fail(lineno, f"duplicate {head} header for agent {idx}")
+            header[head][idx] = tuple(tokens[1:])
         elif head == "horizon":
-            if len(tokens) != 1 or not tokens[0].isdigit() or int(tokens[0]) < 1:
+            if len(tokens) != 1 or not tokens[0].isdecimal() or int(tokens[0]) < 1:
                 fail(lineno, "horizon: needs one positive integer")
-            builder.horizon = int(tokens[0])
+            header["horizon"] = int(tokens[0])
         elif head == "start":
             if tokens == ["uniform"]:
-                builder.start = "uniform"
+                header["start"] = "uniform"
             else:
-                builder.start = [number(lineno, t, "start") for t in tokens]
+                header["start"] = [number(lineno, t, "start") for t in tokens]
         else:
             fail(lineno, f"unknown header '{head}'")
 
-    missing = builder.missing_headers()
+    missing = missing_headers()
     if missing:
         raise ParseError(f"missing headers: {', '.join(missing)}")
-
-    n = builder.num_agents
-    states = builder.states
-    actions = tuple(builder.actions[i] for i in range(n))
-    observations = tuple(builder.observations[i] for i in range(n))
-    s_index = {s: i for i, s in enumerate(states)}
-    a_index = [{a: j for j, a in enumerate(actions[i])} for i in range(n)]
-    o_index = [{o: j for j, o in enumerate(observations[i])} for i in range(n)]
-    if len(s_index) != len(states):
-        raise ParseError("duplicate state names")
-
-    num_s = len(states)
-    num_ja = int(np.prod([len(a) for a in actions]))
-    num_jo = int(np.prod([len(o) for o in observations]))
-    a_strides = [1] * n
-    for i in range(n - 2, -1, -1):
-        a_strides[i] = a_strides[i + 1] * len(actions[i + 1])
-    o_strides = [1] * n
-    for i in range(n - 2, -1, -1):
-        o_strides[i] = o_strides[i + 1] * len(observations[i + 1])
-
-    def lookup(lineno, mapping, token, what):
-        if token not in mapping:
-            raise ParseError(f"line {lineno}: unknown {what} {token!r}")
-        return mapping[token]
-
-    transition = np.zeros((num_ja, num_s, num_s))
-    observation = np.zeros((num_ja, num_s, num_jo))
-    reward = np.zeros((num_ja, num_s, num_s))
-    for (acts, s, s2), (lineno, v) in builder.entries["T"].items():
-        ja = sum(
-            lookup(lineno, a_index[i], acts[i], f"action of agent {i}") * a_strides[i]
-            for i in range(n)
-        )
-        transition[ja, lookup(lineno, s_index, s, "state"), lookup(lineno, s_index, s2, "state")] = v
-    for (acts, s2, obs), (lineno, v) in builder.entries["O"].items():
-        ja = sum(
-            lookup(lineno, a_index[i], acts[i], f"action of agent {i}") * a_strides[i]
-            for i in range(n)
-        )
-        jo = sum(
-            lookup(lineno, o_index[i], obs[i], f"observation of agent {i}") * o_strides[i]
-            for i in range(n)
-        )
-        observation[ja, lookup(lineno, s_index, s2, "state"), jo] = v
-    for (acts, s, s2), (lineno, v) in builder.entries["R"].items():
-        ja = sum(
-            lookup(lineno, a_index[i], acts[i], f"action of agent {i}") * a_strides[i]
-            for i in range(n)
-        )
-        reward[ja, lookup(lineno, s_index, s, "state"), lookup(lineno, s_index, s2, "state")] = v
-
-    if builder.start == "uniform":
+    if not tables:
+        open_tables()
+    num_s = len(header["states"])
+    if header["start"] == "uniform":
         start = np.full(num_s, 1.0 / num_s)
     else:
-        if len(builder.start) != num_s:
-            raise ParseError(
-                f"start: has {len(builder.start)} entries for {num_s} states"
-            )
-        start = np.asarray(builder.start)
+        if len(header["start"]) != num_s:
+            raise ParseError(f"start: has {len(header['start'])} entries for {num_s} states")
+        start = np.asarray(header["start"])
 
+    n = header["agents"]
     try:
         model = DecPomdp(
-            states=states,
-            actions=actions,
-            observations=observations,
-            transition=transition,
-            observation=observation,
-            reward=reward,
+            states=header["states"],
+            actions=tuple(header["actions"][i] for i in range(n)),
+            observations=tuple(header["observations"][i] for i in range(n)),
+            transition=tables["T"],
+            observation=tables["O"],
+            reward=tables["R"],
             initial_belief=start,
-            horizon=builder.horizon,
-            name=builder.name,
+            horizon=header["horizon"],
+            name=header["name"],
         )
     except ModelError as exc:
         raise ParseError(str(exc)) from exc
@@ -296,13 +249,19 @@ def parse_problem_text(text: str, name: str = "") -> DecPomdp:
 
 def problem_to_text(model: DecPomdp) -> str:
     """Writes a model in the plain-text problem format (round-trips exactly)."""
+    name = model.name
+    if "#" in name or name != name.strip() or len(name.splitlines()) > 1:
+        raise ConfigError(f"model name {name!r} cannot be written to a problem file")
     for group in (model.states,) + model.actions + model.observations:
         for token in group:
-            if any(c.isspace() for c in token) or "#" in token:
+            if not token or any(c.isspace() for c in token) or "#" in token:
                 raise ConfigError(f"name {token!r} cannot be written to a problem file")
+    if len(model.states) == 1 and model.states[0].isdecimal():
+        # "states: 3" reads back as three states
+        raise ConfigError(f"a lone state named {model.states[0]!r} would read back as a state count")
     lines = []
-    if model.name:
-        lines.append(f"name: {model.name}")
+    if name:
+        lines.append(f"name: {name}")
     lines.append(f"agents: {model.num_agents}")
     lines.append("states: " + " ".join(model.states))
     for i in range(model.num_agents):
@@ -346,8 +305,6 @@ def load_problem(spec: str, horizon: int | None = None) -> DecPomdp:
         with open(spec, "r", encoding="utf-8") as fh:
             model = parse_problem_text(fh.read(), name=os.path.basename(spec))
     if horizon is not None:
-        if horizon < 1:
-            raise ConfigError("horizon must be >= 1")
         model = replace(model, horizon=horizon)
     return model
 

@@ -114,9 +114,9 @@ class MdpHeuristic:
 
     name = "mdp"
 
-    def __init__(self, model: DecPomdp, horizon: int | None = None):
+    def __init__(self, model: DecPomdp):
         self.model = model
-        self.values, self.greedy = solve_underlying_mdp(model, horizon)
+        self.values, self.greedy = solve_underlying_mdp(model)
         self._walk: tuple[DecPomdp, BeliefTrajectory] | None = None
 
     def walk(self, model: DecPomdp, depth: int) -> BeliefTrajectory:

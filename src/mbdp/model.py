@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ImpossibleEvidenceError, ModelError
+from .errors import ImpossibleEvidenceError, ModelError, require_count
 
 PROB_TOL = 1e-9
 
@@ -138,8 +138,7 @@ class DecPomdp:
             object.__setattr__(self, "initial_belief", BeliefState(np.asarray(self.initial_belief)))
         if self.initial_belief.num_states != num_s:
             raise ModelError("initial belief length does not match the state count")
-        if self.horizon < 1:
-            raise ModelError("horizon must be >= 1")
+        object.__setattr__(self, "horizon", require_count(self.horizon, "horizon", ModelError))
 
     # ---- dimensions -------------------------------------------------
 

@@ -39,7 +39,6 @@ from .backup import (
     partial_backup,
     prune_value_tensor,
     rank_observations,
-    weighted_children,
     weighted_stack,
 )
 from .errors import CapacityError, ConfigError, require_count, require_seed
@@ -366,15 +365,19 @@ def _best_response(model: DecPomdp, cands: CandidateSet, prev: np.ndarray, belie
     rows_inner = m_d >= num_s
     block = max(1, _BLOCK_ELEMENTS // (num_obs * m_d * num_s))
     by_action = cands.rows_by_action(model)
+    # stack[jo, ja, r, c]: the weighted values of the child tuple of the
+    # other agents' rows r and d's row c
+    stack = weighted_stack(model, prev_flat).reshape(
+        (model.num_joint_observations, model.num_joint_actions, -1, m_d, num_s)
+    )
     best_val = -np.inf
     kept_vals, kept_flats = np.empty(0), np.empty(0, dtype=np.int64)
     state_max = np.full(num_s, -np.inf)
     for ja, ja_tuple in enumerate(itertools.product(*(range(c) for c in model.action_counts))):
         groups = [by_action[i][a] for i, a in enumerate(ja_tuple)]
-        weighted = []
-        for jo in range(model.num_joint_observations):
-            w = weighted_children(model, prev_flat, ja, jo).reshape(-1, m_d, num_s)
-            weighted.append(np.ascontiguousarray(w.transpose(0, 2, 1)) if rows_inner else w)
+        weighted = stack[:, ja]
+        if rows_inner:
+            weighted = np.ascontiguousarray(weighted.transpose(0, 1, 3, 2))
         reward_at_belief = float(er[ja] @ belief)
         group_sizes = [len(groups[i]) for i in others]
         group_strides = _mixed_radix_strides(group_sizes)
@@ -416,7 +419,6 @@ def _best_response(model: DecPomdp, cands: CandidateSet, prev: np.ndarray, belie
 
 def exact_solve(
     model: DecPomdp,
-    horizon: int | None = None,
     max_candidates: int = 200_000,
     max_pairs: int = 5_000_000,
     max_stream: int = 2_500_000_000,
@@ -434,7 +436,7 @@ def exact_solve(
     tuple count all the same.
     """
     model.require_valid()
-    horizon = require_count(model.horizon if horizon is None else horizon, "horizon", ConfigError)
+    horizon = model.horizon
     # (candidates, survivor rows) per level; survivor lists are what the
     # next level's children index
     levels = []
@@ -489,15 +491,14 @@ def exact_solve(
     )
 
 
-def uniform_random_value(model: DecPomdp, horizon: int | None = None) -> float:
+def uniform_random_value(model: DecPomdp) -> float:
     """Exact expected value of picking joint actions uniformly at random."""
     model.require_valid()
-    horizon = require_count(model.horizon if horizon is None else horizon, "horizon", ConfigError)
     p_mean = model.transition.mean(axis=0)
     er_mean = model.expected_reward.mean(axis=0)
     occ = model.initial_belief.probs.copy()
     total = 0.0
-    for _ in range(horizon):
+    for _ in range(model.horizon):
         total += float(occ @ er_mean)
         occ = occ @ p_mean
     return total
@@ -519,7 +520,7 @@ def _random_tables(model, agent, depth, rng, node_cap, level_width):
     if full_nodes <= node_cap:
         # actions are drawn in pre-order, observation 0's subtree first;
         # row r's child after observation o is row r * num_obs + o
-        drawn = np.array([rng.integers(num_act) for _ in range(full_nodes)], dtype=np.int64)
+        drawn = rng.integers(num_act, size=full_nodes)
         order = np.zeros(1, dtype=np.int64)
         actions, children = [drawn[order]], []
         for d in range(1, depth):
@@ -530,22 +531,19 @@ def _random_tables(model, agent, depth, rng, node_cap, level_width):
         return actions, children
     # wide levels share sampled nodes; any single path is still uniform
     below = int(min(num_obs ** (depth - 1), level_width))
-    actions, children = [[int(rng.integers(num_act)) for _ in range(below)]], []
+    actions, children = [rng.integers(num_act, size=below)], []
     for k in range(depth - 2, -1, -1):
         # per node its action, then a row below per observation
-        drawn = [
-            [int(rng.integers(n)) for n in [num_act] + [below] * num_obs]
-            for _ in range(int(min(num_obs**k, level_width)))
-        ]
-        actions.append([row[0] for row in drawn])
-        children.append([row[1:] for row in drawn])
-        below = len(drawn)
+        width = int(min(num_obs**k, level_width))
+        drawn = rng.integers(np.tile([num_act] + [below] * num_obs, width)).reshape(width, -1)
+        actions.append(drawn[:, 0])
+        children.append(drawn[:, 1:])
+        below = width
     return actions[::-1], children[::-1]
 
 
 def random_policy_baseline(
     model: DecPomdp,
-    horizon: int | None = None,
     samples: int = 1,
     seed: int = 0,
     node_cap: int = 50_000,
@@ -559,14 +557,13 @@ def random_policy_baseline(
     """
     model.require_valid()
     samples = require_count(samples, "samples", ConfigError)
-    horizon = require_count(model.horizon if horizon is None else horizon, "horizon", ConfigError)
     level_width = require_count(level_width, "level_width", ConfigError)
     rng = np.random.default_rng(require_seed(seed, ConfigError))
     values = []
     evaluator = PolicyEvaluator(model)
     for _ in range(samples):
         tables = [
-            _random_tables(model, i, horizon, rng, node_cap, level_width)
+            _random_tables(model, i, model.horizon, rng, node_cap, level_width)
             for i in range(model.num_agents)
         ]
         joint = JointPolicy._from_tables(*zip(*tables))

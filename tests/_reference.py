@@ -28,7 +28,6 @@ from mbdp import (
     partial_backup,
     rank_observations,
 )
-from mbdp.backup import weighted_children
 from mbdp.policy import SimulationResult
 from mbdp.solver import _best_tuple
 
@@ -190,7 +189,7 @@ def value_iteration(transition, reward, steps):
     return values
 
 
-def epsilon_global_reference(model, max_obs, horizon=None, max_beliefs=500_000):
+def epsilon_global_reference(model, max_obs, max_beliefs=500_000):
     """Exact-mode ``epsilon_global``, one child belief at a time.
 
     Every (belief, joint action, joint observation) child is built on its
@@ -198,7 +197,7 @@ def epsilon_global_reference(model, max_obs, horizon=None, max_beliefs=500_000):
     the bytes of its row rounded to 12 decimals. The capture masses are
     the same numpy sums the package makes, so reports agree bit for bit.
     """
-    horizon = model.horizon if horizon is None else horizon
+    horizon = model.horizon
     per_agent = [
         list(itertools.combinations(range(c), min(max_obs, c))) for c in model.observation_counts
     ]
@@ -262,7 +261,7 @@ def epsilon_global_reference(model, max_obs, horizon=None, max_beliefs=500_000):
     return EpsilonReport(best, "exact", max_obs, horizon, checked, witness)
 
 
-def epsilon_global_array_reference(model, max_obs, horizon=None, max_beliefs=500_000):
+def epsilon_global_array_reference(model, max_obs, max_beliefs=500_000):
     """Exact-mode ``epsilon_global`` with each depth built as whole arrays.
 
     Per depth and joint action it scores every row at every family,
@@ -271,7 +270,7 @@ def epsilon_global_array_reference(model, max_obs, horizon=None, max_beliefs=500
     back through per-depth (parent row, ja, jo) arrays.  It is fast
     enough for box pushing h=8, where ``epsilon_global_reference`` is not.
     """
-    horizon = model.horizon if horizon is None else horizon
+    horizon = model.horizon
     per_agent = [
         list(itertools.combinations(range(c), min(max_obs, c))) for c in model.observation_counts
     ]
@@ -325,6 +324,11 @@ def epsilon_global_array_reference(model, max_obs, horizon=None, max_beliefs=500
         r = int(parent[r])
     witness = EpsilonWitness(tuple(history[::-1]), ja, tuple(best_belief.tolist()), combos[fam])
     return EpsilonReport(best, "exact", max_obs, horizon, checked, witness)
+
+
+def weighted_children(model, prev_flat, ja, jo):
+    """Child tuples' values, one per row of ``prev_flat``, weighted by one step's mass."""
+    return prev_flat @ (model.transition[ja] * model.observation[ja][:, jo][None, :]).T
 
 
 def backup_values_reference(model, candidates, prev):

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from mbdp import (
+    ConfigError,
     DecPomdp,
     ParseError,
     SolverConfig,
+    build_boxpush,
     build_mabc,
     build_tiger,
     evaluate_at_belief,
@@ -19,7 +21,7 @@ from mbdp import (
 )
 from mbdp.cli import build_parser, load_problem, main, parse_problem_text, problem_to_text
 
-from conftest import random_model
+from conftest import random_model, three_agent_model
 
 
 def run(capsys, argv):
@@ -43,14 +45,102 @@ class TestProblemFormat:
         )
         assert back.states == model.states
         assert back.actions == model.actions
+        assert back.observations == model.observations
         assert back.horizon == model.horizon
+        assert back.name == model.name
 
     def test_builtin_round_trips(self):
         self.round_trip(build_tiger())
         self.round_trip(build_mabc())
+        self.round_trip(build_boxpush(horizon=4))
 
     def test_random_model_round_trips(self):
         self.round_trip(random_model(33, num_states=4, obs_counts=(3, 2)))
+
+    def test_three_agent_model_round_trips(self):
+        self.round_trip(three_agent_model(3))
+
+    def test_name_with_inner_spaces_round_trips(self):
+        self.round_trip(replace(build_tiger(), name="two tigers: v2"))
+
+    @pytest.mark.parametrize("name", ["a#b", "two\nlines", "cr\rlf", " lead", "trail ", "\t"])
+    def test_name_that_cannot_be_written_is_refused(self, name):
+        with pytest.raises(ConfigError, match="cannot be written to a problem file"):
+            problem_to_text(replace(build_tiger(), name=name))
+
+    @pytest.mark.parametrize(
+        "field, names",
+        [("states", ("7",)), ("actions", (("",), ("b",))), ("observations", (("o",), ("p q",)))],
+        ids=["lone-count-state", "empty-action", "spaced-observation"],
+    )
+    def test_names_that_cannot_be_read_back_are_refused(self, field, names):
+        model = DecPomdp(
+            states=("s",),
+            actions=(("a",), ("b",)),
+            observations=(("o",), ("p",)),
+            transition=np.ones((1, 1, 1)),
+            observation=np.ones((1, 1, 1)),
+            reward=np.ones((1, 1, 1)),
+            initial_belief=np.array([1.0]),
+            horizon=2,
+        )
+        self.round_trip(model)
+        with pytest.raises(ConfigError):
+            problem_to_text(replace(model, **{field: names}))
+
+    @pytest.mark.parametrize("header", ["agents: 2", "horizon: 2", "states: tiger-left tiger-right"])
+    def test_non_ascii_digits_are_a_parse_error(self, header):
+        # "²".isdigit() holds but int("²") fails; both must give a ParseError
+        text = problem_to_text(build_tiger()).replace(header, header.split(":")[0] + ": ²")
+        with pytest.raises(ParseError):
+            parse_problem_text(text)
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("T: listen listen tiger-left", "T: listen listen nowhere", "unknown state 'nowhere'"),
+            ("R: listen open-left tiger-left", "R: listen shout tiger-left",
+             "unknown action of agent 1 'shout'"),
+            ("O: open-left listen tiger-right hear-left", "O: open-left listen tiger-right hum",
+             "unknown observation of agent 0 'hum'"),
+        ],
+        ids=["state", "action", "observation"],
+    )
+    def test_unknown_name_reported_with_its_line(self, old, new, message):
+        lines = problem_to_text(build_tiger()).splitlines()
+        lineno = next(k for k, line in enumerate(lines, start=1) if line.startswith(old))
+        lines[lineno - 1] = lines[lineno - 1].replace(old, new)
+        with pytest.raises(ParseError) as exc:
+            parse_problem_text("\n".join(lines))
+        assert str(exc.value) == f"line {lineno}: {message}"
+
+    def test_entries_before_headers_rejected(self):
+        lines = problem_to_text(build_tiger()).splitlines()
+        entry = next(line for line in lines if line.startswith("T:"))
+        lines.remove(entry)
+        lines.insert(3, entry)
+        with pytest.raises(ParseError) as exc:
+            parse_problem_text("\n".join(lines))
+        assert str(exc.value).startswith("line 4: table entries before headers (horizon, start, ")
+
+    def test_header_after_entries_rejected(self):
+        text = problem_to_text(build_tiger())
+        lineno = len(text.splitlines()) + 1
+        with pytest.raises(ParseError) as exc:
+            parse_problem_text(text + "horizon: 3\n")
+        assert str(exc.value) == f"line {lineno}: header 'horizon' after table entries"
+
+    def test_first_bad_line_in_file_order_is_reported(self):
+        # a bad O line above a bad T line: the O line is the one reported
+        lines = problem_to_text(build_tiger()).splitlines()
+        first_o = next(k for k, line in enumerate(lines) if line.startswith("O:"))
+        last_t = max(k for k, line in enumerate(lines) if line.startswith("T:"))
+        assert first_o < last_t
+        lines[first_o] = lines[first_o].replace(" tiger-", " lair-", 1)
+        lines[last_t] = lines[last_t].replace(" tiger-", " den-", 1)
+        with pytest.raises(ParseError) as exc:
+            parse_problem_text("\n".join(lines))
+        assert str(exc.value).startswith(f"line {first_o + 1}: unknown state 'lair-")
 
     def test_missing_header_reported(self):
         with pytest.raises(ParseError) as exc:
@@ -400,6 +490,16 @@ class TestExitCodes:
         assert json.loads(err.splitlines()[-1]) == {
             "schema": 1, "type": "error", "error": "ParseError", "message": "policy nests too deeply",
         }
+
+    @pytest.mark.parametrize("command", ["solve", "exact", "bound"])
+    def test_horizon_below_one_exits_four(self, capsys, command):
+        argv = [command, "--problem", "tiger", "--horizon", "0", "--format", "records"]
+        if command == "bound":
+            argv += ["--max-obs", "1"]
+        code, out, err = run(capsys, argv)
+        assert code == 4
+        assert out == ""
+        assert json.loads(err.splitlines()[-1])["message"] == "horizon must be an integer >= 1, got 0"
 
     def test_malformed_problem_file(self, capsys, tmp_path):
         path = tmp_path / "broken.problem"

@@ -62,6 +62,17 @@ class TestConstruction:
                 horizon=1,
             )
 
+    @pytest.mark.parametrize("horizon", [0, -3, 2.5, True, "3"])
+    def test_rejects_bad_horizons(self, horizon):
+        # every function reads the horizon from the model, so this one
+        # check covers the solvers, the bound and the baselines
+        with pytest.raises(ModelError, match="horizon must be an integer >= 1"):
+            replace(build_tiger(), horizon=horizon)
+
+    def test_integer_horizon_is_stored_as_int(self):
+        model = replace(build_tiger(), horizon=np.int64(4))
+        assert type(model.horizon) is int and model.horizon == 4
+
     def test_validate_flags_broken_rows(self):
         m = two_state_chain()
         bad = m.transition.copy()

@@ -111,11 +111,6 @@ class TestExact:
         assert len(res.candidate_counts) == 2
         assert all(len(level) == 2 for level in res.candidate_counts)
 
-    @pytest.mark.parametrize("horizon", [0, -1, 2.5, True])
-    def test_rejects_bad_horizons(self, tiger, horizon):
-        with pytest.raises(ConfigError, match="horizon must be an integer >= 1"):
-            exact_solve(tiger, horizon=horizon)
-
     def test_capacity_guards(self, mabc):
         model = replace(mabc, horizon=9)
         with pytest.raises(CapacityError):
@@ -267,7 +262,7 @@ class TestDeterminism:
 
 class TestBaselines:
     def test_uniform_value_mabc_one_step(self, mabc):
-        assert uniform_random_value(mabc, 1) == pytest.approx(0.5, abs=1e-12)
+        assert uniform_random_value(replace(mabc, horizon=1)) == pytest.approx(0.5, abs=1e-12)
 
     @given(seed=st.integers(0, 3_000))
     @settings(max_examples=15)
@@ -300,10 +295,6 @@ class TestBaselines:
     @pytest.mark.parametrize(
         "kwargs, name",
         [
-            ({"horizon": 0}, "horizon"),
-            ({"horizon": -3}, "horizon"),
-            ({"horizon": 2.5}, "horizon"),
-            ({"horizon": True}, "horizon"),
             ({"samples": 0}, "samples"),
             ({"samples": 2.5}, "samples"),
             ({"samples": True}, "samples"),
@@ -314,11 +305,6 @@ class TestBaselines:
     def test_baseline_rejects_bad_counts(self, mabc, kwargs, name):
         with pytest.raises(ConfigError, match=f"{name} must be an integer >= 1"):
             random_policy_baseline(mabc, **kwargs)
-
-    @pytest.mark.parametrize("horizon", [0, -2, 1.5, True])
-    def test_uniform_value_rejects_bad_horizons(self, mabc, horizon):
-        with pytest.raises(ConfigError, match="horizon must be an integer >= 1"):
-            uniform_random_value(mabc, horizon)
 
     def test_sampler_handles_wide_horizon(self, mabc):
         # full enumeration would need 2^50-ish nodes; the width-capped
