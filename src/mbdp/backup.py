@@ -193,22 +193,21 @@ def weighted_stack(model: DecPomdp, prev: np.ndarray) -> np.ndarray:
     order.  Entry [jo, ja * M + c, s] is sum_{s'} T[ja][s, s']
     O[ja][s', jo] prev[c, s']: the share of child tuple c in the value of
     a tuple that takes joint action ``ja`` in state s and then sees joint
-    observation ``jo``.  Each joint action makes one stacked matmul over
-    its observations; the step matrices are laid out C-contiguous, so
-    every stacked product is the same BLAS call as the 2-D one, ``prev
-    @ (T[ja] * O[ja][:, jo]).T``, and gives the same bits for any M, one
-    child tuple included.
+    observation ``jo``.  Per joint action the children are weighted by
+    each observation column first, then one stacked matmul applies the
+    transition; slice jo is the same BLAS call as the 2-D product
+    ``(prev * O[ja][:, jo]) @ T[ja].T`` and gives its bits for any M,
+    one child tuple included.
     """
     num_s = model.num_states
     prev_flat = prev.reshape(-1, num_s)
     num_jo = model.num_joint_observations
     out = np.empty((num_jo, model.num_joint_actions) + prev_flat.shape)
-    # steps[jo, s, s'] = T[ja][s, s'] O[ja][s', jo], one buffer for all
-    # joint actions: a fresh array per joint action took 3x as long
-    steps = np.empty((num_jo, num_s, num_s))
+    # one buffer for all joint actions: a fresh one per joint action was slower
+    masked = np.empty((num_jo,) + prev_flat.shape)
     for ja in range(model.num_joint_actions):
-        np.multiply(model.transition[ja][None], model.observation[ja].T[:, None], out=steps)
-        np.matmul(prev_flat, steps.transpose(0, 2, 1), out=out[:, ja])
+        np.multiply(prev_flat[None], model.observation[ja].T[:, None, :], out=masked)
+        np.matmul(masked, model.transition[ja].T, out=out[:, ja])
     return out.reshape(num_jo, -1, num_s)
 
 

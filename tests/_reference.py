@@ -328,7 +328,7 @@ def epsilon_global_array_reference(model, max_obs, max_beliefs=500_000):
 
 def weighted_children(model, prev_flat, ja, jo):
     """Child tuples' values, one per row of ``prev_flat``, weighted by one step's mass."""
-    return prev_flat @ (model.transition[ja] * model.observation[ja][:, jo][None, :]).T
+    return (prev_flat * model.observation[ja][:, jo][None, :]) @ model.transition[ja].T
 
 
 def backup_values_reference(model, candidates, prev):
