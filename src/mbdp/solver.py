@@ -90,10 +90,12 @@ class LevelRecord:
     selection beliefs: every tuple of its candidate tables.  A selection
     value is the pick's value at its belief, summed from terms projected
     onto that belief, so it can differ in the last bits from the picked
-    tuple's value vector times the belief.  ``millis`` covers the
-    level's selection, backup and fill.  The round's selection beliefs
-    are sampled before its first level, so only ``SolveReport.millis``
-    includes sampling them.
+    tuple's value vector times the belief.  A ``partial`` level ranked
+    observations, and filled its open branches, at pick 0's trajectory:
+    the belief before its last step, and the joint action taken there.
+    ``millis`` covers the level's selection, backup and fill.  The
+    round's selection beliefs are sampled before its first level, so
+    only ``SolveReport.millis`` includes sampling them.
     """
 
     tree_depth: int
@@ -228,10 +230,11 @@ def _solve_round(model, cfg: SolverConfig, rng, portfolio, force_full):
         partial = False
         selection = None
         if not full_backups:
-            # ranked at the last pick's trajectory, its last step
-            ranking_belief = BeliefState(b_prev[t - 1, -1])
+            # ranked at pick 0's trajectory, its last step, so the rule does
+            # not depend on max_trees or on which heuristic picked last
+            ranking_belief = BeliefState(b_prev[t - 1, 0])
             selection = rank_observations(
-                model, ranking_belief, int(a_prev[t - 1, -1]), cfg.max_obs
+                model, ranking_belief, int(a_prev[t - 1, 0]), cfg.max_obs
             )
         if selection is None or selection.is_full(model):
             if full is None or full[0] != donors:

@@ -447,6 +447,8 @@ def solve_round_reference(model, cfg, rng, portfolio, force_full):
         picked = [[] for _ in range(n)]
         for k in range(cfg.max_trees):
             traj = generate_belief(portfolio[k % len(portfolio)], model, model.horizon - t, rng)
+            if k == 0:
+                first = traj
             if any(len(rows) >= size for rows, size in zip(picked, q.sizes)):
                 idx, _ = best_tuple_reference(tensor[np.ix_(*picked)], traj.probs[-1])
                 for i in range(n):
@@ -461,8 +463,9 @@ def solve_round_reference(model, cfg, rng, portfolio, force_full):
         if full_backups:
             q = exhaustive_backup(model, donors, cfg.backup_cap)
         else:
-            b_prev = BeliefState(traj.probs[-2])
-            selection = rank_observations(model, b_prev, traj.actions[-1], cfg.max_obs)
+            # observations are ranked at pick 0's trajectory
+            b_prev = BeliefState(first.probs[-2])
+            selection = rank_observations(model, b_prev, first.actions[-1], cfg.max_obs)
             if selection.is_full(model):
                 q = exhaustive_backup(model, donors, cfg.backup_cap)
             else:

@@ -355,6 +355,11 @@ ROUND_CASES = [
                  id="boxpush-h10-improved-seed0"),
     pytest.param("boxpush", 10, improved_mbdp, SolverConfig(max_trees=5, max_obs=3, seed=0),
                  id="boxpush-h10-improved-5x3-seed0"),
+    # even max_trees: the last pick runs the random heuristic, pick 0 the MDP one
+    pytest.param("boxpush", 10, improved_mbdp, SolverConfig(max_trees=4, max_obs=2, seed=0),
+                 id="boxpush-h10-improved-4x2-seed0"),
+    pytest.param("boxpush", 10, improved_mbdp, SolverConfig(max_trees=8, max_obs=1, seed=0),
+                 id="boxpush-h10-improved-8x1-seed0"),
     pytest.param("boxpush", 4, mbdp, SolverConfig(max_trees=2, seed=0),
                  id="boxpush-h4-mbdp"),
     pytest.param("tiger", 8, improved_mbdp,
@@ -389,6 +394,19 @@ def test_rounds_match_reference_round(problem, horizon, solve, cfg):
     value, policy = max(rounds, key=lambda r: r[0])
     assert report.value == value
     assert serialize_policy(model, report.policy) == serialize_policy(model, policy)
+
+
+@pytest.mark.parametrize(
+    "max_trees,max_obs,expected",
+    [(4, 2, 194.8057013580066), (8, 1, 217.57583465226804), (3, 3, 192.13428923544802)],
+)
+def test_budgeted_levels_rank_at_pick_zero(max_trees, max_obs, expected):
+    # under the default ("mdp", "random") portfolio pick 0 walks the MDP
+    # heuristic; ranking at the last pick's walk instead gave 27.44 at
+    # (4, 2) and 87.43 at (8, 1), where the last pick walks at random
+    model = build_boxpush(horizon=10)
+    report = improved_mbdp(model, SolverConfig(max_trees=max_trees, max_obs=max_obs, seed=0))
+    assert report.value == pytest.approx(expected, abs=1e-9)
 
 
 def test_near_tie_goes_to_the_lowest_flat_index():
