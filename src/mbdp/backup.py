@@ -87,17 +87,6 @@ class ObservationSelection:
         if any(s[0] < 0 for s in self.per_agent):
             raise ConfigError(f"observation indices must be >= 0, got {self.per_agent}")
 
-    def is_full(self, model: DecPomdp) -> bool:
-        return all(
-            len(s) == model.observation_counts[i] for i, s in enumerate(self.per_agent)
-        )
-
-    @staticmethod
-    def full(model: DecPomdp) -> "ObservationSelection":
-        return ObservationSelection(
-            tuple(tuple(range(n)) for n in model.observation_counts)
-        )
-
 
 def _backup_table(num_actions: int, num_donors: int, num_obs: int, slots, cap: int, agent: int):
     """(actions, children) of every action crossed with every donor assignment to ``slots``."""

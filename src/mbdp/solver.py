@@ -195,6 +195,8 @@ def _solve_round(model, cfg: SolverConfig, rng, portfolio, force_full):
     # stay the same
     full = None
 
+    # otherwise some agent's max_obs is below its observation count, and
+    # every ranking keeps fewer than all of that agent's observations
     full_backups = force_full or cfg.max_obs is None or all(
         cfg.max_obs >= count for count in model.observation_counts
     )
@@ -227,22 +229,18 @@ def _solve_round(model, cfg: SolverConfig, rng, portfolio, force_full):
         prev = gather_values(plan, model.expected_reward, weighted, flat)
         prev = prev.reshape(donors + (model.num_states,))
 
-        partial = False
-        selection = None
-        if not full_backups:
+        if full_backups:
+            if full is None or full[0] != donors:
+                table = exhaustive_backup(model, donors, cfg.backup_cap)
+                full = (donors, table, gather_plan(model, table, donors))
+            _, q, plan = full
+        else:
             # ranked at pick 0's trajectory, its last step, so the rule does
             # not depend on max_trees or on which heuristic picked last
             ranking_belief = BeliefState(b_prev[t - 1, 0])
             selection = rank_observations(
                 model, ranking_belief, int(a_prev[t - 1, 0]), cfg.max_obs
             )
-        if selection is None or selection.is_full(model):
-            if full is None or full[0] != donors:
-                table = exhaustive_backup(model, donors, cfg.backup_cap)
-                full = (donors, table, gather_plan(model, table, donors))
-            _, q, plan = full
-        else:
-            partial = True
             sparse = partial_backup(model, donors, selection, cfg.backup_cap)
             q = fill_missing(model, sparse, prev, ranking_belief)
             plan = gather_plan(model, q, donors)
@@ -256,7 +254,7 @@ def _solve_round(model, cfg: SolverConfig, rng, portfolio, force_full):
                 duplicated=duplicated,
                 tuples_scored=math.prod(sizes),
                 backup_sizes=q.sizes,
-                partial=partial,
+                partial=not full_backups,
                 millis=(time.perf_counter() - started) * 1000.0,
             )
         )

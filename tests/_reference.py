@@ -466,11 +466,8 @@ def solve_round_reference(model, cfg, rng, portfolio, force_full):
             # observations are ranked at pick 0's trajectory
             b_prev = BeliefState(first.probs[-2])
             selection = rank_observations(model, b_prev, first.actions[-1], cfg.max_obs)
-            if selection.is_full(model):
-                q = exhaustive_backup(model, donors, cfg.backup_cap)
-            else:
-                sparse = partial_backup(model, donors, selection, cfg.backup_cap)
-                q = fill_missing_reference(model, sparse, prev, b_prev)
+            sparse = partial_backup(model, donors, selection, cfg.backup_cap)
+            q = fill_missing_reference(model, sparse, prev, b_prev)
         tensor = backup_values_reference(model, q, prev)
     b0 = model.initial_belief.probs
     idx, _ = best_tuple_reference(tensor, b0)

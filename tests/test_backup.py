@@ -90,7 +90,7 @@ class TestCounts:
 class TestPartial:
     def test_full_selection_matches_exhaustive_order(self, tiger):
         full = exhaustive_backup(tiger, (2, 2))
-        part = partial_backup(tiger, (2, 2), ObservationSelection.full(tiger))
+        part = partial_backup(tiger, (2, 2), ObservationSelection(((0, 1), (0, 1))))
         assert part.sizes == full.sizes
         for agent in range(2):
             np.testing.assert_array_equal(part.actions[agent], full.actions[agent])
@@ -133,7 +133,7 @@ class TestRanking:
     def test_quota_capped_at_alphabet(self):
         model = obs_table_model([0.1, 0.4, 0.3, 0.2])
         sel = rank_observations(model, model.initial_belief, 0, max_obs=9)
-        assert sel.is_full(model)
+        assert sel.per_agent == ((0, 1), (0, 1))
 
     @pytest.mark.parametrize("bad", [1.5, True, 0])
     def test_rejects_bad_max_obs(self, bad):
