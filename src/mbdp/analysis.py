@@ -312,7 +312,10 @@ def error_bound(model: DecPomdp, epsilon: float) -> float:
 
     Every backup level can misplace at most (1 - epsilon) of the
     observation mass, each worth at most the full reward span per
-    remaining step.
+    remaining step.  ``epsilon_global`` measures the best subset family,
+    but ``rank_observations`` collects subsets greedily, which from
+    ``max_obs`` 2 on can keep less mass; there the bound is not yet a
+    guarantee for ``improved_mbdp``'s plans.
     """
     model.require_valid()
     if not 0.0 <= epsilon <= 1.0:

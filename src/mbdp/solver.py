@@ -235,8 +235,8 @@ def _solve_round(model, cfg: SolverConfig, rng, portfolio, force_full):
                 full = (donors, table, gather_plan(model, table, donors))
             _, q, plan = full
         else:
-            # ranked at pick 0's trajectory, its last step, so the rule does
-            # not depend on max_trees or on which heuristic picked last
+            # ranked at pick 0's trajectory, its last step, whatever
+            # max_trees is
             ranking_belief = BeliefState(b_prev[t - 1, 0])
             selection = rank_observations(
                 model, ranking_belief, int(a_prev[t - 1, 0]), cfg.max_obs
