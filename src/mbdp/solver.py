@@ -195,7 +195,7 @@ def _solve_round(model, cfg: SolverConfig, rng, portfolio, force_full):
     # stay the same
     full = None
 
-    # otherwise some agent's max_obs is below its observation count, and
+    # when False, some agent's max_obs is below its observation count, so
     # every ranking keeps fewer than all of that agent's observations
     full_backups = force_full or cfg.max_obs is None or all(
         cfg.max_obs >= count for count in model.observation_counts
