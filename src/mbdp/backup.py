@@ -10,23 +10,27 @@ observations and leaves the rest as holes (-1), to be filled against a
 belief later.  Enumeration order is fixed (action-major, child rows
 lexicographic) so downstream tie-breaking is reproducible.
 
-Values come from one kernel, ``gather_values``.  A table's gather plan
-says, per joint tuple, which expected reward and which weighted child
-tuple per joint observation make up its value; the weighted children
-(``weighted_stack``) are the selected lists' values weighted by one
-step's mass.  Gathered in state columns the kernel gives value vectors:
-of every tuple in ``backup_values``, the joint value tensor the exact
-solver prunes, or of a few picked tuples.  Gathered after projecting
-its inputs onto K beliefs it gives every tuple's value at those
-beliefs in K columns, which is how the planner scores a level without
-its tensor.  The solvers return the rows their policy reaches as tables
+Values come in two forms.  At K beliefs, ``belief_scores`` projects the
+selected lists' values onto each belief before the transition, then
+contracts the projected children with one agent's one-hot row matrix
+(``table_rows``) at a time: every joint tuple's K values, and no
+tuple's S-wide row, which is how the planner scores a level.  In state
+columns, a tuple's value is its expected reward plus, per joint
+observation, one row of the weighted children (``weighted_stack``, the
+selected lists' values weighted by one step's mass).  ``picked_values``
+adds them up for the tuples of a grid of rows, reading each tuple's
+joint action and child tuples off its agents' term rows
+(``term_rows``): the few tuples the planner keeps, or every tuple of a
+table for ``backup_values``, the joint value tensor the exact solver
+prunes.  The solvers return the rows their policy reaches as tables
 (``JointPolicy._from_tables``); no policy tree is built.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -74,9 +78,16 @@ class CandidateSet:
 
 @dataclass(frozen=True)
 class ObservationSelection:
-    """Per-agent subsets of local observation indices, sorted ascending."""
+    """Per-agent subsets of local observation indices, sorted ascending.
+
+    ``captured_mass`` is the joint-observation mass the subsets keep,
+    summed over the joint observations whose every component is kept, at
+    the (belief, action) ``rank_observations`` ranked at; None for a
+    selection built by hand.  It takes no part in equality.
+    """
 
     per_agent: tuple[tuple[int, ...], ...]
+    captured_mass: float | None = field(default=None, compare=False)
 
     def __post_init__(self):
         object.__setattr__(
@@ -158,7 +169,7 @@ def rank_observations(
     Joint observations are ranked by probability (ties broken by joint
     index); the ranking is walked in order and each agent collects the
     local components it has not seen until it holds min(max_obs, |O_i|)
-    of them.
+    of them.  The selection records the mass it keeps there.
     """
     max_obs = require_count(max_obs, "max_obs", ConfigError)
     probs = model.observation_probabilities(belief, action)
@@ -172,125 +183,199 @@ def rank_observations(
                 collected[i].append(o)
         if all(len(c) == q for c, q in zip(collected, quota)):
             break
-    return ObservationSelection(tuple(tuple(c) for c in collected))
+    kept = [
+        jo
+        for jo, local in enumerate(model._joint_obs_tuples)
+        if all(o in c for o, c in zip(local, collected))
+    ]
+    return ObservationSelection(tuple(tuple(c) for c in collected), float(probs[kept].sum()))
 
 
-def weighted_stack(model: DecPomdp, prev: np.ndarray) -> np.ndarray:
-    """Child tuples' values weighted by one step's mass, shape (JO, JA * M, S).
+def weighted_stack(model: DecPomdp, prev: np.ndarray, joint_actions=None) -> np.ndarray:
+    """Child tuples' values weighted by one step's mass, shape (JO, J * M, S).
 
     ``prev`` holds the values of M child tuples, (..., S), flattened in C
-    order.  Entry [jo, ja * M + c, s] is sum_{s'} T[ja][s, s']
-    O[ja][s', jo] prev[c, s']: the share of child tuple c in the value of
-    a tuple that takes joint action ``ja`` in state s and then sees joint
-    observation ``jo``.  Per joint action the children are weighted by
-    each observation column first, then one stacked matmul applies the
-    transition; slice jo is the same BLAS call as the 2-D product
-    ``(prev * O[ja][:, jo]) @ T[ja].T`` and gives its bits for any M,
-    one child tuple included.
+    order, and ``joint_actions`` lists J joint actions (default all, in
+    order).  Entry [jo, j * M + c, s] is sum_{s'} T[ja][s, s']
+    O[ja][s', jo] prev[c, s'] with ja = ``joint_actions[j]``: the share of
+    child tuple c in the value of a tuple that takes joint action ``ja``
+    in state s and then sees joint observation ``jo``.  Per joint action
+    the children are weighted by each observation column first, then one
+    stacked matmul applies the transition; slice jo is the same BLAS call
+    as the 2-D product ``(prev * O[ja][:, jo]) @ T[ja].T`` and gives its
+    bits for any M, one child tuple included, and whichever other joint
+    actions are listed.
     """
     num_s = model.num_states
     prev_flat = prev.reshape(-1, num_s)
+    if joint_actions is None:
+        joint_actions = range(model.num_joint_actions)
     num_jo = model.num_joint_observations
-    out = np.empty((num_jo, model.num_joint_actions) + prev_flat.shape)
+    out = np.empty((num_jo, len(joint_actions)) + prev_flat.shape)
     # one buffer for all joint actions: a fresh one per joint action was slower
     masked = np.empty((num_jo,) + prev_flat.shape)
-    for ja in range(model.num_joint_actions):
+    for j, ja in enumerate(joint_actions):
         np.multiply(prev_flat[None], model.observation[ja].T[:, None, :], out=masked)
-        np.matmul(masked, model.transition[ja].T, out=out[:, ja])
+        np.matmul(masked, model.transition[ja].T, out=out[:, j])
     return out.reshape(num_jo, -1, num_s)
 
 
-# floats per output block of gather_values (512 KiB): 2^16 measured
-# fastest, and box pushing's kernel ran 20-35% slower at 2^20
-_GATHER_BLOCK = 1 << 16
-
-
-@dataclass(frozen=True)
-class GatherPlan:
-    """Where ``gather_values`` reads each joint tuple's terms.
-
-    Joint tuples are numbered in C order over the tables' rows.
-    ``joint_actions[p]`` is tuple p's joint action, the row of the
-    expected reward it starts from, and ``children[jo, p]`` the row it
-    adds after joint observation jo: ja * M + c in ``weighted_stack``,
-    where M counts the child tuples and c is the child tuple's row in C
-    order.  ``children`` is None for depth-1 tables.
-    """
-
-    joint_actions: np.ndarray
-    children: np.ndarray | None
-
-
-def gather_plan(model: DecPomdp, candidates: CandidateSet, donors) -> GatherPlan:
-    """The gather plan of ``candidates``, whose children index lists of ``donors`` rows.
-
-    ``donors`` is None for depth-1 tables.
-    """
-    n = model.num_agents
-    if len(candidates.actions) != n:
-        raise ConfigError(f"candidate set has {len(candidates.actions)} agents, model {n}")
-    sizes = candidates.sizes
-
-    def spread(i, column):
-        # agent i's per-row values, broadcast along axis i
-        return column.reshape((1,) * i + (-1,) + (1,) * (n - 1 - i))
-
-    strides = model._action_strides
-    ja = sum(spread(i, acts * strides[i]) for i, acts in enumerate(candidates.actions))
-    joint_actions = np.broadcast_to(ja, sizes).reshape(-1)
-    if donors is None:
-        return GatherPlan(joint_actions, None)
+def _check_children(candidates: CandidateSet, donors) -> None:
+    """Rejects tables with holes or with child rows past the donor lists."""
     if any((kids < 0).any() for kids in candidates.children):
         raise ConfigError("candidate table has unassigned branches; fill them first")
     for i, kids in enumerate(candidates.children):
         if kids.size and kids.max() >= donors[i]:
             raise ConfigError(f"agent {i} references donor row {kids.max()} of {donors[i]}")
-    child_strides = _mixed_radix_strides(donors)
-    base = joint_actions * math.prod(donors)
-    # int32 rows where they fit halve the plan, its largest array
-    rows = model.num_joint_actions * math.prod(donors)
-    dtype = np.int32 if rows <= np.iinfo(np.int32).max else np.int64
-    children = np.empty((model.num_joint_observations, base.size), dtype=dtype)
-    for jo, local in enumerate(model._joint_obs_tuples):
-        child = sum(
-            spread(i, kids[:, local[i]] * child_strides[i])
-            for i, kids in enumerate(candidates.children)
-        )
-        np.add(base, np.broadcast_to(child, sizes).reshape(-1), out=children[jo])
-    return GatherPlan(joint_actions, children)
 
 
-def gather_values(
-    plan: GatherPlan,
-    rewards: np.ndarray,
-    weighted: np.ndarray | None,
-    tuples: np.ndarray | None = None,
-) -> np.ndarray:
-    """The value kernel: one row per joint tuple, in the columns of its inputs.
+def term_rows(model: DecPomdp, candidates: CandidateSet, donors) -> tuple[np.ndarray, ...]:
+    """Per agent, each row's shares of its joint tuples' indices.
 
-    Row p is ``rewards[ja]`` plus, per joint observation jo in order,
-    ``weighted[jo][children[jo, p]]``, with ja and the children from
-    ``plan``.  Given ``model.expected_reward`` and ``weighted_stack``
-    the columns are states and row p is tuple p's value in every state;
-    given both multiplied by K beliefs on the right they are tuple p's
-    K values at those beliefs, without its S-wide row ever being built.
-    ``tuples`` picks flat tuple indices (default all).  Rows are filled
-    in blocks of ``_GATHER_BLOCK`` floats, and each row's sum does not
-    depend on the block or the other rows, so picking tuples gives the
-    same bits as picking rows of the whole output.
+    ``donors`` gives the lengths of the lists the children index, None
+    for depth-1 tables.  Agent i's row holds its action times its
+    joint-action stride, then, per joint observation, its child row
+    after its own component of it times its stride among the child
+    tuples.  Summed over a joint tuple's rows they give the tuple's
+    joint action and its child tuple after each joint observation.
     """
-    joint_actions, children = plan.joint_actions, plan.children
-    if tuples is not None:
-        joint_actions = joint_actions[tuples]
-        children = None if children is None else children[:, tuples]
-    out = np.empty((joint_actions.size, rewards.shape[1]))
-    rows = max(1, _GATHER_BLOCK // rewards.shape[1])
-    for lo in range(0, out.shape[0], rows):
-        block = out[lo : lo + rows]
-        np.take(rewards, joint_actions[lo : lo + rows], axis=0, out=block)
-        if weighted is not None:
-            for jo, part in enumerate(weighted):
-                block += part.take(children[jo, lo : lo + rows], axis=0)
+    if len(candidates.actions) != model.num_agents:
+        raise ConfigError(
+            f"candidate set has {len(candidates.actions)} agents, model {model.num_agents}"
+        )
+    strides = model._action_strides
+    terms = [(acts * stride)[:, None] for acts, stride in zip(candidates.actions, strides)]
+    if donors is None:
+        return tuple(terms)
+    _check_children(candidates, donors)
+    child_strides = _mixed_radix_strides(donors)
+    local = np.array(model._joint_obs_tuples).T
+    return tuple(
+        np.concatenate([term, kids[:, local[i]] * child_strides[i]], axis=1)
+        for i, (term, kids) in enumerate(zip(terms, candidates.children))
+    )
+
+
+def table_rows(model: DecPomdp, candidates: CandidateSet, donors):
+    """A table's rows as the planner reads them: (one-hot rows, term rows), per agent.
+
+    ``donors`` is as for ``term_rows``.  Agent i's one-hot matrix, for
+    ``belief_scores``, has a one in column (a, o, c) of the C-ordered
+    (A_i, O_i, ``donors[i]``) grid for each local observation o, where a
+    is the row's action and c its child row after o; at depth 1 its
+    columns are the actions.  The term rows, for ``picked_values``, are
+    ``term_rows``.
+    """
+    terms = term_rows(model, candidates, donors)
+    one_hot = []
+    for i, (acts, kids) in enumerate(zip(candidates.actions, candidates.children)):
+        if donors is None:
+            cols, width = acts[:, None], model.action_counts[i]
+        else:
+            num_obs = model.observation_counts[i]
+            cols = (acts[:, None] * num_obs + np.arange(num_obs)) * donors[i] + kids
+            width = model.action_counts[i] * num_obs * donors[i]
+        rows = np.zeros((len(acts), width))
+        np.put_along_axis(rows, cols, 1.0, axis=1)
+        one_hot.append(rows)
+    return tuple(one_hot), terms
+
+
+def belief_scores(
+    model: DecPomdp, rows: Sequence[np.ndarray], prev: np.ndarray | None, beliefs: np.ndarray
+) -> np.ndarray:
+    """Every joint tuple's value at each of K beliefs, shape (K, |Q_0|, ..., |Q_{n-1}|).
+
+    ``rows`` is the one-hot rows of ``table_rows``, ``prev`` the value
+    tensor of the lists their children index (None for depth-1 tables)
+    and ``beliefs`` a (K, S) array.  At belief b a tuple with joint
+    action ja scores ER[ja] b plus, per joint observation jo, sum_{s'}
+    prev[c, s'] O[ja][s', jo] (b T[ja])[s'] for its child tuple c after
+    jo.  So each belief goes through the transition first, and one
+    stacked product projects the children onto it: W[ja, c, jo, k], no
+    S-wide row of any tuple.  Laid out with each agent's (action,
+    observation, child) axes side by side, W is contracted with one
+    agent's rows at a time, which sums that agent's observations out;
+    for two agents that is X_0 W_k X_1^T per belief.  The expected
+    rewards are added at every agent's observation 0, which each row
+    reads once.  The scores sum in another order than a value vector
+    times the belief, so they can differ from it in the last bits.
+    """
+    n = model.num_agents
+    k = len(beliefs)
+    acts = model.action_counts
+    # (K, A_0, ..., A_{n-1}): each joint action's expected reward at each belief
+    scores = (model.expected_reward @ beliefs.T).T.reshape((k,) + acts)
+    if prev is not None:
+        num_s = model.num_states
+        pushed = np.matmul(beliefs, model.transition)
+        # mass[ja, s', jo, k] = O[ja][s', jo] (b_k T[ja])[s']
+        mass = model.observation[..., None] * pushed.transpose(0, 2, 1)[:, :, None, :]
+        projected = np.matmul(prev.reshape(-1, num_s), mass.reshape(len(mass), num_s, -1))
+        # (A..., m..., O..., K) -> (K, A_0, O_0, m_0, A_1, O_1, m_1, ...)
+        grid = acts + prev.shape[:-1] + model.observation_counts + (k,)
+        axes = [3 * n] + [axis for i in range(n) for axis in (i, 2 * n + i, n + i)]
+        projected = projected.reshape(grid).transpose(axes).copy()
+        at_first = (slice(None),) + (slice(None), 0, slice(None)) * n
+        projected[at_first] += scores.reshape((k,) + sum(((a, 1) for a in acts), ()))
+        scores = projected
+    lead = k
+    for x in rows[:-1]:
+        scores = np.matmul(x, scores.reshape(lead, x.shape[1], -1))
+        lead *= len(x)
+    scores = scores.reshape(lead, -1) @ rows[-1].T
+    return scores.reshape((k,) + tuple(len(x) for x in rows))
+
+
+# floats per output block of picked_values (512 KiB): 2^16 measured
+# fastest, and box pushing's kernel ran 20-35% slower at 2^20
+_VALUE_BLOCK = 1 << 16
+
+
+def picked_values(
+    model: DecPomdp, terms: Sequence[np.ndarray], picked, prev: np.ndarray | None
+) -> np.ndarray:
+    """Value vectors of the joint tuples ``np.ix_(*picked)``, shape (len(picked[0]), ..., S).
+
+    ``terms`` is ``term_rows`` of a table, ``picked[i]`` lists rows of
+    agent i's table, and ``prev`` is the value tensor of the lists the
+    children index (None for depth-1 tables).  A tuple's row is the
+    expected reward of its joint action plus, per joint observation in
+    order, its child tuple's row of ``weighted_stack``, which weights
+    only the joint actions the picks take.  Rows are filled in blocks of
+    agent 0's picks of about ``_VALUE_BLOCK`` floats, and each row's sum
+    does not depend on the block, the other rows or the other joint
+    actions.
+    """
+    sizes = tuple(len(rows) for rows in picked)
+    n = len(sizes)
+    picks = [term[rows] for term, rows in zip(terms, picked)]
+    # every combination of the agents' own actions occurs in the grid
+    used = sorted(
+        {sum(c) for c in itertools.product(*(set(p[:, 0].tolist()) for p in picks))}
+    )
+    # each agent's picks along its own axis
+    spread = [
+        p.reshape((1,) * i + (len(p),) + (1,) * (n - 1 - i) + (-1,)) for i, p in enumerate(picks)
+    ]
+    num_s = model.num_states
+    out = np.empty(sizes + (num_s,))
+    if prev is not None:
+        weighted = weighted_stack(model, prev, used)
+        # each used joint action's first row in weighted
+        num_children = math.prod(prev.shape[:-1])
+        first = np.zeros(model.num_joint_actions, dtype=np.int64)
+        first[used] = np.arange(0, len(used) * num_children, num_children)
+    step = max(1, _VALUE_BLOCK // (math.prod(sizes[1:]) * num_s))
+    for lo in range(0, sizes[0], step):
+        block = out[lo : lo + step].reshape(-1, num_s)
+        # per tuple, its joint action, then its child tuple per joint observation
+        tuples = sum(spread[1:], spread[0][lo : lo + step]).reshape(len(block), -1)
+        np.take(model.expected_reward, tuples[:, 0], axis=0, out=block)
+        if prev is not None:
+            children = tuples[:, 1:] + first[tuples[:, :1]]
+            for part, child in zip(weighted, children.T):
+                block += part.take(child, axis=0)
     return out
 
 
@@ -301,15 +386,13 @@ def backup_values(model: DecPomdp, candidates: CandidateSet, prev: np.ndarray | 
     level's selected lists, whose rows the candidates' children index.
     With ``prev`` None the candidates are depth-1 trees and a tuple's
     value is the expected immediate reward of its joint action.  This is
-    ``gather_values`` over every tuple in state columns: every entry
-    adds the same terms in the same order as indexing each (joint
-    action, joint observation) block of weighted children by the child
-    rows, so the result is the same bit for bit.
+    ``picked_values`` of every row: every entry adds the same terms in
+    the same order as indexing each (joint action, joint observation)
+    block of weighted children by the child rows, so the result is the
+    same bit for bit.
     """
-    plan = gather_plan(model, candidates, None if prev is None else prev.shape[:-1])
-    weighted = None if prev is None else weighted_stack(model, prev)
-    values = gather_values(plan, model.expected_reward, weighted)
-    return values.reshape(candidates.sizes + (model.num_states,))
+    terms = term_rows(model, candidates, None if prev is None else prev.shape[:-1])
+    return picked_values(model, terms, [np.arange(size) for size in candidates.sizes], prev)
 
 
 def fill_missing(

@@ -409,11 +409,12 @@ def _cmd_solve(args) -> int:
                 "tuples_scored": level.tuples_scored,
                 "backup_sizes": list(level.backup_sizes),
                 "partial": level.partial,
+                "captured_mass": level.captured_mass,
             },
             f"level {level.tree_depth}: "
             f"selections={['%.4f' % v for v in level.selection_values]} "
             f"scored={level.tuples_scored} backup={list(level.backup_sizes)}"
-            + (" (partial)" if level.partial else ""),
+            + (f" (partial, captured {level.captured_mass:.4f})" if level.partial else ""),
         )
     policy_text, path = _write_policy(args, model, report.policy)
     out.record(

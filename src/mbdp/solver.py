@@ -13,11 +13,15 @@ feasible only for short horizons.
 Both keep every level as integer candidate tables (``CandidateSet``)
 plus the rows they keep: the planner's picks or the exact solver's
 prune survivors.  The planner never builds a level's joint value
-tensor: it scores every joint tuple at the level's sampled beliefs
-only, and gathers value vectors for the picked tuples alone, which the
-next level's backup reads.  The exact solver prunes whole tensors
-below its final level.  The returned policy is the tables of the rows
-the top level's pick reaches; no ``PolicyTree`` is built.
+tensor, nor any S-wide row but the picks': ``belief_scores`` scores
+every joint tuple at the level's sampled beliefs only, from the
+children projected onto those beliefs and contracted with one agent's
+one-hot rows at a time, and ``picked_values`` builds value vectors for
+the picked tuples alone from their term rows (both rows from
+``table_rows``), which the next level's backup reads.  The
+exact solver prunes whole tensors below its final level.  The returned
+policy is the tables of the rows the top level's pick reaches; no
+``PolicyTree`` is built.
 """
 
 from __future__ import annotations
@@ -32,13 +36,14 @@ import numpy as np
 from .backup import (
     CandidateSet,
     backup_values,
+    belief_scores,
     exhaustive_backup,
     fill_missing,
-    gather_plan,
-    gather_values,
     partial_backup,
+    picked_values,
     prune_value_tensor,
     rank_observations,
+    table_rows,
     weighted_stack,
 )
 from .errors import CapacityError, ConfigError, require_count, require_seed
@@ -88,14 +93,18 @@ class LevelRecord:
 
     ``tuples_scored`` counts the joint tuples scored at the level's
     selection beliefs: every tuple of its candidate tables.  A selection
-    value is the pick's value at its belief, summed from terms projected
-    onto that belief, so it can differ in the last bits from the picked
-    tuple's value vector times the belief.  A ``partial`` level ranked
+    value is the pick's value at its belief, summed by ``belief_scores``
+    from children projected onto that belief and contracted one agent
+    at a time, so it can differ in the last bits from the picked tuple's
+    value vector times the belief.  A ``partial`` level ranked
     observations, and filled its open branches, at pick 0's trajectory:
     the belief before its last step, and the joint action taken there.
-    ``millis`` covers the level's selection, backup and fill.  The
-    round's selection beliefs are sampled before its first level, so
-    only ``SolveReport.millis`` includes sampling them.
+    ``captured_mass`` is the joint-observation mass its per-agent subsets
+    keep at that belief and action (an observed capture, not the bound
+    of ``epsilon_global``); it is None on full levels.  ``millis`` covers
+    the level's selection, backup and fill.  The round's selection
+    beliefs are sampled before its first level, so only
+    ``SolveReport.millis`` includes sampling them.
     """
 
     tree_depth: int
@@ -105,6 +114,7 @@ class LevelRecord:
     tuples_scored: int
     backup_sizes: tuple[int, ...]
     partial: bool
+    captured_mass: float | None
     millis: float
 
 
@@ -135,10 +145,10 @@ def _best_tuple(scores: np.ndarray, exclude=None):
     """Highest-scoring joint tuple of ``scores``, shaped (|Q_0|, ..., |Q_{n-1}|).
 
     Ties go to the lexicographically first tuple.  ``exclude`` lists, per
-    agent, rows that no returned tuple may use.
+    agent, rows that no returned tuple may use; they are masked to -inf
+    in ``scores`` itself, which the caller must not read again.
     """
     if exclude is not None:
-        scores = scores.copy()
         for i, rows in enumerate(exclude):
             scores[(slice(None),) * i + (rows,)] = -np.inf
     flat = scores.reshape(-1)
@@ -147,18 +157,31 @@ def _best_tuple(scores: np.ndarray, exclude=None):
     return tuple(int(k) for k in np.unravel_index(pick, scores.shape)), float(flat[pick])
 
 
-def _scores_at(model: DecPomdp, plan, weighted, beliefs: np.ndarray) -> np.ndarray:
-    """Every tuple's value at each of K beliefs, shape (tuples, K).
+def _pick(scores: np.ndarray):
+    """One joint tuple per belief: (picked rows per agent, their scores, duplicates).
 
-    The expected rewards and the weighted children are projected onto
-    the beliefs first, so the value kernel gathers K columns per tuple
-    instead of S.
+    ``scores`` is (K, |Q_0|, ..., |Q_{n-1}|).  Pick k is the best tuple
+    of column k whose rows no earlier pick uses; once some agent's rows
+    run out, it clones the best tuple of the rows picked so far.  The
+    columns are masked in place.
     """
-    cols = beliefs.T
-    if weighted is not None:
-        projected = weighted.reshape(-1, model.num_states) @ cols
-        weighted = projected.reshape(weighted.shape[:2] + (-1,))
-    return gather_values(plan, model.expected_reward @ cols, weighted)
+    sizes = scores.shape[1:]
+    picked: list[list[int]] = [[] for _ in sizes]
+    values: list[float] = []
+    duplicated = 0
+    for column in scores:
+        # duplicates make a list longer than its candidate set
+        if any(len(rows) >= size for rows, size in zip(picked, sizes)):
+            idx, val = _best_tuple(column[np.ix_(*picked)])
+            for rows, r in zip(picked, idx):
+                rows.append(rows[r])
+            duplicated += 1
+        else:
+            idx, val = _best_tuple(column, exclude=picked)
+            for rows, r in zip(picked, idx):
+                rows.append(r)
+        values.append(val)
+    return picked, values, duplicated
 
 
 def _materialize(levels) -> JointPolicy:
@@ -179,19 +202,18 @@ def _materialize(levels) -> JointPolicy:
 
 
 def _solve_round(model, cfg: SolverConfig, rng, portfolio, force_full):
-    n = model.num_agents
     horizon = model.horizon
     b_sel, b_prev, a_prev = selection_beliefs(portfolio, model, cfg.max_trees, rng)
     heur_names = tuple(portfolio[k % len(portfolio)].name for k in range(cfg.max_trees))
-    # the level's candidates, their gather plan and the weighted children
-    # of the picks below them; no level's whole value tensor is built
+    # the level's candidates, their one-hot and term rows and the value
+    # vectors of the picks below them; no level's whole value tensor is built
     q = exhaustive_backup(model, None)
-    plan = gather_plan(model, q, None)
-    weighted = None
+    rows, terms = table_rows(model, q, None)
+    prev = None
     # (candidates, picked rows) per depth below the top
     tables = []
     levels = []
-    # the last full backup and its plan, reused while the donor counts
+    # the last full backup and its rows, reused while the donor counts
     # stay the same
     full = None
 
@@ -204,36 +226,18 @@ def _solve_round(model, cfg: SolverConfig, rng, portfolio, force_full):
     for t in range(1, horizon):
         started = time.perf_counter()
         sizes = q.sizes
-        scores = _scores_at(model, plan, weighted, b_sel[t - 1])
-        picked: list[list[int]] = [[] for _ in range(n)]
-        sel_values: list[float] = []
-        duplicated = 0
-        for k in range(cfg.max_trees):
-            column = scores[:, k].reshape(sizes)
-            # duplicates make a list longer than its candidate set
-            if any(len(rows) >= size for rows, size in zip(picked, sizes)):
-                # candidates ran out: clone the best pair picked so far
-                idx, val = _best_tuple(column[np.ix_(*picked)])
-                for i in range(n):
-                    picked[i].append(picked[i][idx[i]])
-                duplicated += 1
-            else:
-                idx, val = _best_tuple(column, exclude=picked)
-                for i in range(n):
-                    picked[i].append(idx[i])
-            sel_values.append(val)
+        picked, sel_values, duplicated = _pick(belief_scores(model, rows, prev, b_sel[t - 1]))
         tables.append((q, picked))
         # the picks' value vectors, the same bits as the whole tensor's rows
-        flat = np.ravel_multi_index(np.ix_(*picked), sizes).reshape(-1)
-        donors = tuple(len(rows) for rows in picked)
-        prev = gather_values(plan, model.expected_reward, weighted, flat)
-        prev = prev.reshape(donors + (model.num_states,))
+        prev = picked_values(model, terms, picked, prev)
+        donors = prev.shape[:-1]
 
+        captured = None
         if full_backups:
             if full is None or full[0] != donors:
                 table = exhaustive_backup(model, donors, cfg.backup_cap)
-                full = (donors, table, gather_plan(model, table, donors))
-            _, q, plan = full
+                full = (donors, table, table_rows(model, table, donors))
+            _, q, (rows, terms) = full
         else:
             # ranked at pick 0's trajectory, its last step, whatever
             # max_trees is
@@ -241,10 +245,10 @@ def _solve_round(model, cfg: SolverConfig, rng, portfolio, force_full):
             selection = rank_observations(
                 model, ranking_belief, int(a_prev[t - 1, 0]), cfg.max_obs
             )
+            captured = selection.captured_mass
             sparse = partial_backup(model, donors, selection, cfg.backup_cap)
             q = fill_missing(model, sparse, prev, ranking_belief)
-            plan = gather_plan(model, q, donors)
-        weighted = weighted_stack(model, prev)
+            rows, terms = table_rows(model, q, donors)
 
         levels.append(
             LevelRecord(
@@ -255,6 +259,7 @@ def _solve_round(model, cfg: SolverConfig, rng, portfolio, force_full):
                 tuples_scored=math.prod(sizes),
                 backup_sizes=q.sizes,
                 partial=not full_backups,
+                captured_mass=captured,
                 millis=(time.perf_counter() - started) * 1000.0,
             )
         )
@@ -262,11 +267,10 @@ def _solve_round(model, cfg: SolverConfig, rng, portfolio, force_full):
     # the winner at the initial belief; its value is its value vector
     # times that belief
     b0 = model.initial_belief.probs
-    scores = _scores_at(model, plan, weighted, b0[None, :])
-    idx, _ = _best_tuple(scores.reshape(q.sizes))
-    flat = [np.ravel_multi_index(idx, q.sizes)]
-    value = float(gather_values(plan, model.expected_reward, weighted, flat)[0] @ b0)
-    tables.append((q, [[r] for r in idx]))
+    idx, _ = _best_tuple(belief_scores(model, rows, prev, b0[None, :])[0])
+    winner = [[r] for r in idx]
+    value = float(picked_values(model, terms, winner, prev).reshape(-1) @ b0)
+    tables.append((q, winner))
     return value, _materialize(tables), levels
 
 

@@ -217,6 +217,8 @@ class TestSolveCommand:
         # the tables the level below backed up
         sizes = [[3, 3]] + [r["backup_sizes"] for r in levels[:-1]]
         assert [r["tuples_scored"] for r in levels] == [int(np.prod(s)) for s in sizes]
+        # budgeted levels report the observation mass their selection kept
+        assert all(r["partial"] and 0.0 < r["captured_mass"] <= 1.0 for r in levels)
 
     def test_output_file_round_trips(self, capsys, tmp_path):
         target = tmp_path / "tiger.policy"

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from dataclasses import replace
 
@@ -22,9 +23,11 @@ from mbdp import (
     improved_mbdp,
     mbdp,
     random_policy_baseline,
+    rank_observations,
     serialize_policy,
     uniform_random_value,
 )
+import mbdp.solver as solver_module
 
 import _reference as ref
 from conftest import random_model, three_agent_model
@@ -385,7 +388,7 @@ BUILDERS = {
 
 @pytest.mark.parametrize("problem,horizon,solve,cfg", ROUND_CASES)
 def test_rounds_match_reference_round(problem, horizon, solve, cfg):
-    # pre-sampled beliefs, reused full tables and the planned gather give
+    # pre-sampled beliefs, reused full tables and the picks' own rows give
     # the bits of a walk per level and pick, fresh tables and np.ix_ blocks
     model = BUILDERS[problem](horizon=horizon)
     report = solve(model, cfg)
@@ -448,3 +451,41 @@ def test_full_backups_never_build_the_joint_tensor():
         tracemalloc.stop()
     assert report.levels[-1].tuples_scored == 972 * 972
     assert peak < 721 * 2**20 / 3
+
+
+def test_wide_budgeted_levels_score_without_a_gather_plan():
+    # box pushing h=10 at (5, 3) backs up 500 trees per agent: a gather
+    # plan of 25 child rows per joint tuple plus its K score columns
+    # peaked at 75 MiB; the five score columns alone take 10 MiB
+    tracemalloc.start()
+    try:
+        improved_mbdp(build_boxpush(horizon=10), SolverConfig(max_trees=5, max_obs=3, seed=0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 55 * 2**20
+
+
+def test_partial_levels_report_the_mass_their_selection_captures(monkeypatch):
+    calls = []
+
+    def spy(model, belief, action, max_obs):
+        selection = rank_observations(model, belief, action, max_obs)
+        calls.append((belief, action, selection))
+        return selection
+
+    monkeypatch.setattr(solver_module, "rank_observations", spy)
+    model = build_boxpush(horizon=10)
+    levels = improved_mbdp(model, SolverConfig(max_trees=3, max_obs=3, seed=0)).levels
+    assert len(calls) == len(levels) == 9
+    masses = []
+    for level, (belief, action, selection) in zip(levels, calls):
+        probs = model.observation_probabilities(belief, action)
+        kept = itertools.product(*selection.per_agent)
+        want = sum(float(probs[model.joint_observation_index(obs)]) for obs in kept)
+        assert level.captured_mass == pytest.approx(want, abs=1e-12)
+        masses.append(level.captured_mass)
+    # three of five observations per agent lose mass at some level
+    assert min(masses) < 1.0 - 1e-6
+    full = mbdp(build_boxpush(horizon=3), SolverConfig(max_trees=2))
+    assert [level.captured_mass for level in full.levels] == [None, None]

@@ -26,13 +26,13 @@ from mbdp import (
 )
 from mbdp.backup import (
     backup_values,
-    gather_plan,
-    gather_values,
+    belief_scores,
+    picked_values,
     prune_value_tensor,
-    weighted_stack,
+    table_rows,
 )
 import mbdp.solver as solver_module
-from mbdp.solver import _best_response, _best_tuple, _scores_at
+from mbdp.solver import _best_response, _best_tuple
 
 import _reference as ref
 from conftest import random_model
@@ -201,7 +201,7 @@ def backed_up_tables(model, rng, keep):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_backup_values_equals_reference_bitwise(seed, agents, num_states):
     # three donors per agent make 1458 (2 agents) and 1944 (3 agents)
-    # output tuples: several gather blocks at 100 states
+    # output tuples: several value blocks at 100 states
     model = random_model(seed, num_states=num_states, **AGENT_SHAPES[agents])
     leaves = exhaustive_backup(model, None)
     assert np.array_equal(
@@ -221,25 +221,42 @@ def test_backup_values_equals_reference_bitwise(seed, agents, num_states):
             )
 
 
+@pytest.mark.parametrize("num_beliefs", [1, 3])
+@pytest.mark.parametrize("keep", [1, 3])
 @pytest.mark.parametrize("agents", [2, 3])
-def test_picked_rows_and_belief_scores_match_the_whole_tensor(agents):
-    # the planner gathers only the picked tuples' rows, bit for bit the
-    # tensor's, and scores every tuple at its beliefs without the tensor
+def test_belief_scores_and_picked_rows_match_the_whole_tensor(agents, keep, num_beliefs):
+    # the planner scores every tuple at its beliefs without the tensor, and
+    # builds S-wide rows for the picked tuples alone, bit for bit the
+    # tensor's; keep = 1 makes one child tuple (M = 1)
     model = random_model(5, num_states=7, **AGENT_SHAPES[agents])
     rng = np.random.default_rng(5)
-    prev, full, filled = backed_up_tables(model, rng, keep=3)
-    weighted = weighted_stack(model, prev)
-    for table in (full, filled):
-        tensor = backup_values(model, table, prev).reshape(-1, model.num_states)
-        plan = gather_plan(model, table, prev.shape[:-1])
-        picks = rng.choice(len(tensor), size=10)
-        assert np.array_equal(
-            gather_values(plan, model.expected_reward, weighted, picks), tensor[picks]
-        )
-        beliefs = rng.dirichlet(np.ones(model.num_states), size=3)
+    prev, full, filled = backed_up_tables(model, rng, keep=keep)
+    beliefs = rng.dirichlet(np.ones(model.num_states), size=num_beliefs)
+    leaves = exhaustive_backup(model, None)
+    for table, below in ((leaves, None), (full, prev), (filled, prev)):
+        tensor = backup_values(model, table, below)
+        rows, terms = table_rows(model, table, None if below is None else below.shape[:-1])
         np.testing.assert_allclose(
-            _scores_at(model, plan, weighted, beliefs), tensor @ beliefs.T, rtol=1e-13, atol=1e-13
+            belief_scores(model, rows, below, beliefs),
+            np.moveaxis(tensor @ beliefs.T, -1, 0),
+            rtol=1e-13,
+            atol=1e-13,
         )
+        # one pick per agent, as at the top level, and lists with repeats
+        for count in (1, 4):
+            picked = [rng.choice(size, size=count).tolist() for size in table.sizes]
+            assert np.array_equal(
+                picked_values(model, terms, picked, below), tensor[np.ix_(*picked)]
+            )
+
+
+def test_table_rows_refuse_open_branches_and_missing_donors():
+    model = two_agent_or_three(4, 2)
+    partial = partial_backup(model, (2, 2), ObservationSelection(((0,), (1,))))
+    with pytest.raises(ConfigError, match="unassigned branches"):
+        table_rows(model, partial, (2, 2))
+    with pytest.raises(ConfigError, match="donor row"):
+        table_rows(model, exhaustive_backup(model, (3, 3)), (2, 2))
 
 
 def test_gather_plan_follows_model_and_donor_counts():
