@@ -11,13 +11,14 @@ joint action it makes the two belief products over all rows, in one
 buffer that the whole enumeration reuses, then scores the rows, builds
 their children and deduplicates them in row blocks of at most
 ``_BLOCK_FLOATS`` child floats, so the working set stays near one
-block's.  It keeps each distinct belief once (rows rounded to 12
-decimals) and links it to its parent by integer arrays, from which the
-witness history is read back.  A block is first scored at the few
-families that were earlier rows' best: a row that already captures the
-running minimum or more at one of them cannot set it, and is not scored
-at every family.  Sampled mode rolls out random histories and only
-estimates.
+block's.  One set of rounded rows (12 decimals) spans all depths, so
+each distinct belief is kept, scored and expanded once, at the
+shallowest depth that reaches it; it is linked to its parent by integer
+arrays, from which the witness history is read back.  A block is first
+scored at the few families that were earlier rows' best: a row that
+already captures the running minimum or more at one of them cannot set
+it, and is not scored at every family.  Sampled mode rolls out random
+histories and only estimates.
 """
 
 from __future__ import annotations
@@ -105,12 +106,13 @@ def epsilon_global(
 
     Exact mode enumerates every belief reachable by some action and
     observation history of length < horizon, paired with every next
-    action; it is a guarantee but exponential in the horizon.
-    ``max_beliefs`` caps the distinct beliefs it may visit; it raises
-    ``CapacityError`` as soon as the beliefs kept pass the cap, so the
-    cap bounds memory as well as time.  Sampled mode instead rolls out
-    ``budget`` random conditioned histories and reports the minimum
-    seen, an estimate only.
+    action; it is a guarantee but exponential in the horizon.  Each
+    distinct belief is scored once, at the shallowest depth that reaches
+    it, and ``beliefs_checked`` counts them.  ``max_beliefs`` caps that
+    count; it raises ``CapacityError`` as soon as the beliefs kept pass
+    the cap, so the cap bounds memory as well as time.  Sampled mode
+    instead rolls out ``budget`` random conditioned histories and
+    reports the minimum seen, an estimate only.
     """
     model.require_valid()
     if mode not in ("exact", "sampled"):
@@ -161,6 +163,12 @@ def _state_sums(prods: np.ndarray) -> np.ndarray:
     return cols.sum(axis=0)[:n]
 
 
+def _row_keys(rows: np.ndarray) -> list[bytes]:
+    """Each row's bytes after rounding to 12 decimals; equal keys are one belief."""
+    keys = np.round(rows, 12)
+    return keys.view(f"V{keys.shape[1] * 8}").ravel().tolist()
+
+
 def _block_minimum(q, flat, best, hints):
     """The first row of a block whose best capture is below ``best``.
 
@@ -197,17 +205,22 @@ def _exact_minimum(model, flat, horizon, max_beliefs):
     ``O[ja]`` are made over the whole depth (BLAS gives other bits on
     parts of it), into one buffer that every joint action and depth
     reuses; the capture scoring, the children and their deduplication
-    then go block by block, in (parent row, observation) order.  A depth
-    keeps its distinct beliefs (rounded to 12 decimals, first occurrence
-    in (action, parent row, observation) order) and, per row, the parent
-    row, action and observation that reached it; the witness history is
-    walked back through those.  The cap is checked after every block,
-    counting the next depth's rows kept so far.
+    then go block by block, in (parent row, observation) order.  One set
+    of rounded rows (12 decimals) spans all depths, so a depth keeps only
+    beliefs no shallower depth reached, at their first occurrence in
+    (action, parent row, observation) order, and per row the parent row,
+    action and observation that reached it; the witness history is
+    walked back through those.  A belief's captures do not depend on its
+    depth and its first copy has the most steps left, so no belief is
+    lost.  The set is freed once the last depth's rows are built.  The
+    cap is checked after every block, counting the next depth's rows
+    kept so far.
     """
     obs_t = np.ascontiguousarray(model.observation.transpose(0, 2, 1))
     num_states, num_obs = len(model.states), model.num_joint_observations
     size = max(2, _BLOCK_FLOATS // (num_obs * num_states))
     rows = model.initial_belief.probs[None, :]
+    seen = set(_row_keys(rows))
     links = []  # per depth after the first: (parent row, ja, jo) arrays
     hints: list[int] = []
     products = np.empty(0)
@@ -215,7 +228,6 @@ def _exact_minimum(model, flat, horizon, max_beliefs):
     for depth in range(horizon):
         checked += len(rows)
         spans = _row_blocks(len(rows), size)
-        seen: set[bytes] = set()
         kept, blocks = 0, []
         # post and q of each joint action in turn go to one buffer, kept
         # across depths and grown at least fourfold when a depth outgrows
@@ -249,9 +261,8 @@ def _exact_minimum(model, flat, horizon, max_beliefs):
                 live = np.flatnonzero(mass > PROB_TOL)
                 children = prods[live]
                 children /= mass[live, None]
-                keys = np.round(children, 12)
                 fresh = []
-                for i, key in enumerate(keys.view(f"V{keys.shape[1] * 8}").ravel().tolist()):
+                for i, key in enumerate(_row_keys(children)):
                     if key not in seen:
                         seen.add(key)
                         fresh.append(i)
@@ -264,7 +275,9 @@ def _exact_minimum(model, flat, horizon, max_beliefs):
                 fresh = np.array(fresh, dtype=np.intp)
                 chosen = live[fresh]
                 blocks.append((children[fresh], parent[chosen], np.full(len(chosen), ja), jo[chosen]))
-        del seen, post, q  # freed before the next depth's rows are joined
+        del post, q  # freed before the next depth's rows are joined
+        if depth == horizon - 2:
+            seen.clear()  # the last depth builds no children
         if not blocks:
             break
         rows, *link = (np.concatenate(part) for part in zip(*blocks))

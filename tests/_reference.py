@@ -194,8 +194,10 @@ def epsilon_global_reference(model, max_obs, max_beliefs=500_000):
 
     Every (belief, joint action, joint observation) child is built on its
     own, kept in one list with a link to its parent, and deduplicated by
-    the bytes of its row rounded to 12 decimals. The capture masses are
-    the same numpy sums the package makes, so reports agree bit for bit.
+    the bytes of its row rounded to 12 decimals against every belief of
+    this and all shallower depths, so a belief is scored and expanded
+    only where it first appears. The capture masses are the same numpy
+    sums the package makes, so reports agree bit for bit.
     """
     horizon = model.horizon
     per_agent = [
@@ -210,6 +212,7 @@ def epsilon_global_reference(model, max_obs, max_beliefs=500_000):
     best, best_where = math.inf, None
     checked = 0
     level = [0]
+    seen = {np.round(model.initial_belief.probs, 12).tobytes()}
     for depth in range(horizon):
         rows = np.stack([entries[i][0] for i in level])
         checked += len(level)
@@ -237,7 +240,6 @@ def epsilon_global_reference(model, max_obs, max_beliefs=500_000):
                         continue
                     entries.append((numer[r_i, :, jo] / m, level[r_i], (ja, jo)))
                     next_level.append(len(entries) - 1)
-        seen = set()
         level = []
         for idx in next_level:
             key = np.round(entries[idx][0], 12).tobytes()
@@ -266,9 +268,21 @@ def epsilon_global_array_reference(model, max_obs, max_beliefs=500_000):
 
     Per depth and joint action it scores every row at every family,
     builds all children of the depth at once, and deduplicates them
-    against one set of rounded row bytes; the witness history is walked
-    back through per-depth (parent row, ja, jo) arrays.  It is fast
-    enough for box pushing h=8, where ``epsilon_global_reference`` is not.
+    against one set of rounded row bytes that spans all depths; the
+    witness history is walked back through per-depth (parent row, ja,
+    jo) arrays.  It is fast enough for box pushing h=8, where
+    ``epsilon_global_reference`` is not.
+    """
+    return belief_keys_array_reference(model, max_obs, False, max_beliefs)[0]
+
+
+def belief_keys_array_reference(model, max_obs, per_depth, max_beliefs=500_000):
+    """The array enumeration's report and the rounded row bytes of every row it scored.
+
+    With ``per_depth`` false this is ``epsilon_global_array_reference``.
+    With ``per_depth`` true each depth deduplicates its children only
+    among themselves, so a belief met again at a deeper depth is scored
+    and expanded again there: a second enumeration of the same beliefs.
     """
     horizon = model.horizon
     per_agent = [
@@ -280,11 +294,15 @@ def epsilon_global_array_reference(model, max_obs, max_beliefs=500_000):
     rows = model.initial_belief.probs[None, :]
     links = []  # per depth after the first: (parent row, ja, jo) arrays
     checked, best = 0, math.inf
+    visited = set()
+    seen = {np.round(rows[0], 12).tobytes()}
     for depth in range(horizon):
         checked += len(rows)
         if checked > max_beliefs:
             raise CapacityError(f"more than {max_beliefs} beliefs")
-        seen = set()
+        visited.update(row.tobytes() for row in np.round(rows, 12))
+        if per_depth:
+            seen = set()
         blocks = []
         for ja in range(model.num_joint_actions):
             post = rows @ model.transition[ja]
@@ -323,7 +341,7 @@ def epsilon_global_array_reference(model, max_obs, max_beliefs=500_000):
         history.append((int(jas[r]), int(jos[r])))
         r = int(parent[r])
     witness = EpsilonWitness(tuple(history[::-1]), ja, tuple(best_belief.tolist()), combos[fam])
-    return EpsilonReport(best, "exact", max_obs, horizon, checked, witness)
+    return EpsilonReport(best, "exact", max_obs, horizon, checked, witness), visited
 
 
 def weighted_children(model, prev_flat, ja, jo):

@@ -23,7 +23,11 @@ from mbdp import (
 )
 
 import mbdp.analysis
-from _reference import epsilon_global_array_reference, epsilon_global_reference
+from _reference import (
+    belief_keys_array_reference,
+    epsilon_global_array_reference,
+    epsilon_global_reference,
+)
 from conftest import random_model
 
 REPO = Path(__file__).resolve().parents[1]
@@ -239,9 +243,9 @@ class TestEpsilonGlobal:
             epsilon_global(model, max_obs=1, max_beliefs=2)
 
     def test_cap_raises_before_the_next_depth_is_built(self):
-        # depths 0-6 hold 4,125 beliefs and depth 7 holds 9,518; building
-        # all of depth 7 before the check peaked at 65.8 MB, raising once
-        # 75 of its rows are kept peaks near 10 MB
+        # depths 0-6 hold 2,736 distinct beliefs and all eight 9,518, so
+        # the cap trips 1,464 rows into depth 7; building all of the
+        # depth before the check peaked at 65.8 MB, raising in it near 13 MB
         model = build_boxpush(horizon=8)
 
         def call():
@@ -307,6 +311,15 @@ def parity_cases():
     return cases
 
 
+def belief_set_cases():
+    cases = parity_cases()
+    for k in (1, 2, 3):
+        cases.append(pytest.param(build_boxpush(horizon=6), k, id=f"boxpush-h6-k{k}"))
+    cases.append(pytest.param(build_tiger(horizon=5), 1, id="tiger-h5"))
+    cases.append(pytest.param(build_mabc(horizon=6), 1, id="mabc-h6-k1"))
+    return cases
+
+
 class TestExactParity:
     """The array enumeration reproduces the one-belief-at-a-time reference bit for bit."""
 
@@ -326,8 +339,8 @@ class TestExactParity:
     @pytest.mark.parametrize(
         "model, max_obs, epsilon, checked",
         [
-            (build_boxpush(horizon=8), 3, 0.9810000000000001, 13_643),
-            (build_mabc(horizon=6), 1, 0.41002889410228527, 73_202),
+            (build_boxpush(horizon=8), 3, 0.9810000000000001, 9_518),
+            (build_mabc(horizon=6), 1, 0.41002889410228527, 67_313),
         ],
         ids=["boxpush-h8-k3", "mabc-h6-k1"],
     )
@@ -343,15 +356,45 @@ class TestExactParity:
             force_block_rows(monkeypatch, model, rows)
         got = epsilon_global(model, 1)
         assert got == epsilon_global_reference(model, 1)
-        assert got.epsilon == 0.4
+        assert (got.epsilon, got.beliefs_checked) == (0.4, 8)
         assert got.witness.history == ((3, 0),)
         assert got.witness.action == 1
         assert got.witness.belief == tuple(np.eye(8)[4])
 
     def test_working_set_is_bounded(self):
-        # the parent's whole-depth temporaries peaked at 65.8 MB here
+        # peaks near 26 MB; keeping the seen-set through the last depth
+        # reached 35 MB, a seen-set per depth 30 MB, and whole-depth
+        # temporaries 66 MB
         model = build_boxpush(horizon=8)
-        assert traced_peak_mb(lambda: epsilon_global(model, 3)) < 40
+        assert traced_peak_mb(lambda: epsilon_global(model, 3)) < 30
+
+    @pytest.mark.parametrize("horizon", [1, 2])
+    @pytest.mark.parametrize("build", [build_tiger, build_mabc, build_boxpush])
+    def test_short_horizons_match_reference(self, build, horizon):
+        # horizon 1 builds no children and horizon 2 frees the seen-set
+        # after its first depth
+        model = build(horizon=horizon)
+        got = epsilon_global(model, 1)
+        assert got == epsilon_global_reference(model, 1)
+        assert got == epsilon_global_array_reference(model, 1)
+
+    def test_each_belief_is_scored_at_its_shallowest_depth(self):
+        # b0 comes back at depth 3 as a copy that differs in the last bits
+        # and captures 0.24999999999999997; only b0 itself is scored
+        model = build_tiger(horizon=4)
+        got = epsilon_global(model, 1)
+        assert got.epsilon == 0.25
+        assert got.witness.history == ()
+        assert got.witness.belief == tuple(model.initial_belief.probs.tolist())
+
+    @pytest.mark.parametrize("model, max_obs", belief_set_cases())
+    def test_one_seen_set_loses_no_belief(self, model, max_obs):
+        once, keys = belief_keys_array_reference(model, max_obs, per_depth=False)
+        again, per_depth_keys = belief_keys_array_reference(model, max_obs, per_depth=True)
+        assert len(keys) == once.beliefs_checked <= again.beliefs_checked
+        assert keys == per_depth_keys
+        assert abs(once.epsilon - again.epsilon) <= 1e-15
+        assert epsilon_global(model, max_obs) == once
 
     @pytest.mark.parametrize(
         "model", [build_tiger(horizon=3), build_mabc(horizon=3), build_boxpush(horizon=2)],
@@ -453,3 +496,5 @@ def test_bound_convergence_script_runs():
     assert proc.returncode == 0, proc.stderr
     rows = [line.split() for line in proc.stdout.splitlines()]
     assert any(row[:3] == ["2", "1.0000", "0.0000"] for row in rows), proc.stdout
+    # each row ends with the beliefs the exact search checked and its seconds
+    assert any(row[:2] == ["1", "0.4428"] and row[5:6] == ["41"] for row in rows), proc.stdout
