@@ -220,15 +220,6 @@ def weighted_stack(model: DecPomdp, prev: np.ndarray, joint_actions=None) -> np.
     return out.reshape(num_jo, -1, num_s)
 
 
-def _check_children(candidates: CandidateSet, donors) -> None:
-    """Rejects tables with holes or with child rows past the donor lists."""
-    if any((kids < 0).any() for kids in candidates.children):
-        raise ConfigError("candidate table has unassigned branches; fill them first")
-    for i, kids in enumerate(candidates.children):
-        if kids.size and kids.max() >= donors[i]:
-            raise ConfigError(f"agent {i} references donor row {kids.max()} of {donors[i]}")
-
-
 def term_rows(model: DecPomdp, candidates: CandidateSet, donors) -> tuple[np.ndarray, ...]:
     """Per agent, each row's shares of its joint tuples' indices.
 
@@ -238,22 +229,40 @@ def term_rows(model: DecPomdp, candidates: CandidateSet, donors) -> tuple[np.nda
     after its own component of it times its stride among the child
     tuples.  Summed over a joint tuple's rows they give the tuple's
     joint action and its child tuple after each joint observation.
+    Tables with holes or with child rows past the donor lists are rejected.
     """
     if len(candidates.actions) != model.num_agents:
         raise ConfigError(
             f"candidate set has {len(candidates.actions)} agents, model {model.num_agents}"
         )
+    if donors is not None:
+        if any((kids < 0).any() for kids in candidates.children):
+            raise ConfigError("candidate table has unassigned branches; fill them first")
+        for i, kids in enumerate(candidates.children):
+            if kids.size and kids.max() >= donors[i]:
+                raise ConfigError(f"agent {i} references donor row {kids.max()} of {donors[i]}")
+    return _terms(model, candidates.actions, candidates.children, donors)
+
+
+def _terms(model: DecPomdp, actions, children, donors) -> tuple[np.ndarray, ...]:
+    """``term_rows`` of per-agent action and child tables, unchecked."""
     strides = model._action_strides
-    terms = [(acts * stride)[:, None] for acts, stride in zip(candidates.actions, strides)]
+    terms = [(acts * stride)[:, None] for acts, stride in zip(actions, strides)]
     if donors is None:
         return tuple(terms)
-    _check_children(candidates, donors)
     child_strides = _mixed_radix_strides(donors)
     local = np.array(model._joint_obs_tuples).T
     return tuple(
         np.concatenate([term, kids[:, local[i]] * child_strides[i]], axis=1)
-        for i, (term, kids) in enumerate(zip(terms, candidates.children))
+        for i, (term, kids) in enumerate(zip(terms, children))
     )
+
+
+def _grid(terms: Sequence[np.ndarray]) -> np.ndarray:
+    """Term rows summed over every joint tuple of their rows, shape (len(terms[0]), ..., 1 + JO)."""
+    n = len(terms)
+    # each agent's rows along its own axis
+    return sum(t.reshape((1,) * i + (len(t),) + (1,) * (n - 1 - i) + (-1,)) for i, t in enumerate(terms))
 
 
 def table_rows(model: DecPomdp, candidates: CandidateSet, donors):
@@ -348,16 +357,11 @@ def picked_values(
     actions.
     """
     sizes = tuple(len(rows) for rows in picked)
-    n = len(sizes)
     picks = [term[rows] for term, rows in zip(terms, picked)]
     # every combination of the agents' own actions occurs in the grid
     used = sorted(
         {sum(c) for c in itertools.product(*(set(p[:, 0].tolist()) for p in picks))}
     )
-    # each agent's picks along its own axis
-    spread = [
-        p.reshape((1,) * i + (len(p),) + (1,) * (n - 1 - i) + (-1,)) for i, p in enumerate(picks)
-    ]
     num_s = model.num_states
     out = np.empty(sizes + (num_s,))
     if prev is not None:
@@ -370,7 +374,7 @@ def picked_values(
     for lo in range(0, sizes[0], step):
         block = out[lo : lo + step].reshape(-1, num_s)
         # per tuple, its joint action, then its child tuple per joint observation
-        tuples = sum(spread[1:], spread[0][lo : lo + step]).reshape(len(block), -1)
+        tuples = _grid([picks[0][lo : lo + step], *picks[1:]]).reshape(len(block), -1)
         np.take(model.expected_reward, tuples[:, 0], axis=0, out=block)
         if prev is not None:
             children = tuples[:, 1:] + first[tuples[:, :1]]

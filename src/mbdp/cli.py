@@ -456,7 +456,6 @@ def _cmd_exact(args) -> int:
         model,
         max_candidates=args.max_candidates,
         max_pairs=args.max_pairs,
-        max_stream=args.max_stream,
     )
     policy_text, path = _write_policy(args, model, result.policy)
     out.record(
@@ -694,7 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, seed=False)
     # the caps default to exact_solve's own defaults
     caps = inspect.signature(exact_solve).parameters
-    for cap in ("max_candidates", "max_pairs", "max_stream"):
+    for cap in ("max_candidates", "max_pairs"):
         p.add_argument("--" + cap.replace("_", "-"), type=int, default=caps[cap].default)
     p.add_argument("--output", default=None, help="write the policy to this file")
     p.set_defaults(func=_cmd_exact)

@@ -8,7 +8,8 @@ hand-built policies are trees, compiled once into a ``JointPolicy``, and
 ``JointPolicy.trees`` builds nodes from the tables on request.
 ``CompiledPolicy`` checks the tables against a model; simulation,
 trajectory replay, exact evaluation and serialization all read them a
-depth at a time, without recursion.  Simulation draws each categorical
+depth at a time, without recursion; exact evaluation values the whole
+grid of the agents' rows at each depth.  Simulation draws each categorical
 outcome by a binary search over a sorted cumulative row, which gives
 the outcome of comparing the draw with the whole row.  Only parsing a
 nested policy file recurses, and a file nested too deeply for that is
@@ -24,6 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .backup import _grid, _terms
 from .errors import EvaluationError, ModelError, ParseError, require_count, require_seed
 from .model import BeliefState, DecPomdp
 
@@ -101,9 +103,11 @@ class JointPolicy:
     array over that depth's rows and ``children[i][d]`` maps (row, local
     observation) to a row of depth d + 1.  Rows are numbered by first
     reference from the depth above, parent row first, then observation,
-    so a shared subtree is a single row.  The arrays are read-only.  Trees
-    given to the constructor are compiled once and not kept: ``trees`` is
-    built from the tables on first use, one shared node per row.
+    so a shared subtree is a single row, and every row is reached from
+    the root, which ``PolicyEvaluator`` relies on.  The arrays are
+    read-only.  Trees given to the constructor are compiled once and not
+    kept: ``trees`` is built from the tables on first use, one shared
+    node per row.
     """
 
     actions: tuple[tuple[np.ndarray, ...], ...]
@@ -250,17 +254,15 @@ class CompiledPolicy:
         self.actions, self.children = actions, children
 
 
-# joint row tuples are coded as int64 numbers below this
-_CODE_LIMIT = np.iinfo(np.int64).max
-
-
 class PolicyEvaluator:
     """Exact joint-policy evaluation on ``CompiledPolicy`` tables.
 
-    Top down, the distinct joint row tuples each depth reaches are found
-    by ``np.unique`` on one int64 code per tuple.  Bottom up, per joint
-    action, their children's values are gathered, weighted by O and
-    carried back through one T matmul.
+    Every row is reached from the root and every joint observation is
+    followed, so depth d reaches the whole grid of the agents' depth-d
+    rows.  Bottom up, each grid's tuples read their joint action and
+    child tuples off summed term rows (``term_rows``), and per joint
+    action their children's values are gathered, weighted by O, summed
+    over joint observations and carried back through one T matmul.
     """
 
     def __init__(self, model: DecPomdp):
@@ -271,32 +273,19 @@ class PolicyEvaluator:
         """State-indexed exact value vector of a joint configuration."""
         model = self.model
         policy = CompiledPolicy(model, joint)
-        local = np.array(model._joint_obs_tuples, dtype=np.int64).T
-        # rows[d][i]: agent i's row in each tuple depth d reaches;
-        # below[d][k, jo]: the depth-d+1 tuple that tuple k moves to on jo
-        rows = [[np.zeros(1, dtype=np.int64)] * model.num_agents]
-        below = []
-        for d in range(policy.depth - 1):
-            kids = [table[d][r][:, o].ravel() for table, r, o in zip(policy.children, rows[d], local)]
-            code = np.zeros(len(kids[0]), dtype=np.int64)
-            for kid, acts in zip(kids, policy.actions):
-                size = len(acts[d + 1])
-                if code.max() >= _CODE_LIMIT // size:  # renumber densely before it overflows
-                    code = np.unique(code, return_inverse=True)[1]
-                code = code * size + kid
-            _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
-            rows.append([kid[first] for kid in kids])
-            below.append(inverse.reshape(len(rows[d][0]), -1))
-        values = None
+        values = below = None
         for d in range(policy.depth - 1, -1, -1):
-            ja = sum(a[d][r] * stride for a, r, stride in zip(policy.actions, rows[d], model._action_strides))
+            kids = None if below is None else [k[d] for k in policy.children]
+            terms = _terms(model, [a[d] for a in policy.actions], kids, below)
+            tuples = _grid(terms).reshape(-1, terms[0].shape[1])
+            ja = tuples[:, 0]
             level = model.expected_reward[ja]
             if values is not None:
                 for a in np.unique(ja):
                     sel = np.flatnonzero(ja == a)
-                    weighted = (values[below[d][sel]] * model.observation[a].T).sum(axis=1)
+                    weighted = (values[tuples[sel, 1:]] * model.observation[a].T).sum(axis=1)
                     level[sel] += weighted @ model.transition[a].T
-            values = level
+            values, below = level, tuple(len(t) for t in terms)
         return values[0]
 
     def at_state(self, joint, state: int) -> float:

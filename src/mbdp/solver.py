@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -201,7 +201,7 @@ def _materialize(levels) -> JointPolicy:
     )
 
 
-def _solve_round(model, cfg: SolverConfig, rng, portfolio, force_full):
+def _solve_round(model, cfg: SolverConfig, rng, portfolio):
     horizon = model.horizon
     b_sel, b_prev, a_prev = selection_beliefs(portfolio, model, cfg.max_trees, rng)
     heur_names = tuple(portfolio[k % len(portfolio)].name for k in range(cfg.max_trees))
@@ -219,7 +219,7 @@ def _solve_round(model, cfg: SolverConfig, rng, portfolio, force_full):
 
     # when False, some agent's max_obs is below its observation count, so
     # every ranking keeps fewer than all of that agent's observations
-    full_backups = force_full or cfg.max_obs is None or all(
+    full_backups = cfg.max_obs is None or all(
         cfg.max_obs >= count for count in model.observation_counts
     )
 
@@ -274,7 +274,7 @@ def _solve_round(model, cfg: SolverConfig, rng, portfolio, force_full):
     return value, _materialize(tables), levels
 
 
-def _solve(model: DecPomdp, cfg: SolverConfig, solver_name: str, force_full: bool):
+def _solve(model: DecPomdp, cfg: SolverConfig, solver_name: str):
     started = time.perf_counter()
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.recursion_depth + 1)
     base_portfolio = build_portfolio(model, cfg.heuristics)
@@ -285,7 +285,7 @@ def _solve(model: DecPomdp, cfg: SolverConfig, solver_name: str, force_full: boo
         portfolio = list(base_portfolio)
         if best is not None:
             portfolio.append(PolicyReplayHeuristic(model, best[1]))
-        value, policy, levels = _solve_round(model, cfg, rng, portfolio, force_full)
+        value, policy, levels = _solve_round(model, cfg, rng, portfolio)
         rounds.append(value)
         if best is None or value > best[0]:
             best = (value, policy, levels)
@@ -302,7 +302,7 @@ def _solve(model: DecPomdp, cfg: SolverConfig, solver_name: str, force_full: boo
 
 
 def mbdp(model: DecPomdp, cfg: SolverConfig | None = None) -> SolveReport:
-    """Memory-bounded planning with full backups."""
+    """Memory-bounded planning with full backups: it solves ``cfg`` with ``max_obs`` None."""
     cfg = cfg if cfg is not None else SolverConfig()
     model.require_valid()
     for i in range(model.num_agents):
@@ -312,14 +312,14 @@ def mbdp(model: DecPomdp, cfg: SolverConfig | None = None) -> SolveReport:
                 f"full backups for agent {i} would build {count} trees per level "
                 f"(cap {cfg.backup_cap}); lower max_trees or use partial backups"
             )
-    return _solve(model, cfg, "mbdp", force_full=True)
+    return _solve(model, replace(cfg, max_obs=None), "mbdp")
 
 
 def improved_mbdp(model: DecPomdp, cfg: SolverConfig | None = None) -> SolveReport:
     """Memory-bounded planning with partial backups over the likeliest observations."""
     cfg = cfg if cfg is not None else SolverConfig(max_obs=2)
     model.require_valid()
-    return _solve(model, cfg, "improved", force_full=False)
+    return _solve(model, cfg, "improved")
 
 
 @dataclass(frozen=True)
@@ -426,7 +426,6 @@ def exact_solve(
     model: DecPomdp,
     max_candidates: int = 200_000,
     max_pairs: int = 5_000_000,
-    max_stream: int = 2_500_000_000,
 ) -> ExactResult:
     """Optimal joint value and policy by exhaustive level-wise enumeration.
 
@@ -437,8 +436,9 @@ def exact_solve(
     tuple by tuple: ``_best_response`` fixes every agent's row but the
     largest table's, and picks that agent's children by one argmax per
     observation at the initial belief; the per-state maxima come from
-    the same decomposition.  ``max_stream`` caps the top level's joint
-    tuple count all the same.
+    the same decomposition.  ``max_pairs`` caps the joint tuples a level
+    evaluates: below the top level, and at horizon 1, all of them; at the
+    top level the other agents' row tuples once per action of that agent.
     """
     model.require_valid()
     horizon = model.horizon
@@ -459,19 +459,19 @@ def exact_solve(
                     f"exact level {level} needs {size} trees for agent {i} "
                     f"(cap {max_candidates}); the horizon is out of exact reach"
                 )
-        joint = math.prod(sizes)
-        if level == horizon:
-            if joint > max_stream:
-                raise CapacityError(
-                    f"exact final level streams {joint} joint tuples (cap {max_stream}); "
-                    "the horizon is out of exact reach"
-                )
-            break
+        if level == horizon and donors is not None:
+            d = int(np.argmax(sizes))
+            joint = math.prod(sizes) // sizes[d] * model.action_counts[d]
+            need = f"enumerates {joint} joint tuples"
+        else:
+            joint = math.prod(sizes)
+            need = f"needs a {joint}-tuple value tensor"
         if joint > max_pairs:
             raise CapacityError(
-                f"exact level {level} needs a {joint}-tuple value tensor "
-                f"(cap {max_pairs}); the horizon is out of exact reach"
+                f"exact level {level} {need} (cap {max_pairs}); the horizon is out of exact reach"
             )
+        if level == horizon:
+            break
         cands = exhaustive_backup(model, donors, max_candidates)
         keep, prev = prune_value_tensor(backup_values(model, cands, prev))
         levels.append((cands, keep))

@@ -2,7 +2,9 @@
 
 Everything in this module is deliberately recursive and unvectorized so
 that it can be checked by eye, except ``simulate_reference``, which
-compares every draw with its whole cumulative row. Production code must agree with these on
+compares every draw with its whole cumulative row, and
+``value_vector_reference``, the evaluator's earlier top-down design.
+Production code must agree with these on
 small models; disagreement means the fast path is wrong, not this one.
 """
 
@@ -344,6 +346,46 @@ def belief_keys_array_reference(model, max_obs, per_depth, max_beliefs=500_000):
     return EpsilonReport(best, "exact", max_obs, horizon, checked, witness), visited
 
 
+def value_vector_reference(model, joint):
+    """``PolicyEvaluator.value_vector`` over the joint row tuples found top down.
+
+    Top down, the distinct tuples each depth reaches are found by
+    ``np.unique`` on one int64 code per tuple, renumbered densely before
+    the code would overflow; bottom up, each reached tuple is valued by
+    the same per-joint-action formula as the package.  The package must
+    agree bit for bit.
+    """
+    policy = CompiledPolicy(model, joint)
+    limit = np.iinfo(np.int64).max
+    local = np.array(model._joint_obs_tuples, dtype=np.int64).T
+    # rows[d][i]: agent i's row in each tuple depth d reaches;
+    # below[d][k, jo]: the depth-d+1 tuple that tuple k moves to on jo
+    rows = [[np.zeros(1, dtype=np.int64)] * model.num_agents]
+    below = []
+    for d in range(policy.depth - 1):
+        kids = [table[d][r][:, o].ravel() for table, r, o in zip(policy.children, rows[d], local)]
+        code = np.zeros(len(kids[0]), dtype=np.int64)
+        for kid, acts in zip(kids, policy.actions):
+            size = len(acts[d + 1])
+            if code.max() >= limit // size:
+                code = np.unique(code, return_inverse=True)[1]
+            code = code * size + kid
+        _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+        rows.append([kid[first] for kid in kids])
+        below.append(inverse.reshape(len(rows[d][0]), -1))
+    values = None
+    for d in range(policy.depth - 1, -1, -1):
+        ja = sum(a[d][r] * stride for a, r, stride in zip(policy.actions, rows[d], model._action_strides))
+        level = model.expected_reward[ja]
+        if values is not None:
+            for a in np.unique(ja):
+                sel = np.flatnonzero(ja == a)
+                weighted = (values[below[d][sel]] * model.observation[a].T).sum(axis=1)
+                level[sel] += weighted @ model.transition[a].T
+        values = level
+    return values[0]
+
+
 def weighted_children(model, prev_flat, ja, jo):
     """Child tuples' values, one per row of ``prev_flat``, weighted by one step's mass."""
     return (prev_flat * model.observation[ja][:, jo][None, :]) @ model.transition[ja].T
@@ -446,7 +488,7 @@ def best_tuple_reference(tensor, belief, exclude=None):
     return _best_tuple(scores.reshape(tensor.shape[:-1]), exclude)
 
 
-def solve_round_reference(model, cfg, rng, portfolio, force_full):
+def solve_round_reference(model, cfg, rng, portfolio):
     """One planner round with a fresh trajectory per level and pick.
 
     Every level and pick runs ``generate_belief`` for horizon - t steps,
@@ -458,7 +500,7 @@ def solve_round_reference(model, cfg, rng, portfolio, force_full):
     q = exhaustive_backup(model, None)
     tensor = backup_values_reference(model, q, None)
     tables = []
-    full_backups = force_full or cfg.max_obs is None or all(
+    full_backups = cfg.max_obs is None or all(
         cfg.max_obs >= count for count in model.observation_counts
     )
     for t in range(1, model.horizon):

@@ -498,3 +498,7 @@ def test_bound_convergence_script_runs():
     assert any(row[:3] == ["2", "1.0000", "0.0000"] for row in rows), proc.stdout
     # each row ends with the beliefs the exact search checked and its seconds
     assert any(row[:2] == ["1", "0.4428"] and row[5:6] == ["41"] for row in rows), proc.stdout
+    # full minus partial is labelled as a difference of heuristic values, not a loss
+    assert ["max_obs", "epsilon", "bound", "partial", "full-part", "beliefs", "eps_s"] in rows, proc.stdout
+    assert any(line.startswith("# full-part:") and "not the loss the bound covers" in line
+               for line in proc.stdout.splitlines()), proc.stdout

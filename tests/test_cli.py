@@ -444,7 +444,7 @@ class TestOtherCommands:
     def test_exact_cap_defaults_match_api(self):
         args = build_parser().parse_args(["exact", "--problem", "tiger"])
         caps = inspect.signature(exact_solve).parameters
-        for cap in ("max_candidates", "max_pairs", "max_stream"):
+        for cap in ("max_candidates", "max_pairs"):
             assert getattr(args, cap) == caps[cap].default
 
 

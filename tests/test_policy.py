@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-import mbdp.policy
 from mbdp import (
     PROB_TOL,
     EvaluationError,
@@ -130,13 +129,11 @@ class TestEvaluator:
             want = ref.tree_value(model, joint, s)
             assert got == pytest.approx(want, abs=1e-10)
 
-    def test_dense_renumbering_keeps_values(self, monkeypatch):
-        # a limit of 1 renumbers the tuple codes before every agent's rows
+    def test_shared_dag_matches_top_down_reference(self):
+        # three agents whose levels are shared two nodes wide
         model = random_model(3, action_counts=(2, 2, 2), obs_counts=(2, 2, 2), horizon=3)
         joint = random_joint(4, model, 3, width=2)
-        monkeypatch.setattr(mbdp.policy, "_CODE_LIMIT", 1)
-        for s in range(model.num_states):
-            assert evaluate_at_state(model, joint, s) == pytest.approx(ref.tree_value(model, joint, s), abs=1e-10)
+        assert np.array_equal(PolicyEvaluator(model).value_vector(joint), ref.value_vector_reference(model, joint))
 
     def test_belief_value_is_state_mixture(self, tiger):
         joint = random_joint(0, tiger, 2)
@@ -161,6 +158,56 @@ class TestEvaluator:
         table.retain([(1, 2)])
         assert table.get((1, 2)) is not None
         assert table.get((3, 4)) is None
+
+
+def assert_rows_reached(policy):
+    """Depth 0 holds one row per agent, and every deeper row is a child of some row above."""
+    for acts, kids in zip(policy.actions, policy.children):
+        assert len(acts[0]) == 1
+        for table, below in zip(kids, acts[1:]):
+            np.testing.assert_array_equal(np.unique(table), np.arange(len(below)))
+
+
+class TestReachability:
+    """A joint policy holds only the rows its root reaches; the evaluator values each depth's whole row grid."""
+
+    def test_from_tables_drops_unreached_rows(self):
+        model = random_model(0, action_counts=(3, 2), horizon=3)
+        # agent 0 has an unreached row at every depth, agent 1 below the root
+        policy = JointPolicy._from_tables(
+            [[[1, 0], [2, 0, 1], [0, 1, 0, 1]], [[0], [1, 1], [0, 0, 1]]],
+            [[[[2, 1], [0, 0]], [[9, 9], [2, 0], [0, 2]]], [[[1, 1]], [[9, 9], [0, 1]]]],
+        )
+        assert_rows_reached(policy)
+        assert [len(a) for a in policy.actions[0]] == [1, 2, 2]
+        assert [len(a) for a in policy.actions[1]] == [1, 1, 2]
+        assert np.array_equal(PolicyEvaluator(model).value_vector(policy), ref.value_vector_reference(model, policy))
+
+    @pytest.mark.parametrize("depth", [3, 4])
+    def test_shared_dag_compiles_to_reached_rows(self, depth):
+        # random_dag leaves nodes that the root never reaches
+        model = random_model(3, action_counts=(2, 2, 2), obs_counts=(2, 2, 2), horizon=depth)
+        policy = JointPolicy(random_joint(4, model, depth, width=2))
+        assert_rows_reached(policy)
+        assert sum(len(a) for a in policy.actions[0]) < 2 * depth
+
+    def test_shared_file_drops_nodes_the_root_never_references(self, tiger):
+        joint = JointPolicy(random_joint(5, tiger, 3))
+        text = serialize_policy(tiger, joint, inline_node_limit=0)
+        doc = json.loads(text)
+        assert doc["representation"] == "shared"
+        for entry in doc["agents"]:
+            nodes, names = entry["nodes"], tiger.observations[entry["agent"]]
+            action = nodes[0]["action"]
+            # a stray leaf, a stray parent of it, and a stray parent of the root
+            nodes.append({"action": action})
+            nodes.append({"action": action, "children": {name: len(nodes) - 1 for name in names}})
+            nodes.append({"action": action, "children": {name: entry["root"] for name in names}})
+        padded = parse_policy(tiger, json.dumps(doc))
+        assert_rows_reached(padded)
+        assert serialize_policy(tiger, padded, inline_node_limit=0) == text
+        evaluator = PolicyEvaluator(tiger)
+        assert np.array_equal(evaluator.value_vector(padded), evaluator.value_vector(parse_policy(tiger, text)))
 
 
 class TestSimulation:

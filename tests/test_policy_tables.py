@@ -15,6 +15,7 @@ from mbdp import (
     EvaluationError,
     JointPolicy,
     ModelError,
+    PolicyEvaluator,
     PolicyTree,
     SolverConfig,
     build_boxpush,
@@ -32,6 +33,12 @@ from mbdp import (
 
 import _reference as ref
 from conftest import three_agent_model
+
+
+def assert_evaluates_like_reference(model, policy):
+    """The evaluator's value vector has the bits of the top-down reference's."""
+    got = PolicyEvaluator(model).value_vector(policy)
+    assert np.array_equal(got, ref.value_vector_reference(model, policy))
 
 
 def assert_same_tables(model, policy, reference):
@@ -93,6 +100,7 @@ def test_solver_tables_equal_the_reference_trees(monkeypatch, case):
     for policy, reference in calls:
         assert policy.depth == horizon
         assert_same_tables(model, policy, reference)
+        assert_evaluates_like_reference(model, policy)
     reference = next(reference for policy, reference in calls if policy is result.policy)
     assert evaluate_at_belief(model, reference, model.initial_belief) == pytest.approx(result.value, abs=1e-9)
 
@@ -120,6 +128,7 @@ def test_baseline_tables_equal_the_reference_trees(build, horizon, node_cap, lev
         for i in range(model.num_agents)
     )
     assert_same_tables(model, got.policy, trees)
+    assert_evaluates_like_reference(model, got.policy)
     assert got.value == evaluate_at_belief(model, trees, model.initial_belief)
 
 

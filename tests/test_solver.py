@@ -114,12 +114,23 @@ class TestExact:
         assert len(res.candidate_counts) == 2
         assert all(len(level) == 2 for level in res.candidate_counts)
 
-    def test_capacity_guards(self, mabc):
+    def test_capacity_guards(self, mabc, tiger):
         model = replace(mabc, horizon=9)
         with pytest.raises(CapacityError):
             exact_solve(model, max_candidates=10)
-        with pytest.raises(CapacityError):
-            exact_solve(model, max_stream=10)
+        with pytest.raises(CapacityError, match="level 1 needs a 4-tuple"):
+            exact_solve(replace(mabc, horizon=1), max_pairs=3)
+        # h=2 scores 4 tuples at level 1; the final level enumerates agent
+        # 1's 8 rows once per action of agent 0, whose table is as large
+        model = replace(mabc, horizon=2)
+        assert exact_solve(model, max_pairs=16).candidate_counts == ((2, 2), (8, 8))
+        with pytest.raises(CapacityError, match="level 2 enumerates 16 joint tuples"):
+            exact_solve(model, max_pairs=15)
+        # the default caps stop these where they always have
+        with pytest.raises(CapacityError, match="level 4 needs a 1073741824-tuple"):
+            exact_solve(replace(mabc, horizon=5))
+        with pytest.raises(CapacityError, match="level 4 needs 2091675 trees for agent 0"):
+            exact_solve(replace(tiger, horizon=4))
 
 
 class TestPlanner:
@@ -242,6 +253,15 @@ class TestEquivalence:
             assert a.same_structure(b)
 
 
+    def test_mbdp_solves_without_an_observation_budget(self, mabc):
+        model = replace(mabc, horizon=4)
+        plain = mbdp(model, SolverConfig(max_trees=2))
+        budgeted = mbdp(model, SolverConfig(max_trees=2, max_obs=1))
+        assert budgeted.config == plain.config and budgeted.config.max_obs is None
+        assert budgeted.value == plain.value
+        assert not any(level.partial for level in budgeted.levels)
+
+
 class TestDeterminism:
     def test_same_seed_same_policy(self, mabc):
         model = replace(mabc, horizon=5)
@@ -317,8 +337,11 @@ class TestBaselines:
         assert res.policy.depth == 12
 
 
-def reference_rounds(model, cfg, force_full):
-    """(value, policy) per round of ``solve_round_reference``, replaying the best as the solver does."""
+def reference_rounds(model, cfg):
+    """(value, policy) per round of ``solve_round_reference``, replaying the best as the solver does.
+
+    ``mbdp`` solves its config with ``max_obs`` None; pass that config here.
+    """
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.recursion_depth + 1)
     rounds, best = [], None
     for child in children:
@@ -326,7 +349,7 @@ def reference_rounds(model, cfg, force_full):
         if best is not None:
             portfolio.append(PolicyReplayHeuristic(model, best[1]))
         value, policy = ref.solve_round_reference(
-            model, cfg, np.random.default_rng(child), portfolio, force_full
+            model, cfg, np.random.default_rng(child), portfolio
         )
         rounds.append((value, policy))
         if best is None or value > best[0]:
@@ -392,7 +415,7 @@ def test_rounds_match_reference_round(problem, horizon, solve, cfg):
     # the bits of a walk per level and pick, fresh tables and np.ix_ blocks
     model = BUILDERS[problem](horizon=horizon)
     report = solve(model, cfg)
-    rounds = reference_rounds(model, cfg, force_full=solve is mbdp)
+    rounds = reference_rounds(model, replace(cfg, max_obs=None) if solve is mbdp else cfg)
     assert report.round_values == tuple(value for value, _ in rounds)
     value, policy = max(rounds, key=lambda r: r[0])
     assert report.value == value
@@ -419,7 +442,7 @@ def test_near_tie_goes_to_the_lowest_flat_index():
     er = model.expected_reward
     assert 0.0 < float(er[2] @ belief) - float(er[1] @ belief) < 1e-12
     report = mbdp(model, SolverConfig(max_trees=2, seed=0))
-    (_, policy), = reference_rounds(model, SolverConfig(max_trees=2, seed=0), force_full=True)
+    (_, policy), = reference_rounds(model, SolverConfig(max_trees=2, seed=0))
     for joint in (report.policy, policy):
         assert tuple(tree.action for tree in joint.trees) == (0, 1)
 
