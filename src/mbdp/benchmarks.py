@@ -261,12 +261,12 @@ _BOX_OBS = ("empty", "wall", "agent", "small-box", "large-box")
 # marker states carry the deliveries that just happened: ("goal", events)
 
 
-def _resolve_boxpush(cfg: BoxPushConfig, state, effs):
+def _resolve_boxpush(cfg: BoxPushConfig, goals: frozenset, state, effs):
     """Applies effective per-agent actions to a configuration state.
 
-    Returns (next state key, reward excluding step cost).
+    ``goals`` is ``cfg.goals()``.  Returns (next state key, reward
+    excluding step cost).
     """
-    goals = cfg.goals()
     positions = [state[1], state[3]]
     facings = [state[2], state[4]]
     smalls = set(state[5])
@@ -391,11 +391,10 @@ def _resolve_boxpush(cfg: BoxPushConfig, state, effs):
     )
 
 
-def _boxpush_observation_row(cfg: BoxPushConfig, state) -> tuple[int, int]:
+def _boxpush_observation_row(cfg: BoxPushConfig, goals: frozenset, state) -> tuple[int, int]:
     """What each agent sees one cell ahead, as local observation indices."""
     if state[0] == "goal":
         return (0, 0)
-    goals = cfg.goals()
     smalls = set(state[5])
     large = set(state[6])
     positions = [state[1], state[3]]
@@ -446,6 +445,7 @@ def build_boxpush(config: BoxPushConfig | None = None, horizon: int = 3) -> DecP
     """
     cfg = config if config is not None else BoxPushConfig()
     cfg.validate()
+    goals = cfg.goals()
     (p0, f0), (p1, f1) = cfg.starts
     start_key = (
         "cfg",
@@ -465,6 +465,7 @@ def build_boxpush(config: BoxPushConfig | None = None, horizon: int = 3) -> DecP
     ]
     combos = [(m, p) for m, p in combos if p > 0.0]
 
+    pairs = list(itertools.product(range(num_local), repeat=2))
     transitions: dict[tuple, dict[tuple, list]] = {}
     frontier = [start_key]
     seen = {start_key}
@@ -472,13 +473,15 @@ def build_boxpush(config: BoxPushConfig | None = None, horizon: int = 3) -> DecP
         key = frontier.pop()
         table: dict[tuple, list] = {}
         transitions[key] = table
-        for ja, (a0, a1) in enumerate(itertools.product(range(num_local), repeat=2)):
+        # a joint action and a mover combo act on the state only through
+        # their effective action pair, so each pair is resolved once
+        if key[0] == "goal":
+            resolved = dict.fromkeys(pairs, (start_key, 0.0))
+        else:
+            resolved = {effs: _resolve_boxpush(cfg, goals, key, effs) for effs in pairs}
+        for ja, (a0, a1) in enumerate(pairs):
             for (m0, m1), p in combos:
-                if key[0] == "goal":
-                    nxt, r = start_key, 0.0
-                else:
-                    effs = (a0 if m0 else _STAY, a1 if m1 else _STAY)
-                    nxt, r = _resolve_boxpush(cfg, key, effs)
+                nxt, r = resolved[a0 if m0 else _STAY, a1 if m1 else _STAY]
                 cell = table.setdefault((ja, nxt), [0.0, 0.0])
                 cell[0] += p
                 cell[1] += p * r
@@ -507,7 +510,7 @@ def build_boxpush(config: BoxPushConfig | None = None, horizon: int = 3) -> DecP
 
     observation = np.zeros((num_ja, num_s, len(_BOX_OBS) ** 2))
     for key, sp in index.items():
-        o0, o1 = _boxpush_observation_row(cfg, key)
+        o0, o1 = _boxpush_observation_row(cfg, goals, key)
         observation[:, sp, o0 * len(_BOX_OBS) + o1] = 1.0
 
     names = tuple(_state_name(k, start_key) for k in ordered)

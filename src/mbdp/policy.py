@@ -10,10 +10,11 @@ hand-built policies are trees, compiled once into a ``JointPolicy``, and
 trajectory replay, exact evaluation and serialization all read them a
 depth at a time, without recursion; exact evaluation values the whole
 grid of the agents' rows at each depth.  Simulation draws each categorical
-outcome by a binary search over a sorted cumulative row, which gives
-the outcome of comparing the draw with the whole row.  Only parsing a
-nested policy file recurses, and a file nested too deeply for that is
-rejected with ``ParseError``.
+outcome by a binary search over the distinct values of a sorted
+cumulative row and then reads one count, which gives the outcome of
+comparing the draw with the whole row.  Only parsing a nested policy
+file recurses, and a file nested too deeply for that is rejected with
+``ParseError``.
 """
 
 from __future__ import annotations
@@ -323,23 +324,38 @@ class _RowSampler:
     A draw ``u`` on row ``r`` of ``cumulative`` (rows, K) has outcome
     ``min(#{k : cumulative[r, k] < u}, K - 1)``, as if ``u`` were compared
     with the whole row.  That count does not depend on the order of the
-    row, so each row is sorted and a fixed-step binary search finds it in
-    log2(P) gathers (Khuong & Morin 2017).  Sorting is required, not a
-    shortcut: rows may carry negative dust down to ``-PROB_TOL``, so a
-    cumulative row need not be monotone.  Only the K - 1 smallest entries
-    are kept, padded with ``+inf`` to a power-of-two width P >= K, so a
-    draw above all of them counts K - 1, which is the clamp.  The search
-    compares the draw with the same doubles as the whole-row comparison,
-    so every outcome is identical to it.
+    row, so each row is sorted and its K - 1 smallest entries are kept.
+    Sorting is required, not a shortcut: rows may carry negative dust
+    down to ``-PROB_TOL``, so a cumulative row need not be monotone.
+    A sparse row repeats values (a zero-probability outcome adds
+    nothing), so only each row's distinct kept values are searched,
+    padded with ``+inf`` to a power-of-two width P above the largest
+    distinct count of any row.  A fixed-step binary search (Khuong &
+    Morin 2017) finds in log2(P) gathers the number m of distinct values
+    below the draw, and one more gather reads the outcome from a count
+    table whose entry m is the number of kept entries below the row's
+    m-th distinct value, and K - 1 past the last, which is the clamp.
+    The search compares the draw with the same doubles as the whole-row
+    comparison, so every outcome is identical to it.
     """
 
     def __init__(self, cumulative: np.ndarray):
         rows, k = cumulative.shape
-        self.width = 1 << (k - 1).bit_length()
-        table = np.full((rows, self.width), np.inf)
-        table[:, : k - 1] = np.sort(cumulative, axis=1)[:, : k - 1]
-        # one unused entry in front: entry j of row r is table[r * width + j + 1]
-        self.table = np.concatenate(([np.nan], table.ravel()))
+        kept = np.sort(cumulative, axis=1)[:, : k - 1]
+        first = np.ones(kept.shape, dtype=bool)
+        first[:, 1:] = kept[:, 1:] != kept[:, :-1]
+        self.width = 1 << int(first.sum(axis=1).max()).bit_length()
+        # each distinct value goes to its rank in the row, with the
+        # position of its first occurrence as its count
+        r, j = np.nonzero(first)
+        rank = np.cumsum(first, axis=1)[r, j] - 1
+        values = np.full((rows, self.width), np.inf)
+        values[r, rank] = kept[r, j]
+        counts = np.full((rows, self.width), k - 1, dtype=np.int64)
+        counts[r, rank] = j
+        # one unused entry in front: value m of row r is values[r * width + m + 1]
+        self.values = np.concatenate(([np.nan], values.ravel()))
+        self.counts = counts.ravel()
 
     def draw(self, rows: np.ndarray, draws: np.ndarray, out: np.ndarray, scratch) -> np.ndarray:
         """Writes the outcome of ``draws[e]`` on row ``rows[e]`` to ``out[e]``.
@@ -348,28 +364,28 @@ class _RowSampler:
         as ``draws``; their contents are overwritten.
         """
         index, value, below = scratch
-        # out holds row * width + count, and count rises by step when the
-        # row's entry count + step - 1 lies below the draw; indices are in
-        # range by construction, and mode="clip" skips the copy that the
-        # bounds check makes
-        np.multiply(rows, self.width, out=out)
+        # index holds row * width + m, and m rises by step when the row's
+        # value m + step - 1 lies below the draw; indices are in range by
+        # construction, and mode="clip" skips the copy that the bounds
+        # check makes
+        np.multiply(rows, self.width, out=index)
         step = self.width >> 1
         while step:
-            np.add(out, step, out=index)
-            np.take(self.table, index, out=value, mode="clip")
+            np.add(index, step, out=out)
+            np.take(self.values, out, out=value, mode="clip")
             np.less(value, draws, out=below)
-            np.multiply(below, step, out=index)
-            out += index
+            np.multiply(below, step, out=out)
+            index += out
             step >>= 1
-        out -= np.multiply(rows, self.width, out=index)
-        return out
+        return np.take(self.counts, index, out=out, mode="clip")
 
 
 def simulate(model: DecPomdp, joint, episodes: int, seed: int) -> SimulationResult:
     """Monte Carlo estimate of a joint policy's value from the initial belief.
 
     Vectorized over episodes.  Each categorical draw is a binary search
-    over a sorted cumulative row of the start belief, ``T`` or ``O``
+    over the distinct values of a sorted cumulative row of the start
+    belief, ``T`` or ``O``, followed by one read of a count table
     (``_RowSampler``), and every lookup uses flat 1-D indices.  A fixed
     seed reproduces results bit-for-bit: the draws come in a fixed order
     from one generator (the start state, then per step the next state

@@ -562,6 +562,7 @@ def random_policy_baseline(
     """
     model.require_valid()
     samples = require_count(samples, "samples", ConfigError)
+    node_cap = require_count(node_cap, "node_cap", ConfigError, least=0)
     level_width = require_count(level_width, "level_width", ConfigError)
     rng = np.random.default_rng(require_seed(seed, ConfigError))
     values = []

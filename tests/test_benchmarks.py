@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -195,6 +196,35 @@ class TestBoxPush:
             BoxPushConfig(small_boxes=((1, 1), (1, 1))).validate()
         with pytest.raises(ConfigError):
             BoxPushConfig(large_box=((1, 1), (3, 1))).validate()
+
+    @pytest.mark.parametrize(
+        "cfg, digest",
+        [
+            (None, "be221c901ea35f2f506794c3e90bec48812058258059560f000b77fcc2183e99"),
+            (
+                BoxPushConfig(
+                    starts=(((0, 0), "E"), ((3, 0), "N")),
+                    small_boxes=((3, 1),),
+                    goal_cells=((1, 2), (2, 2), (3, 2)),
+                    success_prob=0.75,
+                    step_reward=-0.2,
+                    bump_penalty=-1.0,
+                    small_goal_reward=5.0,
+                    large_goal_reward=50.0,
+                ),
+                "d294ed1954f52f51a57e74f583e13ad872979ee9ddb50abcda575f275426b77c",
+            ),
+        ],
+    )
+    def test_tables_keep_their_bytes(self, cfg, digest):
+        # pins T, O, R, b0 and the state names byte for byte
+        model = build_boxpush(cfg, horizon=2)
+        h = hashlib.sha256()
+        for table in (model.transition, model.observation, model.reward, model.initial_belief.probs):
+            h.update(repr((table.dtype.str, table.shape)).encode())
+            h.update(table.tobytes())
+        h.update("\n".join(model.states).encode())
+        assert h.hexdigest() == digest
 
     def test_json_config_round_trip(self, tmp_path):
         cfg = BoxPushConfig(success_prob=0.8, step_reward=-0.25)

@@ -22,6 +22,7 @@ from mbdp import (
     evaluate_at_belief,
     evaluate_at_state,
     exact_solve,
+    improved_mbdp,
     parse_policy,
     mbdp as plan,
     random_policy_baseline,
@@ -254,6 +255,14 @@ def _exact_case(build, horizon):
     return model, exact_solve(model).policy
 
 
+def _boxpush_planner_case():
+    # the shape of the box-pushing benchmark's policy: 10 steps, each
+    # drawing from 1,600 transition rows
+    model = build_boxpush(horizon=10)
+    cfg = SolverConfig(max_trees=3, max_obs=3, heuristics=("mdp", "random"), seed=0)
+    return model, improved_mbdp(model, cfg).policy
+
+
 PARITY_CASES = {
     "random-2-agents": lambda: _random_case(5, 3, num_states=4, action_counts=(2, 3), obs_counts=(3, 2)),
     "random-3-agents": lambda: _random_case(
@@ -264,6 +273,7 @@ PARITY_CASES = {
     "tiger-h3-exact": lambda: _exact_case(build_tiger, 3),
     "mabc-h3-exact": lambda: _exact_case(build_mabc, 3),
     "boxpush-h2-exact": lambda: _exact_case(build_boxpush, 2),
+    "boxpush-h10-improved": _boxpush_planner_case,
 }
 
 
@@ -286,19 +296,32 @@ def _row_sampler_draws(cumulative, rows, draws):
 
 @st.composite
 def cumulative_tables(draw):
-    """Cumulative rows of width 1 to 8: dusty, short of 1 by < PROB_TOL, or unordered."""
-    k = draw(st.sampled_from([1, 2, 3, 4, 7, 8]))
+    """Cumulative rows of width 1 to 100: dusty, short of 1 by < PROB_TOL, unordered, or sparse.
+
+    Sparse rows have a few outcomes of nonzero probability, so their
+    cumulative values repeat; mixed with the other kinds they give rows
+    of different distinct counts, which the sampler pads.
+    """
+    k = draw(st.sampled_from([1, 2, 3, 4, 7, 8, 16, 33, 100]))
     num_rows = draw(st.integers(1, 4))
     rows = []
     for _ in range(num_rows):
-        if draw(st.booleans()):
+        kind = draw(st.sampled_from(["any", "dusty", "sparse"]))
+        if kind == "any":
             # any row at all: the outcome is a count, whatever the order
             rows.append(draw(st.lists(st.floats(-PROB_TOL, 1.0), min_size=k, max_size=k)))
             continue
-        weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k))) + 1e-3
+        # a sparse row has at most 4 outcomes of nonzero probability
+        support = list(range(k)) if kind == "dusty" else sorted(
+            draw(st.sets(st.integers(0, k - 1), min_size=1, max_size=min(k, 4)))
+        )
+        weights = np.zeros(k)
+        weights[support] = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=len(support),
+                                                  max_size=len(support)))) + 1e-3
         probs = weights / weights.sum()
-        dust = draw(st.lists(st.sampled_from([0.0, -PROB_TOL / 2, -PROB_TOL]), min_size=k, max_size=k))
-        probs = probs + np.array(dust)
+        if kind == "dusty":
+            dust = draw(st.lists(st.sampled_from([0.0, -PROB_TOL / 2, -PROB_TOL]), min_size=k, max_size=k))
+            probs = probs + np.array(dust)
         probs[-1] -= draw(st.sampled_from([0.0, PROB_TOL / 3, 0.99 * PROB_TOL]))
         rows.append(np.cumsum(probs))
     return np.array(rows, dtype=float).reshape(num_rows, k)
@@ -308,14 +331,16 @@ def cumulative_tables(draw):
 def test_row_sampler_matches_whole_row_comparison(table, data):
     n = data.draw(st.integers(1, 40))
     rows = np.array(data.draw(st.lists(st.integers(0, len(table) - 1), min_size=n, max_size=n)))
-    # exactly 0, exactly an entry of the row, just above the row's largest
-    # entry, or anywhere in [0, 1)
+    # exactly 0, exactly an entry of the row, exactly an entry that its
+    # row repeats, just above the row's largest entry, or anywhere in [0, 1)
     entries = [float(x) for x in table.ravel() if 0.0 <= x < 1.0]
+    repeated = [float(x) for row in table for x in row if 0.0 <= x < 1.0 and (row == x).sum() > 1]
     above = [float(np.nextafter(x, 1.0)) for x in table.max(axis=1) if 0.0 <= x < 1.0]
     draw = st.one_of(
         st.just(0.0),
         st.floats(0.0, 1.0, exclude_max=True),
         *([st.sampled_from(entries)] if entries else []),
+        *([st.sampled_from(repeated)] if repeated else []),
         *([st.sampled_from(above)] if above else []),
     )
     draws = np.array(data.draw(st.lists(draw, min_size=n, max_size=n)))
@@ -323,7 +348,7 @@ def test_row_sampler_matches_whole_row_comparison(table, data):
     np.testing.assert_array_equal(got, ref._sample_rows(table, (rows,), draws))
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 8])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 8, 16, 33, 100])
 def test_row_sampler_edge_draws(k):
     # a row short of 1 by less than PROB_TOL, with a dip (negative dust)
     probs = np.full(k, 1.0 / k)
@@ -336,6 +361,19 @@ def test_row_sampler_edge_draws(k):
     got = _row_sampler_draws(row, rows, draws)
     np.testing.assert_array_equal(got, ref._sample_rows(row, (rows,), draws))
     assert got[0] == 0 and got[-2] == got[-1] == k - 1
+
+
+@pytest.mark.parametrize("build,widths", [(build_boxpush, (8, 4)), (build_mabc, (4, 4)), (build_tiger, (2, 4))])
+def test_row_sampler_searches_only_distinct_values(build, widths):
+    # a box-pushing T row moves to at most 4 of 100 states (5 distinct
+    # cumulative values) and an O row is deterministic (2), so the search
+    # is 3 and 2 steps wide; narrow models keep a width above K - 1
+    model = build(horizon=2)
+    transition = _RowSampler(np.cumsum(model.transition, axis=-1).reshape(-1, model.num_states))
+    observation = _RowSampler(
+        np.cumsum(model.observation, axis=-1).reshape(-1, model.num_joint_observations)
+    )
+    assert (transition.width, observation.width) == widths
 
 
 _LEAF = PolicyTree(0)

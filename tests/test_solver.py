@@ -323,10 +323,16 @@ class TestBaselines:
             ({"samples": True}, "samples"),
             ({"level_width": 0, "node_cap": 3}, "level_width"),
             ({"level_width": 1.5}, "level_width"),
+            ({"node_cap": -5}, "node_cap"),
+            ({"node_cap": 1.5}, "node_cap"),
+            ({"node_cap": True}, "node_cap"),
+            ({"node_cap": "x"}, "node_cap"),
         ],
     )
     def test_baseline_rejects_bad_counts(self, mabc, kwargs, name):
-        with pytest.raises(ConfigError, match=f"{name} must be an integer >= 1"):
+        # node_cap may be 0 (always draw wide levels); the others start at 1
+        least = 0 if name == "node_cap" else 1
+        with pytest.raises(ConfigError, match=f"{name} must be an integer >= {least}"):
             random_policy_baseline(mabc, **kwargs)
 
     def test_sampler_handles_wide_horizon(self, mabc):
