@@ -3,18 +3,17 @@
 A joint policy holds integer tables, one action array and one child-row
 table per agent and depth, with each shared subtree in a single row.
 The solvers build these tables directly.  Policy trees (immutable,
-shared nodes) exist only at the API boundary: parsed policy files and
-hand-built policies are trees, compiled once into a ``JointPolicy``, and
-``JointPolicy.trees`` builds nodes from the tables on request.
+shared nodes) exist only at the API boundary: hand-built trees are
+compiled once into a ``JointPolicy``, policy files are read straight
+into its tables, and ``JointPolicy.trees`` builds nodes on request.
 ``CompiledPolicy`` checks the tables against a model; simulation,
 trajectory replay, exact evaluation and serialization all read them a
 depth at a time, without recursion; exact evaluation values the whole
 grid of the agents' rows at each depth.  Simulation draws each categorical
 outcome by a binary search over the distinct values of a sorted
 cumulative row and then reads one count, which gives the outcome of
-comparing the draw with the whole row.  Only parsing a nested policy
-file recurses, and a file nested too deeply for that is rejected with
-``ParseError``.
+comparing the draw with the whole row.  Only ``json`` recurses, and a
+nested policy file too deep for it is rejected with ``ParseError``.
 """
 
 from __future__ import annotations
@@ -33,8 +32,8 @@ from .model import BeliefState, DecPomdp
 POLICY_FORMAT = "mbdp-joint-policy"
 POLICY_VERSION = 1
 # nested serialization switches to the shared-node form above this many
-# expanded nodes per policy
-DEFAULT_INLINE_NODE_LIMIT = 20_000
+# expanded nodes per policy; read at each call
+INLINE_NODE_LIMIT = 20_000
 # ... or above this depth, so that json can still write and read the file
 NESTED_MAX_DEPTH = 200
 
@@ -125,19 +124,14 @@ class JointPolicy:
         the rows the root reaches are kept, renumbered by first reference.
         """
         tables = []
-        for acts, kids in zip(actions, children):
-            rows, kept_actions, kept_children = [0], [], []
-            for d, level in enumerate(acts):
-                kept_actions.append(np.asarray(level, dtype=np.int64)[rows])
-                if d < len(kids):
-                    index: dict[int, int] = {}
-                    below = np.asarray(kids[d])[rows].tolist()
-                    kept_children.append(np.array([[index.setdefault(c, len(index)) for c in row] for row in below]))
-                    rows = list(index)
-            tables.append((kept_actions, kept_children))
-        policy = cls.__new__(cls)
-        policy._hold(tables)
-        return policy
+        for i, (acts, kids) in enumerate(zip(actions, children)):
+            # rows numbered across depths from the root, each with its child rows or None
+            ends = np.cumsum([len(level) for level in acts])
+            below = [row for table, end in zip(kids, ends) for row in (np.asarray(table) + end).tolist()]
+            below += [None] * len(acts[-1])
+            flat = np.concatenate(acts).tolist()
+            tables.append(_first_reference(i, 0, lambda row: (flat[row], below[row])))
+        return cls.__new__(cls)._hold(tables)
 
     def _hold(self, tables):
         depths = {len(acts) for acts, _ in tables}
@@ -147,6 +141,7 @@ class JointPolicy:
             table.flags.writeable = False
         object.__setattr__(self, "actions", tuple(tuple(acts) for acts, _ in tables))
         object.__setattr__(self, "children", tuple(tuple(kids) for _, kids in tables))
+        return self
 
     @cached_property
     def trees(self) -> tuple[PolicyTree, ...]:
@@ -168,32 +163,41 @@ class JointPolicy:
         return len(self.actions)
 
 
+def _first_reference(agent: int, root, read):
+    """(actions, children) tables of the rows that ``root`` reaches, a depth at a time.
+
+    ``read(key)`` gives a node's action and its child keys, one per
+    observation, or None at a leaf; equal keys name one node.  Each
+    depth's rows are the distinct child keys of the depth above, numbered
+    by first reference.  Only a policy file can mix leaves and inner
+    nodes at one depth, which raises ``ParseError``.
+    """
+    level, actions, children = [root], [], []
+    while True:
+        acts, kids = zip(*map(read, level))
+        actions.append(np.array(acts, dtype=np.int64))
+        leaves = [k is None for k in kids]
+        if all(leaves):
+            return actions, children
+        _require(not any(leaves), "agent {}: child depths differ at depth {}", agent, len(children))
+        index: dict = {}
+        table = np.array([index.setdefault(k, len(index)) for row in kids for k in row], dtype=np.int64)
+        children.append(table.reshape(len(kids), -1))
+        level = list(index)
+
+
 def _compile(agent: int, root: PolicyTree, names: Sequence):
     """(actions, children) per depth of one agent's tree, a child column per entry of ``names``."""
-    # nodes are told apart by id(); the tree keeps them alive meanwhile
-    level = [root]
-    actions = [np.array([root.action], dtype=np.int64)]
-    children = []
-    for _ in range(root.depth - 1):
-        below: list[PolicyTree] = []
-        index: dict[int, int] = {}
-        table = np.empty((len(level), len(names)), dtype=np.int64)
-        for r, node in enumerate(level):
-            for o, name in enumerate(names):
-                child = node.children[o] if o < len(node.children) else None
-                if child is None:
-                    raise EvaluationError(
-                        f"agent {agent} tree (action {node.action}, depth {node.depth}) "
-                        f"is missing the branch for observation '{name}'"
-                    )
-                if id(child) not in index:
-                    index[id(child)] = len(below)
-                    below.append(child)
-                table[r, o] = index[id(child)]
-        children.append(table)
-        actions.append(np.array([n.action for n in below], dtype=np.int64))
-        level = below
-    return actions, children
+    def read(node):
+        if not node.children:
+            return node.action, None
+        kids = (node.children + (None,) * len(names))[: len(names)]
+        missing = [name for kid, name in zip(kids, names) if kid is None]
+        if missing:
+            raise EvaluationError(f"agent {agent} tree (action {node.action}, depth {node.depth}) "
+                                  f"is missing the branch for observation '{missing[0]}'")
+        return node.action, kids
+    return _first_reference(agent, root, read)
 
 
 # Unused by the package; kept only because perfbench/bench_trace.py imports it and patches ``retain``.
@@ -448,12 +452,12 @@ def simulate(model: DecPomdp, joint, episodes: int, seed: int) -> SimulationResu
 # ---- serialization ----------------------------------------------------
 
 
-def serialize_policy(model: DecPomdp, joint, inline_node_limit: int = DEFAULT_INLINE_NODE_LIMIT) -> str:
+def serialize_policy(model: DecPomdp, joint) -> str:
     """Canonical text form of a joint policy, written from its ``CompiledPolicy`` tables.
 
     Children keys appear in observation-set order, so output is
     byte-deterministic.  The nested form writes each agent's unrolled
-    tree; it is used while the trees have at most ``inline_node_limit``
+    tree; it is used while the trees have at most ``INLINE_NODE_LIMIT``
     unrolled nodes in all and a depth of at most ``NESTED_MAX_DEPTH``.
     Otherwise the shared-node form lists each table row once, children
     before parents, and references it by index.
@@ -462,7 +466,7 @@ def serialize_policy(model: DecPomdp, joint, inline_node_limit: int = DEFAULT_IN
     last = policy.depth - 1
     # unrolled node counts, clipped just above the limit (and 2**40) so
     # that they fit in int64 however deep the trees are
-    cap = min(max(inline_node_limit, 0), 1 << 40) + 1
+    cap = min(INLINE_NODE_LIMIT, 1 << 40) + 1
     expanded = 0
     for acts, kids in zip(policy.actions, policy.children):
         count = np.ones(len(acts[-1]), dtype=np.int64)
@@ -508,95 +512,90 @@ def serialize_policy(model: DecPomdp, joint, inline_node_limit: int = DEFAULT_IN
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _require(condition: bool, message: str):
+def _require(condition: bool, message: str, *args):
+    # the message is built only on failure: parsing checks every node
     if not condition:
-        raise ParseError(message)
+        raise ParseError(message.format(*args))
 
 
-def _parse_nested(model: DecPomdp, agent: int, payload, path: str) -> PolicyTree:
-    _require(isinstance(payload, dict), f"agent {agent}: node at {path} is not an object")
-    _require("action" in payload, f"agent {agent}: node at {path} lacks an action")
-    action_names = model.actions[agent]
-    obs_names = model.observations[agent]
-    _require(payload["action"] in action_names, f"agent {agent}: unknown action {payload['action']!r} at {path}")
-    action = action_names.index(payload["action"])
-    raw_children = payload.get("children")
-    if raw_children is None:
-        return PolicyTree(action)
-    _require(isinstance(raw_children, dict), f"agent {agent}: children at {path} is not an object")
-    for key in raw_children:
-        _require(key in obs_names, f"agent {agent}: unknown observation {key!r} at {path}")
-    children = []
-    for o, name in enumerate(obs_names):
-        _require(name in raw_children, f"agent {agent}: node at {path} is missing the branch for observation '{name}'")
-        children.append(_parse_nested(model, agent, raw_children[name], f"{path}/{name}"))
-    return PolicyTree(action, children)
+def _read_record(model: DecPomdp, agent: int, record, where: str):
+    """A node record's action index and its children in observation order, or None at a leaf."""
+    actions, observations = model.actions[agent], model.observations[agent]
+    _require(isinstance(record, dict) and "action" in record, "agent {}: {} is not an object with an action",
+             agent, where)
+    _require(record["action"] in actions, "agent {}: unknown action {!r} at {}", agent, record["action"], where)
+    kids = record.get("children")
+    if kids is None:
+        return actions.index(record["action"]), None
+    _require(isinstance(kids, dict), "agent {}: children of {} are not an object", agent, where)
+    for key in kids:
+        _require(key in observations, "agent {}: unknown observation {!r} at {}", agent, key, where)
+    for name in observations:
+        _require(name in kids, "agent {}: {} is missing the branch for observation '{}'", agent, where, name)
+    return actions.index(record["action"]), [kids[name] for name in observations]
 
 
-def _parse_shared(model: DecPomdp, agent: int, entry) -> PolicyTree:
-    action_names = model.actions[agent]
-    obs_names = model.observations[agent]
+def _read_nested(model: DecPomdp, agent: int, entry):
+    """Tables of a nested tree, one row per record: each record is keyed by the order the walk finds it."""
+    _require("tree" in entry, "agent {}: nested form needs a 'tree' field", agent)
+    found = [(entry["tree"], "root")]
+    def read(key):
+        record, path = found[key]
+        action, kids = _read_record(model, agent, record, f"node at {path}")
+        if kids is None:
+            return action, None
+        found.extend((kid, f"{path}/{name}") for kid, name in zip(kids, model.observations[agent]))
+        return action, range(len(found) - len(kids), len(found))
+    return _first_reference(agent, 0, read)
+
+
+def _read_shared(model: DecPomdp, agent: int, entry):
+    """Tables of a shared-form entry, keyed by node index; every listed node is checked, reached or not."""
     raw_nodes = entry.get("nodes")
-    _require(isinstance(raw_nodes, list) and raw_nodes, f"agent {agent}: shared form needs a node list")
-    built: list[PolicyTree] = []
+    _require(isinstance(raw_nodes, list) and raw_nodes, "agent {}: shared form needs a node list", agent)
+    nodes, depths = [], []
     for idx, record in enumerate(raw_nodes):
-        _require(isinstance(record, dict) and "action" in record, f"agent {agent}: node {idx} malformed")
-        _require(record["action"] in action_names, f"agent {agent}: unknown action {record['action']!r} in node {idx}")
-        action = action_names.index(record["action"])
-        raw_children = record.get("children")
-        if raw_children is None:
-            built.append(PolicyTree(action))
-            continue
-        children = []
-        for o, name in enumerate(obs_names):
-            _require(name in raw_children, f"agent {agent}: node {idx} is missing the branch for observation '{name}'")
-            ref = raw_children[name]
-            _require(isinstance(ref, int) and 0 <= ref < idx,
-                     f"agent {agent}: node {idx} references {ref!r}, which is not an earlier node")
-            children.append(built[ref])
-        built.append(PolicyTree(action, children))
+        action, kids = _read_record(model, agent, record, f"node {idx}")
+        for ref in kids or ():
+            _require(type(ref) is int and 0 <= ref < idx,
+                     "agent {}: node {} references {!r}, which is not an earlier node", agent, idx, ref)
+        below = {depths[ref] for ref in kids or ()}
+        _require(len(below) <= 1, "agent {}: child depths of node {} differ: {}", agent, idx, below)
+        nodes.append((action, kids))
+        depths.append(1 + max(below, default=0))
     root = entry.get("root")
-    _require(isinstance(root, int) and 0 <= root < len(built), f"agent {agent}: bad root index {root!r}")
-    return built[root]
+    _require(type(root) is int and 0 <= root < len(nodes), "agent {}: bad root index {!r}", agent, root)
+    return _first_reference(agent, root, nodes.__getitem__)
 
 
 def parse_policy(model: DecPomdp, text: str) -> JointPolicy:
-    """Parses the canonical policy text form back into a joint policy."""
-    try:
-        return _parse_document(model, text)
-    except RecursionError as exc:
-        raise ParseError("policy nests too deeply") from exc
-
-
-def _parse_document(model: DecPomdp, text: str) -> JointPolicy:
+    """Parses the canonical policy text form straight into a joint policy's tables."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError("policy nests too deeply") from exc
     _require(isinstance(doc, dict), "top level is not an object")
-    _require(doc.get("format") == POLICY_FORMAT, f"unknown format {doc.get('format')!r}")
-    _require(doc.get("version") == POLICY_VERSION, f"unsupported version {doc.get('version')!r}")
+    _require(doc.get("format") == POLICY_FORMAT, "unknown format {!r}", doc.get("format"))
+    version = doc.get("version")
+    _require(type(version) is int and version == POLICY_VERSION, "unsupported version {!r}", version)
     representation = doc.get("representation", "nested")
+    _require(representation in ("nested", "shared"), "unknown representation {!r}", representation)
     agents = doc.get("agents")
     _require(isinstance(agents, list) and len(agents) == model.num_agents,
-             f"expected {model.num_agents} agent entries")
-    trees: list[PolicyTree | None] = [None] * model.num_agents
+             "expected {} agent entries", model.num_agents)
+    tables = [None] * model.num_agents
     for entry in agents:
-        _require(isinstance(entry, dict) and isinstance(entry.get("agent"), int),
+        _require(isinstance(entry, dict) and type(entry.get("agent")) is int,
                  "agent entry lacks an integer 'agent' field")
         i = entry["agent"]
-        _require(0 <= i < model.num_agents, f"agent index {i} out of range")
-        _require(trees[i] is None, f"duplicate entry for agent {i}")
-        if representation == "nested":
-            _require("tree" in entry, f"agent {i}: nested form needs a 'tree' field")
-            trees[i] = _parse_nested(model, i, entry["tree"], "root")
-        elif representation == "shared":
-            trees[i] = _parse_shared(model, i, entry)
-        else:
-            raise ParseError(f"unknown representation {representation!r}")
-    depths = {t.depth for t in trees}
-    _require(len(depths) == 1, f"agent trees have differing depths: {sorted(depths)}")
-    declared = doc.get("horizon")
-    if declared is not None:
-        _require(declared == trees[0].depth, f"declared horizon {declared} != tree depth {trees[0].depth}")
-    return JointPolicy(tuple(trees))
+        _require(0 <= i < model.num_agents, "agent index {} out of range", i)
+        _require(tables[i] is None, "duplicate entry for agent {}", i)
+        tables[i] = (_read_nested if representation == "nested" else _read_shared)(model, i, entry)
+    depths = {len(actions) for actions, _ in tables}
+    _require(len(depths) == 1, "agent trees have differing depths: {}", sorted(depths))
+    depth, declared = depths.pop(), doc.get("horizon")
+    _require(declared is None or type(declared) is int and declared == depth,
+             "declared horizon {!r} != tree depth {}", declared, depth)
+    return JointPolicy.__new__(JointPolicy)._hold(tables)

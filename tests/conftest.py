@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+import mbdp.policy
 from mbdp import DecPomdp, build_mabc, build_tiger
 
 settings.register_profile(
@@ -77,6 +78,12 @@ def tiger():
 @pytest.fixture(scope="session")
 def mabc():
     return build_mabc(horizon=3)
+
+
+@pytest.fixture
+def shared_form(monkeypatch):
+    """Makes ``serialize_policy`` write the shared-node form, whatever the policy's size."""
+    monkeypatch.setattr(mbdp.policy, "INLINE_NODE_LIMIT", 0)
 
 
 @pytest.fixture

@@ -493,6 +493,28 @@ class TestExitCodes:
             "schema": 1, "type": "error", "error": "ParseError", "message": "policy nests too deeply",
         }
 
+    @pytest.mark.parametrize("form", ["nested", "shared"])
+    def test_policy_file_with_uneven_child_depths_exits_four(self, capsys, tmp_path, form):
+        leaf = {"action": "listen"}
+        inner = {"action": "listen", "children": {"hear-left": leaf, "hear-right": leaf}}
+        entries = [{"agent": i, "tree": {**inner, "children": {"hear-left": leaf, "hear-right": inner}}}
+                   for i in range(2)]
+        if form == "shared":
+            nodes = [leaf, {**inner, "children": {"hear-left": 0, "hear-right": 0}},
+                     {**inner, "children": {"hear-left": 0, "hear-right": 1}}]
+            entries = [{"agent": i, "root": 2, "nodes": nodes} for i in range(2)]
+        policy = tmp_path / "uneven.policy"
+        policy.write_text(json.dumps(
+            {"format": "mbdp-joint-policy", "version": 1, "representation": form, "agents": entries}
+        ))
+        code, _, err = run(
+            capsys,
+            ["evaluate", "--problem", "tiger", "--horizon", "3", "--policy", str(policy), "--format", "records"],
+        )
+        assert code == 4
+        record = json.loads(err.splitlines()[-1])
+        assert record["error"] == "ParseError" and "child depths" in record["message"]
+
     @pytest.mark.parametrize("command", ["solve", "exact", "bound"])
     def test_horizon_below_one_exits_four(self, capsys, command):
         argv = [command, "--problem", "tiger", "--horizon", "0", "--format", "records"]

@@ -29,6 +29,7 @@ from mbdp import (
     serialize_policy,
     simulate,
 )
+import mbdp.policy as policy_module
 from mbdp.policy import NESTED_MAX_DEPTH, _RowSampler
 
 import _reference as ref
@@ -192,9 +193,9 @@ class TestReachability:
         assert_rows_reached(policy)
         assert sum(len(a) for a in policy.actions[0]) < 2 * depth
 
-    def test_shared_file_drops_nodes_the_root_never_references(self, tiger):
+    def test_shared_file_drops_nodes_the_root_never_references(self, tiger, shared_form):
         joint = JointPolicy(random_joint(5, tiger, 3))
-        text = serialize_policy(tiger, joint, inline_node_limit=0)
+        text = serialize_policy(tiger, joint)
         doc = json.loads(text)
         assert doc["representation"] == "shared"
         for entry in doc["agents"]:
@@ -206,7 +207,7 @@ class TestReachability:
             nodes.append({"action": action, "children": {name: entry["root"] for name in names}})
         padded = parse_policy(tiger, json.dumps(doc))
         assert_rows_reached(padded)
-        assert serialize_policy(tiger, padded, inline_node_limit=0) == text
+        assert serialize_policy(tiger, padded) == text
         evaluator = PolicyEvaluator(tiger)
         assert np.array_equal(evaluator.value_vector(padded), evaluator.value_vector(parse_policy(tiger, text)))
 
@@ -412,10 +413,11 @@ class TestSerialization:
         after = evaluate_at_belief(model, back, model.initial_belief)
         assert after == pytest.approx(before, abs=1e-6)
 
-    def test_shared_format_round_trip(self, tiger):
+    def test_shared_format_round_trip(self, tiger, monkeypatch):
         joint = random_joint(5, tiger, 2)
         nested = serialize_policy(tiger, joint)
-        shared = serialize_policy(tiger, joint, inline_node_limit=0)
+        monkeypatch.setattr(policy_module, "INLINE_NODE_LIMIT", 0)
+        shared = serialize_policy(tiger, joint)
         assert nested != shared
         a = evaluate_at_belief(tiger, parse_policy(tiger, nested), tiger.initial_belief)
         b = evaluate_at_belief(tiger, parse_policy(tiger, shared), tiger.initial_belief)
@@ -437,13 +439,61 @@ class TestSerialization:
         with pytest.raises(ParseError):
             parse_policy(tiger, text.replace("listen", "shout"))
 
-    def test_shared_form_numbers_nodes_in_post_order(self, tiger):
+    @pytest.mark.parametrize("field, value", [
+        ("reference", True), ("reference", 1.0), ("agent", False), ("agent", 0.0), ("root", 2.0),
+        ("root", True), ("version", True), ("version", 1.0), ("horizon", 2.0), ("horizon", "2"),
+    ])
+    def test_integer_fields_reject_bools_and_floats(self, tiger, shared_form, field, value):
+        # node 2 is the root, with leaves 0 and 1 as its children
+        doc = json.loads(serialize_policy(tiger, random_joint(9, tiger, 2)))
+        entry = doc["agents"][0]
+        assert entry["root"] == 2 and entry["nodes"][2]["children"] == {"hear-left": 0, "hear-right": 1}
+        if field == "reference":
+            entry["nodes"][2]["children"]["hear-right"] = value
+        elif field in ("agent", "root"):
+            entry[field] = value
+        else:
+            doc[field] = value
+        with pytest.raises(ParseError):
+            parse_policy(tiger, json.dumps(doc))
+
+    @pytest.mark.parametrize("form", ["nested", "shared"])
+    def test_uneven_child_depths_are_a_parse_error(self, tiger, form):
+        leaf = {"action": "listen"}
+        inner = {"action": "open-left", "children": {"hear-left": leaf, "hear-right": leaf}}
+        root = {"action": "listen", "children": {"hear-left": leaf, "hear-right": inner}}
+        entries = [{"agent": i, "tree": root} for i in range(2)]
+        if form == "shared":
+            nodes = [leaf, {**inner, "children": {"hear-left": 0, "hear-right": 0}},
+                     {**root, "children": {"hear-left": 0, "hear-right": 1}}]
+            entries = [{"agent": i, "root": 2, "nodes": nodes} for i in range(2)]
+        text = json.dumps({"format": "mbdp-joint-policy", "version": 1, "representation": form, "agents": entries})
+        with pytest.raises(ParseError, match="agent 0: child depths (of node 2 )?differ"):
+            parse_policy(tiger, text)
+
+    @pytest.mark.parametrize("stray, message", [
+        ({"action": "shout"}, "unknown action 'shout' at node 3"),
+        ("listen", "node 3 is not an object with an action"),
+        ({"action": "listen", "children": [0, 1]}, "children of node 3 are not an object"),
+        ({"action": "listen", "children": {"hear-left": 0}}, "node 3 is missing the branch for observation 'hear-right'"),
+        ({"action": "listen", "children": {"hear-left": 0, "hear-right": 0, "hum": 0}}, "unknown observation 'hum'"),
+        ({"action": "listen", "children": {"hear-left": 0, "hear-right": 7}}, "node 3 references 7"),
+        ({"action": "listen", "children": {"hear-left": 0, "hear-right": False}}, "node 3 references False"),
+        ({"action": "listen", "children": {"hear-left": 0, "hear-right": 2}}, "child depths of node 3 differ"),
+    ])
+    def test_shared_file_rejects_a_malformed_node_the_root_never_reaches(self, tiger, shared_form, stray, message):
+        doc = json.loads(serialize_policy(tiger, random_joint(9, tiger, 2)))
+        doc["agents"][1]["nodes"].append(stray)
+        with pytest.raises(ParseError, match=f"^agent 1: {message}"):
+            parse_policy(tiger, json.dumps(doc))
+
+    def test_shared_form_numbers_nodes_in_post_order(self, tiger, shared_form):
         # post-order from the root reaches leaf l1 only after mid node m1
         # is finished, so the numbering is not deepest-level first
         l0, l1 = PolicyTree(0), PolicyTree(1)
         m1, m2 = PolicyTree(2, (l0, l0)), PolicyTree(0, (l1, l0))
         root = PolicyTree(1, (m1, m2))
-        doc = json.loads(serialize_policy(tiger, (root, root), inline_node_limit=0))
+        doc = json.loads(serialize_policy(tiger, (root, root)))
         assert doc["representation"] == "shared"
         assert doc["agents"][0]["root"] == 4
         assert doc["agents"][0]["nodes"] == [

@@ -5,6 +5,8 @@ solver's and baseline's tables must equal ``CompiledPolicy`` of the
 reference trees, and no ``PolicyTree`` may be built on the way.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -169,10 +171,92 @@ def test_solvers_and_baselines_build_no_policy_tree(monkeypatch):
         random_policy_baseline(build_mabc(horizon=30), samples=1, seed=0),
         random_policy_baseline(build_mabc(horizon=8), samples=3, seed=0, node_cap=10),
     ]
+    files = [
+        (build_tiger(horizon=3), exact_solve(build_tiger(horizon=3)).policy, "nested"),
+        (build_mabc(horizon=20), reports[0].policy, "shared"),
+    ]
+    for model, policy, form in files:
+        text = serialize_policy(model, policy)
+        assert json.loads(text)["representation"] == form
+        assert_holds(parse_policy(model, text), *written_tables(policy, form))
     assert built == []
     # the counter sees nodes once they are asked for
     assert reports[0].policy.trees[0].depth == 20
     assert built
+
+
+def written_tables(policy, form):
+    """The (actions, children) tables that reading ``policy``'s file of the given form gives.
+
+    A shared file keeps the policy's rows.  A nested file writes a shared
+    row out at every reference, and the reader keeps each record as a row:
+    numbered parent row first, then observation, row r of one depth has
+    children r * k to r * k + k - 1.
+    """
+    if form == "shared":
+        return policy.actions, policy.children
+    actions, children = [], []
+    for acts, kids in zip(policy.actions, policy.children):
+        rows = np.zeros(1, dtype=np.int64)
+        actions.append([acts[0][rows]])
+        children.append([])
+        for level, table in zip(acts[1:], kids):
+            below = table[rows]
+            children[-1].append(np.arange(below.size, dtype=np.int64).reshape(below.shape))
+            rows = below.ravel()
+            actions[-1].append(level[rows])
+    return actions, children
+
+
+def assert_holds(policy, actions, children):
+    """``policy`` holds exactly these int64 tables, per agent and depth."""
+    for got, want in ((policy.actions, actions), (policy.children, children)):
+        assert len(got) == len(want)
+        for mine, theirs in zip(got, want):
+            assert len(mine) == len(theirs)
+            assert all(a.dtype == np.int64 and np.array_equal(a, b) for a, b in zip(mine, theirs))
+
+
+def _dag_policy():
+    leaf0, leaf1 = PolicyTree(0), PolicyTree(1)
+    mid0, mid1 = PolicyTree(2, (leaf0, leaf0)), PolicyTree(0, (leaf1, leaf0))
+    return JointPolicy((PolicyTree(1, (mid0, mid1)), PolicyTree(0, (mid1, mid1))))
+
+
+ROUND_TRIPS = {
+    # name: (model, policy of the model, forms that can hold it)
+    "boxpush-improved-5x3": (
+        lambda: build_boxpush(horizon=4),
+        lambda model: improved_mbdp(model, SolverConfig(max_trees=5, max_obs=3, seed=0)).policy,
+        ("shared", "nested"),
+    ),
+    "tiger-hand-built-dag": (lambda: build_tiger(horizon=3), lambda model: _dag_policy(), ("shared", "nested")),
+    "three-agent": (
+        lambda: three_agent_model(4),
+        lambda model: mbdp(model, SolverConfig(max_trees=2, seed=4)).policy,
+        ("shared", "nested"),
+    ),
+    "tiger-depth-1": (lambda: build_tiger(horizon=1), lambda model: exact_solve(model).policy, ("shared", "nested")),
+    # deeper than NESTED_MAX_DEPTH, so only the shared form holds it
+    "mabc-baseline-h300": (
+        lambda: build_mabc(horizon=300),
+        lambda model: random_policy_baseline(model, samples=1, seed=0).policy,
+        ("shared",),
+    ),
+}
+
+
+@pytest.mark.parametrize("case, form", [(case, form) for case, spec in ROUND_TRIPS.items() for form in spec[2]])
+def test_parsed_tables_equal_the_written_ones(monkeypatch, case, form):
+    build, solve, _ = ROUND_TRIPS[case]
+    model = build()
+    policy = solve(model)
+    monkeypatch.setattr(policy_module, "INLINE_NODE_LIMIT", 0 if form == "shared" else 10**9)
+    text = serialize_policy(model, policy)
+    assert json.loads(text)["representation"] == form
+    back = parse_policy(model, text)
+    assert_holds(back, *written_tables(policy, form))
+    assert serialize_policy(model, back) == text
 
 
 def test_compiling_a_table_policy_walks_no_nodes(monkeypatch):
