@@ -8,12 +8,12 @@ compiled once into a ``JointPolicy``, policy files are read straight
 into its tables, and ``JointPolicy.trees`` builds nodes on request.
 ``CompiledPolicy`` checks the tables against a model; simulation,
 trajectory replay, exact evaluation and serialization all read them a
-depth at a time, without recursion; exact evaluation values the whole
-grid of the agents' rows at each depth.  Simulation draws each categorical
-outcome by a binary search over the distinct values of a sorted
-cumulative row and then reads one count, which gives the outcome of
-comparing the draw with the whole row.  Only ``json`` recurses, and a
-nested policy file too deep for it is rejected with ``ParseError``.
+depth at a time, without recursion; exact evaluation and simulation
+step through the grid of the agents' rows at each depth.  Simulation
+draws each outcome by a binary search over the distinct values of a
+sorted cumulative row and then reads one count, which gives the outcome
+of comparing the draw with the whole row.  Only ``json`` recurses, and
+a nested policy file too deep for it is rejected with ``ParseError``.
 """
 
 from __future__ import annotations
@@ -191,6 +191,8 @@ def _compile(agent: int, root: PolicyTree, names: Sequence):
     def read(node):
         if not node.children:
             return node.action, None
+        if len(node.children) > len(names):
+            raise EvaluationError(f"agent {agent} policy needs {len(names)} branches per node")
         kids = (node.children + (None,) * len(names))[: len(names)]
         missing = [name for kid, name in zip(kids, names) if kid is None]
         if missing:
@@ -384,69 +386,77 @@ class _RowSampler:
         return np.take(self.counts, index, out=out, mode="clip")
 
 
+# episodes per block of simulate's lookups (1 MiB of buffers); box pushing
+# h=10 ran 5-20% slower at 2^12 and 2^17, mabc h=100 did not resolve them
+_SIM_BLOCK = 1 << 15
+
+
 def simulate(model: DecPomdp, joint, episodes: int, seed: int) -> SimulationResult:
     """Monte Carlo estimate of a joint policy's value from the initial belief.
 
-    Vectorized over episodes.  Each categorical draw is a binary search
-    over the distinct values of a sorted cumulative row of the start
-    belief, ``T`` or ``O``, followed by one read of a count table
-    (``_RowSampler``), and every lookup uses flat 1-D indices.  A fixed
-    seed reproduces results bit-for-bit: the draws come in a fixed order
-    from one generator (the start state, then per step the next state
-    and, before the last step, the joint observation), and each outcome
-    equals comparing the draw with its whole cumulative row.
+    Each episode holds an index into its depth's grid of joint row tuples,
+    numbered as in ``PolicyEvaluator``, whose table (the only one held)
+    gives each tuple's joint action and child tuple per joint observation.
+    A step draws for all episodes, then searches and looks up
+    ``_SIM_BLOCK`` episodes at a time.  Each categorical draw is a binary
+    search over the distinct values of a sorted cumulative row of the
+    start belief, ``T`` or ``O``, and a read of a count table
+    (``_RowSampler``).  A fixed seed reproduces results bit-for-bit: the
+    draws come in a fixed order from one generator (the start state, then
+    per step the next state and, before the last step, the joint
+    observation), and each outcome equals comparing the draw with its
+    whole cumulative row.
     """
     model.require_valid()
     n = require_count(episodes, "episodes", EvaluationError)
     rng = np.random.default_rng(require_seed(seed, EvaluationError))
-    compiled = CompiledPolicy(model, joint)
-    horizon = compiled.depth
+    policy = CompiledPolicy(model, joint)
     num_states = model.num_states
 
     start = _RowSampler(np.cumsum(model.initial_belief.probs)[None, :])
     transition = _RowSampler(np.cumsum(model.transition, axis=-1).reshape(-1, num_states))
-    observation = _RowSampler(
-        np.cumsum(model.observation, axis=-1).reshape(-1, model.num_joint_observations)
-    )
+    observation = _RowSampler(np.cumsum(model.observation, axis=-1).reshape(-1, model.num_joint_observations))
     reward = model.reward.ravel()
-    # per agent and depth, each node's share of joint action * num_states:
-    # a T or O row is the agents' shares plus a state
-    offsets = [
-        [a * (stride * num_states) for a in acts]
-        for acts, stride in zip(compiled.actions, model._action_strides)
-    ]
-    children = [[table.ravel() for table in kids] for kids in compiled.children]
-    local = np.array(model._joint_obs_tuples, dtype=np.int64).T
-
-    # per-episode buffers, reused by every step; row 0 is the start belief's
-    scratch = (np.empty(n, dtype=np.int64), np.empty(n), np.empty(n, dtype=bool))
-    index, value, _ = scratch
-    draws, total = np.empty(n), np.zeros(n)
-    state, nxt, jo, row = (np.zeros(n, dtype=np.int64) for _ in range(4))
-    rows = [np.zeros(n, dtype=np.int64) for _ in range(model.num_agents)]
-    start.draw(row, rng.random(n, out=draws), state, scratch)
-    for t in range(horizon):
-        np.copyto(row, state)
-        for shares, r in zip(offsets, rows):
-            row += np.take(shares[t], r, out=index, mode="clip")
-        transition.draw(row, rng.random(n, out=draws), nxt, scratch)
-        np.multiply(row, num_states, out=index)
-        index += nxt
-        total += np.take(reward, index, out=value, mode="clip")
-        if t < horizon - 1:
-            row -= state
-            row += nxt
-            observation.draw(row, rng.random(n, out=draws), jo, scratch)
-            # row is free again, so each agent's new rows are taken into it
-            for i, count in enumerate(model.observation_counts):
-                rows[i] *= count
-                rows[i] += np.take(local[i], jo, out=index, mode="clip")
-                np.take(children[i][t], rows[i], out=row, mode="clip")
-                rows[i], row = row, rows[i]
-        state, nxt = nxt, state
-    mean = float(total.mean())
+    # per episode: its joint row tuple (the root tuple is 0), state, return and
+    # draws; per block, views of those and three int buffers and a draw's scratch
+    total, t_draws, o_draws = np.zeros(n), np.empty(n), np.empty(n)
+    episode = (np.zeros(n, dtype=np.int64), np.empty(n, dtype=np.int64), total, t_draws, o_draws)
+    size = min(n, _SIM_BLOCK)
+    buffers = (*(np.zeros(size, dtype=np.int64) for _ in range(4)), np.empty(size), np.empty(size, dtype=bool))
+    blocks = [(*(v[lo : lo + size] for v in episode), *(b[: min(size, n - lo)] for b in buffers))
+              for lo in range(0, n, size)]
+    rng.random(n, out=t_draws)
+    for _, state, _, draws, _, _, _, zeros, *scratch in blocks:
+        start.draw(zeros, draws, state, scratch)
+    for t in range(policy.depth):
+        last = t == policy.depth - 1
+        below = None if last else tuple(len(a[t + 1]) for a in policy.actions)
+        children = None if last else [k[t] for k in policy.children]
+        grid = _grid(_terms(model, [a[t] for a in policy.actions], children, below))
+        # per column, a plane over the tuples in C order (a view of how _grid lays
+        # out _terms sums): joint action * num_states, then each observation's child
+        planes = np.moveaxis(grid, -1, 0).reshape(grid.shape[-1], -1)
+        acts, kids, count = planes[0], planes[1:].reshape(-1), planes.shape[1]
+        acts *= num_states
+        rng.random(n, out=t_draws)
+        if not last:
+            rng.random(n, out=o_draws)
+        for tuples, state, returns, t_u, o_u, at, base, row, flat, value, mask in blocks:
+            np.take(acts, tuples, out=base, mode="clip")
+            np.add(base, state, out=row)
+            # the next state replaces the state, which the T row holds
+            transition.draw(row, t_u, state, (flat, value, mask))
+            np.multiply(row, num_states, out=flat)
+            flat += state
+            returns += np.take(reward, flat, out=value, mode="clip")
+            if not last:
+                base += state
+                np.multiply(observation.draw(base, o_u, row, (flat, value, mask)), count, out=at)
+                at += tuples
+                np.take(kids, at, out=tuples, mode="clip")
+        del grid, planes, acts, kids
     std_error = float(total.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return SimulationResult(mean=mean, std_error=std_error, episodes=n)
+    return SimulationResult(mean=float(total.mean()), std_error=std_error, episodes=n)
 
 
 # ---- serialization ----------------------------------------------------

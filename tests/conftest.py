@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,16 @@ settings.register_profile(
     max_examples=50,
 )
 settings.load_profile("mbdp")
+
+
+def traced_peak_mb(call):
+    """Peak traced allocation, in MB, while ``call`` runs (exceptions propagate)."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def random_model(

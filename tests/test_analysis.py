@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -28,7 +27,7 @@ from _reference import (
     epsilon_global_array_reference,
     epsilon_global_reference,
 )
-from conftest import random_model
+from conftest import random_model, traced_peak_mb
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -120,16 +119,6 @@ def force_block_rows(monkeypatch, model, rows):
     """Make every depth of ``model`` go in blocks of ``rows`` rows."""
     floats = rows * model.num_joint_observations * len(model.states)
     monkeypatch.setattr(mbdp.analysis, "_BLOCK_FLOATS", floats)
-
-
-def traced_peak_mb(call):
-    """Peak traced allocation, in MB, while ``call`` runs (exceptions propagate)."""
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1] / 1e6
-    finally:
-        tracemalloc.stop()
 
 
 def branch_count(model, horizon):

@@ -33,7 +33,7 @@ import mbdp.policy as policy_module
 from mbdp.policy import NESTED_MAX_DEPTH, _RowSampler
 
 import _reference as ref
-from conftest import dusty_model, random_model
+from conftest import dusty_model, random_model, traced_peak_mb
 
 
 def random_tree(rng, model, agent, depth):
@@ -256,6 +256,11 @@ def _exact_case(build, horizon):
     return model, exact_solve(model).policy
 
 
+def _baseline_case(build, horizon):
+    model = build(horizon=horizon)
+    return model, random_policy_baseline(model).policy
+
+
 def _boxpush_planner_case():
     # the shape of the box-pushing benchmark's policy: 10 steps, each
     # drawing from 1,600 transition rows
@@ -275,18 +280,32 @@ PARITY_CASES = {
     "mabc-h3-exact": lambda: _exact_case(build_mabc, 3),
     "boxpush-h2-exact": lambda: _exact_case(build_boxpush, 2),
     "boxpush-h10-improved": _boxpush_planner_case,
+    # shared rows, and grids of up to 1,024 joint row tuples per depth
+    "mabc-h300-random": lambda: _baseline_case(build_mabc, 300),
 }
 
 
 @pytest.mark.parametrize("case", PARITY_CASES)
-def test_simulate_matches_reference(case):
+def test_simulate_matches_reference(case, monkeypatch):
     # the binary-search sampler on flat indices against whole-row
-    # comparisons on nested indices, run on the same seeds
+    # comparisons on nested indices, run on the same seeds; 7, 8 and 9
+    # episodes fall below, at and above one block of 8, and blocks of 3
+    # leave a short last block
     model, joint = PARITY_CASES[case]()
-    for episodes in (1, 2, 1001):
-        got = simulate(model, joint, episodes, 6)
+    for episodes in (1, 2, 7, 8, 9, 1001):
         want = ref.simulate_reference(model, joint, episodes, 6)
-        assert (got.mean, got.std_error, got.episodes) == (want.mean, want.std_error, want.episodes)
+        for block in (policy_module._SIM_BLOCK, 3, 8):
+            monkeypatch.setattr(policy_module, "_SIM_BLOCK", block)
+            got = simulate(model, joint, episodes, 6)
+            assert (got.mean, got.std_error, got.episodes) == (want.mean, want.std_error, want.episodes)
+
+
+def test_simulate_working_set_is_bounded():
+    # about 11 MB: five vectors of one entry per episode and one block's
+    # buffers; a row vector per agent and whole-episode scratch took 17.8 MB
+    model = build_mabc(horizon=20)
+    joint = plan(model, SolverConfig(max_trees=3, heuristics=("random",))).policy
+    assert traced_peak_mb(lambda: simulate(model, joint, 200_000, 0)) < 14
 
 
 def _row_sampler_draws(cumulative, rows, draws):
@@ -386,6 +405,9 @@ BAD_JOINTS = {
     "leaf last": ((_NODE, _LEAF), EvaluationError, "mixes tree depths"),
     "missing branch": ((_NODE, PolicyTree(2, (_LEAF, None))), EvaluationError, "missing the branch"),
     "too few branches": ((_NODE, PolicyTree(2, (_LEAF,))), EvaluationError, "missing the branch"),
+    "too many branches": (
+        (_NODE, PolicyTree(0, (_LEAF, _LEAF, PolicyTree(2)))), EvaluationError, "agent 1 policy needs 2 branches"
+    ),
     "unknown action": ((_NODE, PolicyTree(1, (_LEAF, PolicyTree(3)))), ModelError, "action 3 out of range"),
 }
 CONSUMERS = {

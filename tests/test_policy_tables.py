@@ -318,6 +318,9 @@ def test_joint_policy_from_trees_rejects_incomplete_and_mixed_trees():
     leaf = PolicyTree(0)
     with pytest.raises(EvaluationError, match="missing the branch"):
         JointPolicy((PolicyTree(0, (leaf, None)),))
+    wide = PolicyTree(0, (leaf, leaf, leaf))
+    with pytest.raises(EvaluationError, match="agent 0 policy needs 2 branches per node"):
+        JointPolicy((PolicyTree(0, (wide, wide)),))
     with pytest.raises(ModelError, match="trees of one depth"):
         JointPolicy((leaf, PolicyTree(0, (leaf, leaf))))
     with pytest.raises(ModelError, match="trees of one depth"):
