@@ -7,7 +7,11 @@ and the best partial-backup value found.  Column ``full-part`` is the
 best full-backup value minus it.  Both planners are heuristic, so that
 is a difference of two heuristic values, not the loss the bound covers,
 and it can be negative.  Each row also shows how many beliefs the
-capture-mass search checked and its wall seconds.
+capture-mass search checked and its wall seconds.  Column ``kept`` is
+the smallest mass the best partial run's levels kept at their ranking
+beliefs, ``-`` where that run made full backups.  It can fall below
+``epsilon``: the planner ranks at heuristic beliefs with observations
+marginalized, which the capture-mass search does not enumerate.
 
 Example:
     python3 scripts/bound_convergence.py --problem mabc --horizon 6
@@ -51,7 +55,7 @@ def main(argv=None):
     print(f"# problem={args.problem} horizon={args.horizon} "
           f"full-backup value={full:.4f} ({args.mode} capture mass)")
     header = (f"{'max_obs':>8}  {'epsilon':>8}  {'bound':>10}  "
-              f"{'partial':>10}  {'full-part':>9}  {'beliefs':>8}  {'eps_s':>7}")
+              f"{'partial':>10}  {'full-part':>9}  {'beliefs':>8}  {'eps_s':>7}  {'kept':>8}")
     print(header)
     print("-" * len(header))
 
@@ -66,12 +70,15 @@ def main(argv=None):
             print(f"{budget:>8}  belief enumeration overflowed: {exc}")
             continue
         mu = error_bound(model, report.epsilon)
-        partial = max(
-            improved_mbdp(model, replace(cfg, seed=s, max_obs=budget)).value
-            for s in range(args.seeds)
+        best = max(
+            (improved_mbdp(model, replace(cfg, seed=s, max_obs=budget)) for s in range(args.seeds)),
+            key=lambda run: run.value,
         )
+        partial = best.value
+        masses = [level.captured_mass for level in best.levels if level.partial]
+        kept = f"{min(masses):8.4f}" if masses else f"{'-':>8}"
         print(f"{budget:>8}  {report.epsilon:8.4f}  {mu:10.4f}  "
-              f"{partial:10.4f}  {full - partial:9.4f}  {report.beliefs_checked:>8}  {seconds:7.3f}")
+              f"{partial:10.4f}  {full - partial:9.4f}  {report.beliefs_checked:>8}  {seconds:7.3f}  {kept}")
     print("# full-part: full-backup minus partial-backup value, both heuristic; "
           "not the loss the bound covers, and it can be negative")
     if args.mode == "sampled":

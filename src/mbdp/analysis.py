@@ -2,7 +2,8 @@
 
 A partial backup branches only on a per-agent subset of observations.
 ``epsilon_at`` measures the joint probability mass the best such subsets
-capture at one (belief, action); ``epsilon_global`` takes the minimum
+capture at one (belief, action), the subsets ``rank_observations``
+keeps there; ``epsilon_global`` takes the minimum
 over beliefs reachable within the horizon, and ``error_bound`` turns
 that into a worst-case value loss for the whole plan.
 
@@ -23,11 +24,11 @@ histories and only estimates.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
+from .backup import _capture_matrix, _subset_families, rank_observations
 from .errors import CapacityError, ConfigError, require_count, require_seed
 from .model import PROB_TOL, BeliefState, DecPomdp
 
@@ -57,41 +58,13 @@ class EpsilonReport:
         return self.mode == "exact"
 
 
-def _subset_families(model: DecPomdp, max_obs: int):
-    """All per-agent observation subsets of the kept size.
-
-    Returns the subsets of each family and an (F, k) array of the joint
-    observations each family keeps.
-    """
-    per_agent = [itertools.combinations(range(c), min(max_obs, c)) for c in model.observation_counts]
-    combos = list(itertools.product(*per_agent))
-    flat = [[model.joint_observation_index(jo) for jo in itertools.product(*c)] for c in combos]
-    return combos, np.array(flat, dtype=np.int64)
-
-
-def _capture_matrix(q: np.ndarray, flat: np.ndarray) -> np.ndarray:
-    """Captured mass per (family, row) for joint observation probabilities q.
-
-    Each family's mass is numpy's sum over a gathered (kept observation,
-    row) block, the same sum as ``q[:, family].sum(axis=1)``; families go
-    a few at a time so the gathered block stays near 1 MB.
-    """
-    cols = np.ascontiguousarray(q.T)
-    captures = np.empty((len(flat), len(q)))
-    step = max(1, (1 << 17) // (flat.shape[1] * len(q)))
-    for f in range(0, len(flat), step):
-        cols[flat[f:f + step]].sum(axis=1, out=captures[f:f + step])
-    return captures
-
-
 def epsilon_at(model: DecPomdp, belief: BeliefState, action, max_obs: int) -> float:
-    """Best joint observation mass captured by per-agent subsets at (belief, action)."""
+    """Best joint observation mass captured by per-agent subsets at (belief, action).
+
+    It is the mass of the selection that ``rank_observations`` makes.
+    """
     model.require_valid()
-    max_obs = require_count(max_obs, "max_obs", ConfigError)
-    ja = action if isinstance(action, (int, np.integer)) else model.joint_action_index(action)
-    q = model.observation_probabilities(belief, int(ja))[None, :]
-    _, flat = _subset_families(model, max_obs)
-    return float(_capture_matrix(q, flat).max())
+    return rank_observations(model, belief, action, max_obs).captured_mass
 
 
 def epsilon_global(
@@ -102,7 +75,7 @@ def epsilon_global(
     seed: int = 0,
     max_beliefs: int = 500_000,
 ) -> EpsilonReport:
-    """Minimum captured observation mass over beliefs the planner can meet.
+    """Minimum captured observation mass over beliefs that observation histories reach.
 
     Exact mode enumerates every belief reachable by some action and
     observation history of length < horizon, paired with every next
@@ -123,7 +96,7 @@ def epsilon_global(
     if mode == "sampled":
         seed = require_seed(seed, ConfigError)
     horizon = model.horizon
-    combos, flat = _subset_families(model, max_obs)
+    combos, flat = _subset_families(model.observation_counts, max_obs)
     if mode == "exact":
         best, checked, where = _exact_minimum(model, flat, horizon, max_beliefs)
     else:
@@ -325,10 +298,10 @@ def error_bound(model: DecPomdp, epsilon: float) -> float:
 
     Every backup level can misplace at most (1 - epsilon) of the
     observation mass, each worth at most the full reward span per
-    remaining step.  ``epsilon_global`` measures the best subset family,
-    but ``rank_observations`` collects subsets greedily, which from
-    ``max_obs`` 2 on can keep less mass; there the bound is not yet a
-    guarantee for ``improved_mbdp``'s plans.
+    remaining step.  ``improved_mbdp`` keeps the family ``epsilon_at``
+    measures, but at heuristic beliefs with observations marginalized,
+    which ``epsilon_global`` does not enumerate; there the bound is not
+    yet a guarantee for its plans.
     """
     model.require_valid()
     if not 0.0 <= epsilon <= 1.0:

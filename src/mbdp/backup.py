@@ -31,6 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -161,34 +162,52 @@ def partial_backup(
     return CandidateSet(*zip(*tables))
 
 
+@lru_cache(maxsize=None)
+def _subset_families(counts: tuple[int, ...], max_obs: int):
+    """Every family of min(max_obs, |O_i|)-observation subsets, one per agent.
+
+    ``counts`` is a model's ``observation_counts``.  Families run in the
+    product order of each agent's lexicographic subsets.  Returns their
+    subsets and an (F, k) read-only array of the joint observations each
+    keeps, cached on the plain tuples, so no model is kept alive.
+    """
+    per_agent = [itertools.combinations(range(c), min(max_obs, c)) for c in counts]
+    combos = tuple(itertools.product(*per_agent))
+    flat = np.array([np.ravel_multi_index(np.ix_(*c), counts).ravel() for c in combos])
+    flat.setflags(write=False)
+    return combos, flat
+
+
+def _capture_matrix(q: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """Captured mass per (family, row) for joint observation probabilities q.
+
+    Each family's mass is numpy's sum over a gathered (kept observation,
+    row) block, the same sum as ``q[:, family].sum(axis=1)``; families go
+    a few at a time so the gathered block stays near 1 MB.
+    """
+    cols = np.ascontiguousarray(q.T)
+    captures = np.empty((len(flat), len(q)))
+    step = max(1, (1 << 17) // (flat.shape[1] * len(q)))
+    for f in range(0, len(flat), step):
+        cols[flat[f:f + step]].sum(axis=1, out=captures[f:f + step])
+    return captures
+
+
 def rank_observations(
     model: DecPomdp, belief: BeliefState, action, max_obs: int
 ) -> ObservationSelection:
-    """Keeps each agent's most probable observations under (belief, action).
+    """The per-agent subsets that keep the most joint-observation mass under (belief, action).
 
-    Joint observations are ranked by probability (ties broken by joint
-    index); the ranking is walked in order and each agent collects the
-    local components it has not seen until it holds min(max_obs, |O_i|)
-    of them.  The selection records the mass it keeps there.
+    The best of the ``_subset_families`` families, ties going to the
+    first (at ``max_obs`` 1, the likeliest joint observation of lowest
+    index): the family that ``epsilon_at`` and ``epsilon_global``
+    measure.  The selection records its mass.
     """
     max_obs = require_count(max_obs, "max_obs", ConfigError)
-    probs = model.observation_probabilities(belief, action)
-    order = sorted(range(len(probs)), key=lambda j: (-probs[j], j))
-    quota = [min(max_obs, n) for n in model.observation_counts]
-    collected: list[list[int]] = [[] for _ in range(model.num_agents)]
-    for jo in order:
-        local = model.joint_observation(jo)
-        for i, o in enumerate(local):
-            if len(collected[i]) < quota[i] and o not in collected[i]:
-                collected[i].append(o)
-        if all(len(c) == q for c, q in zip(collected, quota)):
-            break
-    kept = [
-        jo
-        for jo, local in enumerate(model._joint_obs_tuples)
-        if all(o in c for o, c in zip(local, collected))
-    ]
-    return ObservationSelection(tuple(tuple(c) for c in collected), float(probs[kept].sum()))
+    combos, flat = _subset_families(model.observation_counts, max_obs)
+    captures = _capture_matrix(model.observation_probabilities(belief, action)[None, :], flat)[:, 0]
+    best = int(captures.argmax())
+    return ObservationSelection(combos[best], float(captures[best]))
 
 
 def weighted_stack(model: DecPomdp, prev: np.ndarray, joint_actions=None) -> np.ndarray:
@@ -430,6 +449,7 @@ def fill_missing(
             f"value tensor shape {values.shape} does not match {n} agents and "
             f"{model.num_states} states"
         )
+    b = model._belief_probs(belief)
     num_donors = values.shape[:-1]
     for i, kids in enumerate(partials.children):
         if kids.size and kids.max() >= num_donors[i]:
@@ -449,7 +469,6 @@ def fill_missing(
     # the unnormalized one-step posterior mass weighting child tuple c
     flat = values.reshape(-1, model.num_states)
     num_jo, num_kids = model.num_joint_observations, len(flat)
-    b = belief.probs
     base = np.array([b @ model.expected_reward[ja] for ja in used])
     g = np.stack(
         [(flat @ (model.observation[ja] * (b @ model.transition[ja])[:, None])).T for ja in used]

@@ -291,10 +291,16 @@ class DecPomdp:
 
     # ---- belief arithmetic -------------------------------------------
 
+    def _belief_probs(self, belief: BeliefState) -> np.ndarray:
+        """``belief.probs``, refused with ``ModelError`` unless it has one entry per state."""
+        if belief.num_states != self.num_states:
+            raise ModelError(f"belief has {belief.num_states} entries, the model {self.num_states} states")
+        return belief.probs
+
     def propagate(self, belief: BeliefState, action) -> BeliefState:
         """Pushes a belief through the transition table (observations marginalized)."""
         ja = self.joint_action_index(action)
-        return BeliefState(belief.probs @ self.transition[ja])
+        return BeliefState(self._belief_probs(belief) @ self.transition[ja])
 
     def observation_probabilities(self, belief: BeliefState, action) -> np.ndarray:
         """Distribution over joint observations after acting from ``belief``.
@@ -304,14 +310,14 @@ class DecPomdp:
         state) is applied, so the result sums to one.
         """
         ja = self.joint_action_index(action)
-        post = belief.probs @ self.transition[ja]
+        post = self._belief_probs(belief) @ self.transition[ja]
         return post @ self.observation[ja]
 
     def bayes_update(self, belief: BeliefState, action, obs) -> BeliefState:
         """Conditions a belief on a joint observation after a joint action."""
         ja = self.joint_action_index(action)
         jo = self.joint_observation_index(obs)
-        post = belief.probs @ self.transition[ja]
+        post = self._belief_probs(belief) @ self.transition[ja]
         numer = post * self.observation[ja][:, jo]
         denom = float(numer.sum())
         if denom <= PROB_TOL:

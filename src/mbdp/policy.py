@@ -301,7 +301,7 @@ class PolicyEvaluator:
         return float(self.value_vector(joint)[state])
 
     def at_belief(self, joint, belief: BeliefState) -> float:
-        return float(belief.probs @ self.value_vector(joint))
+        return float(self.model._belief_probs(belief) @ self.value_vector(joint))
 
 
 def evaluate_at_state(model: DecPomdp, joint, state: int) -> float:

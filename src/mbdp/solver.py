@@ -3,8 +3,9 @@
 The memory-bounded planner keeps at most ``max_trees`` policy trees per
 agent per depth.  Each level it picks that many joint tree pairs, one
 per heuristically sampled belief, backs the picks up by one step (fully,
-or only for the likeliest observations with the remaining branches
-filled greedily), and hands the result to the next level.  The exact
+or only for the observation subsets that keep the most mass, with the
+remaining branches filled greedily), and hands the result to the next
+level; the top level picks one tuple, at the initial belief.  The exact
 oracle enumerates all policy trees level by level, pruning dominated
 ones, and solves the last level by best response: one agent's children
 are picked per observation instead of enumerating its trees.  It is
@@ -100,10 +101,11 @@ class LevelRecord:
     observations, and filled its open branches, at pick 0's trajectory:
     the belief before its last step, and the joint action taken there.
     ``captured_mass`` is the joint-observation mass its per-agent subsets
-    keep at that belief and action (an observed capture, not the bound
-    of ``epsilon_global``); it is None on full levels.  ``millis`` covers
-    the level's selection, backup and fill.  The round's selection
-    beliefs are sampled before its first level, so only
+    keep at that belief and action, the ``epsilon_at`` there (a marginal
+    walk's belief, so it can be below exact ``epsilon_global``); it is
+    None on full levels.
+    ``millis`` covers the level's selection, backup and fill.  The round's
+    selection beliefs are sampled before its first level, so only
     ``SolveReport.millis`` includes sampling them.
     """
 
@@ -210,7 +212,7 @@ def _solve_round(model, cfg: SolverConfig, rng, portfolio):
     q = exhaustive_backup(model, None)
     rows, terms = table_rows(model, q, None)
     prev = None
-    # (candidates, picked rows) per depth below the top
+    # (candidates, picked rows) per depth
     tables = []
     levels = []
     # the last full backup and its rows, reused while the donor counts
@@ -223,13 +225,18 @@ def _solve_round(model, cfg: SolverConfig, rng, portfolio):
         cfg.max_obs >= count for count in model.observation_counts
     )
 
-    for t in range(1, horizon):
+    # the top level picks one tuple, the winner, at the initial belief
+    b0 = model.initial_belief.probs
+    for t in range(1, horizon + 1):
         started = time.perf_counter()
         sizes = q.sizes
-        picked, sel_values, duplicated = _pick(belief_scores(model, rows, prev, b_sel[t - 1]))
+        beliefs = b_sel[t - 1] if t < horizon else b0[None, :]
+        picked, sel_values, duplicated = _pick(belief_scores(model, rows, prev, beliefs))
         tables.append((q, picked))
         # the picks' value vectors, the same bits as the whole tensor's rows
         prev = picked_values(model, terms, picked, prev)
+        if t == horizon:
+            break
         donors = prev.shape[:-1]
 
         captured = None
@@ -264,14 +271,8 @@ def _solve_round(model, cfg: SolverConfig, rng, portfolio):
             )
         )
 
-    # the winner at the initial belief; its value is its value vector
-    # times that belief
-    b0 = model.initial_belief.probs
-    idx, _ = _best_tuple(belief_scores(model, rows, prev, b0[None, :])[0])
-    winner = [[r] for r in idx]
-    value = float(picked_values(model, terms, winner, prev).reshape(-1) @ b0)
-    tables.append((q, winner))
-    return value, _materialize(tables), levels
+    # the winner's value is its value vector times the initial belief
+    return float(prev.reshape(-1) @ b0), _materialize(tables), levels
 
 
 def _solve(model: DecPomdp, cfg: SolverConfig, solver_name: str):

@@ -191,6 +191,28 @@ def value_iteration(transition, reward, steps):
     return values
 
 
+def subset_families_reference(model, max_obs):
+    """(per-agent subsets, kept joint observations) of every family, in itertools order."""
+    per_agent = [
+        list(itertools.combinations(range(c), min(max_obs, c))) for c in model.observation_counts
+    ]
+    return [
+        (combo, [model.joint_observation_index(jo) for jo in itertools.product(*combo)])
+        for combo in itertools.product(*per_agent)
+    ]
+
+
+def rank_observations_reference(model, belief, action, max_obs):
+    """(subsets, mass) of the family keeping the most mass at (belief, action), the first on ties."""
+    q = model.observation_probabilities(belief, action)
+    best = None
+    for combo, flat in subset_families_reference(model, max_obs):
+        mass = float(q[flat].sum())
+        if best is None or mass > best[1]:
+            best = (combo, mass)
+    return best
+
+
 def epsilon_global_reference(model, max_obs, max_beliefs=500_000):
     """Exact-mode ``epsilon_global``, one child belief at a time.
 
@@ -202,13 +224,7 @@ def epsilon_global_reference(model, max_obs, max_beliefs=500_000):
     sums the package makes, so reports agree bit for bit.
     """
     horizon = model.horizon
-    per_agent = [
-        list(itertools.combinations(range(c), min(max_obs, c))) for c in model.observation_counts
-    ]
-    families = [
-        (combo, [model.joint_observation_index(jo) for jo in itertools.product(*combo)])
-        for combo in itertools.product(*per_agent)
-    ]
+    families = subset_families_reference(model, max_obs)
     # entries: (belief row, parent entry or None, (ja, jo) that led here)
     entries = [(model.initial_belief.probs, None, None)]
     best, best_where = math.inf, None

@@ -428,10 +428,10 @@ class TestExactParity:
 
     @pytest.mark.parametrize("rows", [1, 2, 50, 3000])
     def test_capture_sums_match_per_family_gathers(self, rows):
-        from mbdp.analysis import _capture_matrix, _subset_families
+        from mbdp.backup import _capture_matrix, _subset_families
 
         model = build_boxpush(horizon=2)
-        _, flat = _subset_families(model, 3)
+        _, flat = _subset_families(model.observation_counts, 3)
         assert flat.shape[1] >= 8
         q = np.random.default_rng(rows).random((rows, model.num_joint_observations))
         want = np.stack([q[:, family].sum(axis=1) for family in flat])
@@ -488,6 +488,10 @@ def test_bound_convergence_script_runs():
     # each row ends with the beliefs the exact search checked and its seconds
     assert any(row[:2] == ["1", "0.4428"] and row[5:6] == ["41"] for row in rows), proc.stdout
     # full minus partial is labelled as a difference of heuristic values, not a loss
-    assert ["max_obs", "epsilon", "bound", "partial", "full-part", "beliefs", "eps_s"] in rows, proc.stdout
+    assert ["max_obs", "epsilon", "bound", "partial", "full-part", "beliefs", "eps_s", "kept"] in rows, proc.stdout
+    # kept: the least mass the best partial run's levels kept; "-" where
+    # max_obs covers the alphabet and backups are full
+    assert any(row[:2] == ["1", "0.4428"] and row[-1] == "0.8100" for row in rows), proc.stdout
+    assert any(row[:2] == ["2", "1.0000"] and row[-1] == "-" for row in rows), proc.stdout
     assert any(line.startswith("# full-part:") and "not the loss the bound covers" in line
                for line in proc.stdout.splitlines()), proc.stdout

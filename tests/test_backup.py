@@ -12,12 +12,16 @@ from mbdp import (
     DecPomdp,
     ObservationSelection,
     PolicyTree,
+    SolverConfig,
     build_boxpush,
+    epsilon_at,
     exhaustive_backup,
     fill_missing,
+    improved_mbdp,
     partial_backup,
     rank_observations,
 )
+import mbdp.solver as solver_module
 from mbdp.backup import backup_values, prune_value_tensor
 
 import _reference as ref
@@ -141,6 +145,38 @@ class TestRanking:
         model = build_boxpush(horizon=2)
         with pytest.raises(ConfigError, match="max_obs must be an integer >= 1"):
             rank_observations(model, model.initial_belief, 0, max_obs=bad)
+
+    @staticmethod
+    def assert_best_family(model, belief, action, max_obs):
+        sel = rank_observations(model, belief, action, max_obs)
+        subsets, mass = ref.rank_observations_reference(model, belief, action, max_obs)
+        assert (sel.per_agent, sel.captured_mass) == (subsets, mass)
+        assert sel.captured_mass == epsilon_at(model, belief, action, max_obs)
+
+    @pytest.mark.parametrize("max_obs", [1, 2, 3])
+    def test_keeps_the_best_family_on_random_models(self, max_obs):
+        # walking the joint observations greedily kept less mass at 514 of
+        # these 1,600 (belief, joint action) pairs at max_obs 2
+        for seed in range(40):
+            model = random_model(seed, obs_counts=(3, 3))
+            rng = np.random.default_rng(seed)
+            for probs in rng.dirichlet(np.ones(model.num_states), size=10):
+                for ja in range(model.num_joint_actions):
+                    self.assert_best_family(model, BeliefState(probs), ja, max_obs)
+
+    def test_keeps_the_best_family_at_every_planner_ranking(self, monkeypatch):
+        calls = []
+
+        def spy(model, belief, action, max_obs):
+            calls.append((belief, action, max_obs))
+            return rank_observations(model, belief, action, max_obs)
+
+        monkeypatch.setattr(solver_module, "rank_observations", spy)
+        model = build_boxpush(horizon=10)
+        improved_mbdp(model, SolverConfig(max_trees=4, max_obs=2, seed=0))
+        assert len(calls) == 9
+        for belief, action, max_obs in calls:
+            self.assert_best_family(model, belief, action, max_obs)
 
     def test_components_sorted_ascending(self, mabc):
         sel = rank_observations(mabc, mabc.initial_belief, 0, max_obs=2)

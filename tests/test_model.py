@@ -9,6 +9,7 @@ from mbdp import (
     DecPomdp,
     ImpossibleEvidenceError,
     ModelError,
+    ObservationSelection,
     PROB_TOL,
     build_mabc,
     build_tiger,
@@ -17,7 +18,10 @@ from mbdp import (
     error_bound,
     evaluate_at_belief,
     evaluate_at_state,
+    fill_missing,
+    partial_backup,
     random_policy_baseline,
+    rank_observations,
     simulate,
     uniform_random_value,
 )
@@ -124,6 +128,31 @@ def test_entry_points_refuse_invalid_model(entry):
     transition[0, 0, 0] = np.nan
     with pytest.raises(ModelError, match="non-finite"):
         ENTRY_POINTS[entry](replace(tiger, transition=transition), policy)
+
+
+BELIEF_ENTRY_POINTS = {
+    "propagate": lambda m, b: m.propagate(b, 0),
+    "observation_probabilities": lambda m, b: m.observation_probabilities(b, 0),
+    "bayes_update": lambda m, b: m.bayes_update(b, 0, 0),
+    "epsilon_at": lambda m, b: epsilon_at(m, b, 0, 1),
+    "rank_observations": lambda m, b: rank_observations(m, b, 0, 1),
+    "evaluate_at_belief": lambda m, b: evaluate_at_belief(m, random_policy_baseline(m).policy, b),
+    "fill_missing": lambda m, b: fill_missing(
+        m,
+        partial_backup(m, (1, 1), ObservationSelection(((0,), (0,)))),
+        np.zeros((1, 1, m.num_states)),
+        b,
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(BELIEF_ENTRY_POINTS))
+def test_belief_entry_points_refuse_wrong_length_beliefs(entry):
+    # tiger has two states; a three-entry belief once leaked numpy's
+    # matmul shape error
+    tiger = build_tiger(horizon=3)
+    with pytest.raises(ModelError, match="belief has 3 entries, the model 2 states"):
+        BELIEF_ENTRY_POINTS[entry](tiger, BeliefState.uniform(3))
 
 
 class TestBeliefs:
