@@ -10,9 +10,10 @@ into its tables, and ``JointPolicy.trees`` builds nodes on request.
 trajectory replay, exact evaluation and serialization all read them a
 depth at a time, without recursion; exact evaluation and simulation
 step through the grid of the agents' rows at each depth.  Simulation
-draws each outcome by a binary search over the distinct values of a
-sorted cumulative row and then reads one count, which gives the outcome
-of comparing the draw with the whole row.  Only ``json`` recurses, and
+reads each outcome from a guide table of buckets per cumulative row,
+and searches the row's sorted distinct values only for a draw in a
+bucket that holds one of them; either way the outcome is that of
+comparing the draw with the whole row.  Only ``json`` recurses, and
 a nested policy file too deep for it is rejected with ``ParseError``.
 """
 
@@ -325,7 +326,7 @@ class SimulationResult:
 
 
 class _RowSampler:
-    """Categorical draws from the rows of a cumulative table, by binary search.
+    """Categorical draws from the rows of a cumulative table: a guide table, then a binary search.
 
     A draw ``u`` on row ``r`` of ``cumulative`` (rows, K) has outcome
     ``min(#{k : cumulative[r, k] < u}, K - 1)``, as if ``u`` were compared
@@ -334,15 +335,22 @@ class _RowSampler:
     Sorting is required, not a shortcut: rows may carry negative dust
     down to ``-PROB_TOL``, so a cumulative row need not be monotone.
     A sparse row repeats values (a zero-probability outcome adds
-    nothing), so only each row's distinct kept values are searched,
-    padded with ``+inf`` to a power-of-two width P above the largest
-    distinct count of any row.  A fixed-step binary search (Khuong &
-    Morin 2017) finds in log2(P) gathers the number m of distinct values
-    below the draw, and one more gather reads the outcome from a count
-    table whose entry m is the number of kept entries below the row's
-    m-th distinct value, and K - 1 past the last, which is the clamp.
-    The search compares the draw with the same doubles as the whole-row
-    comparison, so every outcome is identical to it.
+    nothing), so only each row's distinct kept values count, padded with
+    ``+inf`` to a power-of-two width P above the largest distinct count
+    of any row.  The outcome is entry m of the row's count table, where
+    m is the number of distinct values below the draw; entry m is the
+    number of kept entries below the row's m-th distinct value, and
+    K - 1 past the last, which is the clamp.
+
+    The guide table (Chen & Asau 1974; Devroye 1986, III.2.4) splits
+    [0, 1) into B buckets per row, B a power of two, so ``u * B`` is
+    exact and truncates to the draw's bucket.  Where no distinct value
+    lies in a bucket, m is the same for every draw in it and the entry
+    holds the outcome; elsewhere it holds -1.  Every draw reads the
+    guide, and only those on a -1 entry go on to a fixed-step binary
+    search (Khuong & Morin 2017) that finds m in log2(P) gathers.  Both
+    compare the draw with the same doubles as the whole-row comparison,
+    so every outcome is identical to it.
     """
 
     def __init__(self, cumulative: np.ndarray):
@@ -362,31 +370,45 @@ class _RowSampler:
         # one unused entry in front: value m of row r is values[r * width + m + 1]
         self.values = np.concatenate(([np.nan], values.ravel()))
         self.counts = counts.ravel()
+        # about 2^16 guide entries (0.5 MiB), 16 to 4,096 buckets per row;
+        # below[r, b] counts the distinct values v < b / B, that is the
+        # edges b > v * B, so v adds one from edge floor(v * B) + 1 on
+        self.buckets = buckets = 1 << min(max(((1 << 16) // rows).bit_length() - 1, 4), 12)
+        edge = np.clip(np.floor(values * buckets) + 1, 0, buckets + 1).astype(np.int64)
+        edge += np.arange(rows)[:, None] * (buckets + 2)
+        below = np.bincount(edge.ravel(), minlength=rows * (buckets + 2)).reshape(rows, -1).cumsum(axis=1)
+        clean = below[:, 1:-1] == below[:, :-2]
+        self.guide = np.where(clean, np.take_along_axis(counts, below[:, :-2], axis=1), -1).ravel()
 
-    def draw(self, rows: np.ndarray, draws: np.ndarray, out: np.ndarray, scratch) -> np.ndarray:
+    def draw(self, rows: np.ndarray, draws: np.ndarray, out: np.ndarray, index: np.ndarray) -> np.ndarray:
         """Writes the outcome of ``draws[e]`` on row ``rows[e]`` to ``out[e]``.
 
-        ``scratch`` is an (int64, float64, bool) triple of buffers as long
-        as ``draws``; their contents are overwritten.
+        ``index`` is an int64 buffer as long as ``draws``; its contents
+        are overwritten.
         """
-        index, value, below = scratch
+        # indices are in range by construction, and mode="clip" skips the
+        # copy that the bounds check makes
+        np.multiply(draws, self.buckets, out=index, casting="unsafe")
+        np.multiply(rows, self.buckets, out=out)
+        index += out
+        np.take(self.guide, index, out=out, mode="clip")
+        at = np.flatnonzero(out < 0)
+        if len(at):
+            out[at] = self._search(rows[at], draws[at])
+        return out
+
+    def _search(self, rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
         # index holds row * width + m, and m rises by step when the row's
-        # value m + step - 1 lies below the draw; indices are in range by
-        # construction, and mode="clip" skips the copy that the bounds
-        # check makes
-        np.multiply(rows, self.width, out=index)
+        # value m + step - 1 lies below the draw
+        index = rows * self.width
         step = self.width >> 1
         while step:
-            np.add(index, step, out=out)
-            np.take(self.values, out, out=value, mode="clip")
-            np.less(value, draws, out=below)
-            np.multiply(below, step, out=out)
-            index += out
+            index += (np.take(self.values, index + step, mode="clip") < draws) * step
             step >>= 1
-        return np.take(self.counts, index, out=out, mode="clip")
+        return np.take(self.counts, index, mode="clip")
 
 
-# episodes per block of simulate's lookups (1 MiB of buffers); box pushing
+# episodes per block of simulate's lookups (1.25 MiB of buffers); box pushing
 # h=10 ran 5-20% slower at 2^12 and 2^17, mabc h=100 did not resolve them
 _SIM_BLOCK = 1 << 15
 
@@ -397,10 +419,11 @@ def simulate(model: DecPomdp, joint, episodes: int, seed: int) -> SimulationResu
     Each episode holds an index into its depth's grid of joint row tuples,
     numbered as in ``PolicyEvaluator``, whose table (the only one held)
     gives each tuple's joint action and child tuple per joint observation.
-    A step draws for all episodes, then searches and looks up
-    ``_SIM_BLOCK`` episodes at a time.  Each categorical draw is a binary
-    search over the distinct values of a sorted cumulative row of the
-    start belief, ``T`` or ``O``, and a read of a count table
+    A step draws for all episodes, then samples and looks up
+    ``_SIM_BLOCK`` episodes at a time.  Each categorical draw on a
+    cumulative row of the start belief, ``T`` or ``O`` is one read of the
+    row's guide table, and a binary search over the row's sorted distinct
+    values only where the draw's bucket holds one of them
     (``_RowSampler``).  A fixed seed reproduces results bit-for-bit: the
     draws come in a fixed order from one generator (the start state, then
     per step the next state and, before the last step, the joint
@@ -418,16 +441,16 @@ def simulate(model: DecPomdp, joint, episodes: int, seed: int) -> SimulationResu
     observation = _RowSampler(np.cumsum(model.observation, axis=-1).reshape(-1, model.num_joint_observations))
     reward = model.reward.ravel()
     # per episode: its joint row tuple (the root tuple is 0), state, return and
-    # draws; per block, views of those and three int buffers and a draw's scratch
+    # draws; per block, views of those, four int buffers and a float one
     total, t_draws, o_draws = np.zeros(n), np.empty(n), np.empty(n)
     episode = (np.zeros(n, dtype=np.int64), np.empty(n, dtype=np.int64), total, t_draws, o_draws)
     size = min(n, _SIM_BLOCK)
-    buffers = (*(np.zeros(size, dtype=np.int64) for _ in range(4)), np.empty(size), np.empty(size, dtype=bool))
+    buffers = (*(np.zeros(size, dtype=np.int64) for _ in range(4)), np.empty(size))
     blocks = [(*(v[lo : lo + size] for v in episode), *(b[: min(size, n - lo)] for b in buffers))
               for lo in range(0, n, size)]
     rng.random(n, out=t_draws)
-    for _, state, _, draws, _, _, _, zeros, *scratch in blocks:
-        start.draw(zeros, draws, state, scratch)
+    for _, state, _, draws, _, _, _, zeros, flat, _ in blocks:
+        start.draw(zeros, draws, state, flat)
     for t in range(policy.depth):
         last = t == policy.depth - 1
         below = None if last else tuple(len(a[t + 1]) for a in policy.actions)
@@ -441,17 +464,17 @@ def simulate(model: DecPomdp, joint, episodes: int, seed: int) -> SimulationResu
         rng.random(n, out=t_draws)
         if not last:
             rng.random(n, out=o_draws)
-        for tuples, state, returns, t_u, o_u, at, base, row, flat, value, mask in blocks:
+        for tuples, state, returns, t_u, o_u, at, base, row, flat, value in blocks:
             np.take(acts, tuples, out=base, mode="clip")
             np.add(base, state, out=row)
             # the next state replaces the state, which the T row holds
-            transition.draw(row, t_u, state, (flat, value, mask))
+            transition.draw(row, t_u, state, flat)
             np.multiply(row, num_states, out=flat)
             flat += state
             returns += np.take(reward, flat, out=value, mode="clip")
             if not last:
                 base += state
-                np.multiply(observation.draw(base, o_u, row, (flat, value, mask)), count, out=at)
+                np.multiply(observation.draw(base, o_u, row, flat), count, out=at)
                 at += tuples
                 np.take(kids, at, out=tuples, mode="clip")
         del grid, planes, acts, kids

@@ -518,12 +518,12 @@ class BaselineResult:
     samples: int
 
 
-def _random_tables(model, agent, depth, rng, node_cap, level_width):
+def _random_tables(model, agent, depth, rng, whole, level_width):
     """(actions, children) per depth, root first, of one agent's random policy."""
     num_obs = model.observation_counts[agent]
     num_act = model.action_counts[agent]
-    full_nodes = sum(num_obs**k for k in range(depth))
-    if full_nodes <= node_cap:
+    if whole:
+        full_nodes = sum(num_obs**k for k in range(depth))
         # actions are drawn in pre-order, observation 0's subtree first;
         # row r's child after observation o is row r * num_obs + o
         drawn = rng.integers(num_act, size=full_nodes)
@@ -557,20 +557,26 @@ def random_policy_baseline(
 ) -> BaselineResult:
     """Uniformly random joint policies, evaluated exactly.
 
-    With ``samples`` = 1 the sampled policy is returned along with its
-    value; with more samples only the mean and its standard error are,
-    since the policies are independent draws.
+    Every agent draws its whole tree, one action per node, while the
+    grid of the agents' deepest full levels, prod_i |O_i|^(h - 1) joint
+    rows, which exact evaluation visits, holds at most ``node_cap``
+    rows.  Past that, every agent draws levels of at most
+    ``level_width`` nodes that share the level below.  With ``samples``
+    = 1 the sampled policy is returned along with its value; with more
+    samples only the mean and its standard error are, since the policies
+    are independent draws.
     """
     model.require_valid()
     samples = require_count(samples, "samples", ConfigError)
     node_cap = require_count(node_cap, "node_cap", ConfigError, least=0)
     level_width = require_count(level_width, "level_width", ConfigError)
     rng = np.random.default_rng(require_seed(seed, ConfigError))
+    whole = math.prod(n ** (model.horizon - 1) for n in model.observation_counts) <= node_cap
     values = []
     evaluator = PolicyEvaluator(model)
     for _ in range(samples):
         tables = [
-            _random_tables(model, i, model.horizon, rng, node_cap, level_width)
+            _random_tables(model, i, model.horizon, rng, whole, level_width)
             for i in range(model.num_agents)
         ]
         joint = JointPolicy._from_tables(*zip(*tables))

@@ -112,15 +112,15 @@ def materialize_reference(levels):
 def random_tree_reference(model, agent, depth, rng, node_cap, level_width):
     """One agent's uniformly random policy tree, drawing from ``rng`` as the baseline does.
 
-    Up to ``node_cap`` nodes the whole tree is drawn, one action per node
-    in pre-order; beyond that each level holds at most ``level_width``
-    nodes, each drawing its action and then one child per observation
-    from the level below.
+    While the product over all agents of their deepest full level,
+    prod_i |O_i|^(depth - 1), is at most ``node_cap``, the whole tree is
+    drawn, one action per node in pre-order; beyond that each level
+    holds at most ``level_width`` nodes, each drawing its action and then
+    one child per observation from the level below.
     """
     num_obs = model.observation_counts[agent]
     num_act = model.action_counts[agent]
-    full_nodes = sum(num_obs**k for k in range(depth))
-    if full_nodes <= node_cap:
+    if math.prod(n ** (depth - 1) for n in model.observation_counts) <= node_cap:
         # actions are drawn in pre-order; nodes are built in reverse, each
         # taking its children off the stack
         depths, pending = [], [depth]

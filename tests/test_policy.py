@@ -301,17 +301,21 @@ def test_simulate_matches_reference(case, monkeypatch):
 
 
 def test_simulate_working_set_is_bounded():
-    # about 11 MB: five vectors of one entry per episode and one block's
-    # buffers; a row vector per agent and whole-episode scratch took 17.8 MB
+    # about 12 MB: five vectors of one entry per episode, one block's
+    # buffers and the guide tables (0.5 MiB each on mabc's 16 rows); a row
+    # vector per agent and whole-episode scratch took 17.8 MB
     model = build_mabc(horizon=20)
     joint = plan(model, SolverConfig(max_trees=3, heuristics=("random",))).policy
+    assert traced_peak_mb(lambda: simulate(model, joint, 200_000, 0)) < 14
+    # the widest tables: 1,600 rows of 32 buckets each for T and O; the
+    # peak measured 12.1 MB, and 14 MB leaves 1.9 MB of margin
+    model, joint = _boxpush_planner_case()
     assert traced_peak_mb(lambda: simulate(model, joint, 200_000, 0)) < 14
 
 
 def _row_sampler_draws(cumulative, rows, draws):
     n = len(draws)
-    scratch = (np.empty(n, dtype=np.int64), np.empty(n), np.empty(n, dtype=bool))
-    return _RowSampler(cumulative).draw(rows, draws, np.empty(n, dtype=np.int64), scratch)
+    return _RowSampler(cumulative).draw(rows, draws, np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64))
 
 
 @st.composite
@@ -320,16 +324,26 @@ def cumulative_tables(draw):
 
     Sparse rows have a few outcomes of nonzero probability, so their
     cumulative values repeat; mixed with the other kinds they give rows
-    of different distinct counts, which the sampler pads.
+    of different distinct counts, which the sampler pads.  Edge rows put
+    their values on and inside the guide's buckets: up to 4 rows get
+    4,096 buckets each.
     """
     k = draw(st.sampled_from([1, 2, 3, 4, 7, 8, 16, 33, 100]))
     num_rows = draw(st.integers(1, 4))
     rows = []
     for _ in range(num_rows):
-        kind = draw(st.sampled_from(["any", "dusty", "sparse"]))
+        kind = draw(st.sampled_from(["any", "dusty", "sparse", "edges"]))
         if kind == "any":
             # any row at all: the outcome is a count, whatever the order
             rows.append(draw(st.lists(st.floats(-PROB_TOL, 1.0), min_size=k, max_size=k)))
+            continue
+        if kind == "edges":
+            # the edges of bucket b, two values inside it, negative dust
+            # (below every bucket) and values of 1 or more (in none)
+            b = draw(st.integers(0, 4095))
+            pool = [b / 4096, (b + 0.25) / 4096, (b + 0.75) / 4096, (b + 1) / 4096,
+                    -PROB_TOL, 1.0, 1.0 + PROB_TOL / 2]
+            rows.append(sorted(draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k))))
             continue
         # a sparse row has at most 4 outcomes of nonzero probability
         support = list(range(k)) if kind == "dusty" else sorted(
@@ -352,13 +366,19 @@ def test_row_sampler_matches_whole_row_comparison(table, data):
     n = data.draw(st.integers(1, 40))
     rows = np.array(data.draw(st.lists(st.integers(0, len(table) - 1), min_size=n, max_size=n)))
     # exactly 0, exactly an entry of the row, exactly an entry that its
-    # row repeats, just above the row's largest entry, or anywhere in [0, 1)
+    # row repeats, just above the row's largest entry, exactly on a guide
+    # bucket's edge or just below it, or anywhere in [0, 1)
     entries = [float(x) for x in table.ravel() if 0.0 <= x < 1.0]
     repeated = [float(x) for row in table for x in row if 0.0 <= x < 1.0 and (row == x).sum() > 1]
     above = [float(np.nextafter(x, 1.0)) for x in table.max(axis=1) if 0.0 <= x < 1.0]
+    buckets = _RowSampler(table).buckets
+    assert buckets == 4096
+    edge = st.integers(0, buckets - 1).map(lambda b: b / buckets)
     draw = st.one_of(
         st.just(0.0),
         st.floats(0.0, 1.0, exclude_max=True),
+        edge,
+        edge.map(lambda x: float(np.nextafter(x, 0.0))),
         *([st.sampled_from(entries)] if entries else []),
         *([st.sampled_from(repeated)] if repeated else []),
         *([st.sampled_from(above)] if above else []),
@@ -376,24 +396,80 @@ def test_row_sampler_edge_draws(k):
     if k > 2:
         probs[1], probs[2] = probs[1] + probs[2] + PROB_TOL, -PROB_TOL
     row = np.cumsum(probs)[None, :]
-    draws = np.array([0.0, *row[0], float(np.nextafter(row.max(), 1.0)), 1.0 - 2**-53])
+    # every bucket edge of the guide and the double below it
+    buckets = _RowSampler(row).buckets
+    edges = np.arange(buckets) / buckets
+    draws = np.array([0.0, *row[0], *edges, *np.nextafter(edges, 0.0),
+                      float(np.nextafter(row.max(), 1.0)), 1.0 - 2**-53])
     rows = np.zeros(len(draws), dtype=np.int64)
     got = _row_sampler_draws(row, rows, draws)
     np.testing.assert_array_equal(got, ref._sample_rows(row, (rows,), draws))
     assert got[0] == 0 and got[-2] == got[-1] == k - 1
 
 
-@pytest.mark.parametrize("build,widths", [(build_boxpush, (8, 4)), (build_mabc, (4, 4)), (build_tiger, (2, 4))])
-def test_row_sampler_searches_only_distinct_values(build, widths):
+@pytest.mark.parametrize("build,widths,guides", [
+    (build_boxpush, (8, 4), ((32, 3734), (32, 1440))),
+    (build_mabc, (4, 4), ((4096, 38), (4096, 48))),
+    (build_tiger, (2, 4), ((2048, 17), (2048, 54))),
+])
+def test_row_sampler_searches_only_distinct_values(build, widths, guides):
     # a box-pushing T row moves to at most 4 of 100 states (5 distinct
     # cumulative values) and an O row is deterministic (2), so the search
-    # is 3 and 2 steps wide; narrow models keep a width above K - 1
+    # is 3 and 2 steps wide; narrow models keep a width above K - 1.
+    # Per table, the guide's buckets per row and its -1 entries: 7.3% and
+    # 2.8% of box pushing's 1,600 x 32, 0.06% and 0.07% of mabc's 16 x 4,096
     model = build(horizon=2)
     transition = _RowSampler(np.cumsum(model.transition, axis=-1).reshape(-1, model.num_states))
     observation = _RowSampler(
         np.cumsum(model.observation, axis=-1).reshape(-1, model.num_joint_observations)
     )
     assert (transition.width, observation.width) == widths
+    assert tuple((s.buckets, int((s.guide == -1).sum())) for s in (transition, observation)) == guides
+
+
+@pytest.mark.parametrize("table", [
+    # cut points on bucket edges; two distinct ones inside one bucket;
+    # negative dust (below every bucket) and a cut point at 0; values of 1
+    # or more (in no bucket), out of order
+    [[0.25, 0.5, 0.5, 0.75, 1.0],
+     [0.3, 0.3 + 1e-9, 0.6, 1.0, 1.0],
+     [-PROB_TOL, -PROB_TOL / 2, 0.0, 0.4, 1.0],
+     [0.5, 1.0, 1.0 + PROB_TOL / 2, 1.0 - PROB_TOL / 3, 1.0]],
+    # K = 1: no kept values, every bucket gives outcome 0
+    [[1.0], [1.0 - PROB_TOL / 2]],
+])
+def test_row_sampler_searches_exactly_the_draws_in_marked_buckets(table, monkeypatch):
+    table = np.array(table)
+    sampler = _RowSampler(table)
+    buckets = sampler.buckets
+    # bucket b of row r is marked -1 exactly when a distinct kept value
+    # lies in [b / B, (b + 1) / B); the others hold the outcome
+    kept = np.sort(table, axis=1)[:, :-1]
+    marked = np.zeros((len(table), buckets), dtype=bool)
+    inside = (kept >= 0) & (kept < 1)
+    marked[np.nonzero(inside)[0], np.floor(kept[inside] * buckets).astype(int)] = True
+    np.testing.assert_array_equal(sampler.guide.reshape(len(table), buckets) == -1, marked)
+
+    searched = []
+    search = _RowSampler._search
+
+    def spy(self, rows, draws):
+        searched.append((rows, draws))
+        return search(self, rows, draws)
+
+    monkeypatch.setattr(_RowSampler, "_search", spy)
+    edges = np.arange(buckets) / buckets
+    u = np.concatenate([edges, np.nextafter(edges, 0.0), edges + 0.5 / buckets])
+    rows = np.repeat(np.arange(len(table)), len(u))
+    draws = np.tile(u, len(table))
+    got = _row_sampler_draws(table, rows, draws)
+    np.testing.assert_array_equal(got, ref._sample_rows(table, (rows,), draws))
+    in_marked = marked[rows, np.floor(draws * buckets).astype(int)]
+    assert in_marked.any() == bool(searched)
+    if searched:
+        (search_rows, search_draws), = searched
+        np.testing.assert_array_equal(search_rows, rows[in_marked])
+        np.testing.assert_array_equal(search_draws, draws[in_marked])
 
 
 _LEAF = PolicyTree(0)

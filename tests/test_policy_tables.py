@@ -108,11 +108,13 @@ def test_solver_tables_equal_the_reference_trees(monkeypatch, case):
 
 
 BASELINES = [
-    # (model, horizon, node_cap, level_width): the first three draw whole trees, the rest wide levels
+    # (model, horizon, node_cap, level_width): the first four draw whole trees, the rest wide levels
     (build_tiger, 4, 50_000, 32),
     (three_agent_model, 3, 50_000, 32),
     (build_mabc, 6, 50_000, 32),
+    (build_boxpush, 4, 50_000, 32),
     (build_mabc, 6, 10, 3),
+    (build_mabc, 9, 50_000, 32),
     (build_boxpush, 10, 50_000, 32),
     (build_mabc, 30, 50_000, 32),
     (three_agent_model, 5, 0, 2),
@@ -151,6 +153,24 @@ def test_baseline_mean_equals_the_reference_draws(build, horizon, node_cap, leve
     assert got.policy is None
     assert got.value == float(np.mean(values))
     assert got.std_error == float(np.std(values, ddof=1) / np.sqrt(5))
+
+
+@pytest.mark.parametrize(
+    "build,whole", [(build_tiger, 8), (build_mabc, 8), (build_boxpush, 4), (three_agent_model, 5)]
+)
+def test_baseline_draws_whole_trees_while_the_deepest_grid_fits_node_cap(build, whole):
+    # the default node_cap of 50,000 against prod_i |O_i|^(h - 1): two
+    # agents of 2 observations reach 4^7 = 16,384 at h=8 and 65,536 at h=9,
+    # box pushing 25^3 = 15,625 at h=4 and 390,625 at h=5, and the three
+    # agents of (2, 2, 3) observations 12^4 = 20,736 at h=5 and 248,832 at h=6
+    for horizon in (whole, whole + 1):
+        model = build(horizon=horizon)
+        policy = random_policy_baseline(model, samples=1, seed=0).policy
+        deepest = [len(acts[-1]) for acts in policy.actions]
+        if horizon == whole:
+            assert deepest == [n ** (horizon - 1) for n in model.observation_counts]
+        else:
+            assert max(deepest) <= 32
 
 
 def test_solvers_and_baselines_build_no_policy_tree(monkeypatch):
