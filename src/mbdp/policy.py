@@ -346,7 +346,8 @@ class _RowSampler:
     [0, 1) into B buckets per row, B a power of two, so ``u * B`` is
     exact and truncates to the draw's bucket.  Where no distinct value
     lies in a bucket, m is the same for every draw in it and the entry
-    holds the outcome; elsewhere it holds -1.  Every draw reads the
+    holds the outcome; elsewhere it holds -1.  Entry B of each row holds
+    the outcome of a draw of exactly 1, so such a draw stays on its row.  Every draw reads the
     guide, and only those on a -1 entry go on to a fixed-step binary
     search (Khuong & Morin 2017) that finds m in log2(P) gathers.  Both
     compare the draw with the same doubles as the whole-row comparison,
@@ -377,8 +378,9 @@ class _RowSampler:
         edge = np.clip(np.floor(values * buckets) + 1, 0, buckets + 1).astype(np.int64)
         edge += np.arange(rows)[:, None] * (buckets + 2)
         below = np.bincount(edge.ravel(), minlength=rows * (buckets + 2)).reshape(rows, -1).cumsum(axis=1)
-        clean = below[:, 1:-1] == below[:, :-2]
-        self.guide = np.where(clean, np.take_along_axis(counts, below[:, :-2], axis=1), -1).ravel()
+        clean = np.ones((rows, buckets + 1), dtype=bool)
+        clean[:, :-1] = below[:, 1:-1] == below[:, :-2]
+        self.guide = np.where(clean, np.take_along_axis(counts, below[:, :-1], axis=1), -1).ravel()
 
     def draw(self, rows: np.ndarray, draws: np.ndarray, out: np.ndarray, index: np.ndarray) -> np.ndarray:
         """Writes the outcome of ``draws[e]`` on row ``rows[e]`` to ``out[e]``.
@@ -389,7 +391,7 @@ class _RowSampler:
         # indices are in range by construction, and mode="clip" skips the
         # copy that the bounds check makes
         np.multiply(draws, self.buckets, out=index, casting="unsafe")
-        np.multiply(rows, self.buckets, out=out)
+        np.multiply(rows, self.buckets + 1, out=out)
         index += out
         np.take(self.guide, index, out=out, mode="clip")
         at = np.flatnonzero(out < 0)

@@ -443,12 +443,13 @@ def test_row_sampler_searches_exactly_the_draws_in_marked_buckets(table, monkeyp
     sampler = _RowSampler(table)
     buckets = sampler.buckets
     # bucket b of row r is marked -1 exactly when a distinct kept value
-    # lies in [b / B, (b + 1) / B); the others hold the outcome
+    # lies in [b / B, (b + 1) / B); the others, and the entry for a draw
+    # of exactly 1, hold the outcome
     kept = np.sort(table, axis=1)[:, :-1]
-    marked = np.zeros((len(table), buckets), dtype=bool)
+    marked = np.zeros((len(table), buckets + 1), dtype=bool)
     inside = (kept >= 0) & (kept < 1)
     marked[np.nonzero(inside)[0], np.floor(kept[inside] * buckets).astype(int)] = True
-    np.testing.assert_array_equal(sampler.guide.reshape(len(table), buckets) == -1, marked)
+    np.testing.assert_array_equal(sampler.guide.reshape(len(table), buckets + 1) == -1, marked)
 
     searched = []
     search = _RowSampler._search
