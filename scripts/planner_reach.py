@@ -1,11 +1,17 @@
 #!/usr/bin/env python3
-"""Time and peak memory of the planner on wide box-pushing levels.
+"""Time and peak memory of the planner on wide levels and long horizons.
 
-Each run solves box pushing h=10 with seed 0 in a fresh Python process,
-so its peak resident set is its own, and prints one JSON line: the
-run's name, its settings, the solve's wall time, the process's maximum
-RSS and the returned value.  BLAS is pinned to one thread, as in the benchmark.  To
-measure another source tree, point PYTHONPATH at its ``src``.
+Each run solves its model at its horizon with seed 0 in a fresh Python
+process, so its peak resident set is its own, after one solve at h=2
+that pays the process's first-call costs, and prints one JSON line:
+the run's name, its settings, the solve's wall time and milliseconds
+per level (wall time over the horizon), the process's maximum RSS and
+the returned value.  The box-pushing runs (h=10) load wide levels; the
+broadcast-channel runs keep narrow levels over long horizons, where the
+cost of one level sets the cost of the solve.  ``mabc-mbdp-3-h100`` is
+one seed of the benchmark's mabc-full solve.  BLAS is pinned to one
+thread, as in the benchmark.  To measure another source tree, point
+PYTHONPATH at its ``src``.
 
 Example:
     PYTHONPATH=src python3 scripts/planner_reach.py
@@ -18,49 +24,60 @@ import os
 import subprocess
 import sys
 
-# name -> (solver, max_trees, max_obs)
+# name -> (model, horizon, solver, max_trees, max_obs, heuristics)
+DEFAULT_PORTFOLIO = ("mdp", "random")
 RUNS = {
-    "improved-5x3": ("improved_mbdp", 5, 3),
-    "improved-8x3": ("improved_mbdp", 8, 3),
-    "mbdp-3": ("mbdp", 3, None),
+    "improved-5x3": ("boxpush", 10, "improved_mbdp", 5, 3, DEFAULT_PORTFOLIO),
+    "improved-8x3": ("boxpush", 10, "improved_mbdp", 8, 3, DEFAULT_PORTFOLIO),
+    "mbdp-3": ("boxpush", 10, "mbdp", 3, None, DEFAULT_PORTFOLIO),
     # full backups of 4,096 trees per agent: several GB before the
     # factored scoring kernel, so it is not in the default set
-    "mbdp-4": ("mbdp", 4, None),
+    "mbdp-4": ("boxpush", 10, "mbdp", 4, None, DEFAULT_PORTFOLIO),
+    "mabc-improved-3x2-h100": ("mabc", 100, "improved_mbdp", 3, 2, DEFAULT_PORTFOLIO),
+    "mabc-improved-3x2-h1000": ("mabc", 1000, "improved_mbdp", 3, 2, DEFAULT_PORTFOLIO),
+    "mabc-improved-3x2-h4000": ("mabc", 4000, "improved_mbdp", 3, 2, DEFAULT_PORTFOLIO),
+    "mabc-mbdp-3-h100": ("mabc", 100, "mbdp", 3, None, ("random",)),
 }
-DEFAULT_RUNS = ("improved-5x3", "improved-8x3", "mbdp-3")
-HORIZON = 10
+DEFAULT_RUNS = tuple(name for name in RUNS if name != "mbdp-4")
 SEED = 0
 
 CHILD = """
 import json, resource, sys, time
 import mbdp
-solver, max_trees, max_obs, horizon, seed = json.loads(sys.argv[1])
-model = mbdp.build_boxpush(horizon=horizon)
-cfg = mbdp.SolverConfig(max_trees=max_trees, max_obs=max_obs, seed=seed)
+problem, horizon, solver, max_trees, max_obs, heuristics, seed = json.loads(sys.argv[1])
+build = getattr(mbdp, "build_" + problem)
+cfg = mbdp.SolverConfig(max_trees=max_trees, max_obs=max_obs, heuristics=heuristics, seed=seed)
+# a solve at h=2 first pays the process's first-call costs, which are
+# about as large as a whole mabc h=100 solve
+getattr(mbdp, solver)(build(horizon=2), cfg)
+model = build(horizon=horizon)
 started = time.perf_counter()
 report = getattr(mbdp, solver)(model, cfg)
 wall = time.perf_counter() - started
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-print(json.dumps({"wall_s": wall, "max_rss_mb": rss, "value": report.value}))
+print(json.dumps({"wall_s": wall, "ms_per_level": wall * 1000.0 / horizon, "max_rss_mb": rss,
+                  "value": report.value}))
 """
 
 PINNED_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def run_one(name):
-    solver, max_trees, max_obs = RUNS[name]
+    problem, horizon, solver, max_trees, max_obs, heuristics = RUNS[name]
     env = dict(os.environ, **{key: "1" for key in PINNED_THREADS})
-    args = json.dumps([solver, max_trees, max_obs, HORIZON, SEED])
+    args = json.dumps([problem, horizon, solver, max_trees, max_obs, heuristics, SEED])
     out = subprocess.run(
         [sys.executable, "-c", CHILD, args], env=env, capture_output=True, text=True, check=True
     )
     measured = json.loads(out.stdout)
     return {
         "run": name,
+        "model": problem,
+        "horizon": horizon,
         "solver": solver,
         "max_trees": max_trees,
         "max_obs": max_obs,
-        "horizon": HORIZON,
+        "heuristics": list(heuristics),
         "seed": SEED,
         **measured,
     }

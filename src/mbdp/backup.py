@@ -376,7 +376,8 @@ def picked_values(
     actions.
     """
     sizes = tuple(len(rows) for rows in picked)
-    picks = [term[rows] for term, rows in zip(terms, picked)]
+    # take, not a fancy index: it reads a short list of rows faster
+    picks = [term.take(rows, axis=0) for term, rows in zip(terms, picked)]
     # every combination of the agents' own actions occurs in the grid
     used = sorted(
         {sum(c) for c in itertools.product(*(set(p[:, 0].tolist()) for p in picks))}

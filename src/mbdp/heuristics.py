@@ -10,13 +10,18 @@ conditioning the belief on them, which the other two do not need).
 A planning round needs one trajectory per level and pick, of length
 horizon - t at level t, and reads only its last two beliefs and last
 action.  ``selection_beliefs`` draws all of them before the first level,
-with the generator calls ``generate_belief`` would make in the same
-order.  Random trajectories then advance together, one batched step per
-numpy call, so a round costs O(horizon) steps rather than O(horizon^2);
-the MDP heuristic's trajectories are prefixes of one cached walk, and
-the replay heuristic walks its own.  Every step is the vector-matrix
-product of ``DecPomdp.propagate``, so the rows match a chain of
-``propagate`` calls bit for bit.
+with the generator stream ``generate_belief`` would draw in the same
+order.  A run of random picks (up to the next replay pick, or the end of
+a block of at most ``_ACTION_CHUNK`` bytes of actions) is drawn in
+``Generator.integers`` calls of at most ``_DRAW_CELLS`` actions, which
+give the same stream and the same generator state as one call per pick.
+Random trajectories then advance together, one batched step per numpy
+call, reading each step's actions from a column of the block's
+(trajectory, step) table, so a round costs O(horizon) steps rather than
+O(horizon^2); the MDP heuristic's trajectories are prefixes of one
+cached walk, and the replay heuristic walks its own.  Every step is the
+vector-matrix product of ``DecPomdp.propagate``, so the rows match a
+chain of ``propagate`` calls bit for bit.
 """
 
 from __future__ import annotations
@@ -35,9 +40,9 @@ def _check_rows(rows: np.ndarray) -> None:
     # a non-finite entry makes its row's sum non-finite, which fails
     # the sum test as well
     sums = rows.sum(axis=1)
-    off = ~(np.abs(sums - 1.0) <= PROB_TOL)
-    if off.any():
-        raise ModelError(f"belief sums to {sums[np.argmax(off)]!r}, not 1")
+    ok = np.abs(sums - 1.0) <= PROB_TOL
+    if not ok.all():
+        raise ModelError(f"belief sums to {sums[np.argmin(ok)]!r}, not 1")
     if float(rows.min()) < -PROB_TOL:
         raise ModelError(f"belief has a negative entry: {rows.min()!r}")
 
@@ -58,7 +63,7 @@ def _step(transition: np.ndarray, beliefs: np.ndarray, actions) -> np.ndarray:
     block = max(1, _STEP_FLOATS // transition[0].size)
     for lo in range(0, len(beliefs), block):
         rows = beliefs[lo : lo + block, None, :]
-        out[lo : lo + block] = np.matmul(rows, transition[actions[lo : lo + block]])[:, 0, :]
+        np.matmul(rows, transition[actions[lo : lo + block]], out=out[lo : lo + block, None, :])
     return out
 
 
@@ -144,10 +149,17 @@ class RandomHeuristic:
         self.model = model
 
     @staticmethod
-    def draw(model: DecPomdp, depth: int, rng) -> np.ndarray:
-        """The ``depth`` joint actions of one trajectory, in one generator call."""
-        # one call draws the same stream as ``depth`` scalar draws
-        return rng.integers(model.num_joint_actions, size=depth)
+    def draw(model: DecPomdp, count: int, rng) -> np.ndarray:
+        """``count`` uniform joint actions, in one generator call.
+
+        ``Generator.integers`` gives the same stream, and leaves the
+        generator in the same state, whether the actions come in one call
+        or in calls of any sizes that add up to ``count``.  So one call
+        draws a trajectory's actions as that many scalar draws would, and
+        ``selection_beliefs`` draws a run of random picks in calls of
+        bounded size and splits them by trajectory afterwards.
+        """
+        return rng.integers(model.num_joint_actions, size=count)
 
     def trajectory(self, model: DecPomdp, depth: int, rng) -> BeliefTrajectory:
         draws = self.draw(model, depth, rng).tolist()
@@ -228,42 +240,95 @@ def generate_belief(
 
 
 # bytes of pre-drawn random actions held at once (8 MiB): a round draws
-# about max_trees * horizon^2 / 2 of them, walked in batches of at most
-# this size (or one trajectory, if longer), and every batch walks from
-# the first step, so fewer, larger batches walk fewer steps
+# about max_trees * horizon^2 / 2 of them, walked in blocks of at most
+# this size (or one trajectory, if longer), and every block walks from
+# the first step, so fewer, larger blocks walk fewer steps
 _ACTION_CHUNK = 8 << 20
+# step table cells filled per generator call: 1 MiB of int64 draws and
+# 128 KiB of mask (or one trajectory, if longer)
+_DRAW_CELLS = 1 << 17
 
 
-def _walk_batch(model: DecPomdp, batch, b_sel, b_prev, a_prev) -> None:
+def _walk_batch(model: DecPomdp, picks, lengths, table, b_sel, b_prev, a_prev) -> None:
     """Walks random trajectories together, one ``_step`` per step.
 
-    ``batch`` lists (t, k, actions) in drawing order, so lengths never
-    increase and the rows still walking at any step are a prefix.  Each
-    row's last two beliefs and last action go to [t - 1, k] of
+    Row r of ``table`` holds the actions of the trajectory of pick
+    ``picks[r]`` at level horizon - ``lengths[r]``, and lengths never
+    increase, so the rows still walking at any step are a prefix; one
+    ``searchsorted`` counts them for every step.  Step s reads column s.
+    The rows whose last step it is are the prefix's tail, all of one
+    level t; their last two beliefs and last action go to [t - 1, k] of
     ``b_sel``, ``b_prev`` and ``a_prev``.  Steps are checked and clipped
     as ``_marginal_walk`` does.
     """
-    levels = np.array([t - 1 for t, _, _ in batch])
-    picks = np.array([k for _, k, _ in batch])
-    lengths = [len(acts) for _, _, acts in batch]
-    flat = np.concatenate([acts for _, _, acts in batch])
-    offsets = np.cumsum([0] + lengths[:-1])
-    belief = np.repeat(model.initial_belief.probs[None, :], len(batch), axis=0)
-    active = len(batch)
-    for step in range(lengths[0]):
-        acts = flat[offsets[:active] + step]
-        row = _step(model.transition, belief, acts)
-        _check_rows(row)
-        after = np.maximum(row, 0.0)
-        # rows whose last step this is: the tail of the prefix
-        done = active
-        while done and lengths[done - 1] == step + 1:
-            done -= 1
-        where = (levels[done:active], picks[done:active])
-        b_sel[where] = after[done:]
-        b_prev[where] = belief[done:]
-        a_prev[where] = acts[done:]
-        belief, active = after[:done], done
+    horizon = model.horizon
+    steps = table.shape[1]
+    # active[s]: the rows longer than s steps
+    active = np.searchsorted(-lengths, -np.arange(steps + 1)).tolist()
+    belief = np.repeat(model.initial_belief.probs[None, :], len(table), axis=0)
+    for step in range(steps):
+        acts = table[: active[step], step]
+        after = _step(model.transition, belief, acts)
+        _check_rows(after)
+        np.maximum(after, 0.0, out=after)
+        done = active[step + 1]
+        if done < len(acts):
+            level, ks = horizon - step - 2, picks[done : len(acts)]
+            b_sel[level, ks] = after[done:]
+            b_prev[level, ks] = belief[done:]
+            a_prev[level, ks] = acts[done:]
+        belief = after[:done]
+
+
+class _RandomPicks:
+    """A round's random picks, drawn in stream order and walked a block at a time.
+
+    Pick i is the i-th random pick in (level, pick) order.  Blocks are
+    runs of picks holding at most ``_ACTION_CHUNK`` bytes of actions, in
+    the smallest unsigned type that holds every joint action, or one
+    pick.  A block's actions fill a (trajectory, step) table, drawn a
+    few rows at a time as the stream reaches them, and the block is
+    walked once all of them are drawn.  The table pads each trajectory
+    to the block's first, so it holds at most twice the block's actions.
+    """
+
+    def __init__(self, model: DecPomdp, levels, picks, b_sel, b_prev, a_prev):
+        self.model = model
+        self.picks = picks
+        self.lengths = model.horizon - levels
+        self.out = (b_sel, b_prev, a_prev)
+        self.dtype = np.min_scalar_type(model.num_joint_actions - 1)
+        capacity = max(1, _ACTION_CHUNK // self.dtype.itemsize)
+        held = np.concatenate(([0], np.cumsum(self.lengths)))
+        # each block takes picks while they fit, and at least one
+        self.ends = [0]
+        while self.ends[-1] < len(levels):
+            fit = int(np.searchsorted(held, held[self.ends[-1]] + capacity, side="right")) - 1
+            self.ends.append(max(fit, self.ends[-1] + 1))
+        self.block = 0
+        self.drawn = 0
+        self.table = None
+
+    def draw_until(self, stop: int, rng) -> None:
+        """Draws the actions of the picks before pick ``stop``, walking every block then complete."""
+        while self.drawn < stop:
+            start, end = self.ends[self.block], self.ends[self.block + 1]
+            lengths = self.lengths[start:end]
+            if self.table is None:
+                self.table = np.empty((end - start, lengths[0]), self.dtype)
+            steps = self.table.shape[1]
+            rows = max(1, _DRAW_CELLS // steps)
+            upto = min(stop, end)
+            for lo in range(self.drawn - start, upto - start, rows):
+                hi = min(lo + rows, upto - start)
+                # the mask numbers the cells trajectory by trajectory, as drawn
+                mask = np.arange(steps) < lengths[lo:hi, None]
+                self.table[lo:hi][mask] = RandomHeuristic.draw(self.model, int(lengths[lo:hi].sum()), rng)
+            self.drawn = upto
+            if upto == end:
+                _walk_batch(self.model, self.picks[start:end], lengths, self.table, *self.out)
+                self.table = None
+                self.block += 1
 
 
 def selection_beliefs(portfolio, model: DecPomdp, max_trees: int, rng: np.random.Generator):
@@ -271,44 +336,47 @@ def selection_beliefs(portfolio, model: DecPomdp, max_trees: int, rng: np.random
 
     Level t (1 .. horizon - 1) makes ``max_trees`` picks; pick k runs
     ``portfolio[k % len(portfolio)]`` for horizon - t steps.  Trajectories
-    are drawn in (t, k) order with the generator calls ``generate_belief``
-    would make, so the stream is the same.  Returns (b_sel, b_prev,
-    a_prev), indexed [t - 1, k]: each trajectory's last belief, the
-    belief before it and the joint action between them, equal bit for
-    bit to ``probs[-1]``, ``probs[-2]`` and ``actions[-1]`` of
-    ``generate_belief``.
+    are drawn in (t, k) order with the generator stream ``generate_belief``
+    would draw.  The MDP heuristic draws
+    nothing, and its trajectories are prefixes of one walk.  A run of
+    random picks, up to the next replay pick or the end of a block, is
+    drawn in calls of bounded size, which give the stream of one call per
+    pick (``RandomHeuristic.draw``).  Returns (b_sel, b_prev, a_prev),
+    indexed [t - 1, k]: each trajectory's last belief, the belief before
+    it and the joint action between them, equal bit for bit to
+    ``probs[-1]``, ``probs[-2]`` and ``actions[-1]`` of ``generate_belief``.
     """
     horizon = model.horizon
     b_sel = np.empty((max(horizon - 1, 0), max_trees, model.num_states))
     b_prev = np.empty_like(b_sel)
     a_prev = np.empty(b_sel.shape[:2], dtype=np.int64)
-    batch: list[tuple[int, int, np.ndarray]] = []
-    held = 0
-    # draws are kept in the smallest unsigned type that holds every joint
-    # action, so a batch holds up to 8 times as many
-    dtype = np.min_scalar_type(model.num_joint_actions - 1)
-    capacity = max(1, _ACTION_CHUNK // dtype.itemsize)
+    if horizon < 2:
+        return b_sel, b_prev, a_prev
+    heuristics = [portfolio[k % len(portfolio)] for k in range(max_trees)]
+    randoms = [k for k, h in enumerate(heuristics) if isinstance(h, RandomHeuristic)]
+    # replay picks, each with the number of random picks ahead of it in a level
+    replays = []
+    for k, heuristic in enumerate(heuristics):
+        if isinstance(heuristic, MdpHeuristic):
+            # level t reads the walk at depth horizon - t
+            walk = heuristic.walk(model, horizon - 1)
+            b_sel[:, k] = walk.probs[horizon - 1 : 0 : -1]
+            b_prev[:, k] = walk.probs[horizon - 2 :: -1]
+            a_prev[:, k] = walk.actions[horizon - 2 :: -1]
+        elif not isinstance(heuristic, RandomHeuristic):
+            replays.append((k, sum(r < k for r in randoms)))
+    levels = np.repeat(np.arange(1, horizon), len(randoms))
+    walks = _RandomPicks(model, levels, np.tile(randoms, horizon - 1), b_sel, b_prev, a_prev)
     for t in range(1, horizon):
         depth = horizon - t
-        for k in range(max_trees):
-            heuristic = portfolio[k % len(portfolio)]
-            if isinstance(heuristic, RandomHeuristic):
-                if batch and held + depth > capacity:
-                    _walk_batch(model, batch, b_sel, b_prev, a_prev)
-                    batch, held = [], 0
-                batch.append((t, k, heuristic.draw(model, depth, rng).astype(dtype)))
-                held += depth
-                continue
-            # the MDP heuristic's trajectories are prefixes of its walk
-            if isinstance(heuristic, MdpHeuristic):
-                traj = heuristic.walk(model, depth)
-            else:
-                traj = generate_belief(heuristic, model, depth, rng)
+        for k, ahead in replays:
+            # the random picks before this one come first in the stream
+            walks.draw_until((t - 1) * len(randoms) + ahead, rng)
+            traj = generate_belief(heuristics[k], model, depth, rng)
             b_sel[t - 1, k] = traj.probs[depth]
             b_prev[t - 1, k] = traj.probs[depth - 1]
             a_prev[t - 1, k] = traj.actions[depth - 1]
-    if batch:
-        _walk_batch(model, batch, b_sel, b_prev, a_prev)
+    walks.draw_until(len(levels), rng)
     return b_sel, b_prev, a_prev
 
 

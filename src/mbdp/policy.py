@@ -118,20 +118,29 @@ class JointPolicy:
         self._hold([_compile(i, t, range(len(t.children))) for i, t in enumerate(trees)])
 
     @classmethod
-    def _from_tables(cls, actions, children) -> "JointPolicy":
-        """The policy that starts each agent i at row 0 of ``actions[i][0]``.
+    def _from_tables(cls, actions, children, rows=None) -> "JointPolicy":
+        """The policy that starts each agent i at the first row of its depth 0.
 
-        ``children[i][d]`` indexes the rows of ``actions[i][d + 1]``.  Only
-        the rows the root reaches are kept, renumbered by first reference.
+        Depth d of agent i holds rows ``rows[i][d]`` of the tables
+        ``actions[i][d]`` and ``children[i][d]`` (every row when ``rows``
+        is None), and a child indexes the rows of depth d + 1.  Only the
+        rows the root reaches are kept, renumbered by first reference
+        (``_number``) a depth at a time: each depth gathers the actions
+        and child rows of the rows it reached, and no other row is read.
         """
         tables = []
         for i, (acts, kids) in enumerate(zip(actions, children)):
-            # rows numbered across depths from the root, each with its child rows or None
-            ends = np.cumsum([len(level) for level in acts])
-            below = [row for table, end in zip(kids, ends) for row in (np.asarray(table) + end).tolist()]
-            below += [None] * len(acts[-1])
-            flat = np.concatenate(acts).tolist()
-            tables.append(_first_reference(i, 0, lambda row: (flat[row], below[row])))
+            level, acts_out, kids_out = [0], [], []
+            for d, table in enumerate(acts):
+                at = level if rows is None else [rows[i][d][r] for r in level]
+                # take, not a fancy index: it reads a short list of rows faster
+                acts_out.append(np.asarray(table, dtype=np.int64).take(at))
+                if d == len(kids):
+                    break
+                below = np.asarray(kids[d]).take(at, axis=0)
+                flat, level = _number(below.tolist())
+                kids_out.append(np.array(flat, dtype=np.int64).reshape(below.shape))
+            tables.append((acts_out, kids_out))
         return cls.__new__(cls)._hold(tables)
 
     def _hold(self, tables):
@@ -164,6 +173,12 @@ class JointPolicy:
         return len(self.actions)
 
 
+def _number(rows):
+    """The keys in ``rows`` numbered by first reference: (each key's number, row by row; the keys in order)."""
+    index: dict = {}
+    return [index.setdefault(key, len(index)) for row in rows for key in row], list(index)
+
+
 def _first_reference(agent: int, root, read):
     """(actions, children) tables of the rows that ``root`` reaches, a depth at a time.
 
@@ -181,10 +196,8 @@ def _first_reference(agent: int, root, read):
         if all(leaves):
             return actions, children
         _require(not any(leaves), "agent {}: child depths differ at depth {}", agent, len(children))
-        index: dict = {}
-        table = np.array([index.setdefault(k, len(index)) for row in kids for k in row], dtype=np.int64)
-        children.append(table.reshape(len(kids), -1))
-        level = list(index)
+        flat, level = _number(kids)
+        children.append(np.array(flat, dtype=np.int64).reshape(len(kids), -1))
 
 
 def _compile(agent: int, root: PolicyTree, names: Sequence):

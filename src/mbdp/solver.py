@@ -148,15 +148,25 @@ def _best_tuple(scores: np.ndarray, exclude=None):
 
     Ties go to the lexicographically first tuple.  ``exclude`` lists, per
     agent, rows that no returned tuple may use; they are masked to -inf
-    in ``scores`` itself, which the caller must not read again.
+    in ``scores`` itself, which the caller must not read again.  The tie
+    floor is ``_tie_floor`` in Python floats, the same bits without the
+    numpy calls on a scalar.
     """
     if exclude is not None:
         for i, rows in enumerate(exclude):
-            scores[(slice(None),) * i + (rows,)] = -np.inf
+            # a basic index per row: a fancy index costs more on a few rows
+            for r in rows:
+                scores[(slice(None),) * i + (r,)] = -np.inf
     flat = scores.reshape(-1)
-    best = float(flat.max())
-    pick = int(np.argmax(flat >= _tie_floor(best)))
-    return tuple(int(k) for k in np.unravel_index(pick, scores.shape)), float(flat[pick])
+    # the entry at argmax, a C method, is max without its Python wrapper
+    best = float(flat[flat.argmax()])
+    pick = int((flat >= best - TIE_TOL * max(1.0, abs(best))).argmax())
+    value = float(flat[pick])
+    idx = []
+    for size in scores.shape[:0:-1]:
+        pick, k = divmod(pick, size)
+        idx.append(k)
+    return (pick, *idx[::-1]), value
 
 
 def _pick(scores: np.ndarray):
@@ -170,20 +180,21 @@ def _pick(scores: np.ndarray):
     sizes = scores.shape[1:]
     picked: list[list[int]] = [[] for _ in sizes]
     values: list[float] = []
-    duplicated = 0
-    for column in scores:
-        # duplicates make a list longer than its candidate set
-        if any(len(rows) >= size for rows, size in zip(picked, sizes)):
+    # every pick adds one row per agent, so the rows of the smallest
+    # table run out after that many picks
+    fresh = min(sizes)
+    for k, column in enumerate(scores):
+        if k >= fresh:
+            # duplicates make a list longer than its candidate set
             idx, val = _best_tuple(column[np.ix_(*picked)])
             for rows, r in zip(picked, idx):
                 rows.append(rows[r])
-            duplicated += 1
         else:
             idx, val = _best_tuple(column, exclude=picked)
             for rows, r in zip(picked, idx):
                 rows.append(r)
         values.append(val)
-    return picked, values, duplicated
+    return picked, values, max(len(scores) - fresh, 0)
 
 
 def _materialize(levels) -> JointPolicy:
@@ -198,8 +209,9 @@ def _materialize(levels) -> JointPolicy:
     top_down = levels[::-1]
     agents = range(len(levels[0][0].actions))
     return JointPolicy._from_tables(
-        [[cands.actions[i][rows[i]] for cands, rows in top_down] for i in agents],
-        [[cands.children[i][rows[i]] for cands, rows in top_down[:-1]] for i in agents],
+        [[cands.actions[i] for cands, _ in top_down] for i in agents],
+        [[cands.children[i] for cands, _ in top_down[:-1]] for i in agents],
+        [[rows[i] for _, rows in top_down] for i in agents],
     )
 
 

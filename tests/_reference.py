@@ -2,8 +2,10 @@
 
 Everything in this module is deliberately recursive and unvectorized so
 that it can be checked by eye, except ``simulate_reference``, which
-compares every draw with its whole cumulative row, and
-``value_vector_reference``, the evaluator's earlier top-down design.
+compares every draw with its whole cumulative row,
+``value_vector_reference``, the evaluator's earlier top-down design, and
+``best_tuple_frozen`` and ``pick_frozen``, the planner's pick rule as it
+was written before its per-call costs were trimmed.
 Production code must agree with these on
 small models; disagreement means the fast path is wrong, not this one.
 """
@@ -31,7 +33,7 @@ from mbdp import (
     rank_observations,
 )
 from mbdp.policy import SimulationResult
-from mbdp.solver import _best_tuple
+from mbdp.solver import TIE_TOL
 
 
 def tree_value(model, trees, state):
@@ -498,10 +500,42 @@ def fill_missing_reference(model, partials, values, belief):
     return CandidateSet(partials.actions, tuple(rows))
 
 
+def best_tuple_frozen(scores, exclude=None):
+    """The planner's ``_best_tuple``, frozen: a numpy tie floor, fancy masks and ``np.unravel_index``."""
+    if exclude is not None:
+        for i, rows in enumerate(exclude):
+            scores[(slice(None),) * i + (rows,)] = -np.inf
+    flat = scores.reshape(-1)
+    best = float(flat.max())
+    floor = best - TIE_TOL * np.maximum(1.0, np.abs(best))
+    pick = int(np.argmax(flat >= floor))
+    return tuple(int(k) for k in np.unravel_index(pick, scores.shape)), float(flat[pick])
+
+
+def pick_frozen(scores):
+    """The planner's ``_pick``, frozen: it tests each column for rows run out."""
+    sizes = scores.shape[1:]
+    picked = [[] for _ in sizes]
+    values = []
+    duplicated = 0
+    for column in scores:
+        if any(len(rows) >= size for rows, size in zip(picked, sizes)):
+            idx, val = best_tuple_frozen(column[np.ix_(*picked)])
+            for rows, r in zip(picked, idx):
+                rows.append(rows[r])
+            duplicated += 1
+        else:
+            idx, val = best_tuple_frozen(column, exclude=picked)
+            for rows, r in zip(picked, idx):
+                rows.append(r)
+        values.append(val)
+    return picked, values, duplicated
+
+
 def best_tuple_reference(tensor, belief, exclude=None):
-    """``_best_tuple`` of a whole value tensor's scores, ``tensor @ belief``."""
+    """``best_tuple_frozen`` of a whole value tensor's scores, ``tensor @ belief``."""
     scores = tensor.reshape(-1, tensor.shape[-1]) @ belief
-    return _best_tuple(scores.reshape(tensor.shape[:-1]), exclude)
+    return best_tuple_frozen(scores.reshape(tensor.shape[:-1]), exclude)
 
 
 def solve_round_reference(model, cfg, rng, portfolio):

@@ -25,7 +25,7 @@ from mbdp import (
 from mbdp.heuristics import selection_beliefs
 
 import _reference as ref
-from conftest import dusty_model, random_model
+from conftest import dusty_model, random_model, traced_peak_mb
 
 
 class TestUnderlyingMdp:
@@ -167,7 +167,7 @@ def assert_selection_matches_generate_belief(model, portfolio, max_trees, seed):
             assert np.array_equal(b_sel[t - 1, k], traj.probs[-1])
             assert np.array_equal(b_prev[t - 1, k], traj.probs[-2])
             assert a_prev[t - 1, k] == traj.actions[-1]
-    # the same generator calls: both streams end in the same state
+    # the same stream: both generators end in the same state
     assert rng.bit_generator.state == want_rng.bit_generator.state
 
 
@@ -201,16 +201,33 @@ class TestSelectionBeliefs:
             model, build_portfolio(model, ("mdp", "random")), 4, 2
         )
 
+    @pytest.mark.parametrize("joint_actions", [4, 9], ids=["mabc", "tiger"])
+    @pytest.mark.parametrize("cells", [5, 64])
     @pytest.mark.parametrize("chunk", [1, 7, 40])
-    def test_chunked_walks_match_generate_belief(self, monkeypatch, chunk):
-        # chunks of drawn actions smaller than one trajectory, than one
-        # level, and than a round; products of at most 3 rows at a time
+    def test_chunked_walks_match_generate_belief(self, monkeypatch, chunk, cells, joint_actions):
+        # blocks of drawn actions smaller than one trajectory, than one
+        # level, and than a round; generator calls of one trajectory and
+        # of a few; products of at most 3 rows at a time.  Tiger's 9 joint
+        # actions are drawn by rejection, which must not see the boundaries
         monkeypatch.setattr(mbdp.heuristics, "_ACTION_CHUNK", chunk)
-        monkeypatch.setattr(mbdp.heuristics, "_STEP_FLOATS", 3 * 16)
-        model = build_mabc(horizon=12)
+        monkeypatch.setattr(mbdp.heuristics, "_DRAW_CELLS", cells)
+        model = build_mabc(horizon=12) if joint_actions == 4 else build_tiger(horizon=12)
+        assert model.num_joint_actions == joint_actions
+        monkeypatch.setattr(mbdp.heuristics, "_STEP_FLOATS", 3 * model.num_states**2)
         assert_selection_matches_generate_belief(
             model, build_portfolio(model, ("random", "mdp")), 3, 5
         )
+        # replay picks draw between the random picks' runs
+        assert_selection_matches_generate_belief(model, replay_portfolio(model), 4, 6)
+
+    def test_long_round_keeps_its_draws_bounded(self):
+        # a round at h=2,000 draws 6 million random actions, 48 MB as one
+        # int64 array; blocks and bounded generator calls keep the traced
+        # peak near 15 MB
+        model = build_mabc(horizon=2_000)
+        portfolio = build_portfolio(model, ("random",))
+        peak = traced_peak_mb(lambda: selection_beliefs(portfolio, model, 3, np.random.default_rng(0)))
+        assert peak < 24
 
     def test_bad_rows_rejected_like_trajectories(self):
         model = random_model(9, num_states=3, horizon=4)

@@ -32,7 +32,7 @@ from mbdp.backup import (
     table_rows,
 )
 import mbdp.solver as solver_module
-from mbdp.solver import _best_response, _best_tuple
+from mbdp.solver import TIE_TOL, _best_response, _best_tuple
 
 import _reference as ref
 from conftest import random_model
@@ -120,6 +120,45 @@ def test_one_ulp_tie_goes_to_lowest_index():
     # a gap well above the tolerance is not a tie
     values[1, 0, 0] = 183.42 + 1e-6
     assert _best_tuple(values @ belief)[0] == (1, 0)
+
+
+def planted_scores(rng, shape, scale, shift):
+    """Random score columns with exact ties and ties at, inside and outside each column's tie floor."""
+    scores = rng.normal(size=shape) * scale + shift
+    for column in scores.reshape(shape[0], -1):
+        best = float(column.max())
+        floor = best - TIE_TOL * max(1.0, abs(best))
+        spots = rng.permutation(column.size)
+        column[spots[:2]] = best
+        column[spots[2:3]] = floor
+        column[spots[3:4]] = np.nextafter(floor, np.inf)
+        column[spots[4:5]] = np.nextafter(floor, -np.inf)
+    return scores
+
+
+# (scale, shift): the best score above 1 or below 1 in magnitude, of either sign
+SCORE_RANGES = [(0.1, 0.0), (0.1, -0.5), (100.0, 0.0), (100.0, -1000.0)]
+
+
+@pytest.mark.parametrize("agents", [2, 3])
+@pytest.mark.parametrize("scale,shift", SCORE_RANGES)
+def test_best_tuple_and_pick_match_the_frozen_rule(agents, scale, shift):
+    rng = np.random.default_rng([agents, int(scale), int(-shift)])
+    for _ in range(60):
+        sizes = tuple(int(k) for k in rng.integers(1, 9 - agents, size=agents))
+        # more columns than the smallest table has rows: the clone path
+        k = int(rng.integers(1, 8))
+        scores = planted_scores(rng, (k,) + sizes, scale, shift)
+        # some agents' rows all excluded: every score is -inf
+        exclude = [sorted(rng.choice(size, size=int(rng.integers(0, size + 1)), replace=False).tolist())
+                   for size in sizes]
+        got, want = scores[0].copy(), scores[0].copy()
+        assert _best_tuple(got, exclude) == ref.best_tuple_frozen(want, exclude)
+        assert np.array_equal(got, want)
+        assert _best_tuple(scores[0].copy()) == ref.best_tuple_frozen(scores[0].copy())
+        got, want = scores.copy(), scores.copy()
+        assert solver_module._pick(got) == ref.pick_frozen(want)
+        assert np.array_equal(got, want)
 
 
 def reference_fill(model, partial, donors, belief):
