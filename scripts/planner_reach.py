@@ -9,13 +9,16 @@ per level (wall time over the horizon), the process's maximum RSS and
 the returned value.  The box-pushing runs (h=10) load wide levels; the
 broadcast-channel runs keep narrow levels over long horizons, where the
 cost of one level sets the cost of the solve.  ``mabc-mbdp-3-h100`` is
-one seed of the benchmark's mabc-full solve.  BLAS is pinned to one
-thread, as in the benchmark.  To measure another source tree, point
-PYTHONPATH at its ``src``.
+one seed of the benchmark's mabc-full solve.  The ``epsilon-`` runs
+instead compute the exact ``epsilon_global`` in a fresh process, after
+one at h=2, and print its wall time, the maximum RSS, epsilon and the
+beliefs checked.  BLAS is pinned to one thread, as in the benchmark.  To
+measure another source tree, point PYTHONPATH at its ``src``.
 
 Example:
     PYTHONPATH=src python3 scripts/planner_reach.py
     PYTHONPATH=src python3 scripts/planner_reach.py --runs improved-8x3 --repeat 3
+    PYTHONPATH=src python3 scripts/planner_reach.py --runs epsilon-boxpush-h10
 """
 
 import argparse
@@ -38,7 +41,9 @@ RUNS = {
     "mabc-improved-3x2-h4000": ("mabc", 4000, "improved_mbdp", 3, 2, DEFAULT_PORTFOLIO),
     "mabc-mbdp-3-h100": ("mabc", 100, "mbdp", 3, None, ("random",)),
 }
-DEFAULT_RUNS = tuple(name for name in RUNS if name != "mbdp-4")
+# name -> (model, horizon, max_obs) of an exact epsilon_global run
+EPSILON_RUNS = {"epsilon-boxpush-h10": ("boxpush", 10, 3)}
+DEFAULT_RUNS = (*(name for name in RUNS if name != "mbdp-4"), *EPSILON_RUNS)
 SEED = 0
 
 CHILD = """
@@ -59,28 +64,47 @@ print(json.dumps({"wall_s": wall, "ms_per_level": wall * 1000.0 / horizon, "max_
                   "value": report.value}))
 """
 
+EPSILON_CHILD = """
+import json, resource, sys, time
+import mbdp
+problem, horizon, max_obs = json.loads(sys.argv[1])
+build = getattr(mbdp, "build_" + problem)
+mbdp.epsilon_global(build(horizon=2), max_obs=max_obs)
+model = build(horizon=horizon)
+started = time.perf_counter()
+report = mbdp.epsilon_global(model, max_obs=max_obs)
+wall = time.perf_counter() - started
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+print(json.dumps({"wall_s": wall, "max_rss_mb": rss, "epsilon": report.epsilon,
+                  "beliefs_checked": report.beliefs_checked}))
+"""
+
 PINNED_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def run_one(name):
-    problem, horizon, solver, max_trees, max_obs, heuristics = RUNS[name]
+    if name in EPSILON_RUNS:
+        problem, horizon, max_obs = EPSILON_RUNS[name]
+        child, args = EPSILON_CHILD, [problem, horizon, max_obs]
+        settings = {"model": problem, "horizon": horizon, "max_obs": max_obs}
+    else:
+        problem, horizon, solver, max_trees, max_obs, heuristics = RUNS[name]
+        child, args = CHILD, [problem, horizon, solver, max_trees, max_obs, heuristics, SEED]
+        settings = {
+            "model": problem,
+            "horizon": horizon,
+            "solver": solver,
+            "max_trees": max_trees,
+            "max_obs": max_obs,
+            "heuristics": list(heuristics),
+            "seed": SEED,
+        }
     env = dict(os.environ, **{key: "1" for key in PINNED_THREADS})
-    args = json.dumps([problem, horizon, solver, max_trees, max_obs, heuristics, SEED])
     out = subprocess.run(
-        [sys.executable, "-c", CHILD, args], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", child, json.dumps(args)],
+        env=env, capture_output=True, text=True, check=True,
     )
-    measured = json.loads(out.stdout)
-    return {
-        "run": name,
-        "model": problem,
-        "horizon": horizon,
-        "solver": solver,
-        "max_trees": max_trees,
-        "max_obs": max_obs,
-        "heuristics": list(heuristics),
-        "seed": SEED,
-        **measured,
-    }
+    return {"run": name, **settings, **json.loads(out.stdout)}
 
 
 def main(argv=None):
@@ -88,14 +112,14 @@ def main(argv=None):
     ap.add_argument(
         "--runs",
         default=",".join(DEFAULT_RUNS),
-        help=f"comma-separated names out of {', '.join(RUNS)}",
+        help=f"comma-separated names out of {', '.join([*RUNS, *EPSILON_RUNS])}",
     )
     ap.add_argument("--repeat", type=int, default=1, help="fresh processes per run")
     args = ap.parse_args(argv)
     names = args.runs.split(",")
-    unknown = [name for name in names if name not in RUNS]
+    unknown = [name for name in names if name not in RUNS and name not in EPSILON_RUNS]
     if unknown:
-        ap.error(f"unknown runs {unknown}; choose from {list(RUNS)}")
+        ap.error(f"unknown runs {unknown}; choose from {[*RUNS, *EPSILON_RUNS]}")
     for _ in range(args.repeat):
         for name in names:
             print(json.dumps(run_one(name)), flush=True)

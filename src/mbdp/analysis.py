@@ -8,18 +8,17 @@ over beliefs reachable within the horizon, and ``error_bound`` turns
 that into a worst-case value loss for the whole plan.
 
 Exact mode enumerates reachable beliefs depth by depth.  Per depth and
-joint action it makes the two belief products over all rows, in one
-buffer that the whole enumeration reuses, then scores the rows, builds
-their children and deduplicates them in row blocks of at most
-``_BLOCK_FLOATS`` child floats, so the working set stays near one
-block's.  One set of rounded rows (12 decimals) spans all depths, so
-each distinct belief is kept, scored and expanded once, at the
-shallowest depth that reaches it; it is linked to its parent by integer
-arrays, from which the witness history is read back.  A block is first
-scored at the few families that were earlier rows' best: a row that
-already captures the running minimum or more at one of them cannot set
-it, and is not scored at every family.  Sampled mode rolls out random
-histories and only estimates.
+joint action it makes the belief products of, scores, expands and
+deduplicates one row block of at most ``_BLOCK_FLOATS`` child floats at
+a time, so the working set stays near one block's.  One set of rounded
+rows (12 decimals) spans all depths, so each distinct belief is kept,
+scored and expanded once, at the shallowest depth that reaches it; it
+is linked to its parent by integer arrays, from which the witness
+history is read back.  A block is first scored at the few families that
+were earlier rows' best: a row that already captures the running
+minimum or more at one of them cannot set it, and is not scored at
+every family.  Sampled mode rolls out random histories and only
+estimates.
 """
 
 from __future__ import annotations
@@ -113,7 +112,8 @@ def epsilon_global(
 
 
 # floats of (row, joint observation, state) products per row block of
-# the exact enumeration (4 MiB); box pushing h=8 ran fastest at 2^19
+# the exact enumeration (4 MiB), which also sizes the block's belief
+# products; box pushing h=8 ran fastest at 2^19, against 2^18 and 2^20
 _BLOCK_FLOATS = 1 << 19
 # at most this many hint families: each was some scored row's best
 _HINT_FAMILIES = 16
@@ -123,6 +123,18 @@ def _row_blocks(n: int, size: int) -> list[tuple[int, int]]:
     """Bounds of an n-row depth's blocks; a one-row tail joins the block before it."""
     bounds = [*range(0, max(n - 1, 1), size), n]
     return list(zip(bounds, bounds[1:]))
+
+
+def _block_products(rows, transition, observation, lo, hi, size):
+    """``rows[lo:hi] @ transition`` and its product with ``observation``, as over all rows.
+
+    BLAS may give a few rows other bits (gemv, small-matrix kernels), so
+    a block shorter than ``size`` is cut from the last ``size`` rows'.
+    """
+    start = min(lo, max(len(rows) - size, 0))
+    post = rows[start:hi] @ transition
+    q = post @ observation
+    return post[lo - start :], q[lo - start :]
 
 
 def _state_sums(prods: np.ndarray) -> np.ndarray:
@@ -174,20 +186,20 @@ def _block_minimum(q, flat, best, hints):
 def _exact_minimum(model, flat, horizon, max_beliefs):
     """Enumerate reachable beliefs one depth at a time, in row blocks.
 
-    Per depth and joint action, ``rows @ T[ja]`` and its product with
-    ``O[ja]`` are made over the whole depth (BLAS gives other bits on
-    parts of it), into one buffer that every joint action and depth
-    reuses; the capture scoring, the children and their deduplication
-    then go block by block, in (parent row, observation) order.  One set
-    of rounded rows (12 decimals) spans all depths, so a depth keeps only
-    beliefs no shallower depth reached, at their first occurrence in
+    Per depth, joint action and row block, in (parent row, observation)
+    order, ``rows[lo:hi] @ T[ja]`` and its product with ``O[ja]`` give
+    the block's captures, children and their deduplication; the
+    products have the whole depth's bits (``_block_products``).  One
+    set of rounded rows (12 decimals) spans all depths, so a depth keeps
+    only beliefs no shallower depth reached, at their first occurrence in
     (action, parent row, observation) order, and per row the parent row,
     action and observation that reached it; the witness history is
     walked back through those.  A belief's captures do not depend on its
     depth and its first copy has the most steps left, so no belief is
-    lost.  The set is freed once the last depth's rows are built.  The
-    cap is checked after every block, counting the next depth's rows
-    kept so far.
+    lost.  The set is freed once the last depth's rows are built, and the
+    enumeration stops at a depth that keeps no new belief.  The cap is
+    checked after every block, counting the next depth's rows kept so
+    far.
     """
     obs_t = np.ascontiguousarray(model.observation.transpose(0, 2, 1))
     num_states, num_obs = len(model.states), model.num_joint_observations
@@ -196,27 +208,15 @@ def _exact_minimum(model, flat, horizon, max_beliefs):
     seen = set(_row_keys(rows))
     links = []  # per depth after the first: (parent row, ja, jo) arrays
     hints: list[int] = []
-    products = np.empty(0)
     checked, best = 0, np.inf
     for depth in range(horizon):
         checked += len(rows)
         spans = _row_blocks(len(rows), size)
         kept, blocks = 0, []
-        # post and q of each joint action in turn go to one buffer, kept
-        # across depths and grown at least fourfold when a depth outgrows
-        # it, instead of two fresh arrays per joint action.  Its one large
-        # block also raises glibc's heap trim threshold (twice the largest
-        # block freed), so freed heap pages stay mapped for later calls.
-        n, width = len(rows), num_states + num_obs
-        if len(products) < n * width:
-            products = np.empty(max(n * width, 4 * len(products)))
-        post = products[: n * num_states].reshape(n, num_states)
-        q = products[n * num_states : n * width].reshape(n, num_obs)
         for ja in range(model.num_joint_actions):
-            np.matmul(rows, model.transition[ja], out=post)
-            np.matmul(post, model.observation[ja], out=q)
             for lo, hi in spans:
-                found = _block_minimum(q[lo:hi], flat, best, hints if len(spans) > 1 else None)
+                post, q = _block_products(rows, model.transition[ja], model.observation[ja], lo, hi, size)
+                found = _block_minimum(q, flat, best, hints if len(spans) > 1 else None)
                 if found is not None:
                     best, r, fam = found
                     best_where = (depth, lo + r, ja, fam)
@@ -226,10 +226,10 @@ def _exact_minimum(model, flat, horizon, max_beliefs):
                 # q adds the same terms as the mass in another order, so the
                 # two agree to rounding and q > tol / 2 keeps every pair whose
                 # mass is > tol.
-                parent, jo = np.nonzero(q[lo:hi] > PROB_TOL / 2)
-                parent += lo
+                parent, jo = np.nonzero(q > PROB_TOL / 2)
                 prods = post[parent]
                 prods *= obs_t[ja][jo]
+                parent += lo
                 mass = _state_sums(prods)
                 live = np.flatnonzero(mass > PROB_TOL)
                 children = prods[live]
@@ -248,10 +248,9 @@ def _exact_minimum(model, flat, horizon, max_beliefs):
                 fresh = np.array(fresh, dtype=np.intp)
                 chosen = live[fresh]
                 blocks.append((children[fresh], parent[chosen], np.full(len(chosen), ja), jo[chosen]))
-        del post, q  # freed before the next depth's rows are joined
         if depth == horizon - 2:
             seen.clear()  # the last depth builds no children
-        if not blocks:
+        if not kept:
             break
         rows, *link = (np.concatenate(part) for part in zip(*blocks))
         links.append(link)

@@ -351,7 +351,7 @@ def belief_keys_array_reference(model, max_obs, per_depth, max_beliefs=500_000):
                     fresh.append(i)
             kept = live[fresh]
             blocks.append((children[fresh], parent[kept], np.full(len(kept), ja), jo[kept]))
-        if not blocks:
+        if not sum(len(block[0]) for block in blocks):  # no new belief
             break
         rows, *link = (np.concatenate(part) for part in zip(*blocks))
         links.append(link)

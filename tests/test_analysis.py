@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -22,6 +23,7 @@ from mbdp import (
 )
 
 import mbdp.analysis
+from mbdp.cli import main, problem_to_text
 from _reference import (
     belief_keys_array_reference,
     epsilon_global_array_reference,
@@ -112,6 +114,25 @@ def tie_model():
         reward=np.zeros((num_ja, num_s, num_s)),
         initial_belief=np.eye(num_s)[0],
         horizon=3,
+    )
+
+
+def one_state_model(horizon):
+    """One state, so every child is the initial belief again."""
+    return replace(obs_table_model([0.25] * 4), horizon=horizon)
+
+
+def seen_state_model(horizon):
+    """Agent 0 sees a state that never changes, so depth 2 reaches no new belief."""
+    return DecPomdp(
+        states=("a", "b"),
+        actions=(("go",), ("go",)),
+        observations=(("x0", "x1"), ("y0",)),
+        transition=np.eye(2)[None],
+        observation=np.eye(2)[None],
+        reward=np.zeros((1, 2, 2)),
+        initial_belief=np.array([0.5, 0.5]),
+        horizon=horizon,
     )
 
 
@@ -255,6 +276,29 @@ class TestEpsilonGlobal:
         with pytest.raises(CapacityError):
             epsilon_global(model, max_obs, max_beliefs=n - 1)
 
+    @pytest.mark.parametrize("horizon", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "build, epsilon, checked",
+        [(one_state_model, 0.25, 1), (seen_state_model, 0.5, 3)],
+        ids=["one-state", "seen-state"],
+    )
+    def test_stops_at_a_depth_with_no_new_belief(self, build, epsilon, checked, horizon):
+        # these scored an empty depth after the one that kept nothing
+        model = build(horizon)
+        got = epsilon_global(model, 1)
+        assert got == epsilon_global_reference(model, 1)
+        assert got == epsilon_global_array_reference(model, 1)
+        assert (got.epsilon, got.beliefs_checked) == (epsilon, 1 if horizon == 1 else checked)
+
+    def test_bound_command_on_a_problem_that_stops_early(self, capsys, tmp_path):
+        path = tmp_path / "seen.problem"
+        path.write_text(problem_to_text(seen_state_model(4)))
+        code = main(["bound", "--problem", str(path), "--max-obs", "1", "--format", "records"])
+        out = capsys.readouterr().out
+        assert code == 0
+        rec = next(r for r in map(json.loads, out.splitlines()) if r["type"] == "bound")
+        assert (rec["epsilon"], rec["beliefs_checked"]) == (0.5, 3)
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -294,6 +338,8 @@ def parity_cases():
             cases.append(pytest.param(three, k, id=f"three-agent-{seed}-k{k}"))
             cases.append(pytest.param(sparse_observation_model(seed), k, id=f"sparse-{seed}-k{k}"))
     cases.append(pytest.param(build_tiger(horizon=4), 1, id="tiger-h4"))
+    cases.append(pytest.param(one_state_model(3), 1, id="one-state-h3"))
+    cases.append(pytest.param(seen_state_model(4), 1, id="seen-state-h4"))
     for k in (1, 2, 3):
         cases.append(pytest.param(build_mabc(horizon=5), k, id=f"mabc-h5-k{k}"))
         cases.append(pytest.param(build_boxpush(horizon=4), k, id=f"boxpush-h4-k{k}"))
@@ -351,11 +397,13 @@ class TestExactParity:
         assert got.witness.belief == tuple(np.eye(8)[4])
 
     def test_working_set_is_bounded(self):
-        # peaks near 26 MB; keeping the seen-set through the last depth
-        # reached 35 MB, a seen-set per depth 30 MB, and whole-depth
-        # temporaries 66 MB
+        # peaks near 18 MB (19.3 MB if the process has not yet scored box
+        # pushing at max_obs 3), mostly the seen-set and the kept rows;
+        # products over the whole depth in one buffer reached 26 MB,
+        # keeping the seen-set through the last depth 35 MB, a seen-set
+        # per depth 30 MB, and whole-depth temporaries 66 MB
         model = build_boxpush(horizon=8)
-        assert traced_peak_mb(lambda: epsilon_global(model, 3)) < 30
+        assert traced_peak_mb(lambda: epsilon_global(model, 3)) < 20
 
     @pytest.mark.parametrize("horizon", [1, 2])
     @pytest.mark.parametrize("build", [build_tiger, build_mabc, build_boxpush])
@@ -413,6 +461,41 @@ class TestExactParity:
         sizes = [hi - lo for lo, hi in spans]
         assert all(rows == size for rows in sizes[:-1])
         assert 1 < sizes[-1] <= size + 1 or sizes == [1]
+
+    @pytest.mark.parametrize(
+        "build, n",
+        [(build_boxpush, 418), (build_boxpush, 650), (build_boxpush, 2_500), (build_boxpush, 6_782),
+         (build_mabc, 200_000), (build_tiger, 140_000)],
+        ids=["boxpush-418", "boxpush-650", "boxpush-2500", "boxpush-6782", "mabc-200000",
+             "tiger-140000"],
+    )
+    def test_block_products_have_the_whole_depth_bits(self, build, n):
+        # the enumeration matches the whole-depth references only if each
+        # block's products have the bits of the same rows of the products
+        # over the whole depth; boxpush-6782 ends in a 94-row block, which
+        # OpenBLAS's small-matrix kernels on AVX-512 multiply with other bits
+        from mbdp.analysis import _block_products, _row_blocks
+
+        model = build(horizon=2)
+        num_states = len(model.states)
+        size = mbdp.analysis._BLOCK_FLOATS // (model.num_joint_observations * num_states)
+        rng = np.random.default_rng(n)
+        rows = rng.random((n, num_states))
+        rows[rng.random(rows.shape) > 4 / num_states] = 0.0  # sparse, like box pushing's beliefs
+        rows[np.arange(n), rng.integers(num_states, size=n)] = 1.0 - rng.random(n)
+        rows /= rows.sum(axis=1, keepdims=True)
+        spans = _row_blocks(n, size)
+        assert len(spans) > 1
+        for ja in range(model.num_joint_actions):
+            post = rows @ model.transition[ja]
+            q = post @ model.observation[ja]
+            for lo, hi in spans:
+                got = _block_products(rows, model.transition[ja], model.observation[ja], lo, hi, size)
+                where = f"rows {lo}:{hi} of joint action {ja}"
+                assert np.array_equal(got[0], post[lo:hi]), f"BLAS gives {where} other bits in a block"
+                assert np.array_equal(got[1], q[lo:hi]), (
+                    f"BLAS gives {where} other observation products in a block"
+                )
 
     @pytest.mark.parametrize("rows", [0, 1, 2, 50, 3000])
     def test_state_sums_add_state_by_state(self, rows):
