@@ -12,13 +12,17 @@ cost of one level sets the cost of the solve.  ``mabc-mbdp-3-h100`` is
 one seed of the benchmark's mabc-full solve.  The ``epsilon-`` runs
 instead compute the exact ``epsilon_global`` in a fresh process, after
 one at h=2, and print its wall time, the maximum RSS, epsilon and the
-beliefs checked.  BLAS is pinned to one thread, as in the benchmark.  To
-measure another source tree, point PYTHONPATH at its ``src``.
+beliefs checked.  The ``exact-`` runs time ``exact_solve``, whose top
+level is a best response, the same way, and print the optimal value and
+the candidate counts per level.  BLAS is pinned to one thread, as in
+the benchmark.  To measure another source tree, point PYTHONPATH at its
+``src``.
 
 Example:
     PYTHONPATH=src python3 scripts/planner_reach.py
     PYTHONPATH=src python3 scripts/planner_reach.py --runs improved-8x3 --repeat 3
     PYTHONPATH=src python3 scripts/planner_reach.py --runs epsilon-boxpush-h10
+    PYTHONPATH=src python3 scripts/planner_reach.py --runs exact-mabc-h4 --repeat 3
 """
 
 import argparse
@@ -43,7 +47,14 @@ RUNS = {
 }
 # name -> (model, horizon, max_obs) of an exact epsilon_global run
 EPSILON_RUNS = {"epsilon-boxpush-h10": ("boxpush", 10, 3)}
-DEFAULT_RUNS = (*(name for name in RUNS if name != "mbdp-4"), *EPSILON_RUNS)
+# name -> (model, horizon) of an exact_solve run
+EXACT_RUNS = {
+    "exact-tiger-h3": ("tiger", 3),
+    "exact-mabc-h4": ("mabc", 4),
+    "exact-boxpush-h2": ("boxpush", 2),
+}
+ALL_RUNS = (*RUNS, *EPSILON_RUNS, *EXACT_RUNS)
+DEFAULT_RUNS = tuple(name for name in ALL_RUNS if name != "mbdp-4")
 SEED = 0
 
 CHILD = """
@@ -79,6 +90,21 @@ print(json.dumps({"wall_s": wall, "max_rss_mb": rss, "epsilon": report.epsilon,
                   "beliefs_checked": report.beliefs_checked}))
 """
 
+EXACT_CHILD = """
+import json, resource, sys, time
+import mbdp
+problem, horizon = json.loads(sys.argv[1])
+build = getattr(mbdp, "build_" + problem)
+mbdp.exact_solve(build(horizon=2))
+model = build(horizon=horizon)
+started = time.perf_counter()
+result = mbdp.exact_solve(model)
+wall = time.perf_counter() - started
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+print(json.dumps({"wall_s": wall, "max_rss_mb": rss, "value": result.value,
+                  "candidate_counts": result.candidate_counts}))
+"""
+
 PINNED_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -87,6 +113,10 @@ def run_one(name):
         problem, horizon, max_obs = EPSILON_RUNS[name]
         child, args = EPSILON_CHILD, [problem, horizon, max_obs]
         settings = {"model": problem, "horizon": horizon, "max_obs": max_obs}
+    elif name in EXACT_RUNS:
+        problem, horizon = EXACT_RUNS[name]
+        child, args = EXACT_CHILD, [problem, horizon]
+        settings = {"model": problem, "horizon": horizon, "solver": "exact_solve"}
     else:
         problem, horizon, solver, max_trees, max_obs, heuristics = RUNS[name]
         child, args = CHILD, [problem, horizon, solver, max_trees, max_obs, heuristics, SEED]
@@ -112,14 +142,14 @@ def main(argv=None):
     ap.add_argument(
         "--runs",
         default=",".join(DEFAULT_RUNS),
-        help=f"comma-separated names out of {', '.join([*RUNS, *EPSILON_RUNS])}",
+        help=f"comma-separated names out of {', '.join(ALL_RUNS)}",
     )
     ap.add_argument("--repeat", type=int, default=1, help="fresh processes per run")
     args = ap.parse_args(argv)
     names = args.runs.split(",")
-    unknown = [name for name in names if name not in RUNS and name not in EPSILON_RUNS]
+    unknown = [name for name in names if name not in ALL_RUNS]
     if unknown:
-        ap.error(f"unknown runs {unknown}; choose from {[*RUNS, *EPSILON_RUNS]}")
+        ap.error(f"unknown runs {unknown}; choose from {list(ALL_RUNS)}")
     for _ in range(args.repeat):
         for name in names:
             print(json.dumps(run_one(name)), flush=True)

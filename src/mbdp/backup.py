@@ -24,6 +24,8 @@ joint action and child tuples off its agents' term rows
 table for ``backup_values``, the joint value tensor the exact solver
 prunes.  The solvers return the rows their policy reaches as tables
 (``JointPolicy._from_tables``); no policy tree is built.
+``fill_missing`` and the exact solver's top level pick one agent's
+children per observation, from its ``observation_shares``.
 """
 
 from __future__ import annotations
@@ -68,13 +70,6 @@ class CandidateSet:
     @property
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(a) for a in self.actions)
-
-    def rows_by_action(self, model: DecPomdp) -> list[list[np.ndarray]]:
-        """Per agent and action, the rows taking that action, ascending."""
-        return [
-            [np.flatnonzero(acts == a) for a in range(count)]
-            for acts, count in zip(self.actions, model.action_counts)
-        ]
 
 
 @dataclass(frozen=True)
@@ -419,30 +414,70 @@ def backup_values(model: DecPomdp, candidates: CandidateSet, prev: np.ndarray | 
     return picked_values(model, terms, [np.arange(size) for size in candidates.sizes], prev)
 
 
+# shares this close to the best count as ties: the kernels sum in another
+# order than exact evaluation, so mathematically equal values can differ
+# in the last bits
+TIE_TOL = 1e-12
+
+
+def _tie_floor(best):
+    """Lowest score that still ties with ``best`` (elementwise for arrays)."""
+    return best - TIE_TOL * np.maximum(1.0, np.abs(best))
+
+
+def observation_shares(model: DecPomdp, agent: int, kids, table: np.ndarray, block: np.ndarray):
+    """An agent's value share per (observation, own child row), the other agents' rows fixed.
+
+    ``kids`` holds a (P, O_j) block of child rows for every other agent
+    j, in order.  ``table`` is (JO, B, m_j for every other agent j, ...):
+    a child tuple's weighted value per joint observation and block (a
+    joint action), with ``agent``'s child rows in its trailing axes; row
+    p reads block ``block[p]``.  F[p, o, ...] sums, in jo order, row p's
+    entries after the joint observations whose ``agent`` component is o,
+    so a tuple's value is a constant plus, per o, F[p, o] at its child after o.
+    """
+    n = model.num_agents
+    counts, rest = table.shape[2 : n + 1], table.shape[n + 1 :]
+    flat = table.reshape(table.shape[:1] + (-1,) + rest)
+    # local[i][jo]: agent i's component of joint observation jo
+    local = np.array(model._joint_obs_tuples, dtype=np.int64).T
+    others = [j for j in range(n) if j != agent]
+    # (P, JO): the row of flat each p reads after each joint observation
+    index = (block * math.prod(counts))[:, None] + sum(
+        k[:, local[j]] * stride for j, k, stride in zip(others, kids, _mixed_radix_strides(counts))
+    )
+    # order[k, o]: the k-th joint observation, in jo order, whose agent component is o
+    order = np.argsort(local[agent], kind="stable").reshape(model.observation_counts[agent], -1).T
+    shares = flat[order[0], index[:, order[0]]]
+    for jos in order[1:]:
+        shares += flat[jos, index[:, jos]]
+    return shares
+
+
+def pick_children(shares: np.ndarray, incumbent: np.ndarray | None = None) -> np.ndarray:
+    """Lowest index along the last axis within ``TIE_TOL`` of the best, or a tying ``incumbent``."""
+    ties = shares >= _tie_floor(shares.max(axis=-1))[..., None]
+    picks = ties.argmax(axis=-1)
+    if incumbent is None:
+        return picks
+    return np.where(np.take_along_axis(ties, incumbent[..., None], -1)[..., 0], incumbent, picks)
+
+
 def fill_missing(
-    model: DecPomdp,
-    partials: CandidateSet,
-    values: np.ndarray,
-    belief: BeliefState,
+    model: DecPomdp, partials: CandidateSet, values: np.ndarray, belief: BeliefState
 ) -> CandidateSet:
-    """Completes partial candidates with donor rows, hill-climbing on joint value.
+    """Completes partial candidates with donor rows by alternating best response at ``belief``.
 
     ``values`` is the (m_0, ..., m_{n-1}, S) joint value tensor of the
-    donors, the previous level's selected lists.  Candidates are grouped
-    into joint configurations by row (shorter tables wrap around); only
-    the rows whose first occurrence a configuration is get their holes
-    assigned.  Holes start at donor 0, and a configuration sweeps its
-    holes in (agent, observation) order, moving a branch to the first
-    best other donor row only on strict improvement of its value at
-    ``belief``, until a sweep improves nothing.  Configurations climb in
-    lockstep, in batches of min(sizes) consecutive ones: per sweep and
-    hole, one (configurations, donor rows, joint observations) gather
-    scores every live owner's donor rows.  Within a batch each agent's
-    rows are distinct and wrapped rows are final (an earlier batch owns
-    them), and every score is summed over a C-contiguous last axis like
-    one configuration's row, so the result is the same bit for bit as
-    climbing one configuration at a time.  Complete inputs are returned
-    unchanged, same object.
+    donors, the previous level's selected lists.  Row c of every table
+    (shorter tables wrap) forms configuration c, which fills the holes
+    of the rows it is first to use.  Holes start at donor 0; then each
+    agent in turn moves its holes to ``pick_children`` of its
+    ``observation_shares``, until a full round of agents moves nothing.
+    Each move gains more than the tie floor, so the climb ends.
+    Configurations climb in lockstep, in batches of min(sizes): within
+    one, each agent's rows are distinct and wrapped rows are final, so
+    each climbs as it would alone.  Complete inputs are returned as is.
     """
     n = model.num_agents
     if len(partials.actions) != n or values.shape[n:] != (model.num_states,):
@@ -465,53 +500,36 @@ def fill_missing(
     idx = [configs % size for size in sizes]
     joint = sum(partials.actions[i][idx[i]] * model._action_strides[i] for i in range(n))
     used, which = np.unique(joint, return_inverse=True)
-    # per joint action used, its expected reward at b and G[jo, c] = sum_{s'}
-    # U[jo, s'] V[c, s'] with U[jo, s'] = O[ja][s', jo] * (b P[ja])(s'),
-    # the unnormalized one-step posterior mass weighting child tuple c
+    # per joint action used, G[jo, c] = sum_{s'} U[jo, s'] V[c, s'] with
+    # U[jo, s'] = O[ja][s', jo] * (b P[ja])(s'), the unnormalized one-step
+    # posterior mass weighting child tuple c
     flat = values.reshape(-1, model.num_states)
-    num_jo, num_kids = model.num_joint_observations, len(flat)
-    base = np.array([b @ model.expected_reward[ja] for ja in used])
     g = np.stack(
         [(flat @ (model.observation[ja] * (b @ model.transition[ja])[:, None])).T for ja in used]
-    ).reshape(-1)
-    # local[i][jo]: agent i's component of joint observation jo
-    local = np.array(model._joint_obs_tuples, dtype=np.int64).T
-    strides = _mixed_radix_strides(num_donors)
-    start = ((which * num_jo)[:, None] + np.arange(num_jo)) * num_kids
-    pairs = [(i, o) for i, h in enumerate(holes) for o in np.flatnonzero(h.any(axis=0))]
-
-    def child_index(c):
-        # each configuration's entry of g per joint observation, (A, JO)
-        return start[c] + sum(rows[j][idx[j][c]][:, local[j]] * strides[j] for j in range(n))
+    ).reshape((len(used), model.num_joint_observations) + num_donors)
+    # per agent d, G laid out (JO, joint actions used, other agents' donors, d's donors)
+    tables = [np.ascontiguousarray(np.moveaxis(g, (1, 2 + d), (0, -1))) for d in range(n)]
 
     for lo in range(0, len(configs), min(sizes)):
         batch = configs[lo : lo + min(sizes)]
         # owns[i][p, o]: configuration lo + p assigns agent i's branch o
         owns = [holes[i][idx[i][batch]] & (batch < sizes[i])[:, None] for i in range(n)]
         live = np.flatnonzero(np.any([own.any(axis=1) for own in owns], axis=0))
-        current = base[which[batch]] + g.take(child_index(batch)).sum(axis=1)
         while live.size:
-            improved = np.zeros(len(batch), dtype=bool)
-            for i, o in pairs:
-                p = live[owns[i][live, o]]
+            moved = np.zeros(len(batch), dtype=bool)
+            for d in range(n):
+                p = live[owns[d][live].any(axis=1)]
                 if not p.size:
                     continue
-                c, step = lo + p, (local[i] == o) * strides[i]
-                index = child_index(c) - np.outer(rows[i][c, o], step)
-                # (A, D, JO) donor trials; take, unlike g[trial], returns them
-                # C-ordered whatever the layout of trial, so each sum is pairwise
-                trial = index[:, None, :] + np.outer(np.arange(num_donors[i]), step)
-                scores = base[which[c]][:, None] + g.take(trial).sum(axis=2)
-                # a repeat of the incumbent's tree has a bit-identical tensor row
-                # and never strictly improves, so skipping its row is enough
-                scores[np.arange(len(p)), rows[i][c, o]] = -np.inf
-                best = scores.argmax(axis=1)
-                score = scores[np.arange(len(p)), best]
-                gain = score > current[p]
-                rows[i][c[gain], o] = best[gain]
-                current[p[gain]] = score[gain]
-                improved[p[gain]] = True
-            live = live[improved[live]]
+                # configuration c owns agent d's row c
+                c = lo + p
+                kids = [rows[j][idx[j][c]] for j in range(n) if j != d]
+                mine = rows[d][c]
+                picks = pick_children(observation_shares(model, d, kids, tables[d], which[c]), mine)
+                move = owns[d][p] & (picks != mine)
+                rows[d][c] = np.where(move, picks, mine)
+                moved[p] |= move.any(axis=1)
+            live = live[moved[live]]
     return CandidateSet(partials.actions, tuple(rows))
 
 

@@ -4,12 +4,12 @@ The memory-bounded planner keeps at most ``max_trees`` policy trees per
 agent per depth.  Each level it picks that many joint tree pairs, one
 per heuristically sampled belief, backs the picks up by one step (fully,
 or only for the observation subsets that keep the most mass, with the
-remaining branches filled greedily), and hands the result to the next
-level; the top level picks one tuple, at the initial belief.  The exact
-oracle enumerates all policy trees level by level, pruning dominated
-ones, and solves the last level by best response: one agent's children
-are picked per observation instead of enumerating its trees.  It is
-feasible only for short horizons.
+remaining branches filled by best response), and hands the result to
+the next level; the top level picks one tuple, at the initial belief.
+The exact oracle enumerates all policy trees level by level, pruning
+dominated ones, and solves the last level by best response too: one
+agent's children are picked per observation instead of enumerating its
+trees.  It is feasible only for short horizons.
 
 Both keep every level as integer candidate tables (``CandidateSet``)
 plus the rows they keep: the planner's picks or the exact solver's
@@ -19,7 +19,8 @@ every joint tuple at the level's sampled beliefs only, from the
 children projected onto those beliefs and contracted with one agent's
 one-hot rows at a time, and ``picked_values`` builds value vectors for
 the picked tuples alone from their term rows (both rows from
-``table_rows``), which the next level's backup reads.  The
+``table_rows``), which the next level's backup reads; a grid past
+``MAX_GRID_FLOATS`` raises ``CapacityError`` before it is scored.  The
 exact solver prunes whole tensors below its final level.  The returned
 policy is the tables of the rows the top level's pick reaches; no
 ``PolicyTree`` is built.
@@ -27,7 +28,6 @@ policy is the tables of the rows the top level's pick reaches; no
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -35,12 +35,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .backup import (
+    TIE_TOL,
     CandidateSet,
+    _tie_floor,
     backup_values,
     belief_scores,
     exhaustive_backup,
     fill_missing,
+    observation_shares,
     partial_backup,
+    pick_children,
     picked_values,
     prune_value_tensor,
     rank_observations,
@@ -132,17 +136,6 @@ class SolveReport:
     millis: float
 
 
-# scores this close to the best count as ties: the kernel sums in another
-# order than exact evaluation, so mathematically equal tuples can differ
-# in the last bits
-TIE_TOL = 1e-12
-
-
-def _tie_floor(best):
-    """Lowest score that still ties with ``best`` (elementwise for arrays)."""
-    return best - TIE_TOL * np.maximum(1.0, np.abs(best))
-
-
 def _best_tuple(scores: np.ndarray, exclude=None):
     """Highest-scoring joint tuple of ``scores``, shaped (|Q_0|, ..., |Q_{n-1}|).
 
@@ -215,6 +208,11 @@ def _materialize(levels) -> JointPolicy:
     )
 
 
+# floats in one level's selection grid, one score per belief and joint
+# tuple (2 GiB): belief_scores allocates the grid whole
+MAX_GRID_FLOATS = 1 << 28
+
+
 def _solve_round(model, cfg: SolverConfig, rng, portfolio):
     horizon = model.horizon
     b_sel, b_prev, a_prev = selection_beliefs(portfolio, model, cfg.max_trees, rng)
@@ -243,6 +241,11 @@ def _solve_round(model, cfg: SolverConfig, rng, portfolio):
         started = time.perf_counter()
         sizes = q.sizes
         beliefs = b_sel[t - 1] if t < horizon else b0[None, :]
+        if len(beliefs) * math.prod(sizes) > MAX_GRID_FLOATS:
+            raise CapacityError(
+                f"level {t} would score {len(beliefs) * math.prod(sizes)} floats for tables "
+                f"{sizes} (cap {MAX_GRID_FLOATS}); lower max_trees or max_obs"
+            )
         picked, sel_values, duplicated = _pick(belief_scores(model, rows, prev, beliefs))
         tables.append((q, picked))
         # the picks' value vectors, the same bits as the whole tensor's rows
@@ -343,8 +346,8 @@ class ExactResult:
     candidate_counts: tuple[tuple[int, ...], ...]
 
 
-# floats in one block's per-observation child tensor (8 MB)
-_BLOCK_ELEMENTS = 1 << 20
+# floats in one block's per-observation child tensor (1 MB; 8 MB ran slower)
+_BLOCK_ELEMENTS = 1 << 17
 
 
 def _best_response(model: DecPomdp, cands: CandidateSet, prev: np.ndarray, belief: np.ndarray):
@@ -352,17 +355,12 @@ def _best_response(model: DecPomdp, cands: CandidateSet, prev: np.ndarray, belie
 
     ``cands`` is ``exhaustive_backup`` of ``prev``'s selected lists and
     ``prev`` their (m_0, ..., m_{n-1}, S) joint value tensor.  Agent d,
-    the one with the largest table, is never enumerated: once the other
-    agents' rows and d's action are fixed, a tuple's value splits into
-    one term per observation o of d, F[o, c] summed over the joint
-    observations whose d-component is o, where c is the child row d
-    continues with after o.  So d's best children are one argmax per
-    observation, and d's row follows from its action block and those
-    children (action-major, children lexicographic), the smallest row
-    on ties.  The per-state maxima take the same maxima per state.  The
-    other agents' rows are enumerated in blocks of bounded size.  Ties,
-    per observation and across tuples, go to the smallest index within
-    ``TIE_TOL``.
+    the one with the largest table, is never enumerated: per block of
+    the other agents' row tuples and d's actions, d's best children are
+    ``pick_children`` of its ``observation_shares`` at the belief, and
+    its row follows from its action and those children.  The per-state
+    maxima take the same maxima per state.  Ties, per observation and
+    across tuples, go to the smallest index within ``TIE_TOL``.
     """
     n = model.num_agents
     num_s = model.num_states
@@ -373,64 +371,47 @@ def _best_response(model: DecPomdp, cands: CandidateSet, prev: np.ndarray, belie
     others = [i for i in range(n) if i != d]
     m_d = prev.shape[d]
     num_obs = model.observation_counts[d]
-    # d's row within its action block, from its child rows
-    powers = m_d ** np.arange(num_obs - 1, -1, -1)
-    # child tuples as (others' rows flat, d's row) in C order
-    prev_flat = np.moveaxis(prev, d, n - 1).reshape(-1, num_s)
-    child_strides = _mixed_radix_strides([prev.shape[i] for i in others])
+    # stack[jo, ja, r..., c, s]: the weighted values of the child tuple of
+    # the other agents' rows r and d's row c
+    moved = np.moveaxis(prev, d, n - 1)
+    stack = weighted_stack(model, moved).reshape((model.num_joint_observations, -1) + moved.shape)
     # the longer of d's child rows and the states goes innermost, where
     # numpy reduces fastest
     rows_inner = m_d >= num_s
+    if rows_inner:
+        stack = np.ascontiguousarray(np.swapaxes(stack, -1, -2))
+    # the other agents' rows, then d's action, in C order
+    grid = [sizes[i] for i in others] + [model.action_counts[d]]
+    total = math.prod(grid)
     block = max(1, _BLOCK_ELEMENTS // (num_obs * m_d * num_s))
-    by_action = cands.rows_by_action(model)
-    # stack[jo, ja, r, c]: the weighted values of the child tuple of the
-    # other agents' rows r and d's row c
-    stack = weighted_stack(model, prev_flat).reshape(
-        (model.num_joint_observations, model.num_joint_actions, -1, m_d, num_s)
-    )
     best_val = -np.inf
     kept_vals, kept_flats = np.empty(0), np.empty(0, dtype=np.int64)
     state_max = np.full(num_s, -np.inf)
-    for ja, ja_tuple in enumerate(itertools.product(*(range(c) for c in model.action_counts))):
-        groups = [by_action[i][a] for i, a in enumerate(ja_tuple)]
-        weighted = stack[:, ja]
-        if rows_inner:
-            weighted = np.ascontiguousarray(weighted.transpose(0, 1, 3, 2))
-        reward_at_belief = float(er[ja] @ belief)
-        group_sizes = [len(groups[i]) for i in others]
-        group_strides = _mixed_radix_strides(group_sizes)
-        group_total = math.prod(group_sizes)
-        for lo in range(0, group_total, block):
-            hi = min(lo + block, group_total)
-            base = np.arange(lo, hi)
-            rows = {
-                i: groups[i][(base // group_strides[j]) % group_sizes[j]]
-                for j, i in enumerate(others)
-            }
-            # F[k, o, c, s] (or [k, o, s, c]): value share of d continuing
-            # with child row c after its observation o
-            f = np.zeros((hi - lo, num_obs) + weighted[0].shape[1:])
-            for jo, local in enumerate(model._joint_obs_tuples):
-                child = sum(
-                    cands.children[i][rows[i], local[i]] * child_strides[j]
-                    for j, i in enumerate(others)
-                )
-                f[:, local[d]] += weighted[jo][child]
-            per_state = f.max(axis=3 if rows_inner else 2).sum(axis=1)
-            np.maximum(state_max, (er[ja] + per_state).max(axis=0), out=state_max)
-            # scores[k, o, c] at the belief; per o the smallest tying c
-            scores = belief @ f if rows_inner else f @ belief
-            picks = np.argmax(scores >= _tie_floor(scores.max(axis=2))[..., None], axis=2)
-            chosen = np.take_along_axis(scores, picks[..., None], axis=2)[..., 0]
-            vals = reward_at_belief + chosen.sum(axis=1)
-            flats = groups[d][picks @ powers] * strides[d]
-            flats += sum(rows[i] * strides[i] for i in others)
-            best_val = max(best_val, float(vals.max()))
-            # tuples below the running floor stay below the final one
-            keep = kept_vals >= _tie_floor(best_val)
-            fresh = vals >= _tie_floor(best_val)
-            kept_vals = np.concatenate([kept_vals[keep], vals[fresh]])
-            kept_flats = np.concatenate([kept_flats[keep], flats[fresh]])
+    for lo in range(0, total, block):
+        *rows, act = np.unravel_index(np.arange(lo, min(lo + block, total)), grid)
+        ja = act * model._action_strides[d] + sum(
+            cands.actions[i][r] * model._action_strides[i] for i, r in zip(others, rows)
+        )
+        # F[k, o, c, s] (or [k, o, s, c]): value share of d continuing
+        # with child row c after its observation o
+        kids = [cands.children[i][r] for i, r in zip(others, rows)]
+        f = observation_shares(model, d, kids, stack, ja)
+        per_state = f.max(axis=3 if rows_inner else 2).sum(axis=1)
+        np.maximum(state_max, (er[ja] + per_state).max(axis=0), out=state_max)
+        # scores[k, o, c] at the belief
+        scores = belief @ f if rows_inner else f @ belief
+        picks = pick_children(scores)
+        chosen = np.take_along_axis(scores, picks[..., None], axis=2)[..., 0]
+        vals = (er @ belief)[ja] + chosen.sum(axis=1)
+        # d's row: its action's block, then its children as digits
+        flats = (act * m_d**num_obs + picks @ m_d ** np.arange(num_obs - 1, -1, -1)) * strides[d]
+        flats += sum(r * strides[i] for i, r in zip(others, rows))
+        best_val = max(best_val, float(vals.max()))
+        # tuples below the running floor stay below the final one
+        keep = kept_vals >= _tie_floor(best_val)
+        fresh = vals >= _tie_floor(best_val)
+        kept_vals = np.concatenate([kept_vals[keep], vals[fresh]])
+        kept_flats = np.concatenate([kept_flats[keep], flats[fresh]])
     j = int(np.argmin(kept_flats))
     return float(kept_vals[j]), int(kept_flats[j]), state_max
 

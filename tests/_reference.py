@@ -425,7 +425,10 @@ def backup_values_reference(model, candidates, prev):
         raise ConfigError("candidate table has unassigned branches; fill them first")
     out = np.empty(candidates.sizes + (num_s,))
     prev_flat = None if prev is None else prev.reshape(-1, num_s)
-    by_action = candidates.rows_by_action(model)
+    by_action = [
+        [np.flatnonzero(acts == a) for a in range(count)]
+        for acts, count in zip(candidates.actions, model.action_counts)
+    ]
     for ja, ja_tuple in enumerate(itertools.product(*(range(c) for c in model.action_counts))):
         rows = [by_action[i][a] for i, a in enumerate(ja_tuple)]
         if any(r.size == 0 for r in rows):
@@ -440,63 +443,75 @@ def backup_values_reference(model, candidates, prev):
     return out
 
 
-def fill_missing_reference(model, partials, values, belief):
-    """``fill_missing`` scoring one donor row at a time.
+def fill_tables(model, values, belief, config_actions):
+    """``fill_missing``'s G[jo, c_0, ..., c_{n-1}] for one configuration's joint action.
 
-    Same sweep order, strict-improvement rule and per-configuration sums
-    as the package, which must agree bit for bit.
+    Child tuple values weighted by one step's mass at ``belief``.
+    """
+    b = belief.probs
+    ja = model.joint_action_index(tuple(int(a) for a in config_actions))
+    u = (model.observation[ja] * (b @ model.transition[ja])[:, None]).T
+    flat_values = values.reshape(-1, model.num_states)
+    return (flat_values @ u.T).T.reshape((model.num_joint_observations,) + values.shape[:-1])
+
+
+def hole_shares(model, g, config_rows, agent, obs):
+    """Agent ``agent``'s share per donor row after its observation ``obs``, by scalar loops.
+
+    ``config_rows`` holds one child row per (agent, observation) of a
+    configuration; the other agents' rows are read from it.  Each share
+    adds, in joint-observation order, G at the joint observations whose
+    ``agent`` component is ``obs``.
+    """
+    shares = []
+    for r in range(g.shape[1 + agent]):
+        share = 0.0
+        for jo, local in enumerate(model._joint_obs_tuples):
+            if local[agent] != obs:
+                continue
+            kids = tuple(
+                r if j == agent else int(config_rows[j][o]) for j, o in enumerate(local)
+            )
+            share += float(g[(jo,) + kids])
+        shares.append(share)
+    return shares
+
+
+def fill_missing_reference(model, partials, values, belief):
+    """``fill_missing`` one configuration, hole and donor row at a time.
+
+    Configuration c is row c of every table, shorter tables wrapping,
+    and assigns the holes of the rows it is the first to use.  Holes
+    start at donor 0.  In rounds, each agent in turn moves each of its
+    holes to the lowest donor row whose share is within the tie floor of
+    the best share, unless the incumbent's share is; rounds stop when
+    one moves nothing.  The package must agree bit for bit.
     """
     n = model.num_agents
-    num_donors = values.shape[:-1]
     missing = [[np.flatnonzero(row < 0).tolist() for row in kids] for kids in partials.children]
     if not any(slots for per_agent in missing for slots in per_agent):
         return partials
     rows = [np.maximum(kids, 0) for kids in partials.children]
-    b = belief.probs
-    er = model.expected_reward
-    flat_values = values.reshape(-1, model.num_states)
-    num_jo = model.num_joint_observations
-    local = np.array(model._joint_obs_tuples, dtype=np.int64).T
-    jo_index = np.arange(num_jo)
-
-    def table(ja):
-        post = b @ model.transition[ja]
-        u = (model.observation[ja] * post[:, None]).T
-        return float(b @ er[ja]), (flat_values @ u.T).T.reshape((num_jo,) + num_donors)
-
-    def config_value(base, g, config_rows):
-        kids = tuple(r[local[i]] for i, r in enumerate(config_rows))
-        return base + float(g[(jo_index,) + kids].sum())
-
     sizes = partials.sizes
     for c in range(max(sizes)):
         idx = tuple(c % sizes[i] for i in range(n))
-        owned = [(i, o) for i in range(n) if c < sizes[i] for o in missing[i][idx[i]]]
-        if not owned:
+        owned = [missing[i][idx[i]] if c < sizes[i] else [] for i in range(n)]
+        if not any(owned):
             continue
-        base, g = table(
-            model.joint_action_index(tuple(int(partials.actions[i][idx[i]]) for i in range(n)))
-        )
+        g = fill_tables(model, values, belief, [partials.actions[i][idx[i]] for i in range(n)])
         config_rows = [rows[i][idx[i]] for i in range(n)]
-        current = config_value(base, g, config_rows)
-        improved = True
-        while improved:
-            improved = False
-            for i, o in owned:
-                slot_rows = config_rows[i]
-                incumbent = slot_rows[o]
-                best, best_row = current, incumbent
-                for r in range(num_donors[i]):
-                    if r == incumbent:
+        moved = True
+        while moved:
+            moved = False
+            for d in range(n):
+                for o in owned[d]:
+                    shares = hole_shares(model, g, config_rows, d, o)
+                    best = max(shares)
+                    floor = best - TIE_TOL * max(1.0, abs(best))
+                    if shares[config_rows[d][o]] >= floor:
                         continue
-                    slot_rows[o] = r
-                    value = config_value(base, g, config_rows)
-                    if value > best:
-                        best, best_row = value, r
-                slot_rows[o] = best_row
-                if best > current:
-                    current = best
-                    improved = True
+                    config_rows[d][o] = next(r for r, share in enumerate(shares) if share >= floor)
+                    moved = True
     return CandidateSet(partials.actions, tuple(rows))
 
 

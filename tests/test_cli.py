@@ -465,6 +465,22 @@ class TestExitCodes:
         assert code == 3
         assert json.loads(err.splitlines()[-1])["error"] == "CapacityError"
 
+    def test_selection_grid_cap_exits_three(self, capsys, tmp_path):
+        # full backups of 13,122 trees per agent fit backup_cap; level 2's
+        # selection grid does not fit its cap
+        problem = tmp_path / "wide.problem"
+        problem.write_text(
+            problem_to_text(random_model(0, num_states=2, obs_counts=(8, 8), horizon=3))
+        )
+        code, _, err = run(
+            capsys,
+            ["solve", "--problem", str(problem), "--solver", "mbdp", "--format", "records"],
+        )
+        assert code == 3
+        error = json.loads(err.splitlines()[-1])
+        assert error["error"] == "CapacityError"
+        assert error["message"].startswith("level 2 would score 516560652 floats")
+
     def test_bad_flag_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--no-such-flag"])

@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -30,7 +31,7 @@ from mbdp import (
 import mbdp.solver as solver_module
 
 import _reference as ref
-from conftest import random_model, three_agent_model
+from conftest import random_model, three_agent_model, traced_peak_mb
 
 
 def best_over_seeds(solve, model, cfg, seeds):
@@ -238,6 +239,27 @@ class TestPlanner:
     def test_backup_cap_enforced(self, mabc):
         with pytest.raises(CapacityError):
             mbdp(mabc, SolverConfig(max_trees=9, backup_cap=50))
+
+    def test_selection_grid_cap_fires_before_scoring(self, monkeypatch):
+        # 8 observations per agent: 2 * 3^8 = 13,122 full-backup trees per
+        # agent fit backup_cap, but level 2's three score columns would
+        # take 4.1 GB
+        model = random_model(0, num_states=2, obs_counts=(8, 8), horizon=3)
+        scores = solver_module.belief_scores
+        grids = []
+
+        def spy(model, rows, prev, beliefs):
+            grids.append(len(beliefs) * math.prod(len(x) for x in rows))
+            return scores(model, rows, prev, beliefs)
+
+        def solve():
+            with pytest.raises(CapacityError, match="level 2 would score 516560652 floats"):
+                mbdp(model, SolverConfig(max_trees=3))
+
+        monkeypatch.setattr(solver_module, "belief_scores", spy)
+        assert traced_peak_mb(solve) < 64
+        # only level 1's grid of 3 beliefs times 2 x 2 tuples was scored
+        assert grids == [12]
 
 
 class TestEquivalence:

@@ -313,7 +313,7 @@ def test_gather_plan_follows_model_and_donor_counts():
         backup_values(model, exhaustive_backup(model, (3, 3)), rng.normal(size=(2, 2, 3)))
 
 
-# 12 joint observations: numpy sums 8 or more terms pairwise, not in order
+# 12 joint observations: each share sums 3 or 4 of them, in jo order
 FILL_SHAPES = {**AGENT_SHAPES, "12 obs": dict(action_counts=(2, 2), obs_counts=(3, 4))}
 
 
@@ -351,7 +351,7 @@ def assert_fill_is_reference(model, partial, prev, belief):
 
 def test_fill_equals_reference_on_box_pushing_levels(monkeypatch):
     # every fill of a box-pushing h=10 solve at (3, 3): 108 configurations
-    # climb in one batch, and each score is a pairwise sum of 25 terms
+    # climb in one batch, and each share sums 5 of the 25 joint observations
     calls = []
 
     def spy(*args):
@@ -389,7 +389,7 @@ def hand_built_partial(model, rng, sizes, donors, hole_rate=None):
 
 
 # (observation counts, table sizes, donor counts): the shorter tables
-# wrap, and with 12 or 18 joint observations every sum is pairwise
+# wrap, and with 12 or 18 joint observations a share sums up to 9 terms
 WRAPPED_SHAPES = [
     ((3, 4), (7, 3), (2, 3)),
     ((3, 4), (4, 9), (3, 2)),
@@ -414,10 +414,10 @@ def test_fill_equals_reference_on_hand_built_tables(seed, obs_counts, sizes, don
     assert_fill_is_reference(model, partial, prev, belief)
 
 
-def test_fill_takes_an_improvement_of_one_ulp():
-    # one state, agent 0 sees two observations with mass 1/2 each; a
-    # configuration's value is (V[kept] + V[hole]) / 2, and donor values
-    # 1, 1 + eps and 1 + 2 eps make its improvements one or two ulps
+def test_fill_moves_a_hole_only_past_the_tie_floor():
+    # one state, agent 0 sees two observations with mass 1/2 each, so a
+    # hole after x1 adds V[donor] / 2 to a configuration's value; holes
+    # start at donor 0
     model = DecPomdp(
         states=("only",),
         actions=(("go",), ("go",)),
@@ -428,12 +428,80 @@ def test_fill_takes_an_improvement_of_one_ulp():
         initial_belief=np.array([1.0]),
         horizon=2,
     )
-    eps = np.finfo(float).eps
-    prev = np.array([1.0, 1.0 + eps, 1.0 + 2 * eps]).reshape(3, 1, 1)
-    partial = partial_backup(model, (3, 1), ObservationSelection(((0,), (0,))))
+
+    def fill(donor_values):
+        prev = np.array(donor_values).reshape(-1, 1, 1)
+        partial = partial_backup(model, (len(prev), 1), ObservationSelection(((0,), (0,))))
+        return assert_fill_is_reference(model, partial, prev, model.initial_belief).children[0]
+
+    # a gain of 5e-13 is inside TIE_TOL: the incumbent stays
+    assert fill([1.0, 1.0 + 1e-12]).tolist() == [[0, 0], [1, 0]]
+    # gains of 1.5e-12 and 1.75e-12 both pass the floor; they tie with
+    # each other, so the hole moves to the lower row, not the best one
+    assert fill([1.0, 1.0 + 3e-12, 1.0 + 3.5e-12]).tolist() == [[0, 1], [1, 1], [2, 1]]
+
+
+def test_fill_keeps_a_tying_incumbent_below_a_lower_row():
+    # one state, four equally likely joint observations; configuration 0
+    # keeps child 0 after x0 and y0, so agent 0's share of child a after
+    # x1 is V[a, 0] + V[a, h1] and agent 1's of child b after y1 is
+    # V[0, b] + V[h0, b], a quarter each.  Round 1 moves h0 to 2, then h1
+    # to 1; in round 2 rows 1 and 2 of agent 0 tie at 5, and the
+    # incumbent 2 stays although row 1 is lower
+    model = DecPomdp(
+        states=("only",),
+        actions=(("go",), ("go",)),
+        observations=(("x0", "x1"), ("y0", "y1")),
+        transition=np.ones((1, 1, 1)),
+        observation=np.full((1, 1, 4), 0.25),
+        reward=np.zeros((1, 1, 1)),
+        initial_belief=np.array([1.0]),
+        horizon=2,
+    )
+    prev = np.array([[0.0, 0.0], [1.0, 4.0], [2.0, 3.0]])[..., None]
+    partial = partial_backup(model, (3, 2), ObservationSelection(((0,), (0,))))
     filled = assert_fill_is_reference(model, partial, prev, model.initial_belief)
-    # row 0: 1 + eps/2 rounds to 1, so only donor 2 (value 1 + eps) improves
-    assert filled.children[0].tolist() == [[0, 2], [1, 2], [2, 1]]
+    assert filled.children[0][0].tolist() == [0, 2]
+    assert filled.children[1][0].tolist() == [0, 1]
+
+
+def assert_fill_is_best_response(model, partial, prev, belief):
+    """No hole a configuration fills can gain more than the tie floor on its incumbent.
+
+    Shares come from the reference's scalar loops, with every other
+    branch of the configuration at its filled row.
+    """
+    filled = fill_missing(model, partial, prev, belief)
+    n, sizes = model.num_agents, partial.sizes
+    for c in range(max(sizes)):
+        idx = [c % size for size in sizes]
+        g = ref.fill_tables(model, prev, belief, [filled.actions[i][idx[i]] for i in range(n)])
+        config_rows = [filled.children[i][idx[i]] for i in range(n)]
+        for d in range(n):
+            owned = np.flatnonzero(partial.children[d][idx[d]] < 0) if c < sizes[d] else []
+            for o in owned:
+                shares = ref.hole_shares(model, g, config_rows, d, o)
+                best = max(shares)
+                assert shares[config_rows[d][o]] >= best - TIE_TOL * max(1.0, abs(best))
+    return filled
+
+
+@given(
+    seed=st.integers(0, 5_000),
+    shape=st.sampled_from(sorted(FILL_SHAPES, key=str)),
+    keep=st.integers(2, 4),
+    num_states=st.sampled_from([2, 3, 5]),
+)
+@settings(max_examples=30)
+def test_fill_is_a_per_observation_best_response(seed, shape, keep, num_states):
+    model = random_model(seed, num_states=num_states, **FILL_SHAPES[shape])
+    rng = np.random.default_rng(seed)
+    leaves = exhaustive_backup(model, None)
+    values = backup_values(model, leaves, None)
+    prev = values[np.ix_(*[rng.choice(n, size=keep) for n in leaves.sizes])]
+    partial = hand_built_partial(model, rng, (7, 5, 4)[: model.num_agents], prev.shape[:-1], 0.6)
+    belief = BeliefState(rng.dirichlet(np.ones(num_states)))
+    assert_fill_is_best_response(model, partial, prev, belief)
 
 
 @given(seed=st.integers(0, 2_000))
@@ -606,3 +674,21 @@ def test_tie_heavy_models_tie_in_the_final_level():
         scores = tensor.reshape(-1, model.num_states) @ model.initial_belief.probs
         tied += int((scores == want.value).sum() > 1)
     assert tied >= 6
+
+
+@given(seed=st.integers(0, 5_000), shape=final_level_shapes, keep=st.integers(2, 4))
+@settings(max_examples=30)
+def test_fill_is_a_best_response_on_tie_heavy_models(seed, shape, keep):
+    # dyadic models: donor rows with equal values, and so equal shares,
+    # are exactly equal, and the climb must still end
+    model = final_level_model(seed, shape, ties=True)
+    rng = np.random.default_rng(seed)
+    leaves = exhaustive_backup(model, None)
+    values = backup_values(model, leaves, None)
+    prev = values[np.ix_(*[rng.choice(n, size=keep) for n in leaves.sizes])]
+    selection = ObservationSelection(
+        tuple((int(rng.integers(n)),) for n in model.observation_counts)
+    )
+    partial = partial_backup(model, prev.shape[:-1], selection)
+    assert_fill_is_reference(model, partial, prev, model.initial_belief)
+    assert_fill_is_best_response(model, partial, prev, model.initial_belief)
