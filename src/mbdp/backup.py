@@ -101,7 +101,7 @@ def _backup_table(num_actions: int, num_donors: int, num_obs: int, slots, cap: i
     if count > cap:
         raise CapacityError(
             f"backup for agent {agent} would create {count} trees (cap {cap}); "
-            "lower maxTrees or maxObs"
+            "lower max_trees or max_obs, or raise backup_cap"
         )
     # child rows of one action's block: base-num_donors digits of 0..block-1,
     # most significant first, so the block runs in lexicographic order
@@ -119,19 +119,14 @@ def exhaustive_backup(
     """All one-step extensions: every action crossed with every full child assignment.
 
     ``donors`` gives, per agent, the number of rows in the previous
-    level's selected list.  With ``donors`` None the candidates are the
+    level's selected list; the backup is ``partial_backup`` with every
+    observation selected.  With ``donors`` None the candidates are the
     depth-1 trees, one per action.
     """
-    if donors is None:
-        tables = [
-            _backup_table(model.action_counts[i], 1, 0, (), cap, i)
-            for i in range(model.num_agents)
-        ]
-    else:
-        tables = [
-            _backup_table(model.action_counts[i], donors[i], num_obs, range(num_obs), cap, i)
-            for i, num_obs in enumerate(model.observation_counts)
-        ]
+    if donors is not None:
+        every = ObservationSelection(tuple(tuple(range(c)) for c in model.observation_counts))
+        return partial_backup(model, donors, every, cap)
+    tables = [_backup_table(count, 1, 0, (), cap, i) for i, count in enumerate(model.action_counts)]
     return CandidateSet(*zip(*tables))
 
 
@@ -143,8 +138,8 @@ def partial_backup(
 ) -> CandidateSet:
     """One-step extensions with children assigned only for selected observations.
 
-    With a full selection this enumerates exactly like exhaustive_backup,
-    row for row, which keeps the two code paths interchangeable.
+    Rows run action-major, child rows lexicographic over the selected
+    observations; the rest are holes (-1).
     """
     if len(selection.per_agent) != model.num_agents:
         raise ConfigError("selection does not cover every agent")
@@ -265,7 +260,7 @@ def _terms(model: DecPomdp, actions, children, donors) -> tuple[np.ndarray, ...]
     if donors is None:
         return tuple(terms)
     child_strides = _mixed_radix_strides(donors)
-    local = np.array(model._joint_obs_tuples).T
+    local = model._local_obs
     return tuple(
         np.concatenate([term, kids[:, local[i]] * child_strides[i]], axis=1)
         for i, (term, kids) in enumerate(zip(terms, children))
@@ -439,15 +434,13 @@ def observation_shares(model: DecPomdp, agent: int, kids, table: np.ndarray, blo
     n = model.num_agents
     counts, rest = table.shape[2 : n + 1], table.shape[n + 1 :]
     flat = table.reshape(table.shape[:1] + (-1,) + rest)
-    # local[i][jo]: agent i's component of joint observation jo
-    local = np.array(model._joint_obs_tuples, dtype=np.int64).T
+    local = model._local_obs
     others = [j for j in range(n) if j != agent]
     # (P, JO): the row of flat each p reads after each joint observation
     index = (block * math.prod(counts))[:, None] + sum(
         k[:, local[j]] * stride for j, k, stride in zip(others, kids, _mixed_radix_strides(counts))
     )
-    # order[k, o]: the k-th joint observation, in jo order, whose agent component is o
-    order = np.argsort(local[agent], kind="stable").reshape(model.observation_counts[agent], -1).T
+    order = model._obs_order[agent]
     shares = flat[order[0], index[:, order[0]]]
     for jos in order[1:]:
         shares += flat[jos, index[:, jos]]

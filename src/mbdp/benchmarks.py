@@ -534,7 +534,7 @@ def build_builtin(name: str, horizon: int | None = None) -> DecPomdp:
     builders = {"mabc": build_mabc, "tiger": build_tiger, "boxpush": build_boxpush}
     if name not in builders:
         raise ConfigError(f"unknown builtin problem '{name}' (have {sorted(builders)})")
-    model = build_boxpush() if name == "boxpush" else builders[name]()
+    model = builders[name]()
     if horizon is not None:
         model = replace(model, horizon=horizon)
     return model

@@ -20,7 +20,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from .errors import (
 from .model import DecPomdp, _mixed_radix_strides
 from .policy import PolicyEvaluator, parse_policy, serialize_policy, simulate
 from .solver import (
+    LevelRecord,
     SolverConfig,
     exact_solve,
     improved_mbdp,
@@ -312,44 +313,55 @@ def load_problem(spec: str, horizon: int | None = None) -> DecPomdp:
 # ---- record and text output ----------------------------------------------
 
 
+def _record(kind: str, **values) -> dict:
+    """A record of type ``kind``: the schema and type keys, then ``values`` in order."""
+    return {"schema": SCHEMA, "type": kind, **values}
+
+
+# field -> key of a level record: LevelRecord's fields in order, but
+# millis, which goes into the timing record
+_LEVEL_KEYS = {f.name: f.name for f in fields(LevelRecord) if f.name != "millis"} | {
+    "heuristic_names": "heuristics"
+}
+
+
 class _Out:
     def __init__(self, args):
         self.records = args.format == "records"
 
-    def record(self, record: dict, human: str | None):
+    def record(self, record: dict, human: str | None, file=None):
+        """Prints ``record`` as one JSON line, or ``human`` unless None, to ``file`` (stdout)."""
         if self.records:
-            print(json.dumps(record, separators=(",", ":")))
+            print(json.dumps(record, separators=(",", ":")), file=file)
         elif human is not None:
-            print(human)
+            print(human, file=file)
 
     def timing(self, started: float):
         """Writes the timing record of a command begun at ``perf_counter()`` time ``started``."""
         millis = (time.perf_counter() - started) * 1000.0
-        self.record({"schema": SCHEMA, "type": "timing", "millis": millis}, None)
+        self.record(_record("timing", millis=millis), None)
 
 
 def _meta(command: str, model: DecPomdp) -> dict:
-    return {
-        "schema": SCHEMA,
-        "type": "meta",
-        "command": command,
-        "problem": model.name or "unnamed",
-        "horizon": model.horizon,
-        "agents": model.num_agents,
-        "states": model.num_states,
-    }
+    return _record(
+        "meta",
+        command=command,
+        problem=model.name or "unnamed",
+        horizon=model.horizon,
+        agents=model.num_agents,
+        states=model.num_states,
+    )
 
 
-def _write_policy(args, model, policy) -> tuple[str | None, str | None]:
-    """(text, path) of the policy file, made only when a record or ``--output`` needs it."""
+def _write_policy(args, model, policy) -> dict:
+    """A result's ``policy`` and ``policy_file``, made only when a record or ``--output`` needs them."""
     if policy is None or not (args.format == "records" or args.output):
-        return None, None
+        return {"policy": None, "policy_file": None}
     text = serialize_policy(model, policy)
-    if not args.output:
-        return text, None
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    return text, args.output
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    return {"policy": text, "policy_file": args.output or None}
 
 
 def _solver_config(args) -> SolverConfig:
@@ -374,19 +386,16 @@ def _cmd_solve(args) -> int:
 
     if args.solver == "random":
         result = random_policy_baseline(model, samples=args.samples, seed=args.seed)
-        policy_text, path = _write_policy(args, model, result.policy)
         out.record(
-            {
-                "schema": SCHEMA,
-                "type": "result",
-                "solver": "random",
-                "value": result.value,
-                "std_error": result.std_error,
-                "samples": result.samples,
-                "seed": args.seed,
-                "policy": policy_text,
-                "policy_file": path,
-            },
+            _record(
+                "result",
+                solver="random",
+                value=result.value,
+                std_error=result.std_error,
+                samples=result.samples,
+                seed=args.seed,
+                **_write_policy(args, model, result.policy),
+            ),
             f"random baseline: value={result.value:.6f}"
             + (f" +- {result.std_error:.6f} (se)" if result.std_error else "")
             + f" over {result.samples} sample(s)",
@@ -399,49 +408,30 @@ def _cmd_solve(args) -> int:
     report = solve(model, cfg)
     for level in report.levels:
         out.record(
-            {
-                "schema": SCHEMA,
-                "type": "level",
-                "tree_depth": level.tree_depth,
-                "selection_values": list(level.selection_values),
-                "heuristics": list(level.heuristic_names),
-                "duplicated": level.duplicated,
-                "tuples_scored": level.tuples_scored,
-                "backup_sizes": list(level.backup_sizes),
-                "partial": level.partial,
-                "captured_mass": level.captured_mass,
-            },
+            _record("level", **{key: getattr(level, name) for name, key in _LEVEL_KEYS.items()}),
             f"level {level.tree_depth}: "
             f"selections={['%.4f' % v for v in level.selection_values]} "
             f"scored={level.tuples_scored} backup={list(level.backup_sizes)}"
             + (f" (partial, captured {level.captured_mass:.4f})" if level.partial else ""),
         )
-    policy_text, path = _write_policy(args, model, report.policy)
     out.record(
-        {
-            "schema": SCHEMA,
-            "type": "result",
-            "solver": report.solver,
-            "value": report.value,
-            "round_values": list(report.round_values),
-            "seed": cfg.seed,
-            "max_trees": cfg.max_trees,
-            "max_obs": cfg.max_obs,
-            "policy": policy_text,
-            "policy_file": path,
-        },
+        _record(
+            "result",
+            solver=report.solver,
+            value=report.value,
+            round_values=report.round_values,
+            seed=cfg.seed,
+            max_trees=cfg.max_trees,
+            max_obs=cfg.max_obs,
+            **_write_policy(args, model, report.policy),
+        ),
         f"{report.solver}: value={report.value:.6f} (horizon {report.horizon}, "
         f"max_trees {cfg.max_trees}"
         + (f", max_obs {cfg.max_obs}" if cfg.max_obs is not None else "")
         + ")",
     )
     out.record(
-        {
-            "schema": SCHEMA,
-            "type": "timing",
-            "millis": report.millis,
-            "level_millis": [level.millis for level in report.levels],
-        },
+        _record("timing", millis=report.millis, level_millis=[level.millis for level in report.levels]),
         None,
     )
     return 0
@@ -457,18 +447,15 @@ def _cmd_exact(args) -> int:
         max_candidates=args.max_candidates,
         max_pairs=args.max_pairs,
     )
-    policy_text, path = _write_policy(args, model, result.policy)
     out.record(
-        {
-            "schema": SCHEMA,
-            "type": "result",
-            "solver": "exact",
-            "value": result.value,
-            "candidate_counts": [list(c) for c in result.candidate_counts],
-            "state_values": [float(v) for v in result.state_values],
-            "policy": policy_text,
-            "policy_file": path,
-        },
+        _record(
+            "result",
+            solver="exact",
+            value=result.value,
+            candidate_counts=result.candidate_counts,
+            state_values=result.state_values.tolist(),
+            **_write_policy(args, model, result.policy),
+        ),
         f"exact: value={result.value:.6f} (horizon {model.horizon}, "
         f"levels {[list(c) for c in result.candidate_counts]})",
     )
@@ -488,13 +475,7 @@ def _cmd_evaluate(args) -> int:
     out.record(_meta("evaluate", model), None)
     value = PolicyEvaluator(model).at_belief(joint, model.initial_belief)
     out.record(
-        {
-            "schema": SCHEMA,
-            "type": "result",
-            "solver": "evaluate",
-            "value": value,
-            "depth": joint.depth,
-        },
+        _record("result", solver="evaluate", value=value, depth=joint.depth),
         f"policy value at the initial belief: {value:.6f} (depth {joint.depth})",
     )
     return 0
@@ -508,15 +489,14 @@ def _cmd_simulate(args) -> int:
     started = time.perf_counter()
     result = simulate(model, joint, episodes=args.episodes, seed=args.seed)
     out.record(
-        {
-            "schema": SCHEMA,
-            "type": "result",
-            "solver": "simulate",
-            "value": result.mean,
-            "std_error": result.std_error,
-            "episodes": result.episodes,
-            "seed": args.seed,
-        },
+        _record(
+            "result",
+            solver="simulate",
+            value=result.mean,
+            std_error=result.std_error,
+            episodes=result.episodes,
+            seed=args.seed,
+        ),
         f"simulated value: {result.mean:.6f} +- {result.std_error:.6f} (se) "
         f"over {result.episodes} episodes",
     )
@@ -548,17 +528,16 @@ def _cmd_bound(args) -> int:
         }
     guarantee = "guaranteed" if report.guaranteed else "estimate only, not a guarantee"
     out.record(
-        {
-            "schema": SCHEMA,
-            "type": "bound",
-            "mode": report.mode,
-            "guaranteed": report.guaranteed,
-            "max_obs": report.max_obs,
-            "epsilon": report.epsilon,
-            "bound": bound,
-            "beliefs_checked": report.beliefs_checked,
-            "witness": witness,
-        },
+        _record(
+            "bound",
+            mode=report.mode,
+            guaranteed=report.guaranteed,
+            max_obs=report.max_obs,
+            epsilon=report.epsilon,
+            bound=bound,
+            beliefs_checked=report.beliefs_checked,
+            witness=witness,
+        ),
         f"epsilon={report.epsilon:.6f} ({report.mode}, {guarantee}; "
         f"{report.beliefs_checked} beliefs), worst-case loss bound={bound:.6f}",
     )
@@ -608,7 +587,7 @@ def _cmd_bench(args) -> int:
                     f"{'mbdp':>12} {'improved':>12}"
                 )
         cfg = _solver_config(args)
-        timing = {"schema": SCHEMA, "type": "timing", "horizon": h}
+        timing = _record("timing", horizon=h)
         optimal = None
         if h <= args.oracle_limit:
             t0 = time.perf_counter()
@@ -624,15 +603,14 @@ def _cmd_bench(args) -> int:
             t0 = time.perf_counter()
             planned[name] = max(solve(model, replace(cfg, seed=s)).value for s in seeds)
             timing[f"{name}_millis"] = (time.perf_counter() - t0) * 1000.0
-        row = {
-            "schema": SCHEMA,
-            "type": "bench-row",
-            "horizon": h,
-            "optimal": optimal,
-            "random": rand_value,
-            "mbdp": planned["mbdp"],
-            "improved": planned["improved"],
-        }
+        row = _record(
+            "bench-row",
+            horizon=h,
+            optimal=optimal,
+            random=rand_value,
+            mbdp=planned["mbdp"],
+            improved=planned["improved"],
+        )
         rows.append(row)
 
         def cell(v):
@@ -742,25 +720,14 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         _emit_error(args, exc)
         return 3
-    except (ParseError, ModelError, ConfigError, EvaluationError, ImpossibleEvidenceError) as exc:
-        _emit_error(args, exc)
-        return 4
-    except OSError as exc:
+    except (ParseError, ModelError, ConfigError, EvaluationError, ImpossibleEvidenceError, OSError) as exc:
         _emit_error(args, exc)
         return 4
 
 
 def _emit_error(args, exc) -> None:
-    record = {
-        "schema": SCHEMA,
-        "type": "error",
-        "error": type(exc).__name__,
-        "message": str(exc),
-    }
-    if getattr(args, "format", "human") == "records":
-        print(json.dumps(record, separators=(",", ":")), file=sys.stderr)
-    else:
-        print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
+    name = type(exc).__name__
+    _Out(args).record(_record("error", error=name, message=str(exc)), f"error ({name}): {exc}", sys.stderr)
 
 
 if __name__ == "__main__":

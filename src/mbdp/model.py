@@ -18,6 +18,7 @@ violation at once.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -47,7 +48,8 @@ class BeliefState:
             raise ModelError("belief must be a non-empty 1-d vector")
         if float(arr.min()) < -PROB_TOL:
             raise ModelError(f"belief has a negative entry: {arr.min()!r}")
-        if abs(float(arr.sum()) - 1.0) > PROB_TOL:
+        # a non-finite entry makes the sum non-finite, which fails this test
+        if not abs(float(arr.sum()) - 1.0) <= PROB_TOL:
             raise ModelError(f"belief sums to {arr.sum()!r}, not 1")
         arr = np.clip(arr, 0.0, None)  # remove rounding dust
         arr.setflags(write=False)
@@ -107,12 +109,10 @@ class DecPomdp:
             raise ModelError("model needs at least one state")
         if len(self.actions) < 2 or len(self.actions) != len(self.observations):
             raise ModelError("model needs >= 2 agents with one action and one observation set each")
-        for i, names in enumerate(self.actions):
-            if len(names) == 0:
-                raise ModelError(f"agent {i} has an empty action set")
-        for i, names in enumerate(self.observations):
-            if len(names) == 0:
-                raise ModelError(f"agent {i} has an empty observation set")
+        for kind, groups in (("action", self.actions), ("observation", self.observations)):
+            for i, names in enumerate(groups):
+                if len(names) == 0:
+                    raise ModelError(f"agent {i} has an empty {kind} set")
         object.__setattr__(self, "states", tuple(self.states))
         object.__setattr__(self, "actions", tuple(tuple(a) for a in self.actions))
         object.__setattr__(self, "observations", tuple(tuple(o) for o in self.observations))
@@ -120,20 +120,19 @@ class DecPomdp:
         num_s = len(self.states)
         num_ja = int(np.prod([len(a) for a in self.actions]))
         num_jo = int(np.prod([len(o) for o in self.observations]))
-        transition = _frozen(self.transition)
-        observation = _frozen(self.observation)
-        reward = _frozen(self.reward)
-        if transition.shape != (num_ja, num_s, num_s):
-            raise ModelError(f"transition shape {transition.shape} != {(num_ja, num_s, num_s)}")
-        if observation.shape != (num_ja, num_s, num_jo):
-            raise ModelError(f"observation shape {observation.shape} != {(num_ja, num_s, num_jo)}")
-        if reward.shape != (num_ja, num_s, num_s):
-            raise ModelError(f"reward shape {reward.shape} != {(num_ja, num_s, num_s)}")
-        if not np.all(np.isfinite(reward)):
+        shapes = {
+            "transition": (num_ja, num_s, num_s),
+            "observation": (num_ja, num_s, num_jo),
+            "reward": (num_ja, num_s, num_s),
+        }
+        tables = {name: _frozen(getattr(self, name)) for name in shapes}
+        for name, shape in shapes.items():
+            if tables[name].shape != shape:
+                raise ModelError(f"{name} shape {tables[name].shape} != {shape}")
+        if not np.all(np.isfinite(tables["reward"])):
             raise ModelError("reward table has non-finite entries")
-        object.__setattr__(self, "transition", transition)
-        object.__setattr__(self, "observation", observation)
-        object.__setattr__(self, "reward", reward)
+        for name, table in tables.items():
+            object.__setattr__(self, name, table)
         if not isinstance(self.initial_belief, BeliefState):
             object.__setattr__(self, "initial_belief", BeliefState(np.asarray(self.initial_belief)))
         if self.initial_belief.num_states != num_s:
@@ -179,6 +178,19 @@ class DecPomdp:
         return tuple(itertools.product(*[range(n) for n in self.observation_counts]))
 
     @cached_property
+    def _local_obs(self) -> np.ndarray:
+        """(n, JO) read-only: row i holds agent i's component of each joint observation."""
+        return _frozen(self._joint_obs_tuples, dtype=np.int64).T
+
+    @cached_property
+    def _obs_order(self) -> tuple[np.ndarray, ...]:
+        """Per agent i, order[k, o]: the k-th joint observation (jo order) whose i component is o."""
+        return tuple(
+            _frozen(np.argsort(local, kind="stable").reshape(count, -1).T, dtype=np.int64)
+            for local, count in zip(self._local_obs, self.observation_counts)
+        )
+
+    @cached_property
     def expected_reward(self) -> np.ndarray:
         """Expected immediate reward, shape (num_joint_actions, num_states)."""
         er = (self.transition * self.reward).sum(axis=2)
@@ -195,19 +207,23 @@ class DecPomdp:
 
     # ---- joint index arithmetic -------------------------------------
 
-    def joint_action_index(self, action) -> int:
-        if isinstance(action, (int, np.integer)):
-            ja = int(action)
-            if not 0 <= ja < self.num_joint_actions:
-                raise ModelError(f"joint action index {ja} out of range")
-            return ja
-        parts = tuple(int(a) for a in action)
+    def _joint_index(self, kind: str, value, counts, strides) -> int:
+        """Flat index of a joint ``kind`` given flat or as one component per agent, range-checked."""
+        if isinstance(value, (int, np.integer)):
+            flat = int(value)
+            if not 0 <= flat < math.prod(counts):
+                raise ModelError(f"joint {kind} index {flat} out of range")
+            return flat
+        parts = tuple(int(v) for v in value)
         if len(parts) != self.num_agents:
-            raise ModelError(f"joint action needs {self.num_agents} components, got {len(parts)}")
-        for i, (a, n) in enumerate(zip(parts, self.action_counts)):
-            if not 0 <= a < n:
-                raise ModelError(f"action {a} out of range for agent {i}")
-        return sum(a * s for a, s in zip(parts, self._action_strides))
+            raise ModelError(f"joint {kind} needs {self.num_agents} components, got {len(parts)}")
+        for i, (v, n) in enumerate(zip(parts, counts)):
+            if not 0 <= v < n:
+                raise ModelError(f"{kind} {v} out of range for agent {i}")
+        return sum(v * s for v, s in zip(parts, strides))
+
+    def joint_action_index(self, action) -> int:
+        return self._joint_index("action", action, self.action_counts, self._action_strides)
 
     def joint_action(self, ja: int) -> tuple[int, ...]:
         out = []
@@ -220,18 +236,7 @@ class DecPomdp:
         return tuple(self.actions[i][a] for i, a in enumerate(parts))
 
     def joint_observation_index(self, obs) -> int:
-        if isinstance(obs, (int, np.integer)):
-            jo = int(obs)
-            if not 0 <= jo < self.num_joint_observations:
-                raise ModelError(f"joint observation index {jo} out of range")
-            return jo
-        parts = tuple(int(o) for o in obs)
-        if len(parts) != self.num_agents:
-            raise ModelError(f"joint observation needs {self.num_agents} components, got {len(parts)}")
-        for i, (o, n) in enumerate(zip(parts, self.observation_counts)):
-            if not 0 <= o < n:
-                raise ModelError(f"observation {o} out of range for agent {i}")
-        return sum(o * s for o, s in zip(parts, self._obs_strides))
+        return self._joint_index("observation", obs, self.observation_counts, self._obs_strides)
 
     def joint_observation(self, jo: int) -> tuple[int, ...]:
         return self._joint_obs_tuples[jo]
@@ -251,29 +256,24 @@ class DecPomdp:
             ("transition", self.transition),
             ("observation", self.observation),
             ("reward", self.reward),
-            ("initial belief", self.initial_belief.probs),
         ):
             bad = np.argwhere(~np.isfinite(table))
             if bad.size:
                 problems.append(f"{name} has a non-finite entry at index {tuple(int(k) for k in bad[0])}")
-        if np.any(self.transition < -PROB_TOL) or np.any(self.transition > 1 + PROB_TOL):
-            bad = np.argwhere((self.transition < -PROB_TOL) | (self.transition > 1 + PROB_TOL))[0]
-            problems.append(f"transition probability out of [0,1] at ja={bad[0]}, s={bad[1]}, s'={bad[2]}")
-        if np.any(self.observation < -PROB_TOL) or np.any(self.observation > 1 + PROB_TOL):
-            bad = np.argwhere((self.observation < -PROB_TOL) | (self.observation > 1 + PROB_TOL))[0]
-            problems.append(f"observation probability out of [0,1] at ja={bad[0]}, s'={bad[1]}, jo={bad[2]}")
-        tsums = self.transition.sum(axis=2)
-        for ja, s in np.argwhere(np.abs(tsums - 1.0) > PROB_TOL):
-            problems.append(
-                f"transition row ja={ja} ({'/'.join(self.action_names(int(ja)))}), "
-                f"s={s} ({self.states[s]}) sums to {tsums[ja, s]!r}"
-            )
-        osums = self.observation.sum(axis=2)
-        for ja, s2 in np.argwhere(np.abs(osums - 1.0) > PROB_TOL):
-            problems.append(
-                f"observation row ja={ja} ({'/'.join(self.action_names(int(ja)))}), "
-                f"s'={s2} ({self.states[s2]}) sums to {osums[ja, s2]!r}"
-            )
+        # (name, table, row axis, column axis) of each probability table
+        tables = (("transition", self.transition, "s", "s'"), ("observation", self.observation, "s'", "jo"))
+        for name, table, row, col in tables:
+            bad = np.argwhere((table < -PROB_TOL) | (table > 1 + PROB_TOL))
+            if bad.size:
+                ja, r, c = bad[0]
+                problems.append(f"{name} probability out of [0,1] at ja={ja}, {row}={r}, {col}={c}")
+        for name, table, row, _ in tables:
+            sums = table.sum(axis=2)
+            for ja, r in np.argwhere(np.abs(sums - 1.0) > PROB_TOL):
+                problems.append(
+                    f"{name} row ja={ja} ({'/'.join(self.action_names(int(ja)))}), "
+                    f"{row}={r} ({self.states[r]}) sums to {sums[ja, r]!r}"
+                )
         for seq, kind in ((self.states, "state"), *[(a, f"agent-{i} action") for i, a in enumerate(self.actions)],
                           *[(o, f"agent-{i} observation") for i, o in enumerate(self.observations)]):
             if len(set(seq)) != len(seq):

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -81,6 +82,17 @@ class TestCounts:
         model = random_model(3, num_states=2, action_counts=(2, 2), obs_counts=(4, 4))
         with pytest.raises(CapacityError):
             exhaustive_backup(model, (6, 6), cap=1000)
+
+    def test_cap_message_names_the_options(self):
+        model = random_model(3, num_states=2, action_counts=(2, 2), obs_counts=(4, 4))
+        message = (
+            "backup for agent 0 would create 12 trees (cap 10); "
+            "lower max_trees or max_obs, or raise backup_cap"
+        )
+        with pytest.raises(CapacityError, match=f"^{re.escape(message)}$"):
+            partial_backup(model, (6, 6), ObservationSelection(((0,), (1,))), cap=10)
+        with pytest.raises(CapacityError, match="lower max_trees or max_obs, or raise backup_cap"):
+            improved_mbdp(model, SolverConfig(max_trees=9, max_obs=1, backup_cap=10))
 
     def test_depth_grows_by_one(self, tiger):
         trees = ref.table_trees(exhaustive_backup(tiger, None))

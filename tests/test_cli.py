@@ -13,11 +13,17 @@ from mbdp import (
     build_boxpush,
     build_mabc,
     build_tiger,
+    epsilon_global,
+    error_bound,
     evaluate_at_belief,
     exact_solve,
     improved_mbdp,
     mbdp,
     parse_policy,
+    random_policy_baseline,
+    serialize_policy,
+    simulate,
+    uniform_random_value,
 )
 from mbdp.cli import build_parser, load_problem, main, parse_problem_text, problem_to_text
 
@@ -465,6 +471,21 @@ class TestExitCodes:
         assert code == 3
         assert json.loads(err.splitlines()[-1])["error"] == "CapacityError"
 
+    def test_backup_cap_message_names_the_options(self, capsys):
+        code, out, err = run(
+            capsys,
+            ["solve", "--problem", "mabc", "--horizon", "4", "--max-trees", "9", "--max-obs", "1",
+             "--backup-cap", "10", "--format", "records"],
+        )
+        assert code == 3
+        assert not any(r["type"] == "result" for r in records(out))
+        error = json.loads(err.splitlines()[-1])
+        assert (error["error"], error["message"]) == (
+            "CapacityError",
+            "backup for agent 0 would create 18 trees (cap 10); "
+            "lower max_trees or max_obs, or raise backup_cap",
+        )
+
     def test_selection_grid_cap_exits_three(self, capsys, tmp_path):
         # full backups of 13,122 trees per agent fit backup_cap; level 2's
         # selection grid does not fit its cap
@@ -594,3 +615,66 @@ class TestRunIdentity:
             assert code == 0
             outputs.append(self.drop_timing(out))
         assert outputs[0] == outputs[1]
+
+
+class TestThreeAgents:
+    """Every subcommand on a problem file with three agents, against the API."""
+
+    @pytest.fixture
+    def problem(self, tmp_path):
+        path = tmp_path / "three.problem"
+        path.write_text(problem_to_text(three_agent_model(4)))
+        return str(path)
+
+    def result(self, capsys, argv, kind="result"):
+        code, out, err = run(capsys, argv + ["--format", "records"])
+        assert (code, err) == (0, "")
+        return next(r for r in records(out) if r["type"] == kind)
+
+    def test_every_subcommand_matches_the_api(self, capsys, problem, tmp_path):
+        model = load_problem(problem)
+        assert model.num_agents == 3
+        policy_file = tmp_path / "three.policy"
+        for solver, solve in (("improved", improved_mbdp), ("mbdp", mbdp)):
+            rec = self.result(
+                capsys, ["solve", "--problem", problem, "--solver", solver, "--output", str(policy_file)]
+            )
+            report = solve(model, SolverConfig())
+            assert (rec["solver"], rec["value"]) == (report.solver, report.value)
+            assert rec["policy"] == serialize_policy(model, report.policy)
+        rec = self.result(capsys, ["solve", "--problem", problem, "--solver", "random"])
+        assert rec["value"] == random_policy_baseline(model, seed=0).value
+
+        # the policy file holds the last solve's policy, mbdp's
+        policy = parse_policy(model, policy_file.read_text())
+        rec = self.result(capsys, ["evaluate", "--problem", problem, "--policy", str(policy_file)])
+        assert rec["value"] == evaluate_at_belief(model, policy, model.initial_belief)
+        rec = self.result(
+            capsys,
+            ["simulate", "--problem", problem, "--policy", str(policy_file), "--episodes", "2000"],
+        )
+        sim = simulate(model, policy, episodes=2000, seed=0)
+        assert (rec["value"], rec["std_error"]) == (sim.mean, sim.std_error)
+
+        # exact enumeration and exact reachability are in reach below h=4
+        rec = self.result(capsys, ["exact", "--problem", problem, "--horizon", "2"])
+        assert rec["value"] == exact_solve(replace(model, horizon=2)).value
+        rec = self.result(
+            capsys, ["bound", "--problem", problem, "--horizon", "3", "--max-obs", "1"], "bound"
+        )
+        report = epsilon_global(replace(model, horizon=3), max_obs=1)
+        assert (rec["epsilon"], rec["beliefs_checked"]) == (report.epsilon, report.beliefs_checked)
+        assert rec["bound"] == error_bound(replace(model, horizon=3), report.epsilon)
+
+        code, out, err = run(
+            capsys, ["bench", "--problem", problem, "--horizons", "1..2", "--format", "records"]
+        )
+        assert (code, err) == (0, "")
+        rows = [r for r in records(out) if r["type"] == "bench-row"]
+        assert [r["horizon"] for r in rows] == [1, 2]
+        for row in rows:
+            at_h = replace(model, horizon=row["horizon"])
+            assert row["optimal"] == exact_solve(at_h).value
+            assert row["random"] == uniform_random_value(at_h)
+            assert row["mbdp"] == mbdp(at_h, SolverConfig()).value
+            assert row["improved"] == improved_mbdp(at_h, SolverConfig()).value

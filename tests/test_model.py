@@ -96,12 +96,17 @@ class TestConstruction:
 
     def test_validate_flags_non_finite_entries(self):
         m = two_state_chain()
-        for field in ("transition", "observation", "initial_belief"):
-            table = (m.initial_belief.probs if field == "initial_belief" else getattr(m, field)).copy()
+        for field in ("transition", "observation"):
+            table = getattr(m, field).copy()
             table.flat[0] = np.nan
             broken = replace(m, **{field: table})
             problems = broken.validate()
             assert any("non-finite" in p for p in problems), (field, problems)
+        # a non-finite initial belief is refused when the model is built
+        probs = m.initial_belief.probs.copy()
+        probs[0] = np.nan
+        with pytest.raises(ModelError, match="belief sums to .*nan"):
+            replace(m, initial_belief=probs)
 
     def test_builtins_validate_clean(self):
         assert build_mabc().validate() == []
@@ -191,6 +196,16 @@ class TestBeliefs:
         )
         with pytest.raises(ImpossibleEvidenceError):
             m2.bayes_update(m2.initial_belief, 0, 1)
+
+    @pytest.mark.parametrize(
+        "probs", [[np.nan, 1.0], [1.0, np.nan], [0.5, 0.5, np.nan], [np.inf, 0.0], [np.nan, np.inf]]
+    )
+    def test_non_finite_entries_are_refused(self, probs):
+        # NaN fails both the negative-entry and the sum comparison, so a
+        # test written as "sum - 1 > tol" let [nan, 1] through, and
+        # evaluate_at_belief and epsilon_at then returned nan
+        with pytest.raises(ModelError, match="belief sums to"):
+            BeliefState(np.array(probs))
 
     @given(seed=st.integers(0, 10_000), action=st.integers(0, 3))
     def test_propagate_stays_on_simplex(self, seed, action):
