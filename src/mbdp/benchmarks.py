@@ -181,9 +181,6 @@ class BoxPushConfig:
         return frozenset((x, self.height - 1) for x in range(self.width))
 
     def validate(self) -> None:
-        def inside(c):
-            return 0 <= c[0] < self.width and 0 <= c[1] < self.height
-
         if self.width < 1 or self.height < 1:
             raise ConfigError("grid must be at least 1x1")
         if len(self.starts) != 2:
@@ -200,7 +197,7 @@ class BoxPushConfig:
             raise ConfigError("large box cells must be edge-adjacent")
         occupied = set()
         for c in smalls + large:
-            if not inside(c):
+            if not _inside(self, c):
                 raise ConfigError(f"box cell {c} is outside the grid")
             if c in occupied:
                 raise ConfigError(f"box cell {c} is used twice")
@@ -208,12 +205,12 @@ class BoxPushConfig:
                 raise ConfigError(f"box cell {c} sits on a goal cell")
             occupied.add(c)
         for cell in goals:
-            if not inside(cell):
+            if not _inside(self, cell):
                 raise ConfigError(f"goal cell {cell} is outside the grid")
         seen = set()
         for pos, facing in self.starts:
             pos = tuple(pos)
-            if not inside(pos):
+            if not _inside(self, pos):
                 raise ConfigError(f"start {pos} is outside the grid")
             if facing not in FACINGS:
                 raise ConfigError(f"facing must be one of {FACINGS}, got {facing!r}")
@@ -261,6 +258,24 @@ _BOX_OBS = ("empty", "wall", "agent", "small-box", "large-box")
 # marker states carry the deliveries that just happened: ("goal", events)
 
 
+def _inside(cfg: BoxPushConfig, cell) -> bool:
+    return 0 <= cell[0] < cfg.width and 0 <= cell[1] < cfg.height
+
+
+def _ahead(cfg: BoxPushConfig, goals: frozenset, state, agent: int, facing: str):
+    """The cell ``agent`` faces in a configuration state and what it meets
+    there, as a ``_BOX_OBS`` entry; goal cells read as walls."""
+    (x, y), (dx, dy) = state[1 + 2 * agent], _DIR[facing]
+    cell = (x + dx, y + dy)
+    if not _inside(cfg, cell) or cell in goals:
+        return cell, "wall"
+    if cell == state[3 - 2 * agent]:
+        return cell, "agent"
+    if cell in state[5]:
+        return cell, "small-box"
+    return cell, "large-box" if cell in state[6] else "empty"
+
+
 def _resolve_boxpush(cfg: BoxPushConfig, goals: frozenset, state, effs):
     """Applies effective per-agent actions to a configuration state.
 
@@ -270,96 +285,66 @@ def _resolve_boxpush(cfg: BoxPushConfig, goals: frozenset, state, effs):
     positions = [state[1], state[3]]
     facings = [state[2], state[4]]
     smalls = set(state[5])
-    large = tuple(state[6])
-
-    def inside(c):
-        return 0 <= c[0] < cfg.width and 0 <= c[1] < cfg.height
-
+    large = state[6]
     for i, eff in enumerate(effs):
         if eff == _TL:
             facings[i] = _LEFT[facings[i]]
         elif eff == _TR:
             facings[i] = _RIGHT[facings[i]]
 
-    reward = 0.0
-    events: list[tuple] = []
-    dests: list[tuple[int, int] | None] = [None, None]
-    targets = [None, None]
+    targets: list = [None, None]
     kinds: list[str | None] = [None, None]
     for i, eff in enumerate(effs):
-        if eff != _FWD:
-            continue
-        dx, dy = _DIR[facings[i]]
-        t = (positions[i][0] + dx, positions[i][1] + dy)
-        targets[i] = t
-        if not inside(t) or t in goals:
-            kinds[i] = "bump"
-        elif t in large:
-            kinds[i] = "large"
-        elif t in smalls:
-            kinds[i] = "small"
-        elif t == positions[1 - i]:
-            kinds[i] = "follow"
-        else:
-            kinds[i] = "move"
-
+        if eff == _FWD:
+            targets[i], kinds[i] = _ahead(cfg, goals, state, i, facings[i])
     if targets[0] is not None and targets[0] == targets[1]:
         # same-target conflict overrides everything: both stay, no penalty
         kinds = [None, None]
+    dests = [t if k in ("empty", "agent") else None for t, k in zip(targets, kinds)]
+    small_moves: dict[tuple[int, int], tuple[int, int]] = {}
 
-    if kinds[0] == "large" and kinds[1] == "large" and facings[0] == facings[1]:
+    # a box can go only to an inside, non-goal cell that no box or agent holds
+    def takes_box(c) -> bool:
+        return (
+            _inside(cfg, c)
+            and c not in goals
+            and c not in smalls
+            and c not in large
+            and c not in positions
+            and c not in small_moves.values()
+        )
+
+    reward = 0.0
+    events: list[tuple] = []
+    if kinds == ["large-box", "large-box"] and facings[0] == facings[1]:
         d = _DIR[facings[0]]
         box_dests = [(c[0] + d[0], c[1] + d[1]) for c in large]
         if all(b in goals for b in box_dests):
             events.append(("large",))
             reward += cfg.large_goal_reward
-            for i in (0, 1):
-                dests[i] = targets[i]
-                kinds[i] = "pushed"
-        elif all(
-            inside(b) and b not in goals and b not in smalls and b not in large
-            for b in box_dests
-        ):
-            for i in (0, 1):
-                dests[i] = targets[i]
-                kinds[i] = "pushed"
+            dests = list(targets)
+        elif all(takes_box(b) for b in box_dests):
+            dests = list(targets)
             large = tuple(sorted(box_dests))
-    kinds = ["bump" if k == "large" else k for k in kinds]
-
-    small_moves: dict[tuple[int, int], tuple[int, int]] = {}
     for i in (0, 1):
-        if kinds[i] != "small":
-            continue
-        d = _DIR[facings[i]]
-        b = targets[i]
-        dest = (b[0] + d[0], b[1] + d[1])
-        if dest in goals:
-            events.append(("small", b))
-            reward += cfg.small_goal_reward
-            dests[i] = b
-            kinds[i] = "pushed"
-            smalls.discard(b)
-        elif (
-            inside(dest)
-            and dest not in smalls
-            and dest not in large
-            and dest != positions[1 - i]
-            and dest not in small_moves.values()
-        ):
-            small_moves[b] = dest
-            dests[i] = b
-            kinds[i] = "pushed"
-        else:
-            kinds[i] = "bump"
+        if kinds[i] == "small-box":
+            d = _DIR[facings[i]]
+            b = targets[i]
+            dest = (b[0] + d[0], b[1] + d[1])
+            if dest in goals:
+                events.append(("small", b))
+                reward += cfg.small_goal_reward
+                dests[i] = b
+                smalls.discard(b)
+            elif takes_box(dest):
+                small_moves[b] = dest
+                dests[i] = b
+        if kinds[i] is not None and dests[i] is None:
+            # a forward move that neither steps nor pushes bumps
+            reward += cfg.bump_penalty
     for b, dest in small_moves.items():
         smalls.discard(b)
         smalls.add(dest)
-
-    for i in (0, 1):
-        if kinds[i] == "bump":
-            reward += cfg.bump_penalty
-        elif kinds[i] in ("move", "follow"):
-            dests[i] = targets[i]
 
     # a move into the other agent's cell goes through only if that agent
     # ends up elsewhere; swaps cancel both moves
@@ -395,25 +380,7 @@ def _boxpush_observation_row(cfg: BoxPushConfig, goals: frozenset, state) -> tup
     """What each agent sees one cell ahead, as local observation indices."""
     if state[0] == "goal":
         return (0, 0)
-    smalls = set(state[5])
-    large = set(state[6])
-    positions = [state[1], state[3]]
-    facings = [state[2], state[4]]
-    out = []
-    for i in (0, 1):
-        dx, dy = _DIR[facings[i]]
-        t = (positions[i][0] + dx, positions[i][1] + dy)
-        if not (0 <= t[0] < cfg.width and 0 <= t[1] < cfg.height) or t in goals:
-            out.append(1)
-        elif t == positions[1 - i]:
-            out.append(2)
-        elif t in smalls:
-            out.append(3)
-        elif t in large:
-            out.append(4)
-        else:
-            out.append(0)
-    return tuple(out)
+    return tuple(_BOX_OBS.index(_ahead(cfg, goals, state, i, state[2 + 2 * i])[1]) for i in (0, 1))
 
 
 def _state_name(key, start_key) -> str:
