@@ -5,7 +5,9 @@ Each run below is solved, bounded, simulated or driven through the CLI
 in this process, and its outputs are written as canonical JSON (floats
 by ``repr``, so every bit counts) and hashed.  The script prints one
 ``<sha256>  <run>`` line per run, then one line for all of them
-together.  Planner reports keep every level record field except
+together.  The ``boxpush-tables-*`` runs hash the T, O, R, start belief
+and state names of box pushing's default layout and of each layout the
+tests pin.  Planner reports keep every level record field except
 ``millis``, and the policy file of the returned policy.  CLI runs keep
 the exit code, stdout and stderr of every subcommand in both formats,
 and the policy file it writes; ``timing`` records are dropped, because
@@ -38,7 +40,7 @@ from mbdp.cli import main as cli_main  # noqa: E402
 from mbdp.cli import problem_to_text  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-from conftest import three_agent_model  # noqa: E402
+from conftest import BOXPUSH_LAYOUTS, table_digest, three_agent_model  # noqa: E402
 
 
 def _plain(value):
@@ -157,6 +159,8 @@ def all_runs():
         "samples": baseline.samples,
         "policy": mbdp.serialize_policy(boxpush, baseline.policy),
     }
+    for name, layout in {"default": None, **BOXPUSH_LAYOUTS}.items():
+        runs[f"boxpush-tables-{name}"] = table_digest(mbdp.build_boxpush(layout, horizon=2))
     runs.update(cli_runs())
     return runs
 

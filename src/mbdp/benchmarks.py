@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, replace
+from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_count
 from .model import DecPomdp
 
 FACINGS = ("N", "E", "S", "W")
@@ -181,15 +183,30 @@ class BoxPushConfig:
         return frozenset((x, self.height - 1) for x in range(self.width))
 
     def validate(self) -> None:
-        if self.width < 1 or self.height < 1:
-            raise ConfigError("grid must be at least 1x1")
-        if len(self.starts) != 2:
-            raise ConfigError("exactly two agents are supported")
+        """Raises ``ConfigError`` for a field of the wrong type or a layout
+        that does not fit the grid."""
+        require_count(self.width, "width", ConfigError)
+        require_count(self.height, "height", ConfigError)
+        for name in ("success_prob", "step_reward", "bump_penalty", "small_goal_reward", "large_goal_reward"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if not 0.0 < self.success_prob <= 1.0:
             raise ConfigError("success_prob must be in (0, 1]")
+        if len(_listed(self.starts, "starts")) != 2:
+            raise ConfigError("exactly two agents are supported")
+        for start in self.starts:
+            if not isinstance(start, (tuple, list)) or len(start) != 2:
+                raise ConfigError(f"a start must be [[x, y], facing], got {start!r}")
+            if start[1] not in FACINGS:
+                raise ConfigError(f"facing must be one of {FACINGS}, got {start[1]!r}")
+        starts = [_cell(pos, "start") for pos, _ in self.starts]
+        smalls = [_cell(c, "small box") for c in _listed(self.small_boxes, "small_boxes")]
+        large = [_cell(c, "large box") for c in _listed(self.large_box, "large_box")]
+        if self.goal_cells is not None:
+            for c in _listed(self.goal_cells, "goal_cells"):
+                _cell(c, "goal")
         goals = self.goals()
-        smalls = [tuple(c) for c in self.small_boxes]
-        large = [tuple(c) for c in self.large_box]
         if len(large) != 2:
             raise ConfigError("large box must occupy exactly two cells")
         (x0, y0), (x1, y1) = large
@@ -208,12 +225,9 @@ class BoxPushConfig:
             if not _inside(self, cell):
                 raise ConfigError(f"goal cell {cell} is outside the grid")
         seen = set()
-        for pos, facing in self.starts:
-            pos = tuple(pos)
+        for pos in starts:
             if not _inside(self, pos):
                 raise ConfigError(f"start {pos} is outside the grid")
-            if facing not in FACINGS:
-                raise ConfigError(f"facing must be one of {FACINGS}, got {facing!r}")
             if pos in occupied or pos in goals:
                 raise ConfigError(f"start {pos} overlaps a box or goal")
             if pos in seen:
@@ -222,20 +236,32 @@ class BoxPushConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "BoxPushConfig":
-        kwargs = {}
+        """A checked config from JSON data; lists become tuples, as in the defaults."""
         fields = set(BoxPushConfig.__dataclass_fields__)
-        for key, value in data.items():
+        for key in data:
             if key not in fields:
                 raise ConfigError(f"unknown box-pushing option '{key}'")
-            kwargs[key] = value
-        if "starts" in kwargs:
-            kwargs["starts"] = tuple(
-                (tuple(pos), facing) for pos, facing in kwargs["starts"]
-            )
-        for key in ("small_boxes", "large_box", "goal_cells"):
-            if kwargs.get(key) is not None:
-                kwargs[key] = tuple(tuple(c) for c in kwargs[key])
-        return BoxPushConfig(**kwargs)
+        config = BoxPushConfig(**{key: _tuples(value) for key, value in data.items()})
+        config.validate()
+        return config
+
+
+def _tuples(value):
+    return tuple(_tuples(v) for v in value) if isinstance(value, list) else value
+
+
+def _listed(value, name: str):
+    if not isinstance(value, (tuple, list)):
+        raise ConfigError(f"{name} must be a list, got {value!r}")
+    return value
+
+
+def _cell(value, what: str) -> tuple[int, int]:
+    if not isinstance(value, (tuple, list)) or len(value) != 2 or any(
+        isinstance(v, bool) or not isinstance(v, Integral) for v in value
+    ):
+        raise ConfigError(f"a {what} cell must be two integers [x, y], got {value!r}")
+    return tuple(value)
 
 
 def load_boxpush_config(path: str) -> BoxPushConfig:
@@ -303,7 +329,8 @@ def _resolve_boxpush(cfg: BoxPushConfig, goals: frozenset, state, effs):
     dests = [t if k in ("empty", "agent") else None for t, k in zip(targets, kinds)]
     small_moves: dict[tuple[int, int], tuple[int, int]] = {}
 
-    # a box can go only to an inside, non-goal cell that no box or agent holds
+    # a box can go only to an inside, non-goal cell that no box or agent
+    # holds or steps into
     def takes_box(c) -> bool:
         return (
             _inside(cfg, c)
@@ -311,6 +338,7 @@ def _resolve_boxpush(cfg: BoxPushConfig, goals: frozenset, state, effs):
             and c not in smalls
             and c not in large
             and c not in positions
+            and c not in dests
             and c not in small_moves.values()
         )
 

@@ -46,11 +46,12 @@ class BeliefState:
         arr = np.asarray(self.probs, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ModelError("belief must be a non-empty 1-d vector")
-        if float(arr.min()) < -PROB_TOL:
-            raise ModelError(f"belief has a negative entry: {arr.min()!r}")
+        least, total = float(arr.min()), float(arr.sum())
+        if least < -PROB_TOL:
+            raise ModelError(f"belief has a negative entry: {least!r}")
         # a non-finite entry makes the sum non-finite, which fails this test
-        if not abs(float(arr.sum()) - 1.0) <= PROB_TOL:
-            raise ModelError(f"belief sums to {arr.sum()!r}, not 1")
+        if not abs(total - 1.0) <= PROB_TOL:
+            raise ModelError(f"belief sums to {total!r}, not 1")
         arr = np.clip(arr, 0.0, None)  # remove rounding dust
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
@@ -272,7 +273,7 @@ class DecPomdp:
             for ja, r in np.argwhere(np.abs(sums - 1.0) > PROB_TOL):
                 problems.append(
                     f"{name} row ja={ja} ({'/'.join(self.action_names(int(ja)))}), "
-                    f"{row}={r} ({self.states[r]}) sums to {sums[ja, r]!r}"
+                    f"{row}={r} ({self.states[r]}) sums to {float(sums[ja, r])!r}"
                 )
         for seq, kind in ((self.states, "state"), *[(a, f"agent-{i} action") for i, a in enumerate(self.actions)],
                           *[(o, f"agent-{i} observation") for i, o in enumerate(self.observations)]):

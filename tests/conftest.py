@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from dataclasses import replace
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import mbdp.policy
-from mbdp import DecPomdp, build_mabc, build_tiger
+from mbdp import BoxPushConfig, DecPomdp, build_mabc, build_tiger
 
 settings.register_profile(
     "mbdp",
@@ -79,6 +80,52 @@ def dusty_model(negative, horizon=6):
     model = replace(model, transition=transition)
     assert model.validate() == []
     return model
+
+
+# box-pushing layouts whose tables are pinned by digest
+BOXPUSH_LAYOUTS = {
+    "pinned": BoxPushConfig(
+        starts=(((0, 0), "E"), ((3, 0), "N")),
+        small_boxes=((3, 1),),
+        goal_cells=((1, 2), (2, 2), (3, 2)),
+        success_prob=0.75,
+        step_reward=-0.2,
+        bump_penalty=-1.0,
+        small_goal_reward=5.0,
+        large_goal_reward=50.0,
+    ),
+    # the large box and the small box each move short of a goal, and the
+    # small box, pushed on to the grid's edge, then blocks
+    "stepped": BoxPushConfig(
+        width=4,
+        height=3,
+        starts=(((0, 0), "N"), ((1, 0), "N")),
+        small_boxes=((2, 1),),
+        large_box=((0, 1), (1, 1)),
+        goal_cells=((2, 0), (3, 0), (2, 2), (3, 2)),
+        success_prob=0.8,
+        bump_penalty=-2.5,
+    ),
+    # agent 0's first push aims the box at the cell agent 1 steps into
+    "overlap": BoxPushConfig(
+        width=3,
+        height=2,
+        starts=(((0, 0), "E"), ((2, 1), "S")),
+        small_boxes=((1, 0),),
+        large_box=((0, 1), (1, 1)),
+        goal_cells=(),
+    ),
+}
+
+
+def table_digest(model):
+    """SHA-256 of T, O, R, b0 and the state names, byte for byte."""
+    h = hashlib.sha256()
+    for table in (model.transition, model.observation, model.reward, model.initial_belief.probs):
+        h.update(repr((table.dtype.str, table.shape)).encode())
+        h.update(table.tobytes())
+    h.update("\n".join(model.states).encode())
+    return h.hexdigest()
 
 
 @pytest.fixture(scope="session")

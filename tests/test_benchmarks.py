@@ -1,5 +1,7 @@
-import hashlib
 import json
+import random
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,9 +17,60 @@ from mbdp import (
     load_boxpush_config,
 )
 
+from conftest import BOXPUSH_LAYOUTS, table_digest
+
 
 def start_state(model):
     return int(np.argmax(model.initial_belief.probs))
+
+
+FORWARD, STAY = 2, 3
+
+OVERLAP_LAYOUT = BOXPUSH_LAYOUTS["overlap"]
+
+
+def one_step(cfg, joint):
+    """Next state name and reward of ``joint`` from the start when every
+    action succeeds and steps cost nothing."""
+    model = build_boxpush(replace(cfg, success_prob=1.0, step_reward=0.0), horizon=1)
+    row = model.transition[model.joint_action_index(joint), start_state(model)]
+    nxt = int(np.argmax(row))
+    assert row[nxt] == 1.0
+    return model.states[nxt], float(model.reward[model.joint_action_index(joint), start_state(model), nxt])
+
+
+def occupied_cells(cfg, name):
+    """Agent cells and box cells of a configuration state, read from its name."""
+    cells = [(int(x), int(y)) for x, y in re.findall(r"\((\d+),(\d+)\)", name)]
+    if name.count("|") == 1:  # boxes where they started
+        return cells, [*cfg.small_boxes, *cfg.large_box]
+    return cells[:2], cells[2:]
+
+
+def generated_layouts(count, seed=0):
+    """Valid 2x2 and 3x2 layouts with random boxes, goals, poses and payoffs."""
+    rng = random.Random(seed)
+    layouts = []
+    while len(layouts) < count:
+        cells = [(x, y) for x in range(rng.choice((2, 3))) for y in range(2)]
+        rng.shuffle(cells)
+        large, starts, rest = cells[:2], cells[2:4], cells[4:]
+        kinds = [rng.choice(("small", "goal", "free")) for _ in rest]
+        cfg = BoxPushConfig(
+            width=max(x for x, _ in cells) + 1,
+            height=2,
+            starts=tuple((c, rng.choice("NESW")) for c in starts),
+            small_boxes=tuple(c for c, k in zip(rest, kinds) if k == "small"),
+            large_box=tuple(large),
+            goal_cells=tuple(c for c, k in zip(rest, kinds) if k == "goal"),
+            bump_penalty=rng.choice((-5.0, -1.3)),
+        )
+        try:
+            cfg.validate()
+        except ConfigError:
+            continue
+        layouts.append(cfg)
+    return layouts
 
 
 class TestMabc:
@@ -189,42 +242,147 @@ class TestBoxPush:
         b = exact_solve(build_boxpush(mirrored, horizon=1)).value
         assert a == pytest.approx(b, abs=1e-10)
 
-    def test_config_validation(self):
-        with pytest.raises(ConfigError):
-            BoxPushConfig(starts=(((9, 9), "N"), ((2, 0), "E"))).validate()
-        with pytest.raises(ConfigError):
-            BoxPushConfig(small_boxes=((1, 1), (1, 1))).validate()
-        with pytest.raises(ConfigError):
-            BoxPushConfig(large_box=((1, 1), (3, 1))).validate()
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"width": True}, "width must be an integer >= 1, got True"),
+            ({"height": 0}, "height must be an integer >= 1, got 0"),
+            ({"step_reward": float("nan")}, "step_reward must be a finite number, got nan"),
+            ({"success_prob": 0.0}, "success_prob must be in (0, 1]"),
+            ({"starts": 5}, "starts must be a list, got 5"),
+            ({"starts": (((1, 0), "W"),)}, "exactly two agents are supported"),
+            ({"starts": (((1, 0), "W"), 3)}, "a start must be [[x, y], facing], got 3"),
+            ({"starts": (((1, 0), "W"), ((2, 0), "up"))}, "facing must be one of ('N', 'E', 'S', 'W'), got 'up'"),
+            ({"starts": (((1, 0), "W"), ((2.0, 0), "E"))}, "a start cell must be two integers [x, y], got (2.0, 0)"),
+            ({"small_boxes": ((0,),)}, "a small box cell must be two integers [x, y], got (0,)"),
+            ({"large_box": ((1, 1), (2, True))}, "a large box cell must be two integers [x, y], got (2, True)"),
+            ({"goal_cells": ((0, 2), "x")}, "a goal cell must be two integers [x, y], got 'x'"),
+            ({"large_box": ((1, 1), (2, 1), (3, 1))}, "large box must occupy exactly two cells"),
+            ({"large_box": ((1, 1), (3, 1))}, "large box cells must be edge-adjacent"),
+            ({"small_boxes": ((4, 1),)}, "box cell (4, 1) is outside the grid"),
+            ({"small_boxes": ((1, 1),)}, "box cell (1, 1) is used twice"),
+            ({"small_boxes": ((0, 2),)}, "box cell (0, 2) sits on a goal cell"),
+            ({"goal_cells": ((0, 3),)}, "goal cell (0, 3) is outside the grid"),
+            ({"starts": (((9, 9), "N"), ((2, 0), "E"))}, "start (9, 9) is outside the grid"),
+            ({"starts": (((0, 1), "N"), ((2, 0), "E"))}, "start (0, 1) overlaps a box or goal"),
+            ({"starts": (((2, 0), "N"), ((2, 0), "E"))}, "agents cannot share a start cell"),
+        ],
+    )
+    def test_config_validation(self, fields, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            BoxPushConfig(**fields).validate()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"starts": 5}', "starts must be a list, got 5"),
+            ('{"width": "4"}', "width must be an integer >= 1, got '4'"),
+            ('{"width": 2.5}', "width must be an integer >= 1, got 2.5"),
+            ('{"width": true}', "width must be an integer >= 1, got True"),
+            ('{"small_boxes": [[0]]}', "a small box cell must be two integers [x, y], got (0,)"),
+            ('{"starts": [[[1, 0], "W"], [[2, 0], 3]]}', "facing must be one of ('N', 'E', 'S', 'W'), got 3"),
+            ('{"bump_penalty": NaN}', "bump_penalty must be a finite number, got nan"),
+            ('{"large_goal_reward": "100"}', "large_goal_reward must be a finite number, got '100'"),
+            ('{"goal_cells": 3}', "goal_cells must be a list, got 3"),
+            ('{"walls": []}', "unknown box-pushing option 'walls'"),
+            ("[1, 2]", "box-pushing config must be a JSON object"),
+        ],
+    )
+    def test_bad_config_files_are_refused(self, tmp_path, text, message):
+        path = tmp_path / "box.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_boxpush_config(str(path))
+
+    def test_small_push_moves_the_box_and_names_it(self):
+        cfg = BoxPushConfig(
+            width=4,
+            height=2,
+            starts=(((0, 0), "E"), ((0, 1), "N")),
+            small_boxes=((1, 0),),
+            large_box=((2, 1), (3, 1)),
+            goal_cells=(),
+        )
+        assert one_step(cfg, (FORWARD, STAY)) == ("(1,0)E|(0,1)N|S[(2,0)]L[(2,1),(3,1)]", 0.0)
+
+    def test_blocked_small_push_bumps(self):
+        cfg = BoxPushConfig(
+            width=4,
+            height=2,
+            starts=(((2, 0), "E"), ((0, 1), "N")),
+            small_boxes=((3, 0),),
+            large_box=((2, 1), (3, 1)),
+            goal_cells=(),
+        )
+        assert one_step(cfg, (FORWARD, STAY)) == ("(2,0)E|(0,1)N", -5.0)
+
+    def test_large_push_short_of_the_goal_moves_the_box(self):
+        cfg = BoxPushConfig(
+            width=2,
+            height=3,
+            starts=(((0, 0), "N"), ((1, 0), "N")),
+            small_boxes=(),
+            large_box=((0, 1), (1, 1)),
+            goal_cells=(),
+        )
+        assert one_step(cfg, (FORWARD, FORWARD)) == ("(0,1)N|(1,1)N|S[]L[(0,2),(1,2)]", 0.0)
+
+    def test_push_into_a_cell_the_other_agent_enters_bumps(self):
+        # agent 0's box would land on (2, 0) as agent 1 steps there
+        assert one_step(OVERLAP_LAYOUT, (FORWARD, FORWARD)) == ("(0,0)E|(2,0)S", -5.0)
+        assert build_boxpush(OVERLAP_LAYOUT).num_states == 64
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_delivery_and_push_into_its_cell_do_not_depend_on_agent_order(self, first):
+        # one agent delivers the box at (0, 1) and moves onto that cell
+        # while the other pushes a second box there; that push bumps
+        # whichever agent comes first
+        poses = [((0, 0), "N"), ((2, 1), "W")]
+        cfg = BoxPushConfig(
+            width=3,
+            height=3,
+            starts=(poses[first], poses[1 - first]),
+            small_boxes=((0, 1), (1, 1)),
+            large_box=((1, 2), (2, 2)),
+            goal_cells=((0, 2),),
+        )
+        assert one_step(cfg, (FORWARD, FORWARD)) == ("goal:small@(0,1)", 10.0 - 5.0)
+
+    @pytest.mark.parametrize(
+        "cfg", [OVERLAP_LAYOUT, *generated_layouts(60)], ids=["overlap", *(f"gen{i}" for i in range(60))]
+    )
+    def test_reachable_states_keep_agents_and_boxes_apart(self, cfg):
+        model = build_boxpush(cfg)
+        for name in model.states:
+            if name.startswith("goal:"):
+                continue
+            agents, boxes = occupied_cells(cfg, name)
+            assert agents[0] != agents[1], name
+            assert not set(agents) & set(boxes), name
 
     @pytest.mark.parametrize(
         "cfg, digest",
         [
             (None, "be221c901ea35f2f506794c3e90bec48812058258059560f000b77fcc2183e99"),
             (
-                BoxPushConfig(
-                    starts=(((0, 0), "E"), ((3, 0), "N")),
-                    small_boxes=((3, 1),),
-                    goal_cells=((1, 2), (2, 2), (3, 2)),
-                    success_prob=0.75,
-                    step_reward=-0.2,
-                    bump_penalty=-1.0,
-                    small_goal_reward=5.0,
-                    large_goal_reward=50.0,
-                ),
+                BOXPUSH_LAYOUTS["pinned"],
                 "d294ed1954f52f51a57e74f583e13ad872979ee9ddb50abcda575f275426b77c",
+            ),
+            (
+                BOXPUSH_LAYOUTS["stepped"],
+                "c17a946651fcb549ff9497a4e2f22732440f990b15beec1325dd9f7afe792ccf",
             ),
         ],
     )
     def test_tables_keep_their_bytes(self, cfg, digest):
         # pins T, O, R, b0 and the state names byte for byte
-        model = build_boxpush(cfg, horizon=2)
-        h = hashlib.sha256()
-        for table in (model.transition, model.observation, model.reward, model.initial_belief.probs):
-            h.update(repr((table.dtype.str, table.shape)).encode())
-            h.update(table.tobytes())
-        h.update("\n".join(model.states).encode())
-        assert h.hexdigest() == digest
+        assert table_digest(build_boxpush(cfg, horizon=2)) == digest
+
+    def test_stepped_layout_moves_both_boxes_short_of_a_goal(self):
+        # the large box moves first, which lets agent 1 reach the small box
+        moved = {name.split("|", 2)[2] for name in build_boxpush(BOXPUSH_LAYOUTS["stepped"]).states
+                 if name.count("|") == 2}
+        assert moved == {"S[(2,1)]L[(0,2),(1,2)]", "S[(3,1)]L[(0,2),(1,2)]"}
 
     def test_json_config_round_trip(self, tmp_path):
         cfg = BoxPushConfig(success_prob=0.8, step_reward=-0.25)

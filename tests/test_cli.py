@@ -568,6 +568,29 @@ class TestExitCodes:
         code, _, err = run(capsys, ["solve", "--problem", str(path), "--format", "records"])
         assert code == 4
 
+    def test_malformed_boxpush_config_exits_four(self, capsys, tmp_path):
+        path = tmp_path / "box.json"
+        path.write_text('{"small_boxes": [[0]]}')
+        code, out, err = run(capsys, ["solve", "--problem", f"boxpush:{path}", "--format", "records"])
+        assert (code, out) == (4, "")
+        assert records(err) == [
+            {
+                "schema": 1,
+                "type": "error",
+                "error": "ConfigError",
+                "message": "a small box cell must be two integers [x, y], got (0,)",
+            }
+        ]
+
+    def test_start_belief_off_the_simplex_prints_a_plain_float(self, capsys, tmp_path):
+        text = problem_to_text(build_tiger())
+        assert "start: 0.5 0.5\n" in text
+        path = tmp_path / "tiger.problem"
+        path.write_text(text.replace("start: 0.5 0.5\n", "start: 0.5 0.6\n"))
+        code, out, err = run(capsys, ["exact", "--problem", str(path), "--format", "records"])
+        assert (code, out) == (4, "")
+        assert json.loads(err.splitlines()[-1])["message"] == "belief sums to 1.1, not 1"
+
 
 class TestNonFiniteModel:
     def problem_file(self, tmp_path):

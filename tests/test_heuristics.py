@@ -126,6 +126,18 @@ class TestTrajectories:
         with pytest.raises(ModelError):
             BeliefTrajectory(np.array([[0.5, 0.5], [np.nan, 1.0]]), (0,))
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[0.5, 0.5], [0.7, 0.7]], "belief sums to 1.4, not 1"),
+            ([[0.5, 0.5], [1.5, -0.5]], "belief has a negative entry: -0.5"),
+        ],
+    )
+    def test_bad_row_errors_print_plain_floats(self, rows, message):
+        with pytest.raises(ModelError) as info:
+            BeliefTrajectory(np.array(rows), (0,))
+        assert str(info.value) == message
+
     def test_mdp_heuristic_is_deterministic_in_actions(self, mabc):
         heuristic = MdpHeuristic(mabc)
         t1 = generate_belief(heuristic, mabc, 2, np.random.default_rng(0))

@@ -108,6 +108,14 @@ class TestConstruction:
         with pytest.raises(ModelError, match="belief sums to .*nan"):
             replace(m, initial_belief=probs)
 
+    def test_row_sum_problem_prints_a_plain_float(self):
+        tiger = build_tiger()
+        transition = tiger.transition.copy()
+        transition[0, 0, 0] = 0.7
+        assert replace(tiger, transition=transition).validate() == [
+            "transition row ja=0 (listen/listen), s=0 (tiger-left) sums to 0.7"
+        ]
+
     def test_builtins_validate_clean(self):
         assert build_mabc().validate() == []
         assert build_tiger().validate() == []
@@ -206,6 +214,15 @@ class TestBeliefs:
         # evaluate_at_belief and epsilon_at then returned nan
         with pytest.raises(ModelError, match="belief sums to"):
             BeliefState(np.array(probs))
+
+    @pytest.mark.parametrize(
+        "probs, message",
+        [([0.5, 0.6], "belief sums to 1.1, not 1"), ([1.5, -0.5], "belief has a negative entry: -0.5")],
+    )
+    def test_belief_errors_print_plain_floats(self, probs, message):
+        with pytest.raises(ModelError) as info:
+            BeliefState(probs)
+        assert str(info.value) == message
 
     @given(seed=st.integers(0, 10_000), action=st.integers(0, 3))
     def test_propagate_stays_on_simplex(self, seed, action):
