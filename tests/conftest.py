@@ -82,7 +82,8 @@ def dusty_model(negative, horizon=6):
     return model
 
 
-# box-pushing layouts whose tables are pinned by digest
+# box-pushing layouts that tests/test_benchmarks.py checks and
+# scripts/output_digest.py digests
 BOXPUSH_LAYOUTS = {
     "pinned": BoxPushConfig(
         starts=(((0, 0), "E"), ((3, 0), "N")),

@@ -26,17 +26,14 @@ def start_state(model):
 
 FORWARD, STAY = 2, 3
 
-OVERLAP_LAYOUT = BOXPUSH_LAYOUTS["overlap"]
-
-
 def one_step(cfg, joint):
     """Next state name and reward of ``joint`` from the start when every
     action succeeds and steps cost nothing."""
     model = build_boxpush(replace(cfg, success_prob=1.0, step_reward=0.0), horizon=1)
-    row = model.transition[model.joint_action_index(joint), start_state(model)]
-    nxt = int(np.argmax(row))
-    assert row[nxt] == 1.0
-    return model.states[nxt], float(model.reward[model.joint_action_index(joint), start_state(model), nxt])
+    ja, s = model.joint_action_index(joint), start_state(model)
+    nxt = int(np.argmax(model.transition[ja, s]))
+    assert model.transition[ja, s, nxt] == 1.0
+    return model.states[nxt], float(model.reward[ja, s, nxt])
 
 
 def occupied_cells(cfg, name):
@@ -329,8 +326,8 @@ class TestBoxPush:
 
     def test_push_into_a_cell_the_other_agent_enters_bumps(self):
         # agent 0's box would land on (2, 0) as agent 1 steps there
-        assert one_step(OVERLAP_LAYOUT, (FORWARD, FORWARD)) == ("(0,0)E|(2,0)S", -5.0)
-        assert build_boxpush(OVERLAP_LAYOUT).num_states == 64
+        assert one_step(BOXPUSH_LAYOUTS["overlap"], (FORWARD, FORWARD)) == ("(0,0)E|(2,0)S", -5.0)
+        assert build_boxpush(BOXPUSH_LAYOUTS["overlap"]).num_states == 64
 
     @pytest.mark.parametrize("first", [0, 1])
     def test_delivery_and_push_into_its_cell_do_not_depend_on_agent_order(self, first):
@@ -349,7 +346,7 @@ class TestBoxPush:
         assert one_step(cfg, (FORWARD, FORWARD)) == ("goal:small@(0,1)", 10.0 - 5.0)
 
     @pytest.mark.parametrize(
-        "cfg", [OVERLAP_LAYOUT, *generated_layouts(60)], ids=["overlap", *(f"gen{i}" for i in range(60))]
+        "cfg", [BOXPUSH_LAYOUTS["overlap"], *generated_layouts(60)], ids=["overlap", *(f"gen{i}" for i in range(60))]
     )
     def test_reachable_states_keep_agents_and_boxes_apart(self, cfg):
         model = build_boxpush(cfg)
