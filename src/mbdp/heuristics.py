@@ -43,9 +43,8 @@ def _check_rows(rows: np.ndarray) -> None:
     ok = np.abs(sums - 1.0) <= PROB_TOL
     if not ok.all():
         raise ModelError(f"belief sums to {float(sums[np.argmin(ok)])!r}, not 1")
-    least = float(rows.min())
-    if least < -PROB_TOL:
-        raise ModelError(f"belief has a negative entry: {least!r}")
+    if float(rows.min()) < -PROB_TOL:
+        raise ModelError(f"belief has a negative entry: {float(rows.min())!r}")
 
 
 # floats of gathered transition matrices per batched product (8 MB)

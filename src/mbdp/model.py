@@ -46,12 +46,11 @@ class BeliefState:
         arr = np.asarray(self.probs, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ModelError("belief must be a non-empty 1-d vector")
-        least, total = float(arr.min()), float(arr.sum())
-        if least < -PROB_TOL:
-            raise ModelError(f"belief has a negative entry: {least!r}")
+        if float(arr.min()) < -PROB_TOL:
+            raise ModelError(f"belief has a negative entry: {float(arr.min())!r}")
         # a non-finite entry makes the sum non-finite, which fails this test
-        if not abs(total - 1.0) <= PROB_TOL:
-            raise ModelError(f"belief sums to {total!r}, not 1")
+        if not abs(float(arr.sum()) - 1.0) <= PROB_TOL:
+            raise ModelError(f"belief sums to {float(arr.sum())!r}, not 1")
         arr = np.clip(arr, 0.0, None)  # remove rounding dust
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)

@@ -26,6 +26,7 @@ def start_state(model):
 
 FORWARD, STAY = 2, 3
 
+
 def one_step(cfg, joint):
     """Next state name and reward of ``joint`` from the start when every
     action succeeds and steps cost nothing."""
@@ -45,7 +46,7 @@ def occupied_cells(cfg, name):
 
 
 def generated_layouts(count, seed=0):
-    """Valid 2x2 and 3x2 layouts with random boxes, goals, poses and payoffs."""
+    """Valid 2x2 and 3x2 layouts with random boxes, goals, poses and bump penalties."""
     rng = random.Random(seed)
     layouts = []
     while len(layouts) < count:
