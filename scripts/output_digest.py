@@ -144,6 +144,10 @@ def all_runs():
     runs["tiger-h8-2x1-replay2"] = planner(
         mbdp.build_tiger(horizon=8), mbdp.improved_mbdp, max_trees=2, max_obs=1, recursion_depth=2
     )
+    # a narrow level: max_trees is above tiger's three actions
+    runs["tiger-h4-mbdp-4-mdp"] = planner(
+        mbdp.build_tiger(horizon=4), mbdp.mbdp, max_trees=4, heuristics=("mdp",)
+    )
     runs["three-agent-h6"] = planner(three_agent_model(6), mbdp.improved_mbdp, max_obs=1)
     runs["exact-tiger-h3"] = exact(mbdp.build_tiger(horizon=3))
     runs["exact-mabc-h3"] = exact(mbdp.build_mabc(horizon=3))

@@ -1,8 +1,9 @@
 """Planners: memory-bounded joint policy search and an exact oracle.
 
 The memory-bounded planner keeps at most ``max_trees`` policy trees per
-agent per depth.  Each level it picks that many joint tree pairs, one
-per heuristically sampled belief, backs the picks up by one step (fully,
+agent per depth.  Each level picks up to that many joint tuples, one
+per heuristically sampled belief and each of rows no other pick uses (a
+table with fewer rows ends the picks), backs them up by one step (fully,
 or only for the observation subsets that keep the most mass, with the
 remaining branches filled by best response), and hands the result to
 the next level; the top level picks one tuple, at the initial belief.
@@ -86,6 +87,8 @@ class SolverConfig:
             counts["max_obs"] = 1
         for name, least in counts.items():
             object.__setattr__(self, name, require_count(getattr(self, name), name, ConfigError, least))
+        if isinstance(self.heuristics, str):  # tuple() would split it into letters
+            raise ConfigError(f"heuristics must be a sequence of names, not the string {self.heuristics!r}")
         if not self.heuristics:
             raise ConfigError("heuristic portfolio is empty")
         object.__setattr__(self, "heuristics", tuple(self.heuristics))
@@ -96,6 +99,8 @@ class SolverConfig:
 class LevelRecord:
     """What one planning level did: selection values and backup sizes.
 
+    ``selection_values`` holds one entry per pick made, min(max_trees, the
+    smallest table's length); ``heuristic_names`` one per belief drawn.
     ``tuples_scored`` counts the joint tuples scored at the level's
     selection beliefs: every tuple of its candidate tables.  A selection
     value is the pick's value at its belief, summed by ``belief_scores``
@@ -116,7 +121,6 @@ class LevelRecord:
     tree_depth: int
     selection_values: tuple[float, ...]
     heuristic_names: tuple[str, ...]
-    duplicated: int
     tuples_scored: int
     backup_sizes: tuple[int, ...]
     partial: bool
@@ -163,31 +167,21 @@ def _best_tuple(scores: np.ndarray, exclude=None):
 
 
 def _pick(scores: np.ndarray):
-    """One joint tuple per belief: (picked rows per agent, their scores, duplicates).
+    """One joint tuple per belief: (picked rows per agent, their scores).
 
-    ``scores`` is (K, |Q_0|, ..., |Q_{n-1}|).  Pick k is the best tuple
-    of column k whose rows no earlier pick uses; once some agent's rows
-    run out, it clones the best tuple of the rows picked so far.  The
-    columns are masked in place.
+    ``scores`` is (K, |Q_0|, ..., |Q_{n-1}|) with K at most the smallest
+    table's length.  Pick k is the best tuple of column k whose rows no
+    earlier pick uses, so every pick is a new row of every agent's
+    table.  The columns are masked in place.
     """
-    sizes = scores.shape[1:]
-    picked: list[list[int]] = [[] for _ in sizes]
+    picked: list[list[int]] = [[] for _ in scores.shape[1:]]
     values: list[float] = []
-    # every pick adds one row per agent, so the rows of the smallest
-    # table run out after that many picks
-    fresh = min(sizes)
-    for k, column in enumerate(scores):
-        if k >= fresh:
-            # duplicates make a list longer than its candidate set
-            idx, val = _best_tuple(column[np.ix_(*picked)])
-            for rows, r in zip(picked, idx):
-                rows.append(rows[r])
-        else:
-            idx, val = _best_tuple(column, exclude=picked)
-            for rows, r in zip(picked, idx):
-                rows.append(r)
+    for column in scores:
+        idx, val = _best_tuple(column, exclude=picked)
+        for rows, r in zip(picked, idx):
+            rows.append(r)
         values.append(val)
-    return picked, values, max(len(scores) - fresh, 0)
+    return picked, values
 
 
 def _materialize(levels) -> JointPolicy:
@@ -240,13 +234,14 @@ def _solve_round(model, cfg: SolverConfig, rng, portfolio):
     for t in range(1, horizon + 1):
         started = time.perf_counter()
         sizes = q.sizes
-        beliefs = b_sel[t - 1] if t < horizon else b0[None, :]
+        # each pick takes a new row of every table
+        beliefs = b_sel[t - 1, : min(sizes)] if t < horizon else b0[None, :]
         if len(beliefs) * math.prod(sizes) > MAX_GRID_FLOATS:
             raise CapacityError(
                 f"level {t} would score {len(beliefs) * math.prod(sizes)} floats for tables "
                 f"{sizes} (cap {MAX_GRID_FLOATS}); lower max_trees or max_obs"
             )
-        picked, sel_values, duplicated = _pick(belief_scores(model, rows, prev, beliefs))
+        picked, sel_values = _pick(belief_scores(model, rows, prev, beliefs))
         tables.append((q, picked))
         # the picks' value vectors, the same bits as the whole tensor's rows
         prev = picked_values(model, terms, picked, prev)
@@ -277,7 +272,6 @@ def _solve_round(model, cfg: SolverConfig, rng, portfolio):
                 tree_depth=t,
                 selection_values=tuple(sel_values),
                 heuristic_names=heur_names,
-                duplicated=duplicated,
                 tuples_scored=math.prod(sizes),
                 backup_sizes=q.sizes,
                 partial=not full_backups,
@@ -321,13 +315,18 @@ def mbdp(model: DecPomdp, cfg: SolverConfig | None = None) -> SolveReport:
     """Memory-bounded planning with full backups: it solves ``cfg`` with ``max_obs`` None."""
     cfg = cfg if cfg is not None else SolverConfig()
     model.require_valid()
-    for i in range(model.num_agents):
-        count = model.action_counts[i] * cfg.max_trees ** model.observation_counts[i]
-        if count > cfg.backup_cap:
-            raise CapacityError(
-                f"full backups for agent {i} would build {count} trees per level "
-                f"(cap {cfg.backup_cap}); lower max_trees or use partial backups"
-            )
+    # a level keeps min(max_trees, its smallest table) rows, the next backup's
+    # donors; every backup is checked before selection_beliefs allocates
+    donors = min(cfg.max_trees, *model.action_counts)
+    for _ in range(model.horizon - 1):
+        counts = [a * donors**o for a, o in zip(model.action_counts, model.observation_counts)]
+        for i, count in enumerate(counts):
+            if count > cfg.backup_cap:
+                raise CapacityError(
+                    f"full backups for agent {i} would build {count} trees per level "
+                    f"(cap {cfg.backup_cap}); lower max_trees or use partial backups"
+                )
+        donors = min(cfg.max_trees, *counts)
     return _solve(model, replace(cfg, max_obs=None), "mbdp")
 
 

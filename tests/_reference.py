@@ -528,23 +528,15 @@ def best_tuple_frozen(scores, exclude=None):
 
 
 def pick_frozen(scores):
-    """The planner's ``_pick``, frozen: it tests each column for rows run out."""
-    sizes = scores.shape[1:]
-    picked = [[] for _ in sizes]
+    """The planner's ``_pick``, frozen: each column's best tuple of rows no earlier pick uses."""
+    picked = [[] for _ in scores.shape[1:]]
     values = []
-    duplicated = 0
     for column in scores:
-        if any(len(rows) >= size for rows, size in zip(picked, sizes)):
-            idx, val = best_tuple_frozen(column[np.ix_(*picked)])
-            for rows, r in zip(picked, idx):
-                rows.append(rows[r])
-            duplicated += 1
-        else:
-            idx, val = best_tuple_frozen(column, exclude=picked)
-            for rows, r in zip(picked, idx):
-                rows.append(r)
+        idx, val = best_tuple_frozen(column, exclude=picked)
+        for rows, r in zip(picked, idx):
+            rows.append(r)
         values.append(val)
-    return picked, values, duplicated
+    return picked, values
 
 
 def best_tuple_reference(tensor, belief, exclude=None):
@@ -571,17 +563,16 @@ def solve_round_reference(model, cfg, rng, portfolio):
     for t in range(1, model.horizon):
         picked = [[] for _ in range(n)]
         for k in range(cfg.max_trees):
+            # every pick's walk is drawn, though a table that runs out of
+            # rows ends the picks
             traj = generate_belief(portfolio[k % len(portfolio)], model, model.horizon - t, rng)
             if k == 0:
                 first = traj
             if any(len(rows) >= size for rows, size in zip(picked, q.sizes)):
-                idx, _ = best_tuple_reference(tensor[np.ix_(*picked)], traj.probs[-1])
-                for i in range(n):
-                    picked[i].append(picked[i][idx[i]])
-            else:
-                idx, _ = best_tuple_reference(tensor, traj.probs[-1], exclude=picked)
-                for i in range(n):
-                    picked[i].append(idx[i])
+                continue
+            idx, _ = best_tuple_reference(tensor, traj.probs[-1], exclude=picked)
+            for i in range(n):
+                picked[i].append(idx[i])
         tables.append((q, picked))
         prev = tensor[np.ix_(*picked)]
         donors = prev.shape[:-1]

@@ -84,14 +84,16 @@ class TestCounts:
             exhaustive_backup(model, (6, 6), cap=1000)
 
     def test_cap_message_names_the_options(self):
-        model = random_model(3, num_states=2, action_counts=(2, 2), obs_counts=(4, 4))
+        model = random_model(3, num_states=2, action_counts=(2, 2), obs_counts=(4, 4), horizon=4)
         message = (
             "backup for agent 0 would create 12 trees (cap 10); "
             "lower max_trees or max_obs, or raise backup_cap"
         )
         with pytest.raises(CapacityError, match=f"^{re.escape(message)}$"):
             partial_backup(model, (6, 6), ObservationSelection(((0,), (1,))), cap=10)
-        with pytest.raises(CapacityError, match="lower max_trees or max_obs, or raise backup_cap"):
+        # levels 1 and 2 keep 2 and 4 picks; level 3's 8 picks back up to
+        # 2 actions times 8 donors for the one observation kept
+        with pytest.raises(CapacityError, match="would create 16 trees .* or raise backup_cap$"):
             improved_mbdp(model, SolverConfig(max_trees=9, max_obs=1, backup_cap=10))
 
     def test_depth_grows_by_one(self, tiger):

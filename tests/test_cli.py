@@ -482,16 +482,16 @@ class TestExitCodes:
         error = json.loads(err.splitlines()[-1])
         assert (error["error"], error["message"]) == (
             "CapacityError",
-            "backup for agent 0 would create 18 trees (cap 10); "
+            "backup for agent 0 would create 16 trees (cap 10); "
             "lower max_trees or max_obs, or raise backup_cap",
         )
 
     def test_selection_grid_cap_exits_three(self, capsys, tmp_path):
-        # full backups of 13,122 trees per agent fit backup_cap; level 2's
+        # full backups of 13,122 trees per agent fit backup_cap; level 3's
         # selection grid does not fit its cap
         problem = tmp_path / "wide.problem"
         problem.write_text(
-            problem_to_text(random_model(0, num_states=2, obs_counts=(8, 8), horizon=3))
+            problem_to_text(random_model(0, num_states=2, obs_counts=(8, 8), horizon=4))
         )
         code, _, err = run(
             capsys,
@@ -500,7 +500,7 @@ class TestExitCodes:
         assert code == 3
         error = json.loads(err.splitlines()[-1])
         assert error["error"] == "CapacityError"
-        assert error["message"].startswith("level 2 would score 516560652 floats")
+        assert error["message"].startswith("level 3 would score 516560652 floats")
 
     def test_bad_flag_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

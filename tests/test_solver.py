@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -50,6 +51,11 @@ class TestConfig:
     def test_rejects_empty_portfolio(self):
         with pytest.raises(ConfigError):
             SolverConfig(heuristics=())
+
+    def test_rejects_a_bare_heuristic_string(self):
+        # a string is a sequence of one-letter names
+        with pytest.raises(ConfigError, match="not the string 'mdp'"):
+            SolverConfig(heuristics="mdp")
 
     @pytest.mark.parametrize("bad", [-1, 0.5, True, None, "3"])
     def test_rejects_bad_seeds(self, bad):
@@ -141,9 +147,17 @@ class TestPlanner:
             got = best_over_seeds(mbdp, replace(mabc, horizon=h), cfg, range(10))
             assert got == pytest.approx(want, abs=0.05)
 
-    def test_tiger_reaches_oracle(self, tiger):
-        want = exact_solve(tiger).value
-        got = best_over_seeds(mbdp, tiger, SolverConfig(max_trees=3), range(5))
+    @pytest.mark.parametrize(
+        "horizon,cfg,seeds",
+        [(2, SolverConfig(max_trees=3), range(5))]
+        # tiger's three actions run out at level 1; cloning a pick there
+        # once gave "always listen", -6.0
+        + [(3, SolverConfig(max_trees=k, heuristics=("mdp",)), [0]) for k in (4, 5, 6)],
+    )
+    def test_tiger_reaches_oracle(self, horizon, cfg, seeds):
+        model = build_tiger(horizon=horizon)
+        want = exact_solve(model).value
+        got = best_over_seeds(mbdp, model, cfg, seeds)
         assert got == pytest.approx(want, abs=1e-9)
 
     def test_exhaustive_memory_reaches_brute_force(self):
@@ -186,30 +200,60 @@ class TestPlanner:
             evaluate_at_belief(model, report.policy, model.initial_belief), abs=1e-9
         )
 
-    def test_exhausted_candidates_keep_cloning(self, mabc):
-        # two actions per agent: picks 3 to 5 of the first level all clone
-        # the best pick so far
+    def test_exhausted_candidates_end_the_picks(self, mabc):
+        # two actions per agent: the first level makes two picks, though
+        # a belief is drawn for each of the five
         report = mbdp(replace(mabc, horizon=3), SolverConfig(max_trees=5))
         first, second = report.levels
-        assert first.duplicated == 3
-        assert first.selection_values == pytest.approx((1.0,) * 5)
-        # as scored pair by pair with PolicyEvaluator.value_vector
-        assert second.selection_values == pytest.approx((1.99, 2.0, 1.9, 1.9, 1.9))
+        assert first.selection_values == pytest.approx((1.0,) * 2)
+        assert first.heuristic_names == ("mdp", "random") * 2 + ("mdp",)
+        assert first.backup_sizes == (8, 8)
+        # as scored pair by pair from the whole value tensor
+        assert second.selection_values == pytest.approx((1.99, 2.0, 1.88318, 1.9, 1.728))
 
     @pytest.mark.parametrize("action_counts", [(3, 2), (4, 2), (2, 3)])
     @pytest.mark.parametrize("seed", range(4))
-    def test_duplicates_never_add_unpicked_rows(self, action_counts, seed):
+    def test_exhausted_candidates_never_add_unpicked_rows(self, action_counts, seed):
         model = random_model(seed, action_counts=action_counts, horizon=3)
         report = mbdp(model, SolverConfig(max_trees=5, seed=seed))
-        first = report.levels[0]
         # the smaller action set runs out after min(action_counts) picks
-        assert first.duplicated == 5 - min(action_counts)
+        assert [len(level.selection_values) for level in report.levels] == [min(action_counts), 5]
         for level in report.levels:
             assert np.isfinite(level.selection_values).all()
         if (action_counts, seed) == ((4, 2), 2):
             # a pick from masked rows would add a fourth action for agent 0
             # and move the final value to 0.69624
             assert report.value == pytest.approx(0.6906211102749917, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "model",
+        [random_model(s, action_counts=(3, 2), horizon=4) for s in range(3)] + [three_agent_model(4)],
+        ids=["two-agent-0", "two-agent-1", "two-agent-2", "three-agent"],
+    )
+    @pytest.mark.parametrize("max_obs", [None, 1])
+    def test_picked_rows_hold_distinct_trees(self, monkeypatch, model, max_obs):
+        # max_trees 5 is above every action count: cloning a pick once
+        # filled the next level with equal trees under different rows
+        materialize = solver_module._materialize
+        seen = []
+
+        def spy(levels):
+            seen.append(levels)
+            return materialize(levels)
+
+        monkeypatch.setattr(solver_module, "_materialize", spy)
+        improved_mbdp(model, SolverConfig(max_trees=5, max_obs=max_obs))
+        (levels,) = seen
+        for i in range(model.num_agents):
+            # each picked tree as nested (action, children) tuples
+            below = []
+            for cands, picked in levels:
+                trees = [
+                    (int(cands.actions[i][r]), tuple(below[c] for c in cands.children[i][r]))
+                    for r in picked[i]
+                ]
+                assert len(set(trees)) == len(trees)
+                below = trees
 
     @pytest.mark.parametrize(
         "build,horizon,heuristics", [(build_mabc, 100, ("random",)), (build_tiger, 8, ("mdp", "random"))]
@@ -240,11 +284,32 @@ class TestPlanner:
         with pytest.raises(CapacityError):
             mbdp(mabc, SolverConfig(max_trees=9, backup_cap=50))
 
+    def test_backup_check_counts_the_rows_each_level_keeps(self, monkeypatch):
+        # tiger keeps its 3 actions at level 1 and backs up 27 trees at
+        # level 2, however large max_trees is
+        for horizon, want in [(1, -2.0), (2, -4.0)]:
+            for solve in (mbdp, improved_mbdp):
+                report = solve(build_tiger(horizon=horizon), SolverConfig(max_trees=1000))
+                assert report.value == pytest.approx(want, abs=1e-9)
+
+        def sample(*args):
+            raise AssertionError("selection beliefs drawn before the backup check")
+
+        monkeypatch.setattr(solver_module, "selection_beliefs", sample)
+        # level 2 keeps all 27 and backs up 3 * 27^2 trees
+        message = "full backups for agent 0 would build 2187 trees per level (cap 2186)"
+        with pytest.raises(CapacityError, match=re.escape(message)):
+            mbdp(build_tiger(horizon=3), SolverConfig(max_trees=1000, backup_cap=2186))
+        # (h - 1) * max_trees beliefs of 100 states would take 7.2 GB
+        with pytest.raises(CapacityError, match="would build 4611686018427387904 trees"):
+            mbdp(build_boxpush(horizon=10), SolverConfig(max_trees=10**6))
+
     def test_selection_grid_cap_fires_before_scoring(self, monkeypatch):
-        # 8 observations per agent: 2 * 3^8 = 13,122 full-backup trees per
-        # agent fit backup_cap, but level 2's three score columns would
-        # take 4.1 GB
-        model = random_model(0, num_states=2, obs_counts=(8, 8), horizon=3)
+        # 8 observations per agent: level 1 keeps both actions and level 2
+        # three of 2 * 2^8 = 512 trees; 2 * 3^8 = 13,122 full-backup trees
+        # per agent fit backup_cap, but level 3's three score columns
+        # would take 4.1 GB
+        model = random_model(0, num_states=2, obs_counts=(8, 8), horizon=4)
         scores = solver_module.belief_scores
         grids = []
 
@@ -253,13 +318,14 @@ class TestPlanner:
             return scores(model, rows, prev, beliefs)
 
         def solve():
-            with pytest.raises(CapacityError, match="level 2 would score 516560652 floats"):
+            with pytest.raises(CapacityError, match="level 3 would score 516560652 floats"):
                 mbdp(model, SolverConfig(max_trees=3))
 
         monkeypatch.setattr(solver_module, "belief_scores", spy)
         assert traced_peak_mb(solve) < 64
-        # only level 1's grid of 3 beliefs times 2 x 2 tuples was scored
-        assert grids == [12]
+        # only levels 1 and 2 were scored: 2 beliefs times 2 x 2 tuples,
+        # then 3 times 512 x 512
+        assert grids == [8, 786432]
 
 
 class TestEquivalence:
@@ -452,14 +518,15 @@ def test_rounds_match_reference_round(problem, horizon, solve, cfg):
 
 @pytest.mark.parametrize(
     "max_trees,max_obs,expected",
-    [(4, 2, 193.53814492403345), (8, 1, 217.57583465226804), (3, 3, 192.13428923544802)],
+    [(4, 2, 193.53814492403345), (8, 1, 217.73922525455637), (3, 3, 192.13428923544802)],
 )
 def test_budgeted_levels_rank_at_pick_zero(max_trees, max_obs, expected):
     # under the default ("mdp", "random") portfolio pick 0 walks the MDP
     # heuristic; ranking at the last pick's walk instead gave 27.44 at
     # (4, 2) and 87.43 at (8, 1), where the last pick walks at random.
     # Subsets collected greedily along the joint-observation ranking, not
-    # the best family, gave 194.81 at (4, 2)
+    # the best family, gave 194.81 at (4, 2).  Cloning a pick once the four
+    # actions ran out gave 217.58 at (8, 1)
     model = build_boxpush(horizon=10)
     report = improved_mbdp(model, SolverConfig(max_trees=max_trees, max_obs=max_obs, seed=0))
     assert report.value == pytest.approx(expected, abs=1e-9)

@@ -146,8 +146,8 @@ def test_best_tuple_and_pick_match_the_frozen_rule(agents, scale, shift):
     rng = np.random.default_rng([agents, int(scale), int(-shift)])
     for _ in range(60):
         sizes = tuple(int(k) for k in rng.integers(1, 9 - agents, size=agents))
-        # more columns than the smallest table has rows: the clone path
-        k = int(rng.integers(1, 8))
+        # the planner scores at most as many columns as the smallest table has rows
+        k = int(rng.integers(1, min(sizes) + 1))
         scores = planted_scores(rng, (k,) + sizes, scale, shift)
         # some agents' rows all excluded: every score is -inf
         exclude = [sorted(rng.choice(size, size=int(rng.integers(0, size + 1)), replace=False).tolist())
