@@ -154,6 +154,10 @@ def all_runs():
     runs["exact-boxpush-h2"] = exact(mbdp.build_boxpush(horizon=2))
     runs["epsilon-boxpush-h6-obs2"] = epsilon(mbdp.build_boxpush(horizon=6), 2)
     runs["epsilon-mabc-h6-obs1"] = epsilon(mbdp.build_mabc(horizon=6), 1)
+    # the bound of the benchmark's boxpush-budgeted workload, whose deeper
+    # depths multiply only the states each block of beliefs reaches
+    runs["epsilon-boxpush-h8-obs3"] = epsilon(mbdp.build_boxpush(horizon=8), 3)
+    runs["epsilon-tiger-h5-obs1"] = epsilon(mbdp.build_tiger(horizon=5), 1)
     policy = mbdp.improved_mbdp(boxpush, mbdp.SolverConfig(max_obs=3)).policy
     runs["simulate-boxpush-h10"] = dataclasses.asdict(mbdp.simulate(boxpush, policy, 20_000, seed=0))
     baseline = mbdp.random_policy_baseline(boxpush, seed=0)

@@ -10,15 +10,18 @@ that into a worst-case value loss for the whole plan.
 Exact mode enumerates reachable beliefs depth by depth.  Per depth and
 joint action it makes the belief products of, scores, expands and
 deduplicates one row block of at most ``_BLOCK_FLOATS`` child floats at
-a time, so the working set stays near one block's.  One set of rounded
-rows (12 decimals) spans all depths, so each distinct belief is kept,
-scored and expanded once, at the shallowest depth that reaches it; it
-is linked to its parent by integer arrays, from which the witness
-history is read back.  A block is first scored at the few families that
-were earlier rows' best: a row that already captures the running
-minimum or more at one of them cannot set it, and is not scored at
-every family.  Sampled mode rolls out random histories and only
-estimates.
+a time, so the working set stays near one block's.  Beliefs are sparse:
+in a depth of at least one full block, a block whose rows hold mass on
+at most half the states multiplies only those states and the states
+they reach under the joint action, and widens its children to every
+state only for their keys.  One set of rounded rows (12 decimals) spans
+all depths, so each distinct belief is kept, scored and expanded once,
+at the shallowest depth that reaches it; it is linked to its parent by
+integer arrays, from which the witness history is read back.  A block
+is first scored at the few families that were earlier rows' best: a row
+that already captures the running minimum or more at one of them cannot
+set it, and is not scored at every family.  Sampled mode rolls out
+random histories and only estimates.
 """
 
 from __future__ import annotations
@@ -125,16 +128,39 @@ def _row_blocks(n: int, size: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-def _block_products(rows, transition, observation, lo, hi, size):
+def _block_products(rows, transition, observation, lo, hi, size, support=None):
     """``rows[lo:hi] @ transition`` and its product with ``observation``, as over all rows.
 
     BLAS may give a few rows other bits (gemv, small-matrix kernels), so
     a block shorter than ``size`` is cut from the last ``size`` rows'.
+    Given the ``support`` of the rows multiplied, only those columns of
+    the rows and rows of ``transition`` are multiplied, and only the
+    ``reach`` columns of ``transition`` they reach, with those rows of
+    ``observation``; every term dropped is an exact zero.  Returns
+    (post, q, reach): post has the reach columns only, or every column
+    where reach is None, as it is where the support reaches one column,
+    since BLAS takes gemv for a one-column product.
     """
     start = min(lo, max(len(rows) - size, 0))
-    post = rows[start:hi] @ transition
+    block, reach = rows[start:hi], None
+    if support is not None:
+        narrow = transition[support]
+        reach = np.flatnonzero(narrow.any(axis=0))
+        if len(reach) > 1:
+            block, transition, observation = block[:, support], narrow[:, reach], observation[reach]
+        else:
+            reach = None
+    post = block @ transition
     q = post @ observation
-    return post[lo - start :], q[lo - start :]
+    return post[lo - start :], q[lo - start :], reach
+
+
+def _block_support(block):
+    """The states ``block``'s rows hold mass on, or None if that is more than half of them."""
+    # a column's sum of absolute values is zero only if every entry is; BLAS
+    # adds a tall block's columns several times faster than any(axis=0)
+    support = np.flatnonzero(np.abs(block).T @ np.ones(len(block)))
+    return support if 2 * len(support) <= block.shape[1] else None
 
 
 def _state_sums(prods: np.ndarray) -> np.ndarray:
@@ -200,6 +226,19 @@ def _exact_minimum(model, flat, horizon, max_beliefs):
     enumeration stops at a depth that keeps no new belief.  The cap is
     checked after every block, counting the next depth's rows kept so
     far.
+
+    A depth of at least ``size`` rows first finds each block's support,
+    the states its rows hold mass on, once for all joint actions.  A
+    block whose support is at most half the states multiplies only the
+    support's columns of its rows and rows of ``T[ja]``, and keeps the
+    columns of ``T[ja]`` they reach and those rows of ``O[ja]``; its
+    children are weighted, summed and normalised on the reached columns
+    and widened to every state for their keys.  The terms dropped are
+    exact zeros, and on box pushing BLAS adds the others in the same
+    order, so the report is the dense products' bit for bit (README,
+    exact mode, names the product columns where OpenBLAS's small-matrix
+    kernels add them in another order).  Shorter depths and wider blocks
+    multiply the dense matrices.
     """
     obs_t = np.ascontiguousarray(model.observation.transpose(0, 2, 1))
     num_states, num_obs = len(model.states), model.num_joint_observations
@@ -212,10 +251,15 @@ def _exact_minimum(model, flat, horizon, max_beliefs):
     for depth in range(horizon):
         checked += len(rows)
         spans = _row_blocks(len(rows), size)
+        supports = [None] * len(spans)
+        if len(rows) >= size:  # shorter depths keep the dense products
+            supports = [_block_support(rows[min(lo, len(rows) - size) : hi]) for lo, hi in spans]
         kept, blocks = 0, []
         for ja in range(model.num_joint_actions):
-            for lo, hi in spans:
-                post, q = _block_products(rows, model.transition[ja], model.observation[ja], lo, hi, size)
+            for (lo, hi), support in zip(spans, supports):
+                post, q, reach = _block_products(
+                    rows, model.transition[ja], model.observation[ja], lo, hi, size, support
+                )
                 found = _block_minimum(q, flat, best, hints if len(spans) > 1 else None)
                 if found is not None:
                     best, r, fam = found
@@ -228,12 +272,16 @@ def _exact_minimum(model, flat, horizon, max_beliefs):
                 # mass is > tol.
                 parent, jo = np.nonzero(q > PROB_TOL / 2)
                 prods = post[parent]
-                prods *= obs_t[ja][jo]
+                prods *= obs_t[ja][jo] if reach is None else obs_t[ja][:, reach][jo]
                 parent += lo
                 mass = _state_sums(prods)
                 live = np.flatnonzero(mass > PROB_TOL)
                 children = prods[live]
                 children /= mass[live, None]
+                if reach is not None:
+                    wide = np.zeros((len(live), num_states))
+                    wide[:, reach] = children
+                    children = wide
                 fresh = []
                 for i, key in enumerate(_row_keys(children)):
                     if key not in seen:

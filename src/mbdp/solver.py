@@ -286,6 +286,14 @@ def _solve_round(model, cfg: SolverConfig, rng, portfolio):
 
 def _solve(model: DecPomdp, cfg: SolverConfig, solver_name: str):
     started = time.perf_counter()
+    # selection_beliefs allocates b_sel and b_prev, (horizon - 1) x
+    # max_trees x S floats each, before any level is scored
+    floats = 2 * max(model.horizon - 1, 0) * cfg.max_trees * model.num_states
+    if floats > MAX_GRID_FLOATS:
+        raise CapacityError(
+            f"selection beliefs would take {floats} floats for {cfg.max_trees} picks per level "
+            f"(cap {MAX_GRID_FLOATS}); lower max_trees"
+        )
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.recursion_depth + 1)
     base_portfolio = build_portfolio(model, cfg.heuristics)
     best = None
@@ -331,7 +339,11 @@ def mbdp(model: DecPomdp, cfg: SolverConfig | None = None) -> SolveReport:
 
 
 def improved_mbdp(model: DecPomdp, cfg: SolverConfig | None = None) -> SolveReport:
-    """Memory-bounded planning with partial backups over the likeliest observations."""
+    """Memory-bounded planning with partial backups over the likeliest observations.
+
+    Like ``mbdp``, it raises ``CapacityError`` before drawing any belief
+    if the round's selection beliefs would pass ``MAX_GRID_FLOATS``.
+    """
     cfg = cfg if cfg is not None else SolverConfig(max_obs=2)
     model.require_valid()
     return _solve(model, cfg, "improved")

@@ -136,6 +136,53 @@ def seen_state_model(horizon):
     )
 
 
+def half_model(seed, horizon=4):
+    """Eight states in two halves, with stochastic observations; beliefs start in one half.
+
+    Joint action 0 mixes each state within its half, 1 sends every
+    state to state 0, 2 jumps to a state of the other half and 3 splits
+    each state between two of its half.  So many blocks hold mass on
+    exactly half the states, and under joint action 1 every block
+    reaches one state.
+    """
+    rng = np.random.default_rng(seed)
+    num_s = 8
+    transition = np.zeros((4, num_s, num_s))
+    for s in range(num_s):
+        half = 4 * (s // 4)
+        transition[0, s, half : half + 4] = rng.dirichlet(np.ones(4))
+        transition[1, s, 0] = 1.0
+        transition[2, s, (half + 4) % num_s + rng.integers(4)] = 1.0
+        transition[3, s, half + rng.choice(4, 2, replace=False)] = rng.dirichlet(np.ones(2))
+    start = np.zeros(num_s)
+    start[:4] = rng.dirichlet(np.ones(4))
+    return DecPomdp(
+        states=tuple(f"s{i}" for i in range(num_s)),
+        actions=(("a0", "a1"), ("b0", "b1")),
+        observations=(("x0", "x1"), ("y0", "y1")),
+        transition=transition,
+        observation=rng.dirichlet(np.ones(4), size=(4, num_s)),
+        reward=np.zeros((4, num_s, num_s)),
+        initial_belief=start,
+        horizon=horizon,
+    )
+
+
+def spy_block_products(monkeypatch):
+    """(depth rows, support, transition, reach) of each ``_block_products`` call with a support."""
+    products = mbdp.analysis._block_products
+    calls = []
+
+    def spy(rows, transition, observation, lo, hi, size, support=None):
+        post, q, reach = products(rows, transition, observation, lo, hi, size, support)
+        if support is not None:
+            calls.append((rows, support, transition, reach))
+        return post, q, reach
+
+    monkeypatch.setattr(mbdp.analysis, "_block_products", spy)
+    return calls
+
+
 def force_block_rows(monkeypatch, model, rows):
     """Make every depth of ``model`` go in blocks of ``rows`` rows."""
     floats = rows * model.num_joint_observations * len(model.states)
@@ -396,10 +443,49 @@ class TestExactParity:
         assert got.witness.action == 1
         assert got.witness.belief == tuple(np.eye(8)[4])
 
+    @pytest.mark.parametrize("rows", [2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_blocks_that_reach_one_state_keep_the_dense_products(self, monkeypatch, seed, rows):
+        # a one-column product would go to gemv, which can round differently
+        model = half_model(seed)
+        force_block_rows(monkeypatch, model, rows)
+        calls = spy_block_products(monkeypatch)
+        assert epsilon_global(model, 1) == epsilon_global_array_reference(model, 1)
+        one = [reach for _, support, transition, reach in calls
+               if np.count_nonzero(transition[support].any(axis=0)) == 1]
+        assert one and all(reach is None for reach in one)
+
+    @pytest.mark.parametrize("rows", [2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_blocks_on_half_the_states_are_narrowed(self, monkeypatch, seed, rows):
+        from mbdp.analysis import _block_support
+
+        model = half_model(seed)
+        force_block_rows(monkeypatch, model, rows)
+        calls = spy_block_products(monkeypatch)
+        assert epsilon_global(model, 1) == epsilon_global_array_reference(model, 1)
+        assert any(len(support) == 4 and reach is not None for _, support, _, reach in calls)
+        rows_on = np.eye(8)[[0, 1, 2, 3]]
+        assert _block_support(rows_on).tolist() == [0, 1, 2, 3]
+        assert _block_support(np.vstack([rows_on, np.eye(8)[4]])) is None
+
+    @pytest.mark.parametrize("rows", [2, 3])
+    def test_boxpush_blocks_of_one_depth_differ_in_support(self, monkeypatch, rows):
+        model = build_boxpush(horizon=5)
+        force_block_rows(monkeypatch, model, rows)
+        calls = spy_block_products(monkeypatch)
+        assert epsilon_global(model, 3) == epsilon_global_array_reference(model, 3)
+        supports = {}  # per depth, the support sizes of its blocks
+        for depth_rows, support, _, _ in calls:
+            supports.setdefault(id(depth_rows), set()).add(len(support))
+        assert any(len(sizes) > 1 for sizes in supports.values())
+        assert any(reach is not None for *_, reach in calls)
+
     def test_working_set_is_bounded(self):
-        # peaks near 18 MB (19.3 MB if the process has not yet scored box
-        # pushing at max_obs 3), mostly the seen-set and the kept rows;
-        # products over the whole depth in one buffer reached 26 MB,
+        # peaks at 19.1 MB, with or without an earlier call on box pushing
+        # at max_obs 3, mostly the seen-set and the kept rows; dense
+        # products in every block peaked at 19.2-19.3 MB, products over
+        # the whole depth in one buffer reached 26 MB,
         # keeping the seen-set through the last depth 35 MB, a seen-set
         # per depth 30 MB, and whole-depth temporaries 66 MB
         model = build_boxpush(horizon=8)
@@ -496,6 +582,42 @@ class TestExactParity:
                 assert np.array_equal(got[1], q[lo:hi]), (
                     f"BLAS gives {where} other observation products in a block"
                 )
+
+    @pytest.mark.parametrize("n", [418, 2_500, 6_782])
+    def test_narrowed_block_products_have_the_whole_depth_bits(self, n):
+        # each block's rows hold mass on their own 10 to 50 of box
+        # pushing's 100 states, so its products are narrowed
+        from mbdp.analysis import _block_products, _block_support, _row_blocks
+
+        model = build_boxpush(horizon=2)
+        num_states = len(model.states)
+        size = mbdp.analysis._BLOCK_FLOATS // (model.num_joint_observations * num_states)
+        rng = np.random.default_rng(n)
+        spans = _row_blocks(n, size)
+        rows = np.zeros((n, num_states))
+        for lo, hi in spans:
+            states = rng.choice(num_states, rng.integers(10, 51), replace=False)
+            block = rng.random((hi - lo, len(states)))
+            block[rng.random(block.shape) > 4 / len(states)] = 0.0
+            block[np.arange(hi - lo), rng.integers(len(states), size=hi - lo)] = 1.0 - rng.random(hi - lo)
+            rows[lo:hi, states] = block / block.sum(axis=1, keepdims=True)
+        narrowed = 0
+        for ja in range(model.num_joint_actions):
+            post = rows @ model.transition[ja]
+            q = post @ model.observation[ja]
+            for lo, hi in spans:
+                support = _block_support(rows[min(lo, n - size) : hi])
+                got, got_q, reach = _block_products(
+                    rows, model.transition[ja], model.observation[ja], lo, hi, size, support
+                )
+                narrowed += reach is not None
+                want = post[lo:hi] if reach is None else post[lo:hi, reach]
+                where = f"rows {lo}:{hi} of joint action {ja}"
+                assert np.array_equal(got, want), f"BLAS gives {where} other bits when narrowed"
+                assert np.array_equal(got_q, q[lo:hi]), (
+                    f"BLAS gives {where} other observation products when narrowed"
+                )
+        assert narrowed > len(spans)
 
     @pytest.mark.parametrize("rows", [0, 1, 2, 50, 3000])
     def test_state_sums_add_state_by_state(self, rows):

@@ -27,7 +27,7 @@ from mbdp import (
 )
 from mbdp.cli import build_parser, load_problem, main, parse_problem_text, problem_to_text
 
-from conftest import random_model, three_agent_model
+from conftest import random_model, three_agent_model, traced_peak_mb
 
 
 def run(capsys, argv):
@@ -501,6 +501,20 @@ class TestExitCodes:
         error = json.loads(err.splitlines()[-1])
         assert error["error"] == "CapacityError"
         assert error["message"].startswith("level 3 would score 516560652 floats")
+
+    def test_selection_array_cap_exits_three_at_once(self, capsys):
+        argv = ["solve", "--problem", "boxpush", "--horizon", "10", "--max-trees", "1000000",
+                "--max-obs", "3", "--format", "records"]
+        result = []
+        peak = traced_peak_mb(lambda: result.append(run(capsys, argv)))
+        code, out, err = result[0]
+        assert code == 3
+        assert not any(r["type"] == "result" for r in records(out))
+        error = json.loads(err.splitlines()[-1])
+        assert error["error"] == "CapacityError"
+        assert error["message"].startswith("selection beliefs would take 1800000000 floats")
+        # building the 100-state model takes about 8.4 MB; the arrays would take 14.4 GB
+        assert peak < 16
 
     def test_bad_flag_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

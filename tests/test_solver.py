@@ -304,6 +304,27 @@ class TestPlanner:
         with pytest.raises(CapacityError, match="would build 4611686018427387904 trees"):
             mbdp(build_boxpush(horizon=10), SolverConfig(max_trees=10**6))
 
+    def test_selection_arrays_are_checked_before_they_are_allocated(self, monkeypatch):
+        def sample(*args):
+            raise AssertionError("selection beliefs drawn before the selection check")
+
+        monkeypatch.setattr(solver_module, "selection_beliefs", sample)
+        # b_sel and b_prev: 9 levels of 10^6 beliefs over 100 states each, 14.4 GB
+        message = "selection beliefs would take 1800000000 floats for 1000000 picks per level"
+        model = build_boxpush(horizon=10)
+
+        def solve():
+            with pytest.raises(CapacityError, match=re.escape(message)):
+                improved_mbdp(model, SolverConfig(max_trees=10**6, max_obs=3))
+
+        assert traced_peak_mb(solve) < 1
+        # the largest max_trees whose arrays fit the cap still reaches the draw
+        fits = solver_module.MAX_GRID_FLOATS // (2 * 9 * 100)
+        with pytest.raises(AssertionError, match="drawn before"):
+            improved_mbdp(model, SolverConfig(max_trees=fits, max_obs=3))
+        with pytest.raises(CapacityError, match="selection beliefs would take"):
+            improved_mbdp(model, SolverConfig(max_trees=fits + 1, max_obs=3))
+
     def test_selection_grid_cap_fires_before_scoring(self, monkeypatch):
         # 8 observations per agent: level 1 keeps both actions and level 2
         # three of 2 * 2^8 = 512 trees; 2 * 3^8 = 13,122 full-backup trees
