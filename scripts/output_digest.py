@@ -158,6 +158,13 @@ def all_runs():
     # depths multiply only the states each block of beliefs reaches
     runs["epsilon-boxpush-h8-obs3"] = epsilon(mbdp.build_boxpush(horizon=8), 3)
     runs["epsilon-tiger-h5-obs1"] = epsilon(mbdp.build_tiger(horizon=5), 1)
+    # the exact-oracle workload's bounds, whose depths are each shorter
+    # than one block, so their joint actions go in groups; box pushing
+    # h=3 at max_obs 3 also sums b0's captures as lone rows
+    runs["epsilon-tiger-h3-obs1"] = epsilon(mbdp.build_tiger(horizon=3), 1)
+    runs["epsilon-mabc-h3-obs1"] = epsilon(mbdp.build_mabc(horizon=3), 1)
+    runs["epsilon-boxpush-h2-obs1"] = epsilon(mbdp.build_boxpush(horizon=2), 1)
+    runs["epsilon-boxpush-h3-obs3"] = epsilon(mbdp.build_boxpush(horizon=3), 3)
     policy = mbdp.improved_mbdp(boxpush, mbdp.SolverConfig(max_obs=3)).policy
     runs["simulate-boxpush-h10"] = dataclasses.asdict(mbdp.simulate(boxpush, policy, 20_000, seed=0))
     baseline = mbdp.random_policy_baseline(boxpush, seed=0)

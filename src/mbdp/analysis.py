@@ -7,21 +7,26 @@ keeps there; ``epsilon_global`` takes the minimum
 over beliefs reachable within the horizon, and ``error_bound`` turns
 that into a worst-case value loss for the whole plan.
 
-Exact mode enumerates reachable beliefs depth by depth.  Per depth and
-joint action it makes the belief products of, scores, expands and
-deduplicates one row block of at most ``_BLOCK_FLOATS`` child floats at
-a time, so the working set stays near one block's.  Beliefs are sparse:
-in a depth of at least one full block, a block whose rows hold mass on
-at most half the states multiplies only those states and the states
-they reach under the joint action, and widens its children to every
-state only for their keys.  One set of rounded rows (12 decimals) spans
-all depths, so each distinct belief is kept, scored and expanded once,
-at the shallowest depth that reaches it; it is linked to its parent by
-integer arrays, from which the witness history is read back.  A block
-is first scored at the few families that were earlier rows' best: a row
-that already captures the running minimum or more at one of them cannot
-set it, and is not scored at every family.  Sampled mode rolls out
-random histories and only estimates.
+Exact mode enumerates reachable beliefs depth by depth, one block at a
+time.  A block is a range of joint actions over a span of the depth's
+rows; it makes its belief products, scores them, and builds and
+deduplicates its children within ``_BLOCK_FLOATS`` child floats, so the
+working set stays near one block's.  A depth of at least one block's
+rows goes one joint action per row block.  A shorter depth is one span
+whose joint actions go in groups, each scored and expanded in one pass,
+which saves most of the numpy calls on short depths.  Beliefs are
+sparse: in a depth of at least one full block, a block whose rows hold
+mass on at most half the states multiplies only those states and the
+states they reach under the joint action, and widens its children to
+every state only for their keys.  One set of rounded rows (12
+decimals) spans all depths, so each distinct belief is kept, scored and
+expanded once, at the shallowest depth that reaches it; it is linked to
+its parent by integer arrays, from which the witness history is read
+back.  A row block of a long depth is first scored at the few families
+that were earlier rows' best: a row that already captures the running
+minimum or more at one of them cannot set it, and is not scored at
+every family.  Sampled mode rolls out random histories and only
+estimates.
 """
 
 from __future__ import annotations
@@ -84,8 +89,9 @@ def epsilon_global(
     action; it is a guarantee but exponential in the horizon.  Each
     distinct belief is scored once, at the shallowest depth that reaches
     it, and ``beliefs_checked`` counts them.  ``max_beliefs`` caps that
-    count; it raises ``CapacityError`` as soon as the beliefs kept pass
-    the cap, so the cap bounds memory as well as time.  Sampled mode
+    count; it raises ``CapacityError`` as soon as a block of the
+    enumeration takes the beliefs kept past the cap, so the cap bounds
+    memory as well as time.  Sampled mode
     instead rolls out ``budget`` random conditioned histories and
     reports the minimum seen, an estimate only.
     """
@@ -120,6 +126,15 @@ def epsilon_global(
 _BLOCK_FLOATS = 1 << 19
 # at most this many hint families: each was some scored row's best
 _HINT_FAMILIES = 16
+# at most this many (row, joint observation) pairs, the candidate
+# children, in a group of joint actions.  On the broadcast channel (4
+# states) a group's children then take at most 128 KiB, glibc's default
+# mmap threshold; past it each large array is mapped afresh, with its
+# page faults, and raises the threshold, which fragments the heap.  At
+# 2^13 pairs perfbench's mabc-full bound stage took 1.5 MB more RSS, and
+# with no limit its 4,960-row h=6 depth as one 79,360-pair group ran
+# 7-20% slower, with twice the page faults in that depth.
+_GROUP_PAIRS = 1 << 12
 
 
 def _row_blocks(n: int, size: int) -> list[tuple[int, int]]:
@@ -128,31 +143,30 @@ def _row_blocks(n: int, size: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-def _block_products(rows, transition, observation, lo, hi, size, support=None):
-    """``rows[lo:hi] @ transition`` and its product with ``observation``, as over all rows.
+def _block_products(block, transition, observation, support=None):
+    """``block @ T`` and its product with ``O`` for a joint-action range's stacked T and O.
 
-    BLAS may give a few rows other bits (gemv, small-matrix kernels), so
-    a block shorter than ``size`` is cut from the last ``size`` rows'.
-    Given the ``support`` of the rows multiplied, only those columns of
-    the rows and rows of ``transition`` are multiplied, and only the
-    ``reach`` columns of ``transition`` they reach, with those rows of
-    ``observation``; every term dropped is an exact zero.  Returns
-    (post, q, reach): post has the reach columns only, or every column
-    where reach is None, as it is where the support reaches one column,
-    since BLAS takes gemv for a one-column product.
+    Returns (post, q, reach), post and q with one slice per joint action.
+    Each slice is the same 2-D BLAS call as ``block @ T[ja]``, so it has
+    that product's bits.  Given the ``support`` of a one-joint-action
+    block, only those columns of the rows and rows of ``T[ja]`` are
+    multiplied, and only the ``reach`` columns of ``T[ja]`` they reach,
+    with those rows of ``O[ja]``; every term dropped is an exact zero.
+    post has the reach columns only, or every column where reach is
+    None, as it is where the support reaches one column, since BLAS
+    takes gemv for a one-column product.
     """
-    start = min(lo, max(len(rows) - size, 0))
-    block, reach = rows[start:hi], None
+    reach = None
     if support is not None:
-        narrow = transition[support]
+        narrow = transition[0][support]
         reach = np.flatnonzero(narrow.any(axis=0))
         if len(reach) > 1:
-            block, transition, observation = block[:, support], narrow[:, reach], observation[reach]
+            block, transition = block[:, support], narrow[:, reach][None]
+            observation = observation[0][reach][None]
         else:
             reach = None
-    post = block @ transition
-    q = post @ observation
-    return post[lo - start :], q[lo - start :], reach
+    post = np.matmul(block, transition)
+    return post, np.matmul(post, observation), reach
 
 
 def _block_support(block):
@@ -180,7 +194,7 @@ def _row_keys(rows: np.ndarray) -> list[bytes]:
     return keys.view(f"V{keys.shape[1] * 8}").ravel().tolist()
 
 
-def _block_minimum(q, flat, best, hints):
+def _block_minimum(q, flat, best, hints=None, lone=False):
     """The first row of a block whose best capture is below ``best``.
 
     Returns (capture, row, family), or None if no row is below.  Given a
@@ -188,7 +202,8 @@ def _block_minimum(q, flat, best, hints):
     that captures ``best`` or more at one of them cannot be the first
     minimum, so only the others are scored at every family, and the
     families that were their best join ``hints``.  ``hints=None`` scores
-    every row in full, as for a depth that fits in one block.
+    every row in full, as for a depth shorter than one block; ``lone``
+    scores each row as a lone row, as for a one-row depth.
     """
     pick = None
     if hints:
@@ -198,7 +213,7 @@ def _block_minimum(q, flat, best, hints):
         if len(pick) == 1:  # numpy sums a one-row capture in another order
             pick = np.append(pick, pick[0] + 1 if pick[0] + 1 < len(q) else pick[0] - 1)
         q = q[pick]
-    captures = _capture_matrix(q, flat)
+    captures = (_lone_captures if lone else _capture_matrix)(q, flat)
     eps_rows = captures.max(axis=0)
     if hints is not None and len(hints) < _HINT_FAMILIES:
         hints.extend(f for f in np.unique(captures.argmax(axis=0)).tolist() if f not in hints)
@@ -209,12 +224,50 @@ def _block_minimum(q, flat, best, hints):
     return float(eps_rows[r]), r if pick is None else int(pick[r]), int(captures[:, r].argmax())
 
 
-def _exact_minimum(model, flat, horizon, max_beliefs):
-    """Enumerate reachable beliefs one depth at a time, in row blocks.
+def _depth_units(rows, size, group, num_ja):
+    """One depth's blocks, ((ja_lo, ja_hi), (lo, hi), block, support), in order.
 
-    Per depth, joint action and row block, in (parent row, observation)
-    order, ``rows[lo:hi] @ T[ja]`` and its product with ``O[ja]`` give
-    the block's captures, children and their deduplication; the
+    Blocks run in (joint action, row) order.  A depth of fewer than
+    ``size`` rows is one span, and its joint actions go ``group // n``
+    (at least one) to a block.  A longer depth goes one joint action at
+    a time over the row blocks of ``_row_blocks``, each with its
+    support, or None, found once for all joint actions.  ``block`` holds
+    the rows multiplied, of which the last ``hi - lo`` are the span's: a
+    block shorter than ``size`` is cut from the last ``size`` rows',
+    since BLAS may give a short block's rows other bits.
+    """
+    n = len(rows)
+    if n < size:
+        step = max(1, group // n)
+        return [((a, min(a + step, num_ja)), (0, n), rows, None) for a in range(0, num_ja, step)]
+    spans = []
+    for lo, hi in _row_blocks(n, size):
+        block = rows[min(lo, n - size) : hi]
+        spans.append(((lo, hi), block, _block_support(block)))
+    return [((ja, ja + 1), *span) for ja in range(num_ja) for span in spans]
+
+
+def _lone_captures(q, flat):
+    """``_capture_matrix`` of each row of q as if it were scored on its own.
+
+    numpy adds a lone row's kept observations along one contiguous run,
+    in another order than a row's among others; a (row, family, kept
+    observation) gather summed along its last axis adds every row so.
+    """
+    captures = np.empty((len(flat), len(q)))
+    step = max(1, (1 << 17) // (flat.shape[1] * len(q)))
+    for f in range(0, len(flat), step):
+        captures[f : f + step] = q.take(flat[f : f + step], axis=1).sum(axis=2).T
+    return captures
+
+
+def _exact_minimum(model, flat, horizon, max_beliefs):
+    """Enumerate reachable beliefs one depth at a time, in blocks.
+
+    A depth's unit of work is a block, a (joint-action range, row span)
+    pair (``_depth_units``).  Per block, in (joint action, parent row,
+    observation) order, ``rows @ T[ja]`` and its product with ``O[ja]``
+    give the block's captures, children and their deduplication; the
     products have the whole depth's bits (``_block_products``).  One
     set of rounded rows (12 decimals) spans all depths, so a depth keeps
     only beliefs no shallower depth reached, at their first occurrence in
@@ -227,79 +280,88 @@ def _exact_minimum(model, flat, horizon, max_beliefs):
     checked after every block, counting the next depth's rows kept so
     far.
 
-    A depth of at least ``size`` rows first finds each block's support,
-    the states its rows hold mass on, once for all joint actions.  A
-    block whose support is at most half the states multiplies only the
-    support's columns of its rows and rows of ``T[ja]``, and keeps the
-    columns of ``T[ja]`` they reach and those rows of ``O[ja]``; its
-    children are weighted, summed and normalised on the reached columns
-    and widened to every state for their keys.  The terms dropped are
-    exact zeros, and on box pushing BLAS adds the others in the same
-    order, so the report is the dense products' bit for bit (README,
-    exact mode, names the product columns where OpenBLAS's small-matrix
-    kernels add them in another order).  Shorter depths and wider blocks
-    multiply the dense matrices.
+    A depth of fewer than ``size`` rows is one span whose joint actions
+    go in groups of at most ``size`` rows and ``_GROUP_PAIRS`` (row,
+    joint observation) pairs.  A group is scored in full: its first
+    minimum in (joint action, row) order is the first of a flat argmin,
+    and a one-row depth's rows are scored as lone rows, whose captures
+    numpy sums in another order (``_lone_captures``).  Then one pass
+    builds its children, each linked to its joint action.  A longer
+    depth goes one joint action per row block, first scored at the hint
+    families.  Its blocks' supports are found once; a block whose
+    support is at most half the states multiplies only the support's
+    columns of its rows and rows of ``T[ja]``, and keeps the columns of
+    ``T[ja]`` they reach and those rows of ``O[ja]``; its children are
+    weighted, summed and normalised on the reached columns and widened
+    to every state for their keys.  The terms dropped are exact zeros,
+    and on box pushing BLAS adds the others in the same order, so the
+    report is the dense products' bit for bit (README, exact mode, names
+    the product columns where OpenBLAS's small-matrix kernels add them
+    in another order).
     """
     obs_t = np.ascontiguousarray(model.observation.transpose(0, 2, 1))
     num_states, num_obs = len(model.states), model.num_joint_observations
     size = max(2, _BLOCK_FLOATS // (num_obs * num_states))
+    group = min(size, _GROUP_PAIRS // num_obs)
     rows = model.initial_belief.probs[None, :]
     seen = set(_row_keys(rows))
     links = []  # per depth after the first: (parent row, ja, jo) arrays
     hints: list[int] = []
     checked, best = 0, np.inf
     for depth in range(horizon):
-        checked += len(rows)
-        spans = _row_blocks(len(rows), size)
-        supports = [None] * len(spans)
-        if len(rows) >= size:  # shorter depths keep the dense products
-            supports = [_block_support(rows[min(lo, len(rows) - size) : hi]) for lo, hi in spans]
+        n = len(rows)
+        checked += n
+        units = _depth_units(rows, size, group, model.num_joint_actions)
+        # hints pay off only over a depth's several row blocks
+        block_hints = hints if len(units) > model.num_joint_actions else None
         kept, blocks = 0, []
-        for ja in range(model.num_joint_actions):
-            for (lo, hi), support in zip(spans, supports):
-                post, q, reach = _block_products(
-                    rows, model.transition[ja], model.observation[ja], lo, hi, size, support
+        for (a, b), (lo, hi), block, support in units:
+            post, q, reach = _block_products(
+                block, model.transition[a:b], model.observation[a:b], support
+            )
+            cut = len(block) - (hi - lo)
+            post, q = post[:, cut:], q[:, cut:]
+            found = _block_minimum(q.reshape(-1, num_obs), flat, best, block_hints, lone=n == 1)
+            if found is not None:
+                best, i, fam = found
+                j, r = divmod(i, hi - lo)
+                best_where = (depth, lo + r, a + j, fam)
+                best_belief = rows[lo + r].copy()
+            if depth == horizon - 1:
+                continue
+            # q adds the same terms as the mass in another order, so the
+            # two agree to rounding and q > tol / 2 keeps every pair whose
+            # mass is > tol.
+            ja, parent, jo = np.nonzero(q > PROB_TOL / 2)
+            prods = post[ja, parent]
+            prods *= (obs_t[a:b] if reach is None else obs_t[a:b, :, reach])[ja, jo]
+            mass = _state_sums(prods)
+            live = np.flatnonzero(mass > PROB_TOL)
+            children = prods if len(live) == len(prods) else prods[live]
+            children /= mass[live, None]
+            if reach is not None:
+                wide = np.zeros((len(live), num_states))
+                wide[:, reach] = children
+                children = wide
+            fresh = []
+            for i, key in enumerate(_row_keys(children)):
+                if key not in seen:
+                    seen.add(key)
+                    fresh.append(i)
+            kept += len(fresh)
+            if checked + kept > max_beliefs:
+                raise CapacityError(
+                    f"exact reachability needs more than {max_beliefs} beliefs; "
+                    "use sampled mode or raise max_beliefs"
                 )
-                found = _block_minimum(q, flat, best, hints if len(spans) > 1 else None)
-                if found is not None:
-                    best, r, fam = found
-                    best_where = (depth, lo + r, ja, fam)
-                    best_belief = rows[lo + r].copy()
-                if depth == horizon - 1:
-                    continue
-                # q adds the same terms as the mass in another order, so the
-                # two agree to rounding and q > tol / 2 keeps every pair whose
-                # mass is > tol.
-                parent, jo = np.nonzero(q > PROB_TOL / 2)
-                prods = post[parent]
-                prods *= obs_t[ja][jo] if reach is None else obs_t[ja][:, reach][jo]
-                parent += lo
-                mass = _state_sums(prods)
-                live = np.flatnonzero(mass > PROB_TOL)
-                children = prods[live]
-                children /= mass[live, None]
-                if reach is not None:
-                    wide = np.zeros((len(live), num_states))
-                    wide[:, reach] = children
-                    children = wide
-                fresh = []
-                for i, key in enumerate(_row_keys(children)):
-                    if key not in seen:
-                        seen.add(key)
-                        fresh.append(i)
-                kept += len(fresh)
-                if checked + kept > max_beliefs:
-                    raise CapacityError(
-                        f"exact reachability needs more than {max_beliefs} beliefs; "
-                        "use sampled mode or raise max_beliefs"
-                    )
-                fresh = np.array(fresh, dtype=np.intp)
-                chosen = live[fresh]
-                blocks.append((children[fresh], parent[chosen], np.full(len(chosen), ja), jo[chosen]))
+            fresh = np.array(fresh, dtype=np.intp)
+            chosen = live[fresh]
+            blocks.append((children[fresh], parent[chosen] + lo, ja[chosen] + a, jo[chosen]))
         if depth == horizon - 2:
             seen.clear()  # the last depth builds no children
         if not kept:
             break
+        del units, block  # the last views of this depth's rows, which go with them below
         rows, *link = (np.concatenate(part) for part in zip(*blocks))
         links.append(link)
     depth, r, ja, fam = best_where

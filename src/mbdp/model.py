@@ -83,6 +83,11 @@ def _mixed_radix_strides(sizes: Sequence[int]) -> tuple[int, ...]:
     return tuple(reversed(strides))
 
 
+def _is_index(value) -> bool:
+    """True for a Python or numpy integer; bools are not indices."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True, eq=False)
 class DecPomdp:
     """Dense-table finite-horizon DEC-POMDP.
@@ -208,13 +213,26 @@ class DecPomdp:
     # ---- joint index arithmetic -------------------------------------
 
     def _joint_index(self, kind: str, value, counts, strides) -> int:
-        """Flat index of a joint ``kind`` given flat or as one component per agent, range-checked."""
-        if isinstance(value, (int, np.integer)):
+        """Flat index of a joint ``kind`` given flat or as one component per agent, range-checked.
+
+        Indices are Python or numpy integers; a bool, float or string is
+        refused rather than read as a number.
+        """
+        if _is_index(value):
             flat = int(value)
             if not 0 <= flat < math.prod(counts):
                 raise ModelError(f"joint {kind} index {flat} out of range")
             return flat
-        parts = tuple(int(v) for v in value)
+        try:
+            parts = tuple(value)
+        except TypeError:
+            raise ModelError(
+                f"joint {kind} must be an integer or one integer per agent, got {value!r}"
+            ) from None
+        for v in parts:
+            if not _is_index(v):
+                raise ModelError(f"{kind} component {v!r} of {value!r} is not an integer")
+        parts = tuple(int(v) for v in parts)
         if len(parts) != self.num_agents:
             raise ModelError(f"joint {kind} needs {self.num_agents} components, got {len(parts)}")
         for i, (v, n) in enumerate(zip(parts, counts)):

@@ -173,13 +173,27 @@ def spy_block_products(monkeypatch):
     products = mbdp.analysis._block_products
     calls = []
 
-    def spy(rows, transition, observation, lo, hi, size, support=None):
-        post, q, reach = products(rows, transition, observation, lo, hi, size, support)
-        if support is not None:
-            calls.append((rows, support, transition, reach))
+    def spy(block, transition, observation, support=None):
+        post, q, reach = products(block, transition, observation, support)
+        if support is not None:  # a block of one joint action, a view of its depth's rows
+            calls.append((block.base, support, transition[0], reach))
         return post, q, reach
 
     monkeypatch.setattr(mbdp.analysis, "_block_products", spy)
+    return calls
+
+
+def spy_depth_units(monkeypatch):
+    """(rows, joint-action ranges) of each depth's blocks."""
+    depth_units = mbdp.analysis._depth_units
+    calls = []
+
+    def spy(rows, size, group, num_ja):
+        units = depth_units(rows, size, group, num_ja)
+        calls.append((len(rows), [ja_range for ja_range, *_ in units]))
+        return units
+
+    monkeypatch.setattr(mbdp.analysis, "_depth_units", spy)
     return calls
 
 
@@ -443,6 +457,60 @@ class TestExactParity:
         assert got.witness.action == 1
         assert got.witness.belief == tuple(np.eye(8)[4])
 
+    @pytest.mark.parametrize("group", [1, 2, 3])
+    def test_first_minimum_wins_across_joint_action_groups(self, monkeypatch, group):
+        # depth 1's 4 rows go in groups of `group` joint actions; the 0.4
+        # at (ja 1, row 3) comes first, (ja 2, row 1) ties it in a later
+        # group or later in the same group
+        model = tie_model()
+        force_block_rows(monkeypatch, model, 4 * group + (group == 1))
+        units = spy_depth_units(monkeypatch)
+        got = epsilon_global(model, 1)
+        assert got == epsilon_global_reference(model, 1)
+        assert (got.epsilon, got.beliefs_checked) == (0.4, 8)
+        assert got.witness.history == ((3, 0),)
+        assert got.witness.action == 1
+        assert units[1] == (4, [(a, min(a + group, 4)) for a in range(0, 4, group)])
+
+    @pytest.mark.parametrize("group", [1, 2, 3])
+    @pytest.mark.parametrize("model, max_obs", parity_cases())
+    def test_joint_action_groups_match_reference(self, monkeypatch, model, max_obs, group):
+        # blocks of group * n rows put depth 1's n rows in groups of
+        # `group` joint actions (n + 1 rows for groups of one)
+        n = epsilon_global(replace(model, horizon=2), max_obs).beliefs_checked - 1
+        force_block_rows(monkeypatch, model, group * n + (group == 1))
+        units = spy_depth_units(monkeypatch)
+        assert epsilon_global(model, max_obs) == epsilon_global_reference(model, max_obs)
+        if n > 1 and model.num_joint_actions > group:
+            assert (n, [(a, min(a + group, model.num_joint_actions))
+                        for a in range(0, model.num_joint_actions, group)]) in units
+
+    @pytest.mark.parametrize("max_obs", [2, 3])
+    @pytest.mark.parametrize(
+        "action_counts, obs_counts", [((3, 3), (4, 4)), ((2, 3), (5, 3))], ids=["3x3-4x4", "2x3-5x3"]
+    )
+    def test_one_row_depth_keeps_lone_row_sums(self, action_counts, obs_counts, max_obs):
+        # b0's joint actions are scored in one block, each as a lone row:
+        # numpy sums 8 or more kept observations of a lone row pairwise,
+        # of a row among others term by term; scored so, 29 of the 120
+        # max_obs 3 reports here moved (none at max_obs 2, 4 kept)
+        for seed in range(60):
+            model = random_model(
+                seed, horizon=1, num_states=5, action_counts=action_counts, obs_counts=obs_counts
+            )
+            assert epsilon_global(model, max_obs) == epsilon_global_reference(model, max_obs), seed
+
+    def test_depths_with_many_pairs_go_one_joint_action_at_a_time(self, monkeypatch):
+        # the broadcast channel's blocks hold 32,768 rows, but a group holds
+        # at most 4,096 (row, joint observation) pairs: depth 3's 400 rows
+        # go two joint actions at a time, depth 4's 4,960 one at a time
+        units = spy_depth_units(monkeypatch)
+        epsilon_global(build_mabc(horizon=5), 1)
+        assert units == [
+            (1, [(0, 4)]), (4, [(0, 4)]), (36, [(0, 4)]), (400, [(0, 2), (2, 4)]),
+            (4960, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+        ]
+
     @pytest.mark.parametrize("rows", [2, 3])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_blocks_that_reach_one_state_keep_the_dense_products(self, monkeypatch, seed, rows):
@@ -520,22 +588,27 @@ class TestExactParity:
         assert epsilon_global(model, max_obs) == once
 
     @pytest.mark.parametrize(
-        "model", [build_tiger(horizon=3), build_mabc(horizon=3), build_boxpush(horizon=2)],
+        "model, calls_made",
+        [(build_tiger(horizon=3), 3), (build_mabc(horizon=3), 3), (build_boxpush(horizon=2), 3)],
         ids=["tiger-h3", "mabc-h3", "boxpush-h2"],
     )
-    def test_depths_in_one_block_score_once_per_joint_action(self, monkeypatch, model):
-        from mbdp.analysis import _capture_matrix
-
+    def test_short_depths_score_joint_actions_in_groups(self, monkeypatch, model, calls_made):
+        # box pushing's groups hold at most 4,096 // 25 = 163 rows, so its
+        # 15-row depth 1 goes 10 joint actions at a time, its 16 in two;
+        # every other depth here in one group
+        minimum = mbdp.analysis._block_minimum
         calls = []
 
-        def counted(q, flat):
-            calls.append(len(q))
-            return _capture_matrix(q, flat)
+        def counted(q, flat, best, hints=None, lone=False):
+            calls.append((len(q), hints, lone))
+            return minimum(q, flat, best, hints, lone)
 
-        monkeypatch.setattr(mbdp.analysis, "_capture_matrix", counted)
+        monkeypatch.setattr(mbdp.analysis, "_block_minimum", counted)
         report = epsilon_global(model, 1)
-        assert len(calls) <= model.horizon * model.num_joint_actions
-        assert sum(calls) == report.beliefs_checked * model.num_joint_actions
+        assert len(calls) == calls_made
+        assert sum(rows for rows, _, _ in calls) == report.beliefs_checked * model.num_joint_actions
+        assert calls[0] == (model.num_joint_actions, None, True)  # b0's, as lone rows
+        assert all(hints is None and not lone for _, hints, lone in calls[1:])
 
     @pytest.mark.parametrize("n, size", [(1, 2), (2, 2), (5, 2), (7, 3), (9, 4), (10, 3), (6, 3)])
     def test_row_blocks_cover_the_depth_without_one_row_blocks(self, n, size):
@@ -560,7 +633,7 @@ class TestExactParity:
         # block's products have the bits of the same rows of the products
         # over the whole depth; boxpush-6782 ends in a 94-row block, which
         # OpenBLAS's small-matrix kernels on AVX-512 multiply with other bits
-        from mbdp.analysis import _block_products, _row_blocks
+        from mbdp.analysis import _block_products, _depth_units
 
         model = build(horizon=2)
         num_states = len(model.states)
@@ -570,24 +643,24 @@ class TestExactParity:
         rows[rng.random(rows.shape) > 4 / num_states] = 0.0  # sparse, like box pushing's beliefs
         rows[np.arange(n), rng.integers(num_states, size=n)] = 1.0 - rng.random(n)
         rows /= rows.sum(axis=1, keepdims=True)
-        spans = _row_blocks(n, size)
-        assert len(spans) > 1
-        for ja in range(model.num_joint_actions):
-            post = rows @ model.transition[ja]
-            q = post @ model.observation[ja]
-            for lo, hi in spans:
-                got = _block_products(rows, model.transition[ja], model.observation[ja], lo, hi, size)
-                where = f"rows {lo}:{hi} of joint action {ja}"
-                assert np.array_equal(got[0], post[lo:hi]), f"BLAS gives {where} other bits in a block"
-                assert np.array_equal(got[1], q[lo:hi]), (
-                    f"BLAS gives {where} other observation products in a block"
-                )
+        units = _depth_units(rows, size, size, model.num_joint_actions)
+        assert len(units) > model.num_joint_actions
+        post = [rows @ model.transition[ja] for ja in range(model.num_joint_actions)]
+        q = [p @ model.observation[ja] for ja, p in enumerate(post)]
+        for (ja, _), (lo, hi), block, _ in units:
+            got = _block_products(block, model.transition[ja : ja + 1], model.observation[ja : ja + 1])
+            cut = len(block) - (hi - lo)
+            where = f"rows {lo}:{hi} of joint action {ja}"
+            assert np.array_equal(got[0][0, cut:], post[ja][lo:hi]), f"BLAS gives {where} other bits in a block"
+            assert np.array_equal(got[1][0, cut:], q[ja][lo:hi]), (
+                f"BLAS gives {where} other observation products in a block"
+            )
 
     @pytest.mark.parametrize("n", [418, 2_500, 6_782])
     def test_narrowed_block_products_have_the_whole_depth_bits(self, n):
         # each block's rows hold mass on their own 10 to 50 of box
         # pushing's 100 states, so its products are narrowed
-        from mbdp.analysis import _block_products, _block_support, _row_blocks
+        from mbdp.analysis import _block_products, _depth_units, _row_blocks
 
         model = build_boxpush(horizon=2)
         num_states = len(model.states)
@@ -602,21 +675,20 @@ class TestExactParity:
             block[np.arange(hi - lo), rng.integers(len(states), size=hi - lo)] = 1.0 - rng.random(hi - lo)
             rows[lo:hi, states] = block / block.sum(axis=1, keepdims=True)
         narrowed = 0
-        for ja in range(model.num_joint_actions):
-            post = rows @ model.transition[ja]
-            q = post @ model.observation[ja]
-            for lo, hi in spans:
-                support = _block_support(rows[min(lo, n - size) : hi])
-                got, got_q, reach = _block_products(
-                    rows, model.transition[ja], model.observation[ja], lo, hi, size, support
-                )
-                narrowed += reach is not None
-                want = post[lo:hi] if reach is None else post[lo:hi, reach]
-                where = f"rows {lo}:{hi} of joint action {ja}"
-                assert np.array_equal(got, want), f"BLAS gives {where} other bits when narrowed"
-                assert np.array_equal(got_q, q[lo:hi]), (
-                    f"BLAS gives {where} other observation products when narrowed"
-                )
+        post = [rows @ model.transition[ja] for ja in range(model.num_joint_actions)]
+        q = [p @ model.observation[ja] for ja, p in enumerate(post)]
+        for (ja, _), (lo, hi), block, support in _depth_units(rows, size, size, model.num_joint_actions):
+            got, got_q, reach = _block_products(
+                block, model.transition[ja : ja + 1], model.observation[ja : ja + 1], support
+            )
+            cut = len(block) - (hi - lo)
+            narrowed += reach is not None
+            want = post[ja][lo:hi] if reach is None else post[ja][lo:hi, reach]
+            where = f"rows {lo}:{hi} of joint action {ja}"
+            assert np.array_equal(got[0, cut:], want), f"BLAS gives {where} other bits when narrowed"
+            assert np.array_equal(got_q[0, cut:], q[ja][lo:hi]), (
+                f"BLAS gives {where} other observation products when narrowed"
+            )
         assert narrowed > len(spans)
 
     @pytest.mark.parametrize("rows", [0, 1, 2, 50, 3000])

@@ -255,6 +255,49 @@ class TestJointIndexing:
         for ja in range(tiger.num_joint_actions):
             assert tiger.joint_action_index(tiger.joint_action(ja)) == ja
 
+    def test_numpy_integers_are_indices(self, tiger):
+        assert tiger.joint_action_index(np.int64(3)) == 3
+        assert tiger.joint_action_index((np.int32(1), 0)) == 3
+        assert tiger.joint_observation_index([np.int64(1), np.int64(1)]) == 3
+
+    @pytest.mark.parametrize(
+        "value, match",
+        [
+            ((0.9, 0), r"action component 0\.9 of \(0\.9, 0\) is not an integer"),
+            (("1", 0), r"action component '1' of \('1', 0\) is not an integer"),
+            ((True, False), r"action component True of \(True, False\) is not an integer"),
+            (True, "joint action must be an integer or one integer per agent, got True"),
+            (np.bool_(True), "joint action must be an integer .*got np.True_"),
+            (np.float64(1.0), r"joint action must be an integer .*got np.float64\(1.0\)"),
+            ("1", r"action component '1' of '1' is not an integer"),
+        ],
+        ids=["float-part", "str-part", "bool-parts", "bool", "numpy-bool", "numpy-float", "str"],
+    )
+    def test_non_integer_actions_are_refused(self, tiger, value, match):
+        with pytest.raises(ModelError, match=match):
+            tiger.joint_action_index(value)
+
+    @pytest.mark.parametrize(
+        "value, match",
+        [
+            ((1.0, 1), r"observation component 1\.0 of \(1\.0, 1\) is not an integer"),
+            (("0", 1), r"observation component '0' of \('0', 1\) is not an integer"),
+            ((False, True), r"observation component False of \(False, True\) is not an integer"),
+            (True, "joint observation must be an integer or one integer per agent, got True"),
+            (np.float64(2.0), r"joint observation must be an integer .*got np.float64\(2.0\)"),
+        ],
+        ids=["float-part", "str-part", "bool-parts", "bool", "numpy-float"],
+    )
+    def test_non_integer_observations_are_refused(self, tiger, value, match):
+        with pytest.raises(ModelError, match=match):
+            tiger.joint_observation_index(value)
+
+    def test_bool_action_is_refused_where_beliefs_are_scored(self, tiger):
+        with pytest.raises(ModelError, match="got True"):
+            epsilon_at(tiger, tiger.initial_belief, True, 1)
+        with pytest.raises(ModelError, match="observation component"):
+            tiger.bayes_update(tiger.initial_belief, 0, (0.0, 1))
+
     def test_agent_zero_is_most_significant(self, tiger):
         # index 0 is (0, 0); incrementing the last agent moves by one slot
         assert tiger.joint_action(0) == (0, 0)
