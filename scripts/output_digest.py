@@ -88,6 +88,16 @@ def epsilon(model, max_obs):
     return fields
 
 
+def random_baseline(model):
+    result = mbdp.random_policy_baseline(model, seed=0)
+    return {
+        "value": result.value,
+        "std_error": result.std_error,
+        "samples": result.samples,
+        "policy": mbdp.serialize_policy(model, result.policy),
+    }
+
+
 def cli(argv, written=()):
     """Exit code, stdout with timing records dropped, stderr, and the files ``written``."""
     out, err = io.StringIO(), io.StringIO()
@@ -167,13 +177,10 @@ def all_runs():
     runs["epsilon-boxpush-h3-obs3"] = epsilon(mbdp.build_boxpush(horizon=3), 3)
     policy = mbdp.improved_mbdp(boxpush, mbdp.SolverConfig(max_obs=3)).policy
     runs["simulate-boxpush-h10"] = dataclasses.asdict(mbdp.simulate(boxpush, policy, 20_000, seed=0))
-    baseline = mbdp.random_policy_baseline(boxpush, seed=0)
-    runs["random-baseline-boxpush-h10"] = {
-        "value": baseline.value,
-        "std_error": baseline.std_error,
-        "samples": baseline.samples,
-        "policy": mbdp.serialize_policy(boxpush, baseline.policy),
-    }
+    # box pushing h=10 passes RANDOM_NODE_CAP and draws shared levels;
+    # tiger h=3 stays within it and draws whole trees
+    runs["random-baseline-boxpush-h10"] = random_baseline(boxpush)
+    runs["random-baseline-tiger-h3"] = random_baseline(mbdp.build_tiger(horizon=3))
     for name, layout in {"default": None, **BOXPUSH_LAYOUTS}.items():
         runs[f"boxpush-tables-{name}"] = table_digest(mbdp.build_boxpush(layout, horizon=2))
     runs.update(cli_runs())

@@ -7,8 +7,9 @@ JSON object per line with a fixed schema; timing always goes into its
 own record type so that record streams from identical runs stay
 byte-comparable regardless of machine speed.
 
-Exit codes: 0 success, 2 usage, 3 capacity (a requested computation is
-too large), 4 bad data (unparseable or inconsistent problem/policy).
+Exit codes: 0 success, 2 usage, 3 capacity (a requested computation, or
+a problem file's tables, too large), 4 bad data (unparseable or
+inconsistent problem/policy).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .benchmarks import (
     load_boxpush_config,
 )
 from .errors import (
+    MAX_GRID_FLOATS,
     CapacityError,
     ConfigError,
     EvaluationError,
@@ -117,17 +119,27 @@ def parse_problem_text(text: str, name: str = "") -> DecPomdp:
         return missing
 
     def open_tables():
+        # a state count is named only once the tables it sizes fit the cap
         states = header["states"]
-        if len(set(states)) != len(states):
+        counted = isinstance(states, int)
+        if not counted and len(set(states)) != len(states):
             raise ParseError("duplicate state names")
-        index["state"] = {s: k for k, s in enumerate(states)}
-        shape = [len(states)]
+        shape = [states if counted else len(states)]
         for kind in ("action", "observation"):
             groups = [header[kind + "s"][i] for i in range(header["agents"])]
             sizes = [len(g) for g in groups]
             index[kind] = ([{t: k for k, t in enumerate(g)} for g in groups], _mixed_radix_strides(sizes))
             shape.append(math.prod(sizes))
         num_s, num_ja, num_jo = shape
+        floats = num_ja * num_s * (2 * num_s + num_jo)
+        if floats > MAX_GRID_FLOATS:
+            raise CapacityError(
+                f"tables T, O and R would take {floats} floats for {num_s} states, {num_ja} joint "
+                f"actions and {num_jo} joint observations (cap {MAX_GRID_FLOATS})"
+            )
+        if counted:
+            header["states"] = states = _auto_names("s", num_s)
+        index["state"] = {s: k for k, s in enumerate(states)}
         tables["T"] = np.zeros((num_ja, num_s, num_s))
         tables["O"] = np.zeros((num_ja, num_s, num_jo))
         tables["R"] = np.zeros((num_ja, num_s, num_s))
@@ -192,7 +204,7 @@ def parse_problem_text(text: str, name: str = "") -> DecPomdp:
             if not tokens:
                 fail(lineno, "states: needs names or a count")
             if len(tokens) == 1 and tokens[0].isdecimal():
-                header["states"] = _auto_names("s", int(tokens[0]))
+                header["states"] = int(tokens[0])
             else:
                 header["states"] = tuple(tokens)
         elif head in ("actions", "observations"):

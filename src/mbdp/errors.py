@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit, and the argument checks that raise them."""
+"""Exception types shared across the toolkit, the argument checks that raise them, and the array cap."""
 
 from numbers import Integral
 
@@ -25,6 +25,12 @@ class EvaluationError(MbdpError):
 
 class CapacityError(MbdpError):
     """An enumeration would exceed the configured size cap."""
+
+
+# floats the planner's selection grid, a simulation's per-episode arrays
+# or a problem file's tables may take (2 GiB); past it ``CapacityError``
+# is raised before they are allocated
+MAX_GRID_FLOATS = 1 << 28
 
 
 class ConfigError(MbdpError):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ModelError
-from .model import PROB_TOL, BeliefState, DecPomdp
+from .model import PROB_TOL, DecPomdp
 from .policy import CompiledPolicy, JointPolicy
 
 
@@ -87,19 +87,15 @@ class BeliefTrajectory:
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
 
-    @property
-    def beliefs(self) -> tuple[BeliefState, ...]:
-        return tuple(BeliefState(row) for row in self.probs)
 
-
-def solve_underlying_mdp(model: DecPomdp, horizon: int | None = None):
+def solve_underlying_mdp(model: DecPomdp):
     """Finite-horizon value iteration on states with joint actions.
 
     Returns (values, greedy) where values[k] is the optimal state value
     with k steps to go and greedy[k] the lexicographically first optimal
-    joint action, for k = 0..horizon.
+    joint action, for k = 0..model.horizon.
     """
-    horizon = model.horizon if horizon is None else horizon
+    horizon = model.horizon
     num_s = model.num_states
     values = np.zeros((horizon + 1, num_s))
     greedy = np.zeros((horizon + 1, num_s), dtype=np.int64)

@@ -55,23 +55,9 @@ class BeliefState:
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
 
-    @staticmethod
-    def point_mass(state: int, num_states: int) -> "BeliefState":
-        probs = np.zeros(num_states)
-        probs[state] = 1.0
-        return BeliefState(probs)
-
-    @staticmethod
-    def uniform(num_states: int) -> "BeliefState":
-        return BeliefState(np.full(num_states, 1.0 / num_states))
-
     @property
     def num_states(self) -> int:
         return self.probs.size
-
-    def most_likely_state(self) -> int:
-        # argmax takes the lowest index on ties
-        return int(np.argmax(self.probs))
 
 
 def _mixed_radix_strides(sizes: Sequence[int]) -> tuple[int, ...]:

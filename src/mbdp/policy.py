@@ -13,8 +13,10 @@ step through the grid of the agents' rows at each depth.  Simulation
 reads each outcome from a guide table of buckets per cumulative row,
 and searches the row's sorted distinct values only for a draw in a
 bucket that holds one of them; either way the outcome is that of
-comparing the draw with the whole row.  Only ``json`` recurses, and
-a nested policy file too deep for it is rejected with ``ParseError``.
+comparing the draw with the whole row.  An episode count whose arrays
+would pass ``MAX_GRID_FLOATS`` raises ``CapacityError`` before any is
+allocated.  Only ``json`` recurses, and a nested policy file too deep
+for it is rejected with ``ParseError``.
 """
 
 from __future__ import annotations
@@ -22,12 +24,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .backup import _grid, _terms
-from .errors import EvaluationError, ModelError, ParseError, require_count, require_seed
+from .errors import MAX_GRID_FLOATS, CapacityError, EvaluationError, ModelError, ParseError
+from .errors import require_count, require_seed
 from .model import BeliefState, DecPomdp
 
 POLICY_FORMAT = "mbdp-joint-policy"
@@ -76,24 +79,6 @@ class PolicyTree:
 
     def child(self, obs: int) -> "PolicyTree | None":
         return self.children[obs] if self.children else None
-
-    def same_structure(self, other: "PolicyTree") -> bool:
-        """Structural equality (actions and branch shapes); each pair of shared nodes is compared once."""
-        seen: set[tuple[int, int]] = set()
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if (id(a), id(b)) in seen:
-                continue
-            seen.add((id(a), id(b)))
-            if a.action != b.action or a.depth != b.depth or len(a.children) != len(b.children):
-                return False
-            for x, y in zip(a.children, b.children):
-                if (x is None) != (y is None):
-                    return False
-                if x is not None:
-                    stack.append((x, y))
-        return True
 
 
 @dataclass(frozen=True, eq=False, repr=False, init=False)
@@ -218,29 +203,10 @@ def _compile(agent: int, root: PolicyTree, names: Sequence):
 
 # Unused by the package; kept only because perfbench/bench_trace.py imports it and patches ``retain``.
 class ValueTable:
-    """Memo of state-value vectors keyed by joint subtree identity.
+    """Empty stand-in for a value memo the package no longer keeps."""
 
-    Entries are idempotent: the first write for a key wins.
-    """
-
-    __slots__ = ("_vectors",)
-
-    def __init__(self):
-        self._vectors: dict[tuple[int, ...], np.ndarray] = {}
-
-    def get(self, key):
-        return self._vectors.get(key)
-
-    def put(self, key, vector) -> None:
-        self._vectors.setdefault(key, vector)
-
-    def retain(self, keys: Iterable[tuple[int, ...]]) -> None:
-        """Drops every entry whose key is not listed."""
-        wanted = set(keys)
-        self._vectors = {k: v for k, v in self._vectors.items() if k in wanted}
-
-    def __len__(self):
-        return len(self._vectors)
+    def retain(self, keys) -> None:
+        """Does nothing."""
 
 
 class CompiledPolicy:
@@ -448,6 +414,9 @@ def simulate(model: DecPomdp, joint, episodes: int, seed: int) -> SimulationResu
     model.require_valid()
     n = require_count(episodes, "episodes", EvaluationError)
     rng = np.random.default_rng(require_seed(seed, EvaluationError))
+    # five arrays of n: the tuples, states, returns and two draw columns
+    if 5 * n > MAX_GRID_FLOATS:
+        raise CapacityError(f"{n} episodes would take {5 * n} floats (cap {MAX_GRID_FLOATS}); lower episodes")
     policy = CompiledPolicy(model, joint)
     num_states = model.num_states
 

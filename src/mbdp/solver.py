@@ -52,7 +52,7 @@ from .backup import (
     table_rows,
     weighted_stack,
 )
-from .errors import CapacityError, ConfigError, require_count, require_seed
+from .errors import MAX_GRID_FLOATS, CapacityError, ConfigError, require_count, require_seed
 # generate_belief stays importable from here: perfbench/bench_trace.py wraps it
 from .heuristics import (  # noqa: F401
     PolicyReplayHeuristic,
@@ -200,11 +200,6 @@ def _materialize(levels) -> JointPolicy:
         [[cands.children[i] for cands, _ in top_down[:-1]] for i in agents],
         [[rows[i] for _, rows in top_down] for i in agents],
     )
-
-
-# floats in one level's selection grid, one score per belief and joint
-# tuple (2 GiB): belief_scores allocates the grid whole
-MAX_GRID_FLOATS = 1 << 28
 
 
 def _solve_round(model, cfg: SolverConfig, rng, portfolio):
@@ -522,7 +517,12 @@ class BaselineResult:
     samples: int
 
 
-def _random_tables(model, agent, depth, rng, whole, level_width):
+# random_policy_baseline's two sizes (see there); read at each call
+RANDOM_NODE_CAP = 50_000
+RANDOM_LEVEL_WIDTH = 32
+
+
+def _random_tables(model, agent, depth, rng, whole):
     """(actions, children) per depth, root first, of one agent's random policy."""
     num_obs = model.observation_counts[agent]
     num_act = model.action_counts[agent]
@@ -540,11 +540,11 @@ def _random_tables(model, agent, depth, rng, whole, level_width):
             children.append(np.arange(len(order)).reshape(-1, num_obs))
         return actions, children
     # wide levels share sampled nodes; any single path is still uniform
-    below = int(min(num_obs ** (depth - 1), level_width))
+    below = int(min(num_obs ** (depth - 1), RANDOM_LEVEL_WIDTH))
     actions, children = [rng.integers(num_act, size=below)], []
     for k in range(depth - 2, -1, -1):
         # per node its action, then a row below per observation
-        width = int(min(num_obs**k, level_width))
+        width = int(min(num_obs**k, RANDOM_LEVEL_WIDTH))
         drawn = rng.integers(np.tile([num_act] + [below] * num_obs, width)).reshape(width, -1)
         actions.append(drawn[:, 0])
         children.append(drawn[:, 1:])
@@ -552,37 +552,26 @@ def _random_tables(model, agent, depth, rng, whole, level_width):
     return actions[::-1], children[::-1]
 
 
-def random_policy_baseline(
-    model: DecPomdp,
-    samples: int = 1,
-    seed: int = 0,
-    node_cap: int = 50_000,
-    level_width: int = 32,
-) -> BaselineResult:
+def random_policy_baseline(model: DecPomdp, samples: int = 1, seed: int = 0) -> BaselineResult:
     """Uniformly random joint policies, evaluated exactly.
 
     Every agent draws its whole tree, one action per node, while the
     grid of the agents' deepest full levels, prod_i |O_i|^(h - 1) joint
-    rows, which exact evaluation visits, holds at most ``node_cap``
-    rows.  Past that, every agent draws levels of at most
-    ``level_width`` nodes that share the level below.  With ``samples``
-    = 1 the sampled policy is returned along with its value; with more
-    samples only the mean and its standard error are, since the policies
-    are independent draws.
+    rows, which exact evaluation visits, holds at most
+    ``RANDOM_NODE_CAP`` rows.  Past that, every agent draws levels of at
+    most ``RANDOM_LEVEL_WIDTH`` nodes that share the level below.  With
+    ``samples`` = 1 the sampled policy is returned along with its value;
+    with more samples only the mean and its standard error are, since
+    the policies are independent draws.
     """
     model.require_valid()
     samples = require_count(samples, "samples", ConfigError)
-    node_cap = require_count(node_cap, "node_cap", ConfigError, least=0)
-    level_width = require_count(level_width, "level_width", ConfigError)
     rng = np.random.default_rng(require_seed(seed, ConfigError))
-    whole = math.prod(n ** (model.horizon - 1) for n in model.observation_counts) <= node_cap
+    whole = math.prod(n ** (model.horizon - 1) for n in model.observation_counts) <= RANDOM_NODE_CAP
     values = []
     evaluator = PolicyEvaluator(model)
     for _ in range(samples):
-        tables = [
-            _random_tables(model, i, model.horizon, rng, whole, level_width)
-            for i in range(model.num_agents)
-        ]
+        tables = [_random_tables(model, i, model.horizon, rng, whole) for i in range(model.num_agents)]
         joint = JointPolicy._from_tables(*zip(*tables))
         values.append(evaluator.at_belief(joint, model.initial_belief))
         policy = joint if samples == 1 else None

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import mbdp.policy
-from mbdp import BoxPushConfig, DecPomdp, build_mabc, build_tiger
+from mbdp import BoxPushConfig, CompiledPolicy, DecPomdp, JointPolicy, build_mabc, build_tiger
 
 settings.register_profile(
     "mbdp",
@@ -26,6 +26,21 @@ def traced_peak_mb(call):
         return tracemalloc.get_traced_memory()[1] / 1e6
     finally:
         tracemalloc.stop()
+
+
+def assert_same_tables(model, policy, reference):
+    """``policy``'s tables equal those of ``reference``, a ``JointPolicy`` or per-agent trees."""
+    if not isinstance(reference, JointPolicy):
+        reference = JointPolicy(reference)
+    want = CompiledPolicy(model, reference)
+    for name in ("actions", "children"):
+        got, expected = getattr(policy, name), getattr(want, name)
+        assert len(got) == len(expected) == model.num_agents
+        for mine, theirs in zip(got, expected):
+            assert len(mine) == len(theirs)
+            for a, b in zip(mine, theirs):
+                assert a.dtype == np.int64
+                np.testing.assert_array_equal(a, b)
 
 
 def random_model(

@@ -516,6 +516,43 @@ class TestExitCodes:
         # building the 100-state model takes about 8.4 MB; the arrays would take 14.4 GB
         assert peak < 16
 
+    def test_simulation_array_cap_exits_three_at_once(self, capsys, tmp_path):
+        policy = tmp_path / "tiger.policy"
+        run(capsys, ["solve", "--problem", "tiger", "--horizon", "2", "--output", str(policy)])
+        argv = ["simulate", "--problem", "tiger", "--horizon", "2", "--policy", str(policy),
+                "--episodes", "1000000000", "--format", "records"]
+        result = []
+        peak = traced_peak_mb(lambda: result.append(run(capsys, argv)))
+        code, out, err = result[0]
+        assert code == 3
+        assert not any(r["type"] == "result" for r in records(out))
+        assert json.loads(err.splitlines()[-1]) == {
+            "schema": 1, "type": "error", "error": "CapacityError",
+            "message": "1000000000 episodes would take 5000000000 floats (cap 268435456); lower episodes",
+        }
+        # five arrays of 10^9 entries would take 40 GB
+        assert peak < 1
+
+    def test_problem_table_cap_exits_three_at_once(self, capsys, tmp_path):
+        problem = tmp_path / "huge.problem"
+        problem.write_text(
+            "agents: 2\nstates: 200000\nactions: 0 a b\nactions: 1 a b\nobservations: 0 x y\n"
+            "observations: 1 x y\nhorizon: 2\nstart: uniform\nT: a a s0 s1 1.0\n"
+        )
+        # the problem is refused before the policy file is opened
+        argv = ["evaluate", "--problem", str(problem), "--policy", "missing.policy", "--format", "records"]
+        result = []
+        peak = traced_peak_mb(lambda: result.append(run(capsys, argv)))
+        code, out, err = result[0]
+        assert code == 3
+        assert json.loads(err.splitlines()[-1]) == {
+            "schema": 1, "type": "error", "error": "CapacityError",
+            "message": "tables T, O and R would take 320003200000 floats for 200000 states, "
+                       "4 joint actions and 4 joint observations (cap 268435456)",
+        }
+        # T, O and R would take 2.6 TB, and the state names alone about 13 MB
+        assert peak < 1
+
     def test_bad_flag_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--no-such-flag"])

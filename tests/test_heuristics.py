@@ -84,7 +84,7 @@ class TestUnderlyingMdp:
     @settings(max_examples=25)
     def test_matches_reference_value_iteration(self, seed, steps):
         model = random_model(seed, horizon=steps)
-        values, _ = solve_underlying_mdp(model, steps)
+        values, _ = solve_underlying_mdp(model)
         want = ref.value_iteration(model.transition, model.reward, steps)
         for k in range(steps + 1):
             np.testing.assert_allclose(values[k], want[k], atol=1e-10)
@@ -104,9 +104,8 @@ class TestTrajectories:
         heuristic = RandomHeuristic(mabc)
         traj = generate_belief(heuristic, mabc, depth=2, rng=rng)
         assert len(traj.actions) == 2
-        assert len(traj.beliefs) == 3
-        for b in traj.beliefs:
-            assert abs(float(b.probs.sum()) - 1.0) < 1e-9
+        assert traj.probs.shape == (3, mabc.num_states)
+        np.testing.assert_allclose(traj.probs.sum(axis=1), 1.0, rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("negative", [0.0, -1e-12], ids=["plain", "dust"])
     def test_marginal_rows_match_propagate_chain(self, negative):
@@ -194,6 +193,13 @@ class TestSelectionBeliefs:
             seed, num_states=7, action_counts=shape[0], obs_counts=shape[1], horizon=25
         )
         assert_selection_matches_generate_belief(model, build_portfolio(model, names), 3, seed)
+
+    @pytest.mark.parametrize("action_counts", [(17, 16), (300, 1)])
+    def test_wide_joint_actions_match_generate_belief(self, action_counts):
+        # more than 255 joint actions: the drawn actions are held as uint16
+        model = random_model(2, num_states=4, action_counts=action_counts, horizon=12)
+        assert model.num_joint_actions > 255
+        assert_selection_matches_generate_belief(model, build_portfolio(model, ("random", "mdp")), 3, 1)
 
     @pytest.mark.parametrize("model_name", ["tiger", "random"])
     def test_replay_portfolio_matches_generate_belief(self, model_name):

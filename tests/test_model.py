@@ -165,15 +165,17 @@ def test_belief_entry_points_refuse_wrong_length_beliefs(entry):
     # matmul shape error
     tiger = build_tiger(horizon=3)
     with pytest.raises(ModelError, match="belief has 3 entries, the model 2 states"):
-        BELIEF_ENTRY_POINTS[entry](tiger, BeliefState.uniform(3))
+        BELIEF_ENTRY_POINTS[entry](tiger, BeliefState(np.full(3, 1 / 3)))
 
 
 class TestBeliefs:
     def test_point_mass_and_uniform(self):
-        b = BeliefState.point_mass(1, 3)
-        assert b.most_likely_state() == 1
-        u = BeliefState.uniform(4)
+        # BeliefState takes any distribution, so these need no helper of their own
+        b = BeliefState(np.eye(3)[1])
+        assert b.num_states == 3 and int(np.argmax(b.probs)) == 1
+        u = BeliefState(np.full(4, 0.25))
         np.testing.assert_allclose(u.probs, 0.25)
+        assert not u.probs.flags.writeable
 
     def test_propagate_matches_hand_computation(self):
         m = two_state_chain()

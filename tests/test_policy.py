@@ -15,7 +15,6 @@ from mbdp import (
     PolicyEvaluator,
     PolicyTree,
     SolverConfig,
-    ValueTable,
     build_boxpush,
     build_mabc,
     build_tiger,
@@ -33,7 +32,7 @@ import mbdp.policy as policy_module
 from mbdp.policy import NESTED_MAX_DEPTH, _RowSampler
 
 import _reference as ref
-from conftest import dusty_model, random_model, traced_peak_mb
+from conftest import assert_same_tables, dusty_model, random_model, traced_peak_mb
 
 
 def random_tree(rng, model, agent, depth):
@@ -82,20 +81,23 @@ class TestTree:
         with pytest.raises(AttributeError):
             t.action = 1
 
-    def test_same_structure(self):
+    def test_same_structure(self, tiger):
+        # trees of one structure give equal tables and equal text, whatever their node identity
         l0, l1 = PolicyTree(0), PolicyTree(1)
         a = PolicyTree(0, (l0, l1))
         b = PolicyTree(0, (PolicyTree(0), PolicyTree(1)))
         c = PolicyTree(0, (PolicyTree(1), PolicyTree(1)))
-        assert a.same_structure(b)
-        assert not a.same_structure(c)
+        assert_same_tables(tiger, JointPolicy((b, b)), (a, a))
+        text = serialize_policy(tiger, JointPolicy((a, a)))
+        assert serialize_policy(tiger, JointPolicy((b, b))) == text
+        assert serialize_policy(tiger, JointPolicy((c, c))) != text
 
     def test_same_structure_on_shared_dags(self):
         model = build_mabc(horizon=100)
         policy = plan(model, SolverConfig(max_trees=3, heuristics=("random",))).policy
         text = serialize_policy(model, policy)
         back = parse_policy(model, text)
-        assert all(t.same_structure(u) for t, u in zip(policy.trees, back.trees))
+        assert_same_tables(model, back, policy)
         doc = json.loads(text)
         assert doc["representation"] == "shared"
         # the shared form lists nodes children first, so node 0 is a deepest leaf
@@ -103,7 +105,7 @@ class TestTree:
         assert "children" not in leaf
         leaf["action"] = "wait" if leaf["action"] == "send" else "send"
         changed = parse_policy(model, json.dumps(doc))
-        assert not policy.trees[0].same_structure(changed.trees[0])
+        assert not np.array_equal(changed.actions[0][-1], policy.actions[0][-1])
 
     def test_joint_policy_checks_depth(self):
         with pytest.raises(Exception):
@@ -152,14 +154,6 @@ class TestEvaluator:
         with pytest.raises(EvaluationError, match="state"):
             PolicyEvaluator(tiger).at_state(joint, state)
         assert evaluate_at_state(tiger, joint, np.int64(1)) == evaluate_at_state(tiger, joint, 1)
-
-    def test_retain_drops_unlisted_entries(self):
-        table = ValueTable()
-        table.put((1, 2), np.zeros(2))
-        table.put((3, 4), np.zeros(2))
-        table.retain([(1, 2)])
-        assert table.get((1, 2)) is not None
-        assert table.get((3, 4)) is None
 
 
 def assert_rows_reached(policy):
@@ -525,8 +519,7 @@ class TestSerialization:
     def test_round_trip_preserves_structure(self, tiger):
         joint = random_joint(6, tiger, 2)
         back = parse_policy(tiger, serialize_policy(tiger, joint))
-        for t, u in zip(joint, back.trees):
-            assert t.same_structure(u)
+        assert_same_tables(tiger, back, joint)
 
     def test_garbage_rejected_with_position(self, tiger):
         with pytest.raises(ParseError) as exc:
@@ -611,7 +604,7 @@ class TestSerialization:
         text = serialize_policy(model, joint)
         assert json.loads(text)["representation"] == form
         back = parse_policy(model, text)
-        assert all(t.same_structure(u) for t, u in zip(joint, back.trees))
+        assert_same_tables(model, back, joint)
         assert evaluate_at_belief(model, back, model.initial_belief) == evaluate_at_belief(
             model, joint, model.initial_belief
         )

@@ -34,28 +34,13 @@ from mbdp import (
 )
 
 import _reference as ref
-from conftest import three_agent_model
+from conftest import assert_same_tables, three_agent_model
 
 
 def assert_evaluates_like_reference(model, policy):
     """The evaluator's value vector has the bits of the top-down reference's."""
     got = PolicyEvaluator(model).value_vector(policy)
     assert np.array_equal(got, ref.value_vector_reference(model, policy))
-
-
-def assert_same_tables(model, policy, reference):
-    """``policy``'s tables equal those of ``reference``, a ``JointPolicy`` or per-agent trees."""
-    if not isinstance(reference, JointPolicy):
-        reference = JointPolicy(reference)
-    want = CompiledPolicy(model, reference)
-    for name in ("actions", "children"):
-        got, expected = getattr(policy, name), getattr(want, name)
-        assert len(got) == len(expected) == model.num_agents
-        for mine, theirs in zip(got, expected):
-            assert len(mine) == len(theirs)
-            for a, b in zip(mine, theirs):
-                assert a.dtype == np.int64
-                np.testing.assert_array_equal(a, b)
 
 
 SOLVES = {
@@ -108,7 +93,7 @@ def test_solver_tables_equal_the_reference_trees(monkeypatch, case):
 
 
 BASELINES = [
-    # (model, horizon, node_cap, level_width): the first four draw whole trees, the rest wide levels
+    # (model, horizon, RANDOM_NODE_CAP, RANDOM_LEVEL_WIDTH): the first four draw whole trees, the rest wide levels
     (build_tiger, 4, 50_000, 32),
     (three_agent_model, 3, 50_000, 32),
     (build_mabc, 6, 50_000, 32),
@@ -121,11 +106,18 @@ BASELINES = [
 ]
 
 
+def capped_baseline(monkeypatch, model, node_cap, level_width, **kwargs):
+    """``random_policy_baseline`` with ``RANDOM_NODE_CAP`` and ``RANDOM_LEVEL_WIDTH`` set to the given values."""
+    monkeypatch.setattr(solver_module, "RANDOM_NODE_CAP", node_cap)
+    monkeypatch.setattr(solver_module, "RANDOM_LEVEL_WIDTH", level_width)
+    return random_policy_baseline(model, **kwargs)
+
+
 @pytest.mark.parametrize("build,horizon,node_cap,level_width", BASELINES)
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_baseline_tables_equal_the_reference_trees(build, horizon, node_cap, level_width, seed):
+def test_baseline_tables_equal_the_reference_trees(build, horizon, node_cap, level_width, seed, monkeypatch):
     model = build(horizon=horizon)
-    got = random_policy_baseline(model, samples=1, seed=seed, node_cap=node_cap, level_width=level_width)
+    got = capped_baseline(monkeypatch, model, node_cap, level_width, samples=1, seed=seed)
     rng = np.random.default_rng(seed)
     trees = tuple(
         ref.random_tree_reference(model, i, horizon, rng, node_cap, level_width)
@@ -137,9 +129,9 @@ def test_baseline_tables_equal_the_reference_trees(build, horizon, node_cap, lev
 
 
 @pytest.mark.parametrize("build,horizon,node_cap,level_width", BASELINES)
-def test_baseline_mean_equals_the_reference_draws(build, horizon, node_cap, level_width):
+def test_baseline_mean_equals_the_reference_draws(build, horizon, node_cap, level_width, monkeypatch):
     model = build(horizon=horizon)
-    got = random_policy_baseline(model, samples=5, seed=0, node_cap=node_cap, level_width=level_width)
+    got = capped_baseline(monkeypatch, model, node_cap, level_width, samples=5, seed=0)
     rng = np.random.default_rng(0)
     values = [
         evaluate_at_belief(
@@ -159,7 +151,7 @@ def test_baseline_mean_equals_the_reference_draws(build, horizon, node_cap, leve
     "build,whole", [(build_tiger, 8), (build_mabc, 8), (build_boxpush, 4), (three_agent_model, 5)]
 )
 def test_baseline_draws_whole_trees_while_the_deepest_grid_fits_node_cap(build, whole):
-    # the default node_cap of 50,000 against prod_i |O_i|^(h - 1): two
+    # the default RANDOM_NODE_CAP of 50,000 against prod_i |O_i|^(h - 1): two
     # agents of 2 observations reach 4^7 = 16,384 at h=8 and 65,536 at h=9,
     # box pushing 25^3 = 15,625 at h=4 and 390,625 at h=5, and the three
     # agents of (2, 2, 3) observations 12^4 = 20,736 at h=5 and 248,832 at h=6
@@ -189,7 +181,7 @@ def test_solvers_and_baselines_build_no_policy_tree(monkeypatch):
         exact_solve(build_tiger(horizon=3)),
         random_policy_baseline(build_tiger(horizon=4), samples=1, seed=0),
         random_policy_baseline(build_mabc(horizon=30), samples=1, seed=0),
-        random_policy_baseline(build_mabc(horizon=8), samples=3, seed=0, node_cap=10),
+        capped_baseline(monkeypatch, build_mabc(horizon=8), 10, 32, samples=3, seed=0),
     ]
     files = [
         (build_tiger(horizon=3), exact_solve(build_tiger(horizon=3)).policy, "nested"),

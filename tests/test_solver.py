@@ -358,8 +358,7 @@ class TestEquivalence:
         full = mbdp(model, cfg)
         budget = improved_mbdp(model, replace(cfg, max_obs=2))
         assert budget.value == full.value
-        for a, b in zip(full.policy.trees, budget.policy.trees):
-            assert a.same_structure(b)
+        assert serialize_policy(model, budget.policy) == serialize_policy(model, full.policy)
 
 
     def test_mbdp_solves_without_an_observation_budget(self, mabc):
@@ -378,8 +377,7 @@ class TestDeterminism:
         a = improved_mbdp(model, cfg)
         b = improved_mbdp(model, cfg)
         assert a.value == b.value
-        for x, y in zip(a.policy.trees, b.policy.trees):
-            assert x.same_structure(y)
+        assert serialize_policy(model, a.policy) == serialize_policy(model, b.policy)
 
     def test_repeated_runs_give_identical_records(self, mabc):
         model = replace(mabc, horizon=6)
@@ -430,6 +428,8 @@ class TestBaselines:
             ({"samples": 0}, "samples"),
             ({"samples": 2.5}, "samples"),
             ({"samples": True}, "samples"),
+            # the width and node caps are the module constants RANDOM_LEVEL_WIDTH
+            # and RANDOM_NODE_CAP, so the call refuses them whatever their value
             ({"level_width": 0, "node_cap": 3}, "level_width"),
             ({"level_width": 1.5}, "level_width"),
             ({"node_cap": -5}, "node_cap"),
@@ -439,16 +439,18 @@ class TestBaselines:
         ],
     )
     def test_baseline_rejects_bad_counts(self, mabc, kwargs, name):
-        # node_cap may be 0 (always draw wide levels); the others start at 1
-        least = 0 if name == "node_cap" else 1
-        with pytest.raises(ConfigError, match=f"{name} must be an integer >= {least}"):
+        if name == "samples":
+            error, message = ConfigError, f"{name} must be an integer >= 1"
+        else:
+            error, message = TypeError, f"unexpected keyword argument '{name}'"
+        with pytest.raises(error, match=message):
             random_policy_baseline(mabc, **kwargs)
 
     def test_sampler_handles_wide_horizon(self, mabc):
         # full enumeration would need 2^50-ish nodes; the width-capped
         # sampler must still return a playable policy
         model = replace(mabc, horizon=12)
-        res = random_policy_baseline(model, samples=1, seed=0, node_cap=1000)
+        res = random_policy_baseline(model, samples=1, seed=0)
         assert res.policy.depth == 12
 
 
