@@ -177,6 +177,17 @@ def all_runs():
     runs["epsilon-boxpush-h3-obs3"] = epsilon(mbdp.build_boxpush(horizon=3), 3)
     policy = mbdp.improved_mbdp(boxpush, mbdp.SolverConfig(max_obs=3)).policy
     runs["simulate-boxpush-h10"] = dataclasses.asdict(mbdp.simulate(boxpush, policy, 20_000, seed=0))
+    # the benchmark's mabc-full policy, whose children never depend on the
+    # joint observation, and a three-agent policy that mixes depths whose
+    # children do with depths whose children do not, on one and two tuples
+    best = max(
+        (mbdp.mbdp(mabc, mbdp.SolverConfig(heuristics=("random",), seed=seed)) for seed in range(10)),
+        key=lambda report: report.value,
+    )
+    runs["simulate-mabc-h100"] = dataclasses.asdict(mbdp.simulate(mabc, best.policy, 20_000, seed=0))
+    three = three_agent_model(6)
+    policy = mbdp.improved_mbdp(three, mbdp.SolverConfig(max_trees=2, max_obs=1)).policy
+    runs["simulate-three-agent-h6"] = dataclasses.asdict(mbdp.simulate(three, policy, 20_000, seed=0))
     # box pushing h=10 passes RANDOM_NODE_CAP and draws shared levels;
     # tiger h=3 stays within it and draws whole trees
     runs["random-baseline-boxpush-h10"] = random_baseline(boxpush)

@@ -345,8 +345,8 @@ def belief_scores(
     return scores.reshape((k,) + tuple(len(x) for x in rows))
 
 
-# floats per output block of picked_values (512 KiB): 2^16 measured
-# fastest, and box pushing's kernel ran 20-35% slower at 2^20
+# floats of stacked terms per block of picked_values (512 KiB); output
+# blocks of 2^20 floats ran box pushing's kernel 20-35% slower
 _VALUE_BLOCK = 1 << 16
 
 
@@ -361,35 +361,43 @@ def picked_values(
     expected reward of its joint action plus, per joint observation in
     order, its child tuple's row of ``weighted_stack``, which weights
     only the joint actions the picks take.  Rows are filled in blocks of
-    agent 0's picks of about ``_VALUE_BLOCK`` floats, and each row's sum
-    does not depend on the block, the other rows or the other joint
-    actions.
+    agent 0's picks: one gather stacks a block's terms, (1 + JO, rows,
+    S) of about ``_VALUE_BLOCK`` floats, and one reduction adds them in
+    that order.  Each row's sum does not depend on the block, the other
+    rows or the other joint actions.
     """
     sizes = tuple(len(rows) for rows in picked)
     # take, not a fancy index: it reads a short list of rows faster
     picks = [term.take(rows, axis=0) for term, rows in zip(terms, picked)]
+    num_s = model.num_states
+    out = np.empty(sizes + (num_s,))
+    if prev is None:
+        np.take(model.expected_reward, _grid(picks).ravel(), axis=0, out=out.reshape(-1, num_s))
+        return out
     # every combination of the agents' own actions occurs in the grid
     used = sorted(
         {sum(c) for c in itertools.product(*(set(p[:, 0].tolist()) for p in picks))}
     )
-    num_s = model.num_states
-    out = np.empty(sizes + (num_s,))
-    if prev is not None:
-        weighted = weighted_stack(model, prev, used)
-        # each used joint action's first row in weighted
-        num_children = math.prod(prev.shape[:-1])
-        first = np.zeros(model.num_joint_actions, dtype=np.int64)
-        first[used] = np.arange(0, len(used) * num_children, num_children)
-    step = max(1, _VALUE_BLOCK // (math.prod(sizes[1:]) * num_s))
+    weighted = weighted_stack(model, prev, used)
+    num_jo, width = weighted.shape[:2]
+    weighted = weighted.reshape(-1, num_s)
+    # each used joint action's first row in a joint observation's slice of
+    # weighted, and each slice's first row
+    num_children = math.prod(prev.shape[:-1])
+    first = np.zeros(model.num_joint_actions, dtype=np.int64)
+    first[used] = np.arange(0, len(used) * num_children, num_children)
+    slices = np.arange(0, num_jo * width, width)[:, None]
+    # a block's terms, (1 + JO, rows, S), hold about _VALUE_BLOCK floats
+    step = max(1, _VALUE_BLOCK // (math.prod(sizes[1:]) * num_s * (1 + num_jo)))
     for lo in range(0, sizes[0], step):
         block = out[lo : lo + step].reshape(-1, num_s)
         # per tuple, its joint action, then its child tuple per joint observation
         tuples = _grid([picks[0][lo : lo + step], *picks[1:]]).reshape(len(block), -1)
-        np.take(model.expected_reward, tuples[:, 0], axis=0, out=block)
-        if prev is not None:
-            children = tuples[:, 1:] + first[tuples[:, :1]]
-            for part, child in zip(weighted, children.T):
-                block += part.take(child, axis=0)
+        # the expected reward, then each joint observation's share, added in that order
+        parts = np.empty((1 + num_jo,) + block.shape)
+        np.take(model.expected_reward, tuples[:, 0], axis=0, out=parts[0])
+        np.take(weighted, tuples[:, 1:].T + first[tuples[:, 0]] + slices, axis=0, out=parts[1:])
+        np.add.reduce(parts, axis=0, out=block)
     return out
 
 

@@ -10,10 +10,11 @@ into its tables, and ``JointPolicy.trees`` builds nodes on request.
 trajectory replay, exact evaluation and serialization all read them a
 depth at a time, without recursion; exact evaluation and simulation
 step through the grid of the agents' rows at each depth.  Simulation
-reads each outcome from a guide table of buckets per cumulative row,
-and searches the row's sorted distinct values only for a draw in a
-bucket that holds one of them; either way the outcome is that of
-comparing the draw with the whole row.  An episode count whose arrays
+looks up a joint observation only at depths where some tuple's child
+depends on it.  It reads each outcome from a guide table of buckets per
+cumulative row, and searches the row's sorted distinct values only for
+a draw in a bucket that holds one of them; either way the outcome is
+that of comparing the draw with the whole row.  An episode count whose arrays
 would pass ``MAX_GRID_FLOATS`` raises ``CapacityError`` before any is
 allocated.  Only ``json`` recurses, and a nested policy file too deep
 for it is rejected with ``ParseError``.
@@ -401,7 +402,12 @@ def simulate(model: DecPomdp, joint, episodes: int, seed: int) -> SimulationResu
     numbered as in ``PolicyEvaluator``, whose table (the only one held)
     gives each tuple's joint action and child tuple per joint observation.
     A step draws for all episodes, then samples and looks up
-    ``_SIM_BLOCK`` episodes at a time.  Each categorical draw on a
+    ``_SIM_BLOCK`` episodes at a time.  A depth with one tuple reads its
+    joint action as a number.  A depth where each tuple's child is the
+    same after every joint observation looks up no observation: the next
+    tuple is a gather of that child column, or stays tuple 0 at a depth
+    of one tuple.  Its observation uniforms are still drawn, so the
+    stream is the same.  Each categorical draw on a
     cumulative row of the start belief, ``T`` or ``O`` is one read of the
     row's guide table, and a binary search over the row's sorted distinct
     values only where the draw's bucket holds one of them
@@ -443,25 +449,46 @@ def simulate(model: DecPomdp, joint, episodes: int, seed: int) -> SimulationResu
         # per column, a plane over the tuples in C order (a view of how _grid lays
         # out _terms sums): joint action * num_states, then each observation's child
         planes = np.moveaxis(grid, -1, 0).reshape(grid.shape[-1], -1)
-        acts, kids, count = planes[0], planes[1:].reshape(-1), planes.shape[1]
+        acts, count = planes[0], planes.shape[1]
         acts *= num_states
+        # one tuple's joint action is a scalar
+        act = acts[0] if count == 1 else None
+        # kids: each tuple's child per joint observation, read after an
+        # observation draw; column: each tuple's child where it is the same
+        # after every joint observation, so no observation is looked up.  One
+        # tuple with one child needs neither: every row is reached, so the
+        # next depth is one tuple too
+        kids = column = None
+        if not last and (planes[2:] != planes[1]).any():
+            kids = planes[1:].reshape(-1)
+        elif not last and count > 1:
+            column = planes[1]
         rng.random(n, out=t_draws)
         if not last:
             rng.random(n, out=o_draws)
         for tuples, state, returns, t_u, o_u, at, base, row, flat, value in blocks:
-            np.take(acts, tuples, out=base, mode="clip")
-            np.add(base, state, out=row)
+            if act is None:
+                np.take(acts, tuples, out=base, mode="clip")
+                np.add(base, state, out=row)
+            else:
+                np.add(state, act, out=row)
             # the next state replaces the state, which the T row holds
             transition.draw(row, t_u, state, flat)
             np.multiply(row, num_states, out=flat)
             flat += state
             returns += np.take(reward, flat, out=value, mode="clip")
-            if not last:
-                base += state
+            if kids is not None:
+                if act is None:
+                    base += state
+                else:
+                    np.add(state, act, out=base)
                 np.multiply(observation.draw(base, o_u, row, flat), count, out=at)
                 at += tuples
                 np.take(kids, at, out=tuples, mode="clip")
-        del grid, planes, acts, kids
+            elif column is not None:
+                # take reads each index before it writes that entry
+                np.take(column, tuples, out=tuples, mode="clip")
+        del grid, planes, acts, kids, column
     std_error = float(total.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     return SimulationResult(mean=float(total.mean()), std_error=std_error, episodes=n)
 

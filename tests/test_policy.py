@@ -32,7 +32,7 @@ import mbdp.policy as policy_module
 from mbdp.policy import NESTED_MAX_DEPTH, _RowSampler
 
 import _reference as ref
-from conftest import assert_same_tables, dusty_model, random_model, traced_peak_mb
+from conftest import assert_same_tables, dusty_model, random_model, three_agent_model, traced_peak_mb
 
 
 def random_tree(rng, model, agent, depth):
@@ -263,6 +263,43 @@ def _boxpush_planner_case():
     return model, improved_mbdp(model, cfg).policy
 
 
+def shaped_joint(model, seed, shapes):
+    """A joint policy whose children follow ``shapes``, one list per agent.
+
+    ``shapes[i][d]`` is (kind, width): the rows of depth d + 1 are
+    ``width`` rows, and row r of depth d continues with row (r + 1) % width
+    after every observation when kind is "same", and with row (r + o) %
+    width after observation o when kind is "branch".  Actions are drawn
+    from ``seed``.
+    """
+    rng = np.random.default_rng(seed)
+    trees = []
+    for i, shape in enumerate(shapes):
+        num_obs = model.observation_counts[i]
+        widths = [1] + [width for _, width in shape]
+        nodes = [PolicyTree(int(rng.integers(model.action_counts[i]))) for _ in range(widths[-1])]
+        for (kind, width), rows in zip(reversed(shape), reversed(widths[:-1])):
+            kids = [[(r + (o if kind == "branch" else 1)) % width for o in range(num_obs)] for r in range(rows)]
+            nodes = [PolicyTree(int(rng.integers(model.action_counts[i])), [nodes[c] for c in row]) for row in kids]
+        trees.append(nodes[0])
+    return tuple(trees)
+
+
+# depth 0 branches from one tuple; then children agree across observations
+# on several tuples: 2-3 rows per agent, 2 rows, then every tuple to tuple 0
+_SAME_SHAPE = [("branch", 3), ("same", 3), ("same", 2), ("same", 1), ("same", 1)]
+# one-tuple depths that branch and that do not, several tuples whose
+# children agree, and a depth where only agent 1 branches
+_MIXED_SHAPES = [
+    [("branch", 2), ("same", 1), ("branch", 2), ("same", 2), ("same", 1), ("same", 1), ("branch", 2)],
+    [("branch", 2), ("same", 1), ("branch", 2), ("branch", 2), ("same", 1), ("same", 1), ("branch", 2)],
+]
+
+
+def _shaped_case(model, shapes):
+    return model, shaped_joint(model, 31, shapes)
+
+
 PARITY_CASES = {
     "random-2-agents": lambda: _random_case(5, 3, num_states=4, action_counts=(2, 3), obs_counts=(3, 2)),
     "random-3-agents": lambda: _random_case(
@@ -276,6 +313,13 @@ PARITY_CASES = {
     "boxpush-h10-improved": _boxpush_planner_case,
     # shared rows, and grids of up to 1,024 joint row tuples per depth
     "mabc-h300-random": lambda: _baseline_case(build_mabc, 300),
+    "same-children-2-agents": lambda: _shaped_case(
+        random_model(12, num_states=4, action_counts=(2, 3), obs_counts=(3, 2), horizon=6), [_SAME_SHAPE] * 2
+    ),
+    "same-children-3-agents": lambda: _shaped_case(three_agent_model(6), [_SAME_SHAPE] * 3),
+    "same-children-mixed": lambda: _shaped_case(
+        random_model(13, num_states=3, action_counts=(3, 2), obs_counts=(2, 3), horizon=8), _MIXED_SHAPES
+    ),
 }
 
 
@@ -292,6 +336,22 @@ def test_simulate_matches_reference(case, monkeypatch):
             monkeypatch.setattr(policy_module, "_SIM_BLOCK", block)
             got = simulate(model, joint, episodes, 6)
             assert (got.mean, got.std_error, got.episodes) == (want.mean, want.std_error, want.episodes)
+
+
+@pytest.mark.parametrize("case", ["same-children-2-agents", "same-children-3-agents", "same-children-mixed"])
+def test_simulate_looks_up_observations_only_where_children_differ(case, monkeypatch):
+    # per block: the start state, each depth's next state, and a joint
+    # observation only at depths where some row's children differ
+    model, joint = PARITY_CASES[case]()
+    policy = JointPolicy(joint)
+    branching = sum(any((k != k[:, :1]).any() for k in kids) for kids in zip(*policy.children))
+    calls = []
+    draw = _RowSampler.draw
+    monkeypatch.setattr(_RowSampler, "draw", lambda self, *args: calls.append(1) or draw(self, *args))
+    monkeypatch.setattr(policy_module, "_SIM_BLOCK", 4)
+    simulate(model, policy, 10, 0)
+    assert branching < policy.depth - 1
+    assert len(calls) == 3 * (1 + policy.depth + branching)
 
 
 def test_simulate_working_set_is_bounded():
