@@ -11,7 +11,8 @@ tests pin.  Planner reports keep every level record field except
 ``millis``, and the policy file of the returned policy.  CLI runs keep
 the exit code, stdout and stderr of every subcommand in both formats,
 and the policy file it writes; ``timing`` records are dropped, because
-they are the only output that depends on the machine's speed.  BLAS is
+they are the only output that depends on the machine's speed.  Three
+more CLI runs keep the records of capacity refusals.  BLAS is
 pinned to one thread.  To digest another source tree, point PYTHONPATH
 at its ``src``; two trees with the same output print the same lines.
 
@@ -40,7 +41,7 @@ from mbdp.cli import main as cli_main  # noqa: E402
 from mbdp.cli import problem_to_text  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-from conftest import BOXPUSH_LAYOUTS, table_digest, three_agent_model  # noqa: E402
+from conftest import BOXPUSH_LAYOUTS, random_model, table_digest, three_agent_model  # noqa: E402
 
 
 def _plain(value):
@@ -135,6 +136,24 @@ def cli_runs():
             for name, argv in commands.items():
                 written = (policy,) if name == "solve-improved" else ()
                 runs[f"cli-{name}-{fmt}"] = cli(argv, written)
+        # refusals, so that a changed capacity message changes a digest: the
+        # planner's plan on README's 2-action, 8-observation model, the exact
+        # solver's tree cap, and a problem file whose header declares tables
+        # past the floats cap
+        wide = random_model(0, num_states=2, obs_counts=(8, 8), horizon=4)
+        Path("wide.txt").write_text(problem_to_text(wide), encoding="utf-8")
+        Path("huge.txt").write_text(
+            "agents: 2\nstates: 200000\nactions: 0 a b\nactions: 1 a b\nobservations: 0 x y\n"
+            "observations: 1 x y\nhorizon: 2\nstart: uniform\nT: a a s0 s1 1.0\n",
+            encoding="utf-8",
+        )
+        refusals = {
+            "plan": ["solve", "--problem", "wide.txt", "--solver", "mbdp"],
+            "exact-cap": ["exact", "--problem", "mabc", "--horizon", "9", "--max-candidates", "10"],
+            "tables": ["solve", "--problem", "huge.txt"],
+        }
+        for name, argv in refusals.items():
+            runs[f"cli-refused-{name}-records"] = cli(argv + ["--format", "records"])
     return runs
 
 

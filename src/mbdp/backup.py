@@ -95,14 +95,11 @@ class ObservationSelection:
             raise ConfigError(f"observation indices must be >= 0, got {self.per_agent}")
 
 
-def _backup_table(num_actions: int, num_donors: int, num_obs: int, slots, cap: int, agent: int):
+def _backup_table(num_actions: int, num_donors: int, num_obs: int, slots, cap, agent: int):
     """(actions, children) of every action crossed with every donor assignment to ``slots``."""
     count = num_actions * num_donors ** len(slots)
-    if count > cap:
-        raise CapacityError(
-            f"backup for agent {agent} would create {count} trees (cap {cap}); "
-            "lower max_trees or max_obs, or raise backup_cap"
-        )
+    if cap is not None and count > require_count(cap, "cap", ConfigError):
+        raise CapacityError(f"backup for agent {agent} would create {count} trees (cap {cap})")
     # child rows of one action's block: base-num_donors digits of 0..block-1,
     # most significant first, so the block runs in lexicographic order
     block = count // num_actions
@@ -114,14 +111,16 @@ def _backup_table(num_actions: int, num_donors: int, num_obs: int, slots, cap: i
 
 
 def exhaustive_backup(
-    model: DecPomdp, donors: Sequence[int] | None, cap: int = 1_000_000
+    model: DecPomdp, donors: Sequence[int] | None, cap: int | None = None
 ) -> CandidateSet:
     """All one-step extensions: every action crossed with every full child assignment.
 
     ``donors`` gives, per agent, the number of rows in the previous
     level's selected list; the backup is ``partial_backup`` with every
     observation selected.  With ``donors`` None the candidates are the
-    depth-1 trees, one per action.
+    depth-1 trees, one per action.  ``cap``, unless None, is the most
+    trees an agent's table may hold, an integer of at least 1; past it
+    ``CapacityError`` is raised before the table is built.
     """
     if donors is not None:
         every = ObservationSelection(tuple(tuple(range(c)) for c in model.observation_counts))
@@ -134,12 +133,13 @@ def partial_backup(
     model: DecPomdp,
     donors: Sequence[int],
     selection: ObservationSelection,
-    cap: int = 1_000_000,
+    cap: int | None = None,
 ) -> CandidateSet:
     """One-step extensions with children assigned only for selected observations.
 
     Rows run action-major, child rows lexicographic over the selected
-    observations; the rest are holes (-1).
+    observations; the rest are holes (-1).  ``cap`` is as for
+    ``exhaustive_backup``.
     """
     if len(selection.per_agent) != model.num_agents:
         raise ConfigError("selection does not cover every agent")

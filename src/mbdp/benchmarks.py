@@ -22,7 +22,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .errors import ConfigError, require_count
-from .model import DecPomdp
+from .model import DecPomdp, require_table_floats
 
 FACINGS = ("N", "E", "S", "W")
 _DIR = {"N": (0, 1), "E": (1, 0), "S": (0, -1), "W": (-1, 0)}
@@ -436,7 +436,9 @@ def build_boxpush(config: BoxPushConfig | None = None, horizon: int = 3) -> DecP
     agent deterministically senses the cell it faces afterwards (goal
     cells and the outside read as walls).  Deliveries jump to a goal
     marker state that pays the reward and then resets to the start;
-    marker states observe empty on both sides.
+    marker states observe empty on both sides.  A layout whose T, O and
+    R tables would pass ``MAX_GRID_FLOATS`` raises ``CapacityError`` once
+    its states are counted, before the tables are allocated.
     """
     cfg = config if config is not None else BoxPushConfig()
     cfg.validate()
@@ -490,6 +492,7 @@ def build_boxpush(config: BoxPushConfig | None = None, horizon: int = 3) -> DecP
     index = {k: i for i, k in enumerate(ordered)}
     num_s = len(ordered)
     num_ja = num_local * num_local
+    require_table_floats(num_s, num_ja, len(_BOX_OBS) ** 2)
 
     transition = np.zeros((num_ja, num_s, num_s))
     reward_num = np.zeros((num_ja, num_s, num_s))

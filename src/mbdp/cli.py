@@ -8,8 +8,8 @@ own record type so that record streams from identical runs stay
 byte-comparable regardless of machine speed.
 
 Exit codes: 0 success, 2 usage, 3 capacity (a requested computation, or
-a problem file's tables, too large), 4 bad data (unparseable or
-inconsistent problem/policy).
+a model's tables, too large), 4 bad data (unparseable or inconsistent
+problem/policy, or a bad option value).
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .benchmarks import (
     load_boxpush_config,
 )
 from .errors import (
-    MAX_GRID_FLOATS,
     CapacityError,
     ConfigError,
     EvaluationError,
@@ -41,7 +40,7 @@ from .errors import (
     ModelError,
     ParseError,
 )
-from .model import DecPomdp, _mixed_radix_strides
+from .model import DecPomdp, _mixed_radix_strides, require_table_floats
 from .policy import PolicyEvaluator, parse_policy, serialize_policy, simulate
 from .solver import (
     LevelRecord,
@@ -131,12 +130,7 @@ def parse_problem_text(text: str, name: str = "") -> DecPomdp:
             index[kind] = ([{t: k for k, t in enumerate(g)} for g in groups], _mixed_radix_strides(sizes))
             shape.append(math.prod(sizes))
         num_s, num_ja, num_jo = shape
-        floats = num_ja * num_s * (2 * num_s + num_jo)
-        if floats > MAX_GRID_FLOATS:
-            raise CapacityError(
-                f"tables T, O and R would take {floats} floats for {num_s} states, {num_ja} joint "
-                f"actions and {num_jo} joint observations (cap {MAX_GRID_FLOATS})"
-            )
+        require_table_floats(num_s, num_ja, num_jo)
         if counted:
             header["states"] = states = _auto_names("s", num_s)
         index["state"] = {s: k for k, s in enumerate(states)}
@@ -383,7 +377,6 @@ def _solver_config(args) -> SolverConfig:
         heuristics=tuple(args.heuristics.split(",")),
         seed=args.seed,
         recursion_depth=args.recursion_depth,
-        backup_cap=args.backup_cap,
     )
 
 
@@ -669,7 +662,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--heuristics", default="mdp,random")
         p.add_argument("--recursion-depth", type=int, default=0)
-        p.add_argument("--backup-cap", type=int, default=1_000_000)
 
     p = sub.add_parser("solve", help="run the memory-bounded planner")
     common(p)

@@ -27,8 +27,8 @@ class CapacityError(MbdpError):
     """An enumeration would exceed the configured size cap."""
 
 
-# floats the planner's selection grid, a simulation's per-episode arrays
-# or a problem file's tables may take (2 GiB); past it ``CapacityError``
+# floats any one array of a planner level, a simulation's per-episode
+# arrays or a model's tables may take (2 GiB); past it ``CapacityError``
 # is raised before they are allocated
 MAX_GRID_FLOATS = 1 << 28
 
@@ -42,6 +42,15 @@ def require_count(value, name: str, error: type[MbdpError], least: int = 1) -> i
     if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
         raise error(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
+
+
+def require_floats(floats: int, message: str, **fields) -> None:
+    """Raises ``CapacityError`` if ``floats`` pass ``MAX_GRID_FLOATS``, read at each call.
+
+    The error's text is ``message.format(floats=floats, cap=..., **fields)``.
+    """
+    if floats > MAX_GRID_FLOATS:
+        raise CapacityError(message.format(floats=floats, cap=MAX_GRID_FLOATS, **fields))
 
 
 def require_seed(value, error: type[MbdpError]) -> int:

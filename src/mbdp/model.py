@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ImpossibleEvidenceError, ModelError, require_count
+from .errors import ImpossibleEvidenceError, ModelError, require_count, require_floats
 
 PROB_TOL = 1e-9
 
@@ -67,6 +67,16 @@ def _mixed_radix_strides(sizes: Sequence[int]) -> tuple[int, ...]:
         strides.append(acc)
         acc *= size
     return tuple(reversed(strides))
+
+
+def require_table_floats(num_states: int, num_joint_actions: int, num_joint_observations: int) -> None:
+    """Refuses, with ``CapacityError``, a model whose T, O and R tables would pass the floats cap."""
+    require_floats(
+        num_joint_actions * num_states * (2 * num_states + num_joint_observations),
+        "tables T, O and R would take {floats} floats for {states} states, {ja} joint actions "
+        "and {jo} joint observations (cap {cap})",
+        states=num_states, ja=num_joint_actions, jo=num_joint_observations,
+    )
 
 
 def _is_index(value) -> bool:

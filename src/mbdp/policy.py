@@ -30,8 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .backup import _grid, _terms
-from .errors import MAX_GRID_FLOATS, CapacityError, EvaluationError, ModelError, ParseError
-from .errors import require_count, require_seed
+from .errors import EvaluationError, ModelError, ParseError, require_count, require_floats, require_seed
 from .model import BeliefState, DecPomdp
 
 POLICY_FORMAT = "mbdp-joint-policy"
@@ -421,8 +420,7 @@ def simulate(model: DecPomdp, joint, episodes: int, seed: int) -> SimulationResu
     n = require_count(episodes, "episodes", EvaluationError)
     rng = np.random.default_rng(require_seed(seed, EvaluationError))
     # five arrays of n: the tuples, states, returns and two draw columns
-    if 5 * n > MAX_GRID_FLOATS:
-        raise CapacityError(f"{n} episodes would take {5 * n} floats (cap {MAX_GRID_FLOATS}); lower episodes")
+    require_floats(5 * n, "{episodes} episodes would take {floats} floats (cap {cap}); lower episodes", episodes=n)
     policy = CompiledPolicy(model, joint)
     num_states = model.num_states
 

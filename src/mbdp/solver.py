@@ -20,11 +20,13 @@ every joint tuple at the level's sampled beliefs only, from the
 children projected onto those beliefs and contracted with one agent's
 one-hot rows at a time, and ``picked_values`` builds value vectors for
 the picked tuples alone from their term rows (both rows from
-``table_rows``), which the next level's backup reads; a grid past
-``MAX_GRID_FLOATS`` raises ``CapacityError`` before it is scored.  The
-exact solver prunes whole tensors below its final level.  The returned
-policy is the tables of the rows the top level's pick reaches; no
-``PolicyTree`` is built.
+``table_rows``), which the next level's backup reads.  Every size the
+planner's levels take follows from the model and the config, so one
+plan (``_plan``) walks the levels before any belief is drawn, and a
+solve any of whose arrays would pass ``MAX_GRID_FLOATS`` raises
+``CapacityError`` there.  The exact solver prunes whole tensors below
+its final level.  The returned policy is the tables of the rows the top
+level's pick reaches; no ``PolicyTree`` is built.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from .backup import (
     table_rows,
     weighted_stack,
 )
-from .errors import MAX_GRID_FLOATS, CapacityError, ConfigError, require_count, require_seed
+from .errors import CapacityError, ConfigError, require_count, require_floats, require_seed
 # generate_belief stays importable from here: perfbench/bench_trace.py wraps it
 from .heuristics import (  # noqa: F401
     PolicyReplayHeuristic,
@@ -79,10 +81,9 @@ class SolverConfig:
     heuristics: tuple[str, ...] = ("mdp", "random")
     seed: int = 0
     recursion_depth: int = 0
-    backup_cap: int = 1_000_000
 
     def __post_init__(self):
-        counts = {"max_trees": 1, "recursion_depth": 0, "backup_cap": 1}
+        counts = {"max_trees": 1, "recursion_depth": 0}
         if self.max_obs is not None:
             counts["max_obs"] = 1
         for name, least in counts.items():
@@ -231,11 +232,6 @@ def _solve_round(model, cfg: SolverConfig, rng, portfolio):
         sizes = q.sizes
         # each pick takes a new row of every table
         beliefs = b_sel[t - 1, : min(sizes)] if t < horizon else b0[None, :]
-        if len(beliefs) * math.prod(sizes) > MAX_GRID_FLOATS:
-            raise CapacityError(
-                f"level {t} would score {len(beliefs) * math.prod(sizes)} floats for tables "
-                f"{sizes} (cap {MAX_GRID_FLOATS}); lower max_trees or max_obs"
-            )
         picked, sel_values = _pick(belief_scores(model, rows, prev, beliefs))
         tables.append((q, picked))
         # the picks' value vectors, the same bits as the whole tensor's rows
@@ -247,7 +243,7 @@ def _solve_round(model, cfg: SolverConfig, rng, portfolio):
         captured = None
         if full_backups:
             if full is None or full[0] != donors:
-                table = exhaustive_backup(model, donors, cfg.backup_cap)
+                table = exhaustive_backup(model, donors)
                 full = (donors, table, table_rows(model, table, donors))
             _, q, (rows, terms) = full
         else:
@@ -258,7 +254,7 @@ def _solve_round(model, cfg: SolverConfig, rng, portfolio):
                 model, ranking_belief, int(a_prev[t - 1, 0]), cfg.max_obs
             )
             captured = selection.captured_mass
-            sparse = partial_backup(model, donors, selection, cfg.backup_cap)
+            sparse = partial_backup(model, donors, selection)
             q = fill_missing(model, sparse, prev, ranking_belief)
             rows, terms = table_rows(model, q, donors)
 
@@ -279,16 +275,75 @@ def _solve_round(model, cfg: SolverConfig, rng, portfolio):
     return float(prev.reshape(-1) @ b0), _materialize(tables), levels
 
 
+def _plan(model: DecPomdp, cfg: SolverConfig) -> list[tuple[int, ...]]:
+    """Refuses, before any belief is drawn, a solve with an array past the floats cap.
+
+    Level 1's tables hold one tree per action.  A level picks K = m
+    tuples, m = min(max_trees, its smallest table), and one at the top;
+    its backup holds A_i m^k_i trees per agent, k_i = O_i for full
+    backups and min(max_obs, O_i) for budgeted ones.  Besides the round's
+    selection beliefs, each level's largest arrays are checked: its
+    one-hot and term rows, ``belief_scores``' observation mass, projected
+    children and contraction steps down to the score grid, and
+    ``picked_values``' weighted children.  A level with the tables and
+    donors of the one below builds its arrays again, or smaller ones at
+    the top, so the walk ends there.  Returns the tables' sizes per level.
+    """
+    horizon = model.horizon
+    num_s, num_ja, num_jo = model.num_states, model.num_joint_actions, model.num_joint_observations
+    acts, obs = model.action_counts, model.observation_counts
+    # b_sel and b_prev, (horizon - 1) x max_trees x S floats each
+    require_floats(
+        2 * (horizon - 1) * cfg.max_trees * num_s,
+        "selection beliefs would take {floats} floats for {picks} picks per level (cap {cap}); "
+        "lower max_trees",
+        picks=cfg.max_trees,
+    )
+    kept = obs if cfg.max_obs is None else tuple(min(cfg.max_obs, o) for o in obs)
+    walk = [acts]
+    donors = None
+    while True:
+        t, sizes = len(walk), walk[-1]
+        picks = min(cfg.max_trees, *sizes) if t < horizon else 1
+        # one-hot columns per agent: its actions at level 1, else (action,
+        # observation, donor row)
+        widths = acts if donors is None else tuple(a * o * donors for a, o in zip(acts, obs))
+        arrays = {
+            "one-hot rows": max(q * w for q, w in zip(sizes, widths)),
+            "term rows": max(sizes) * (1 if donors is None else 1 + num_jo),
+        }
+        if donors is not None:
+            arrays["observation mass"] = picks * num_ja * num_s * num_jo
+        # the projected children (expected rewards at level 1), then the
+        # products after each agent's rows in turn but the last
+        for j in range(len(acts)):
+            name = f"contraction step {j}" if j else "projected children" if donors else "expected rewards"
+            arrays[name] = picks * math.prod(sizes[:j]) * math.prod(widths[j:])
+        arrays["score grid"] = picks * math.prod(sizes)
+        if donors is not None:
+            # the joint actions of the picked tuples, each agent's own actions crossed
+            used = math.prod(min(a, picks) for a in acts)
+            arrays["weighted children"] = num_jo * used * donors ** len(acts) * num_s
+        for what, floats in arrays.items():
+            require_floats(
+                floats,
+                "level {t} would take {floats} floats for its {what}, tables {sizes} (cap {cap}); "
+                "lower max_trees or max_obs",
+                t=t, what=what, sizes=sizes,
+            )
+        if t == horizon:
+            return walk
+        below, donors = donors, min(cfg.max_trees, *sizes)
+        following = tuple(a * donors**k for a, k in zip(acts, kept))
+        # the next level would build this level's arrays again
+        if following == sizes and donors == below:
+            return walk
+        walk.append(following)
+
+
 def _solve(model: DecPomdp, cfg: SolverConfig, solver_name: str):
     started = time.perf_counter()
-    # selection_beliefs allocates b_sel and b_prev, (horizon - 1) x
-    # max_trees x S floats each, before any level is scored
-    floats = 2 * max(model.horizon - 1, 0) * cfg.max_trees * model.num_states
-    if floats > MAX_GRID_FLOATS:
-        raise CapacityError(
-            f"selection beliefs would take {floats} floats for {cfg.max_trees} picks per level "
-            f"(cap {MAX_GRID_FLOATS}); lower max_trees"
-        )
+    _plan(model, cfg)
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.recursion_depth + 1)
     base_portfolio = build_portfolio(model, cfg.heuristics)
     best = None
@@ -318,18 +373,6 @@ def mbdp(model: DecPomdp, cfg: SolverConfig | None = None) -> SolveReport:
     """Memory-bounded planning with full backups: it solves ``cfg`` with ``max_obs`` None."""
     cfg = cfg if cfg is not None else SolverConfig()
     model.require_valid()
-    # a level keeps min(max_trees, its smallest table) rows, the next backup's
-    # donors; every backup is checked before selection_beliefs allocates
-    donors = min(cfg.max_trees, *model.action_counts)
-    for _ in range(model.horizon - 1):
-        counts = [a * donors**o for a, o in zip(model.action_counts, model.observation_counts)]
-        for i, count in enumerate(counts):
-            if count > cfg.backup_cap:
-                raise CapacityError(
-                    f"full backups for agent {i} would build {count} trees per level "
-                    f"(cap {cfg.backup_cap}); lower max_trees or use partial backups"
-                )
-        donors = min(cfg.max_trees, *counts)
     return _solve(model, replace(cfg, max_obs=None), "mbdp")
 
 
@@ -337,7 +380,8 @@ def improved_mbdp(model: DecPomdp, cfg: SolverConfig | None = None) -> SolveRepo
     """Memory-bounded planning with partial backups over the likeliest observations.
 
     Like ``mbdp``, it raises ``CapacityError`` before drawing any belief
-    if the round's selection beliefs would pass ``MAX_GRID_FLOATS``.
+    if the round's selection beliefs, or any level's largest arrays
+    (``_plan``), would pass ``MAX_GRID_FLOATS``.
     """
     cfg = cfg if cfg is not None else SolverConfig(max_obs=2)
     model.require_valid()
@@ -439,8 +483,11 @@ def exact_solve(
     the same decomposition.  ``max_pairs`` caps the joint tuples a level
     evaluates: below the top level, and at horizon 1, all of them; at the
     top level the other agents' row tuples once per action of that agent.
+    Both caps are integers of at least 1; others raise ``ConfigError``.
     """
     model.require_valid()
+    max_candidates = require_count(max_candidates, "max_candidates", ConfigError)
+    max_pairs = require_count(max_pairs, "max_pairs", ConfigError)
     horizon = model.horizon
     # (candidates, survivor rows) per level; survivor lists are what the
     # next level's children index

@@ -577,12 +577,12 @@ def solve_round_reference(model, cfg, rng, portfolio):
         prev = tensor[np.ix_(*picked)]
         donors = prev.shape[:-1]
         if full_backups:
-            q = exhaustive_backup(model, donors, cfg.backup_cap)
+            q = exhaustive_backup(model, donors)
         else:
             # observations are ranked at pick 0's trajectory
             b_prev = BeliefState(first.probs[-2])
             selection = rank_observations(model, b_prev, first.actions[-1], cfg.max_obs)
-            sparse = partial_backup(model, donors, selection, cfg.backup_cap)
+            sparse = partial_backup(model, donors, selection)
             q = fill_missing_reference(model, sparse, prev, b_prev)
         tensor = backup_values_reference(model, q, prev)
     b0 = model.initial_belief.probs

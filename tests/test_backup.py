@@ -22,6 +22,7 @@ from mbdp import (
     partial_backup,
     rank_observations,
 )
+import mbdp.errors as errors_module
 import mbdp.solver as solver_module
 from mbdp.backup import backup_values, prune_value_tensor
 
@@ -83,18 +84,27 @@ class TestCounts:
         with pytest.raises(CapacityError):
             exhaustive_backup(model, (6, 6), cap=1000)
 
-    def test_cap_message_names_the_options(self):
+    @pytest.mark.parametrize("bad", [0, True, 2.5, "10"])
+    def test_rejects_bad_caps(self, tiger, bad):
+        with pytest.raises(ConfigError, match=f"^cap must be an integer >= 1, got {re.escape(repr(bad))}$"):
+            exhaustive_backup(tiger, (2, 2), cap=bad)
+        with pytest.raises(ConfigError, match="^cap must be an integer"):
+            partial_backup(tiger, (2, 2), ObservationSelection(((0,), (1,))), cap=bad)
+
+    def test_cap_message_names_the_options(self, monkeypatch):
         model = random_model(3, num_states=2, action_counts=(2, 2), obs_counts=(4, 4), horizon=4)
-        message = (
-            "backup for agent 0 would create 12 trees (cap 10); "
-            "lower max_trees or max_obs, or raise backup_cap"
-        )
+        message = "backup for agent 0 would create 12 trees (cap 10)"
         with pytest.raises(CapacityError, match=f"^{re.escape(message)}$"):
             partial_backup(model, (6, 6), ObservationSelection(((0,), (1,))), cap=10)
-        # levels 1 and 2 keep 2 and 4 picks; level 3's 8 picks back up to
-        # 2 actions times 8 donors for the one observation kept
-        with pytest.raises(CapacityError, match="would create 16 trees .* or raise backup_cap$"):
-            improved_mbdp(model, SolverConfig(max_trees=9, max_obs=1, backup_cap=10))
+        # levels 1 and 2 keep 2 and 4 picks; level 3's 8 beliefs project
+        # the children of 2 actions, 4 observations and 4 donors per agent
+        monkeypatch.setattr(errors_module, "MAX_GRID_FLOATS", 8 * 32**2 - 1)
+        message = (
+            "level 3 would take 8192 floats for its projected children, tables (8, 8) (cap 8191); "
+            "lower max_trees or max_obs"
+        )
+        with pytest.raises(CapacityError, match=f"^{re.escape(message)}$"):
+            improved_mbdp(model, SolverConfig(max_trees=9, max_obs=1))
 
     def test_depth_grows_by_one(self, tiger):
         trees = ref.table_trees(exhaustive_backup(tiger, None))

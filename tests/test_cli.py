@@ -25,6 +25,7 @@ from mbdp import (
     simulate,
     uniform_random_value,
 )
+import mbdp.errors as errors_module
 from mbdp.cli import build_parser, load_problem, main, parse_problem_text, problem_to_text
 
 from conftest import random_model, three_agent_model, traced_peak_mb
@@ -471,24 +472,60 @@ class TestExitCodes:
         assert code == 3
         assert json.loads(err.splitlines()[-1])["error"] == "CapacityError"
 
-    def test_backup_cap_message_names_the_options(self, capsys):
+    def test_plan_message_names_the_options(self, capsys, monkeypatch):
+        # levels 1 and 2 keep 2 and 4 picks; level 3's 8 beliefs project the
+        # children of 2 actions, 2 observations and 4 donors per agent
+        monkeypatch.setattr(errors_module, "MAX_GRID_FLOATS", 2047)
         code, out, err = run(
             capsys,
             ["solve", "--problem", "mabc", "--horizon", "4", "--max-trees", "9", "--max-obs", "1",
-             "--backup-cap", "10", "--format", "records"],
+             "--format", "records"],
         )
         assert code == 3
+        assert not any(r["type"] in ("level", "result") for r in records(out))
+        assert records(err) == [{
+            "schema": 1, "type": "error", "error": "CapacityError",
+            "message": "level 3 would take 2048 floats for its projected children, tables (8, 8) "
+                       "(cap 2047); lower max_trees or max_obs",
+        }]
+
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    def test_backup_cap_flag_is_gone(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--problem", "tiger", "--backup-cap", "10"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--max-candidates", "0"], "max_candidates must be an integer >= 1, got 0"),
+            (["--max-pairs", "-3"], "max_pairs must be an integer >= 1, got -3"),
+        ],
+    )
+    def test_bad_exact_caps_exit_four(self, capsys, argv, message):
+        code, out, err = run(capsys, ["exact", "--problem", "tiger", "--format", "records", *argv])
+        assert code == 4
         assert not any(r["type"] == "result" for r in records(out))
-        error = json.loads(err.splitlines()[-1])
-        assert (error["error"], error["message"]) == (
-            "CapacityError",
-            "backup for agent 0 would create 16 trees (cap 10); "
-            "lower max_trees or max_obs, or raise backup_cap",
-        )
+        assert records(err) == [
+            {"schema": 1, "type": "error", "error": "ConfigError", "message": message}
+        ]
+
+    def test_boxpush_tables_past_the_cap_exit_three(self, capsys, monkeypatch):
+        # the default layout's T, O and R: 16 joint actions x 100 states x
+        # (2 * 100 states + 25 joint observations)
+        monkeypatch.setattr(errors_module, "MAX_GRID_FLOATS", 359_999)
+        code, out, err = run(capsys, ["solve", "--problem", "boxpush", "--format", "records"])
+        assert (code, out) == (3, "")
+        assert records(err) == [{
+            "schema": 1, "type": "error", "error": "CapacityError",
+            "message": "tables T, O and R would take 360000 floats for 100 states, "
+                       "16 joint actions and 25 joint observations (cap 359999)",
+        }]
+        monkeypatch.setattr(errors_module, "MAX_GRID_FLOATS", 360_000)
+        assert build_boxpush().num_states == 100
 
     def test_selection_grid_cap_exits_three(self, capsys, tmp_path):
-        # full backups of 13,122 trees per agent fit backup_cap; level 3's
-        # selection grid does not fit its cap
+        # level 3's score grid over 13,122 trees per agent does not fit the cap
         problem = tmp_path / "wide.problem"
         problem.write_text(
             problem_to_text(random_model(0, num_states=2, obs_counts=(8, 8), horizon=4))
@@ -500,7 +537,7 @@ class TestExitCodes:
         assert code == 3
         error = json.loads(err.splitlines()[-1])
         assert error["error"] == "CapacityError"
-        assert error["message"].startswith("level 3 would score 516560652 floats")
+        assert error["message"].startswith("level 3 would take 516560652 floats for its score grid")
 
     def test_selection_array_cap_exits_three_at_once(self, capsys):
         argv = ["solve", "--problem", "boxpush", "--horizon", "10", "--max-trees", "1000000",

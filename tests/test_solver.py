@@ -29,6 +29,8 @@ from mbdp import (
     serialize_policy,
     uniform_random_value,
 )
+import mbdp.backup as backup_module
+import mbdp.errors as errors_module
 import mbdp.solver as solver_module
 
 import _reference as ref
@@ -76,8 +78,6 @@ class TestConfig:
             ("max_obs", 0),
             ("recursion_depth", 0.5),
             ("recursion_depth", -1),
-            ("backup_cap", 10.0),
-            ("backup_cap", 0),
         ],
     )
     def test_rejects_bad_counts(self, name, bad):
@@ -85,7 +85,7 @@ class TestConfig:
             SolverConfig(**{name: bad})
 
     def test_numpy_counts_are_stored_as_int(self):
-        names = ("max_trees", "max_obs", "recursion_depth", "backup_cap")
+        names = ("max_trees", "max_obs", "recursion_depth")
         cfg = SolverConfig(**{name: np.int64(2) for name in names})
         assert all(type(getattr(cfg, name)) is int for name in names)
         assert SolverConfig(max_obs=None).max_obs is None
@@ -120,6 +120,22 @@ class TestExact:
         res = exact_solve(tiger)
         assert len(res.candidate_counts) == 2
         assert all(len(level) == 2 for level in res.candidate_counts)
+
+    @pytest.mark.parametrize(
+        "name, bad",
+        [
+            ("max_candidates", None),
+            ("max_candidates", True),
+            ("max_candidates", 0),
+            ("max_candidates", 10.0),
+            ("max_pairs", 2.5),
+            ("max_pairs", None),
+            ("max_pairs", 0),
+        ],
+    )
+    def test_rejects_bad_caps(self, tiger, name, bad):
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer >= 1, got {re.escape(repr(bad))}$"):
+            exact_solve(tiger, **{name: bad})
 
     def test_capacity_guards(self, mabc, tiger):
         model = replace(mabc, horizon=9)
@@ -280,11 +296,17 @@ class TestPlanner:
             with pytest.raises(ModelError, match="non-finite"):
                 solve(broken)
 
-    def test_backup_cap_enforced(self, mabc):
-        with pytest.raises(CapacityError):
-            mbdp(mabc, SolverConfig(max_trees=9, backup_cap=50))
+    def test_plan_refuses_a_level_past_the_cap(self, mabc, monkeypatch):
+        # mabc h=3 with 9 trees keeps 2 rows at level 1 and 8 at level 2,
+        # so the top level scores one belief over 2 * 8^2 = 128 trees per agent
+        monkeypatch.setattr(errors_module, "MAX_GRID_FLOATS", 128**2 - 1)
+        message = "level 3 would take 16384 floats for its score grid, tables (128, 128)"
+        with pytest.raises(CapacityError, match=re.escape(message)):
+            mbdp(mabc, SolverConfig(max_trees=9))
+        monkeypatch.setattr(errors_module, "MAX_GRID_FLOATS", 128**2)
+        assert mbdp(mabc, SolverConfig(max_trees=9)).levels[-1].backup_sizes == (128, 128)
 
-    def test_backup_check_counts_the_rows_each_level_keeps(self, monkeypatch):
+    def test_plan_counts_the_rows_each_level_keeps(self, monkeypatch):
         # tiger keeps its 3 actions at level 1 and backs up 27 trees at
         # level 2, however large max_trees is
         for horizon, want in [(1, -2.0), (2, -4.0)]:
@@ -293,15 +315,22 @@ class TestPlanner:
                 assert report.value == pytest.approx(want, abs=1e-9)
 
         def sample(*args):
-            raise AssertionError("selection beliefs drawn before the backup check")
+            raise AssertionError("selection beliefs drawn before the plan")
 
         monkeypatch.setattr(solver_module, "selection_beliefs", sample)
-        # level 2 keeps all 27 and backs up 3 * 27^2 trees
-        message = "full backups for agent 0 would build 2187 trees per level (cap 2186)"
+        # level 2 keeps all 27 and backs up 3 * 27^2 trees per agent, which
+        # the top level scores at one belief
+        monkeypatch.setattr(errors_module, "MAX_GRID_FLOATS", 2187**2 - 1)
+        message = "level 3 would take 4782969 floats for its score grid, tables (2187, 2187)"
         with pytest.raises(CapacityError, match=re.escape(message)):
-            mbdp(build_tiger(horizon=3), SolverConfig(max_trees=1000, backup_cap=2186))
+            mbdp(build_tiger(horizon=3), SolverConfig(max_trees=1000))
+        monkeypatch.setattr(errors_module, "MAX_GRID_FLOATS", 2187**2)
+        with pytest.raises(AssertionError, match="drawn before"):
+            mbdp(build_tiger(horizon=3), SolverConfig(max_trees=1000))
+        monkeypatch.undo()
+        monkeypatch.setattr(solver_module, "selection_beliefs", sample)
         # (h - 1) * max_trees beliefs of 100 states would take 7.2 GB
-        with pytest.raises(CapacityError, match="would build 4611686018427387904 trees"):
+        with pytest.raises(CapacityError, match="selection beliefs would take 1800000000 floats"):
             mbdp(build_boxpush(horizon=10), SolverConfig(max_trees=10**6))
 
     def test_selection_arrays_are_checked_before_they_are_allocated(self, monkeypatch):
@@ -318,18 +347,18 @@ class TestPlanner:
                 improved_mbdp(model, SolverConfig(max_trees=10**6, max_obs=3))
 
         assert traced_peak_mb(solve) < 1
-        # the largest max_trees whose arrays fit the cap still reaches the draw
-        fits = solver_module.MAX_GRID_FLOATS // (2 * 9 * 100)
-        with pytest.raises(AssertionError, match="drawn before"):
+        # the largest max_trees whose selection arrays fit the cap passes
+        # that check, and level 3's tables of 4 * 256^3 trees do not fit
+        fits = errors_module.MAX_GRID_FLOATS // (2 * 9 * 100)
+        with pytest.raises(CapacityError, match="^level 3 would take"):
             improved_mbdp(model, SolverConfig(max_trees=fits, max_obs=3))
         with pytest.raises(CapacityError, match="selection beliefs would take"):
             improved_mbdp(model, SolverConfig(max_trees=fits + 1, max_obs=3))
 
     def test_selection_grid_cap_fires_before_scoring(self, monkeypatch):
         # 8 observations per agent: level 1 keeps both actions and level 2
-        # three of 2 * 2^8 = 512 trees; 2 * 3^8 = 13,122 full-backup trees
-        # per agent fit backup_cap, but level 3's three score columns
-        # would take 4.1 GB
+        # three of 2 * 2^8 = 512 trees; level 3's three score columns over
+        # 2 * 3^8 = 13,122 trees per agent would take 4.1 GB
         model = random_model(0, num_states=2, obs_counts=(8, 8), horizon=4)
         scores = solver_module.belief_scores
         grids = []
@@ -339,14 +368,93 @@ class TestPlanner:
             return scores(model, rows, prev, beliefs)
 
         def solve():
-            with pytest.raises(CapacityError, match="level 3 would score 516560652 floats"):
+            with pytest.raises(CapacityError, match="level 3 would take 516560652 floats for its score grid"):
                 mbdp(model, SolverConfig(max_trees=3))
 
         monkeypatch.setattr(solver_module, "belief_scores", spy)
-        assert traced_peak_mb(solve) < 64
-        # only levels 1 and 2 were scored: 2 beliefs times 2 x 2 tuples,
-        # then 3 times 512 x 512
-        assert grids == [8, 786432]
+        assert traced_peak_mb(solve) < 1
+        # the plan refused the solve before any level was scored
+        assert grids == []
+
+    def test_projected_children_past_the_cap_are_refused_before_any_level(self, monkeypatch):
+        # box pushing (200, 1) keeps 4, 16 and 64 rows at levels 1-3; level
+        # 4's 200 beliefs would project 64-row children of 4 actions and 5
+        # observations per agent into 200 * (4 * 5 * 64)^2 floats (2.6 GB),
+        # while its score grid, 200 * 256^2 floats, fits
+        def sample(*args):
+            raise AssertionError("selection beliefs drawn before the plan")
+
+        monkeypatch.setattr(solver_module, "selection_beliefs", sample)
+        model = build_boxpush(horizon=6)
+        message = "level 4 would take 327680000 floats for its projected children, tables (256, 256)"
+
+        def solve():
+            with pytest.raises(CapacityError, match=re.escape(message)):
+                improved_mbdp(model, SolverConfig(max_trees=200, max_obs=1))
+
+        assert traced_peak_mb(solve) < 1
+
+    @pytest.mark.parametrize(
+        "model, max_obs, cap, what, floats, sizes",
+        [
+            # the top level's 32 x 4 grid fits, and agent 0's one-hot rows,
+            # 32 rows of 2 actions x 4 observations x 2 donors, do not
+            (random_model(0, num_states=2, obs_counts=(4, 1), horizon=2), None, 128,
+             "one-hot rows", 512, (32, 4)),
+            (random_model(0, num_states=2, obs_counts=(4, 1), horizon=2), 4, 128,
+             "one-hot rows", 512, (32, 4)),
+            (random_model(0, num_states=2, obs_counts=(4, 1), horizon=2), 1, 16,
+             "one-hot rows", 64, (4, 4)),
+            # level 2's two beliefs score 8 x 8 tuples; the picks' children
+            # weighted per joint observation, joint action and state do not fit
+            (random_model(0, num_states=3, horizon=3), None, 128, "weighted children", 192, (8, 8)),
+            (random_model(0, num_states=3, horizon=3), 2, 128, "weighted children", 192, (8, 8)),
+        ],
+        ids=["one-hot-mbdp", "one-hot-improved-full", "one-hot-improved-budget",
+             "weighted-mbdp", "weighted-improved-full"],
+    )
+    def test_plan_refuses_arrays_past_the_cap_while_the_grid_fits(
+        self, monkeypatch, model, max_obs, cap, what, floats, sizes
+    ):
+        cfg = SolverConfig(max_trees=2, max_obs=max_obs)
+        solve = mbdp if max_obs is None else improved_mbdp
+        # every level's score grid fits the cap
+        grids = [
+            (min(cfg.max_trees, *q) if t < model.horizon else 1) * math.prod(q)
+            for t, q in enumerate(solver_module._plan(model, cfg), 1)
+        ]
+        assert max(grids) <= cap
+
+        def sample(*args):
+            raise AssertionError("selection beliefs drawn before the plan")
+
+        message = f"level 2 would take {floats} floats for its {what}, tables {sizes} (cap {cap})"
+        with monkeypatch.context() as patch:
+            patch.setattr(errors_module, "MAX_GRID_FLOATS", cap)
+            patch.setattr(solver_module, "selection_beliefs", sample)
+            with pytest.raises(CapacityError, match=f"^{re.escape(message)}"):
+                solve(model, cfg)
+        # the plan counts the solve's largest one-hot rows, and bounds its
+        # weighted children from the joint actions the picks can take
+        built = {"one-hot rows": [], "weighted children": []}
+        table_rows, weighted_stack = solver_module.table_rows, backup_module.weighted_stack
+
+        def rows_spy(*args):
+            one_hot, terms = table_rows(*args)
+            built["one-hot rows"].append(max(x.size for x in one_hot))
+            return one_hot, terms
+
+        def stack_spy(*args):
+            out = weighted_stack(*args)
+            built["weighted children"].append(out.size)
+            return out
+
+        monkeypatch.setattr(solver_module, "table_rows", rows_spy)
+        monkeypatch.setattr(backup_module, "weighted_stack", stack_spy)
+        solve(model, cfg)
+        assert max(built[what]) <= floats
+        if what == "one-hot rows":
+            assert max(built[what]) == floats
 
 
 class TestEquivalence:
@@ -581,6 +689,29 @@ def test_levels_count_the_tuples_they_score(model, solve, cfg):
     levels = solve(model, cfg).levels
     sizes = [model.action_counts] + [level.backup_sizes for level in levels[:-1]]
     assert [level.tuples_scored for level in levels] == [int(np.prod(s)) for s in sizes]
+
+
+@pytest.mark.parametrize("max_trees", [1, 2, 3, 27])
+@pytest.mark.parametrize("max_obs", [None, 1, 2], ids=["full", "budget1", "budget2"])
+@pytest.mark.parametrize(
+    "model",
+    [build_tiger(horizon=3), build_mabc(horizon=4), build_boxpush(horizon=3), three_agent_model(4)],
+    ids=["tiger", "mabc", "boxpush", "three-agent"],
+)
+def test_plan_sizes_match_the_level_records(model, max_obs, max_trees):
+    cfg = SolverConfig(max_trees=max_trees, max_obs=max_obs)
+    solve = mbdp if max_obs is None else improved_mbdp
+    try:
+        sizes = solver_module._plan(model, cfg)
+    except CapacityError as refused:
+        with pytest.raises(CapacityError, match=re.escape(str(refused))):
+            solve(model, cfg)
+        return
+    levels = solve(model, cfg).levels
+    # the plan's walk stops at the first level that repeats the one below
+    at = [sizes[min(t, len(sizes)) - 1] for t in range(1, model.horizon + 1)]
+    assert [level.tuples_scored for level in levels] == [math.prod(q) for q in at[:-1]]
+    assert [level.backup_sizes for level in levels] == at[1:]
 
 
 def test_full_backups_never_build_the_joint_tensor():
