@@ -5,7 +5,10 @@ Each run below is solved, bounded, simulated or driven through the CLI
 in this process, and its outputs are written as canonical JSON (floats
 by ``repr``, so every bit counts) and hashed.  The script prints one
 ``<sha256>  <run>`` line per run, then one line for all of them
-together.  The ``boxpush-tables-*`` runs hash the T, O, R, start belief
+together.  A run that returns or writes a policy file gets a second
+line, ``<sha256>  <run>:policy``, the hash of that file alone, so a
+change that moves values in their last bits can show that its policies
+held; the ``all`` line covers the run lines only.  The ``boxpush-tables-*`` runs hash the T, O, R, start belief
 and state names of box pushing's default layout and of each layout the
 tests pin.  Planner reports keep every level record field except
 ``millis``, and the policy file of the returned policy.  CLI runs keep
@@ -217,10 +220,21 @@ def all_runs():
     return runs
 
 
+def policy_file(payload) -> str | None:
+    """The policy file a run returned or wrote, if any."""
+    if not isinstance(payload, dict):
+        return None
+    return payload.get("policy") or next(iter(payload.get("files", {}).values()), None)
+
+
 def main():
-    digests = {name: digest(payload) for name, payload in all_runs().items()}
-    for name, value in digests.items():
-        print(f"{value}  {name}")
+    digests = {}
+    for name, payload in all_runs().items():
+        digests[name] = digest(payload)
+        print(f"{digests[name]}  {name}")
+        text = policy_file(payload)
+        if text is not None:
+            print(f"{hashlib.sha256(text.encode()).hexdigest()}  {name}:policy")
     print(f"{digest(digests)}  all")
     return 0
 

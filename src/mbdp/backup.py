@@ -15,17 +15,22 @@ selected lists' values onto each belief before the transition, then
 contracts the projected children with one agent's one-hot row matrix
 (``table_rows``) at a time: every joint tuple's K values, and no
 tuple's S-wide row, which is how the planner scores a level.  In state
-columns, a tuple's value is its expected reward plus, per joint
-observation, one row of the weighted children (``weighted_stack``, the
-selected lists' values weighted by one step's mass).  ``picked_values``
-adds them up for the tuples of a grid of rows, reading each tuple's
-joint action and child tuples off its agents' term rows
-(``term_rows``): the few tuples the planner keeps, or every tuple of a
-table for ``backup_values``, the joint value tensor the exact solver
-prunes.  The solvers return the rows their policy reaches as tables
+columns, one kernel (``_tuple_values``) values joint tuples, each a
+joint action and a child tuple per joint observation read off its
+agents' term rows (``term_rows``): the expected reward plus the
+transition applied to the children weighted by each observation's
+mass, summed in joint-observation order, one tuple at a time.
+``picked_values`` runs it on the tuples of a grid of rows: the few the
+planner keeps, every tuple of a table for ``backup_values``, the joint
+value tensor the exact solver prunes, and every depth of a policy for
+``PolicyEvaluator``, so a tuple's vector has the same bits wherever it
+is built.  The solvers return the rows their policy reaches as tables
 (``JointPolicy._from_tables``); no policy tree is built.
 ``fill_missing`` and the exact solver's top level pick one agent's
-children per observation, from its ``observation_shares``.
+children per observation, from its ``observation_shares``: of the
+children projected onto a belief for fill, and of ``weighted_stack``,
+each child's share per joint action and observation in state columns,
+for the top level.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError, require_count
+from .errors import ConfigError, require_count, require_floats
 from .model import BeliefState, DecPomdp, _mixed_radix_strides
 
 
@@ -95,11 +100,14 @@ class ObservationSelection:
             raise ConfigError(f"observation indices must be >= 0, got {self.per_agent}")
 
 
-def _backup_table(num_actions: int, num_donors: int, num_obs: int, slots, cap, agent: int):
+def _backup_table(num_actions: int, num_donors: int, num_obs: int, slots, agent: int):
     """(actions, children) of every action crossed with every donor assignment to ``slots``."""
     count = num_actions * num_donors ** len(slots)
-    if cap is not None and count > require_count(cap, "cap", ConfigError):
-        raise CapacityError(f"backup for agent {agent} would create {count} trees (cap {cap})")
+    require_floats(
+        count * num_obs,
+        "backup for agent {agent} would take {floats} floats for {count} trees (cap {cap})",
+        agent=agent, count=count,
+    )
     # child rows of one action's block: base-num_donors digits of 0..block-1,
     # most significant first, so the block runs in lexicographic order
     block = count // num_actions
@@ -110,35 +118,29 @@ def _backup_table(num_actions: int, num_donors: int, num_obs: int, slots, cap, a
     return np.repeat(np.arange(num_actions), block), children
 
 
-def exhaustive_backup(
-    model: DecPomdp, donors: Sequence[int] | None, cap: int | None = None
-) -> CandidateSet:
+def exhaustive_backup(model: DecPomdp, donors: Sequence[int] | None) -> CandidateSet:
     """All one-step extensions: every action crossed with every full child assignment.
 
     ``donors`` gives, per agent, the number of rows in the previous
     level's selected list; the backup is ``partial_backup`` with every
     observation selected.  With ``donors`` None the candidates are the
-    depth-1 trees, one per action.  ``cap``, unless None, is the most
-    trees an agent's table may hold, an integer of at least 1; past it
-    ``CapacityError`` is raised before the table is built.
+    depth-1 trees, one per action.  A children table past
+    ``MAX_GRID_FLOATS`` raises ``CapacityError`` before it is built.
     """
     if donors is not None:
         every = ObservationSelection(tuple(tuple(range(c)) for c in model.observation_counts))
-        return partial_backup(model, donors, every, cap)
-    tables = [_backup_table(count, 1, 0, (), cap, i) for i, count in enumerate(model.action_counts)]
+        return partial_backup(model, donors, every)
+    tables = [_backup_table(count, 1, 0, (), i) for i, count in enumerate(model.action_counts)]
     return CandidateSet(*zip(*tables))
 
 
 def partial_backup(
-    model: DecPomdp,
-    donors: Sequence[int],
-    selection: ObservationSelection,
-    cap: int | None = None,
+    model: DecPomdp, donors: Sequence[int], selection: ObservationSelection
 ) -> CandidateSet:
     """One-step extensions with children assigned only for selected observations.
 
     Rows run action-major, child rows lexicographic over the selected
-    observations; the rest are holes (-1).  ``cap`` is as for
+    observations; the rest are holes (-1).  The floats cap is as for
     ``exhaustive_backup``.
     """
     if len(selection.per_agent) != model.num_agents:
@@ -148,7 +150,7 @@ def partial_backup(
         slots = selection.per_agent[i]
         if slots[-1] >= num_obs:
             raise ConfigError(f"agent {i} selection references observation {slots[-1]}")
-        tables.append(_backup_table(model.action_counts[i], donors[i], num_obs, slots, cap, i))
+        tables.append(_backup_table(model.action_counts[i], donors[i], num_obs, slots, i))
     return CandidateSet(*zip(*tables))
 
 
@@ -200,32 +202,26 @@ def rank_observations(
     return ObservationSelection(combos[best], float(captures[best]))
 
 
-def weighted_stack(model: DecPomdp, prev: np.ndarray, joint_actions=None) -> np.ndarray:
-    """Child tuples' values weighted by one step's mass, shape (JO, J * M, S).
+def weighted_stack(model: DecPomdp, prev: np.ndarray) -> np.ndarray:
+    """Child tuples' values weighted by one step's mass, shape (JO, JA * M, S).
 
     ``prev`` holds the values of M child tuples, (..., S), flattened in C
-    order, and ``joint_actions`` lists J joint actions (default all, in
-    order).  Entry [jo, j * M + c, s] is sum_{s'} T[ja][s, s']
-    O[ja][s', jo] prev[c, s'] with ja = ``joint_actions[j]``: the share of
-    child tuple c in the value of a tuple that takes joint action ``ja``
-    in state s and then sees joint observation ``jo``.  Per joint action
-    the children are weighted by each observation column first, then one
-    stacked matmul applies the transition; slice jo is the same BLAS call
-    as the 2-D product ``(prev * O[ja][:, jo]) @ T[ja].T`` and gives its
-    bits for any M, one child tuple included, and whichever other joint
-    actions are listed.
+    order.  Entry [jo, ja * M + c, s] is sum_{s'} T[ja][s, s']
+    O[ja][s', jo] prev[c, s']: the share of child tuple c in the value
+    of a tuple that takes joint action ``ja`` in state s and then sees
+    joint observation ``jo``.  Per joint action the children are weighted
+    by each observation column first, then one stacked matmul applies
+    the transition.
     """
     num_s = model.num_states
     prev_flat = prev.reshape(-1, num_s)
-    if joint_actions is None:
-        joint_actions = range(model.num_joint_actions)
     num_jo = model.num_joint_observations
-    out = np.empty((num_jo, len(joint_actions)) + prev_flat.shape)
+    out = np.empty((num_jo, model.num_joint_actions) + prev_flat.shape)
     # one buffer for all joint actions: a fresh one per joint action was slower
     masked = np.empty((num_jo,) + prev_flat.shape)
-    for j, ja in enumerate(joint_actions):
+    for ja in range(model.num_joint_actions):
         np.multiply(prev_flat[None], model.observation[ja].T[:, None, :], out=masked)
-        np.matmul(masked, model.transition[ja].T, out=out[:, j])
+        np.matmul(masked, model.transition[ja].T, out=out[:, ja])
     return out.reshape(num_jo, -1, num_s)
 
 
@@ -345,9 +341,41 @@ def belief_scores(
     return scores.reshape((k,) + tuple(len(x) for x in rows))
 
 
-# floats of stacked terms per block of picked_values (512 KiB); output
-# blocks of 2^20 floats ran box pushing's kernel 20-35% slower
+# floats of gathered children per block of picked_values (512 KiB);
+# blocks of 2^14 or 2^18 floats ran no faster
 _VALUE_BLOCK = 1 << 16
+
+
+def _tuple_values(
+    model: DecPomdp, tuples: np.ndarray, below: np.ndarray | None, out: np.ndarray
+) -> None:
+    """Writes the value vectors of joint tuples to ``out``, shape (len(tuples), S).
+
+    Row r of ``tuples``, the sum of its agents' term rows, holds a joint
+    action ja, then its child tuple c_jo, a row of the (M, S) values
+    ``below``, after each joint observation jo; depth-1 tuples hold ja
+    alone and ``below`` is None.  The row's value is
+    ER[ja] + T[ja] (sum_jo O[ja][:, jo] * below[c_jo]), the jo sum taken
+    in order, and each tuple goes through T in its own vector-matrix
+    product, so its bits do not depend on the other tuples.
+    """
+    ja = tuples[:, 0]
+    np.take(model.expected_reward, ja, axis=0, out=out)
+    if below is None:
+        return
+    # the tuples grouped by joint action, in input order within a group
+    order = np.argsort(ja, kind="stable")
+    grouped = ja[order]
+    mass = np.take(below, tuples[order, 1:], axis=0)
+    mass *= model.observation.transpose(0, 2, 1)[grouped]
+    mass = mass.sum(axis=1)[:, None, :]
+    pushed = np.empty_like(mass)
+    lo = 0
+    for a, count in enumerate(np.bincount(grouped, minlength=model.num_joint_actions).tolist()):
+        if count:
+            np.matmul(mass[lo : lo + count], model.transition[a].T, out=pushed[lo : lo + count])
+            lo += count
+    out[order] += pushed[:, 0]
 
 
 def picked_values(
@@ -357,47 +385,22 @@ def picked_values(
 
     ``terms`` is ``term_rows`` of a table, ``picked[i]`` lists rows of
     agent i's table, and ``prev`` is the value tensor of the lists the
-    children index (None for depth-1 tables).  A tuple's row is the
-    expected reward of its joint action plus, per joint observation in
-    order, its child tuple's row of ``weighted_stack``, which weights
-    only the joint actions the picks take.  Rows are filled in blocks of
-    agent 0's picks: one gather stacks a block's terms, (1 + JO, rows,
-    S) of about ``_VALUE_BLOCK`` floats, and one reduction adds them in
-    that order.  Each row's sum does not depend on the block, the other
-    rows or the other joint actions.
+    children index (None for depth-1 tables).  The tuples, in C order,
+    go through ``_tuple_values`` in blocks whose gathered children hold
+    about ``_VALUE_BLOCK`` floats, so no block's arrays grow with the grid.
     """
     sizes = tuple(len(rows) for rows in picked)
     # take, not a fancy index: it reads a short list of rows faster
     picks = [term.take(rows, axis=0) for term, rows in zip(terms, picked)]
     num_s = model.num_states
     out = np.empty(sizes + (num_s,))
-    if prev is None:
-        np.take(model.expected_reward, _grid(picks).ravel(), axis=0, out=out.reshape(-1, num_s))
-        return out
-    # every combination of the agents' own actions occurs in the grid
-    used = sorted(
-        {sum(c) for c in itertools.product(*(set(p[:, 0].tolist()) for p in picks))}
-    )
-    weighted = weighted_stack(model, prev, used)
-    num_jo, width = weighted.shape[:2]
-    weighted = weighted.reshape(-1, num_s)
-    # each used joint action's first row in a joint observation's slice of
-    # weighted, and each slice's first row
-    num_children = math.prod(prev.shape[:-1])
-    first = np.zeros(model.num_joint_actions, dtype=np.int64)
-    first[used] = np.arange(0, len(used) * num_children, num_children)
-    slices = np.arange(0, num_jo * width, width)[:, None]
-    # a block's terms, (1 + JO, rows, S), hold about _VALUE_BLOCK floats
-    step = max(1, _VALUE_BLOCK // (math.prod(sizes[1:]) * num_s * (1 + num_jo)))
-    for lo in range(0, sizes[0], step):
-        block = out[lo : lo + step].reshape(-1, num_s)
-        # per tuple, its joint action, then its child tuple per joint observation
-        tuples = _grid([picks[0][lo : lo + step], *picks[1:]]).reshape(len(block), -1)
-        # the expected reward, then each joint observation's share, added in that order
-        parts = np.empty((1 + num_jo,) + block.shape)
-        np.take(model.expected_reward, tuples[:, 0], axis=0, out=parts[0])
-        np.take(weighted, tuples[:, 1:].T + first[tuples[:, 0]] + slices, axis=0, out=parts[1:])
-        np.add.reduce(parts, axis=0, out=block)
+    flat = out.reshape(-1, num_s)
+    below = None if prev is None else prev.reshape(-1, num_s)
+    step = max(1, _VALUE_BLOCK // (picks[0].shape[1] * num_s))
+    for lo in range(0, len(flat), step):
+        rows = np.unravel_index(np.arange(lo, min(lo + step, len(flat))), sizes)
+        tuples = sum(p[r] for p, r in zip(picks, rows))
+        _tuple_values(model, tuples, below, flat[lo : lo + step])
     return out
 
 
@@ -408,18 +411,16 @@ def backup_values(model: DecPomdp, candidates: CandidateSet, prev: np.ndarray | 
     level's selected lists, whose rows the candidates' children index.
     With ``prev`` None the candidates are depth-1 trees and a tuple's
     value is the expected immediate reward of its joint action.  This is
-    ``picked_values`` of every row: every entry adds the same terms in
-    the same order as indexing each (joint action, joint observation)
-    block of weighted children by the child rows, so the result is the
-    same bit for bit.
+    ``picked_values`` of every row, so each entry has the bits of the
+    same tuple picked alone.
     """
     terms = term_rows(model, candidates, None if prev is None else prev.shape[:-1])
     return picked_values(model, terms, [np.arange(size) for size in candidates.sizes], prev)
 
 
-# shares this close to the best count as ties: the kernels sum in another
-# order than exact evaluation, so mathematically equal values can differ
-# in the last bits
+# shares this close to the best count as ties: scores and shares sum in
+# another order than a value vector times a belief, so mathematically
+# equal values can differ in the last bits
 TIE_TOL = 1e-12
 
 

@@ -332,11 +332,21 @@ _LEVEL_KEYS = {f.name: f.name for f in fields(LevelRecord) if f.name != "millis"
 
 
 class _Out:
-    def __init__(self, args):
+    """A command's output; its ``meta`` record waits for the first other stdout record.
+
+    So a command that fails before any result leaves stdout empty.
+    ``header`` is the human form of the ``meta`` record, if it has one.
+    """
+
+    def __init__(self, args, meta: dict | None = None, header: str | None = None):
         self.records = args.format == "records"
+        self.pending = None if meta is None else (meta, header)
 
     def record(self, record: dict, human: str | None, file=None):
         """Prints ``record`` as one JSON line, or ``human`` unless None, to ``file`` (stdout)."""
+        if file is None and self.pending is not None:
+            pending, self.pending = self.pending, None
+            self.record(*pending)
         if self.records:
             print(json.dumps(record, separators=(",", ":")), file=file)
         elif human is not None:
@@ -385,8 +395,7 @@ def _solver_config(args) -> SolverConfig:
 
 def _cmd_solve(args) -> int:
     model = load_problem(args.problem, args.horizon)
-    out = _Out(args)
-    out.record(_meta("solve", model), None)
+    out = _Out(args, _meta("solve", model))
     started = time.perf_counter()
 
     if args.solver == "random":
@@ -444,8 +453,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_exact(args) -> int:
     model = load_problem(args.problem, args.horizon)
-    out = _Out(args)
-    out.record(_meta("exact", model), None)
+    out = _Out(args, _meta("exact", model))
     started = time.perf_counter()
     result = exact_solve(
         model,
@@ -476,8 +484,7 @@ def _load_policy(args, model):
 def _cmd_evaluate(args) -> int:
     model = load_problem(args.problem, args.horizon)
     joint = _load_policy(args, model)
-    out = _Out(args)
-    out.record(_meta("evaluate", model), None)
+    out = _Out(args, _meta("evaluate", model))
     value = PolicyEvaluator(model).at_belief(joint, model.initial_belief)
     out.record(
         _record("result", solver="evaluate", value=value, depth=joint.depth),
@@ -489,8 +496,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_simulate(args) -> int:
     model = load_problem(args.problem, args.horizon)
     joint = _load_policy(args, model)
-    out = _Out(args)
-    out.record(_meta("simulate", model), None)
+    out = _Out(args, _meta("simulate", model))
     started = time.perf_counter()
     result = simulate(model, joint, episodes=args.episodes, seed=args.seed)
     out.record(
@@ -511,8 +517,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_bound(args) -> int:
     model = load_problem(args.problem, args.horizon)
-    out = _Out(args)
-    out.record(_meta("bound", model), None)
+    out = _Out(args, _meta("bound", model))
     started = time.perf_counter()
     report = epsilon_global(
         model,
@@ -580,17 +585,12 @@ def _cmd_bench(args) -> int:
     horizons = _parse_horizons(args.horizons)
     if args.seeds < 1:
         raise ConfigError("seeds must be >= 1")
-    out = _Out(args)
-    rows = []
+    out = None
     for h in horizons:
         model = load_problem(args.problem, h)
-        if not rows:
-            out.record(_meta("bench", model), None)
-            if not out.records:
-                print(
-                    f"{'h':>4} {'optimal':>12} {'random':>12} "
-                    f"{'mbdp':>12} {'improved':>12}"
-                )
+        if out is None:
+            header = f"{'h':>4} {'optimal':>12} {'random':>12} {'mbdp':>12} {'improved':>12}"
+            out = _Out(args, _meta("bench", model), header)
         cfg = _solver_config(args)
         timing = _record("timing", horizon=h)
         optimal = None
@@ -616,7 +616,6 @@ def _cmd_bench(args) -> int:
             mbdp=planned["mbdp"],
             improved=planned["improved"],
         )
-        rows.append(row)
 
         def cell(v):
             return f"{v:12.4f}" if v is not None else f"{'-':>12}"

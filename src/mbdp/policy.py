@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .backup import _grid, _terms
+from .backup import _grid, _terms, picked_values
 from .errors import EvaluationError, ModelError, ParseError, require_count, require_floats, require_seed
 from .model import BeliefState, DecPomdp
 
@@ -246,10 +246,9 @@ class PolicyEvaluator:
 
     Every row is reached from the root and every joint observation is
     followed, so depth d reaches the whole grid of the agents' depth-d
-    rows.  Bottom up, each grid's tuples read their joint action and
-    child tuples off summed term rows (``term_rows``), and per joint
-    action their children's values are gathered, weighted by O, summed
-    over joint observations and carried back through one T matmul.
+    rows.  Bottom up, each grid is ``picked_values`` of all its rows,
+    the planner's kernel, over the grid below; a tuple's vector has the
+    bits it has wherever that kernel values it.
     """
 
     def __init__(self, model: DecPomdp):
@@ -260,20 +259,14 @@ class PolicyEvaluator:
         """State-indexed exact value vector of a joint configuration."""
         model = self.model
         policy = CompiledPolicy(model, joint)
-        values = below = None
+        values = None
         for d in range(policy.depth - 1, -1, -1):
-            kids = None if below is None else [k[d] for k in policy.children]
-            terms = _terms(model, [a[d] for a in policy.actions], kids, below)
-            tuples = _grid(terms).reshape(-1, terms[0].shape[1])
-            ja = tuples[:, 0]
-            level = model.expected_reward[ja]
+            kids = below = None
             if values is not None:
-                for a in np.unique(ja):
-                    sel = np.flatnonzero(ja == a)
-                    weighted = (values[tuples[sel, 1:]] * model.observation[a].T).sum(axis=1)
-                    level[sel] += weighted @ model.transition[a].T
-            values, below = level, tuple(len(t) for t in terms)
-        return values[0]
+                kids, below = [k[d] for k in policy.children], values.shape[:-1]
+            terms = _terms(model, [a[d] for a in policy.actions], kids, below)
+            values = picked_values(model, terms, [np.arange(len(t)) for t in terms], values)
+        return values.reshape(-1, model.num_states)[0]
 
     def at_state(self, joint, state: int) -> float:
         if require_count(state, "state", EvaluationError, least=0) >= self.model.num_states:

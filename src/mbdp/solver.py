@@ -284,10 +284,12 @@ def _plan(model: DecPomdp, cfg: SolverConfig) -> list[tuple[int, ...]]:
     backups and min(max_obs, O_i) for budgeted ones.  Besides the round's
     selection beliefs, each level's largest arrays are checked: its
     one-hot and term rows, ``belief_scores``' observation mass, projected
-    children and contraction steps down to the score grid, and
-    ``picked_values``' weighted children.  A level with the tables and
-    donors of the one below builds its arrays again, or smaller ones at
-    the top, so the walk ends there.  Returns the tables' sizes per level.
+    children and contraction steps down to the score grid, and the
+    picks' value vectors, ``picked_values``' output, whose tuples and
+    gathered children go in blocks of a fixed size.  A level with the
+    tables and donors of the one below builds its arrays again, or
+    smaller ones at the top, so the walk ends there.  Returns the
+    tables' sizes per level.
     """
     horizon = model.horizon
     num_s, num_ja, num_jo = model.num_states, model.num_joint_actions, model.num_joint_observations
@@ -320,10 +322,8 @@ def _plan(model: DecPomdp, cfg: SolverConfig) -> list[tuple[int, ...]]:
             name = f"contraction step {j}" if j else "projected children" if donors else "expected rewards"
             arrays[name] = picks * math.prod(sizes[:j]) * math.prod(widths[j:])
         arrays["score grid"] = picks * math.prod(sizes)
-        if donors is not None:
-            # the joint actions of the picked tuples, each agent's own actions crossed
-            used = math.prod(min(a, picks) for a in acts)
-            arrays["weighted children"] = num_jo * used * donors ** len(acts) * num_s
+        # the picks' value vectors; the kernel's other arrays go in blocks
+        arrays["picked values"] = picks ** len(acts) * num_s
         for what, floats in arrays.items():
             require_floats(
                 floats,
@@ -519,13 +519,13 @@ def exact_solve(
             )
         if level == horizon:
             break
-        cands = exhaustive_backup(model, donors, max_candidates)
+        cands = exhaustive_backup(model, donors)
         keep, prev = prune_value_tensor(backup_values(model, cands, prev))
         levels.append((cands, keep))
         donors = prev.shape[:-1]
         counts_log.append(donors)
     counts_log.append(tuple(sizes))
-    cands = exhaustive_backup(model, donors, max_candidates)
+    cands = exhaustive_backup(model, donors)
     belief = model.initial_belief.probs
     if prev is None:
         tensor = backup_values(model, cands, None).reshape(-1, model.num_states)

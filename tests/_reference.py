@@ -36,8 +36,16 @@ from mbdp.policy import SimulationResult
 from mbdp.solver import TIE_TOL
 
 
-def tree_value(model, trees, state):
-    """Expected return of per-agent trees executed from a concrete state."""
+def tree_value(model, trees, state, memo=None):
+    """Expected return of per-agent trees executed from a concrete state.
+
+    ``memo`` caches values per (node ids, state) within one top-level
+    call; trees are immutable and share nodes, so an id names one subtree.
+    """
+    memo = {} if memo is None else memo
+    key = (tuple(id(t) for t in trees), state)
+    if key in memo:
+        return memo[key]
     ja = model.joint_action_index(tuple(t.action for t in trees))
     total = 0.0
     for nxt in range(model.num_states):
@@ -53,7 +61,8 @@ def tree_value(model, trees, state):
                 continue
             obs = model.joint_observation(jo)
             kids = tuple(t.child(o) for t, o in zip(trees, obs))
-            total += p * q * tree_value(model, kids, nxt)
+            total += p * q * tree_value(model, kids, nxt, memo)
+    memo[key] = total
     return total
 
 
@@ -369,9 +378,10 @@ def value_vector_reference(model, joint):
 
     Top down, the distinct tuples each depth reaches are found by
     ``np.unique`` on one int64 code per tuple, renumbered densely before
-    the code would overflow; bottom up, each reached tuple is valued by
-    the same per-joint-action formula as the package.  The package must
-    agree bit for bit.
+    the code would overflow; bottom up, each reached tuple is valued on
+    its own by the package's formula: its expected reward plus its
+    observation-weighted children, summed in joint-observation order,
+    times the transition.  The package must agree bit for bit.
     """
     policy = CompiledPolicy(model, joint)
     limit = np.iinfo(np.int64).max
@@ -396,26 +406,30 @@ def value_vector_reference(model, joint):
         ja = sum(a[d][r] * stride for a, r, stride in zip(policy.actions, rows[d], model._action_strides))
         level = model.expected_reward[ja]
         if values is not None:
-            for a in np.unique(ja):
-                sel = np.flatnonzero(ja == a)
-                weighted = (values[below[d][sel]] * model.observation[a].T).sum(axis=1)
-                level[sel] += weighted @ model.transition[a].T
+            for k, a in enumerate(ja.tolist()):
+                weighted = values[below[d][k]] * model.observation[a].T
+                level[k] += sum_in_order(weighted) @ model.transition[a].T
         values = level
     return values[0]
 
 
-def weighted_children(model, prev_flat, ja, jo):
-    """Child tuples' values, one per row of ``prev_flat``, weighted by one step's mass."""
-    return (prev_flat * model.observation[ja][:, jo][None, :]) @ model.transition[ja].T
+def sum_in_order(terms):
+    """The first of ``terms`` plus each of the others, in order."""
+    terms = iter(terms)
+    total = next(terms).copy()
+    for term in terms:
+        total += term
+    return total
 
 
 def backup_values_reference(model, candidates, prev):
-    """``backup_values`` one (joint action, joint observation) block at a time.
+    """``backup_values`` one joint action's block of tuples at a time.
 
-    Each block starts from the joint action's expected reward and adds,
-    per joint observation in order, the weighted children indexed by the
-    candidates' child rows with ``np.ix_``; the package must agree bit
-    for bit.
+    Per joint observation in order, each block gathers the children its
+    candidates' child rows index with ``np.ix_``; each tuple then adds
+    to its joint action's expected reward its observation-weighted
+    children times the transition, in a product of its own.  The
+    package must agree bit for bit.
     """
     n = model.num_agents
     num_s = model.num_states
@@ -424,7 +438,6 @@ def backup_values_reference(model, candidates, prev):
     if prev is not None and any((kids < 0).any() for kids in children):
         raise ConfigError("candidate table has unassigned branches; fill them first")
     out = np.empty(candidates.sizes + (num_s,))
-    prev_flat = None if prev is None else prev.reshape(-1, num_s)
     by_action = [
         [np.flatnonzero(acts == a) for a in range(count)]
         for acts, count in zip(candidates.actions, model.action_counts)
@@ -435,10 +448,17 @@ def backup_values_reference(model, candidates, prev):
             continue
         block = np.broadcast_to(er[ja], tuple(r.size for r in rows) + (num_s,)).copy()
         if prev is not None:
-            for jo, local in enumerate(model._joint_obs_tuples):
-                block += weighted_children(model, prev_flat, ja, jo).reshape(prev.shape)[
+            # after each jo in order, the block's child tuples weighted by O
+            # (weighting the donors first gives the same products)
+            weighted = (
+                (prev * model.observation[ja][:, jo])[
                     np.ix_(*(children[i][rows[i], local[i]] for i in range(n)))
                 ]
+                for jo, local in enumerate(model._joint_obs_tuples)
+            )
+            # a stack of 1 x S rows: one vector-matrix product per tuple
+            mass = sum_in_order(weighted)[..., None, :]
+            block += np.matmul(mass, model.transition[ja].T)[..., 0, :]
         out[np.ix_(*rows)] = block
     return out
 

@@ -239,7 +239,7 @@ def test_08_count_laws_and_bound_shape():
         model = random_model(
             50, num_states=2, action_counts=(actions, actions), obs_counts=(obs, obs)
         )
-        out = exhaustive_backup(model, (sources, sources), cap=10_000)
+        out = exhaustive_backup(model, (sources, sources))
         assert out.sizes == (actions * sources**obs,) * 2
     assert 2 * 5**5 == 6250
     assert (2 * 5**5) ** 2 == 39_062_500

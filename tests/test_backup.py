@@ -69,7 +69,7 @@ class TestCounts:
         # 2 actions and 5 observations over 5 sources: 2 * 5^5 = 6250 per
         # agent, 6250^2 = 39,062,500 joint pairs
         model = random_model(1, num_states=2, action_counts=(2, 2), obs_counts=(5, 5))
-        out = exhaustive_backup(model, (5, 5), cap=10_000)
+        out = exhaustive_backup(model, (5, 5))
         assert out.sizes == (6250, 6250)
         assert out.sizes[0] * out.sizes[1] == 39_062_500
 
@@ -79,23 +79,29 @@ class TestCounts:
         out = partial_backup(model, (4, 4), sel)
         assert out.sizes == (2 * 4**2, 2 * 4**1)
 
-    def test_cap_enforced(self):
+    def test_children_past_the_floats_cap_are_refused(self, monkeypatch):
+        # 2 * 6^4 = 2592 trees per agent, with 4 children each
         model = random_model(3, num_states=2, action_counts=(2, 2), obs_counts=(4, 4))
-        with pytest.raises(CapacityError):
-            exhaustive_backup(model, (6, 6), cap=1000)
+        monkeypatch.setattr(errors_module, "MAX_GRID_FLOATS", 2592 * 4)
+        assert exhaustive_backup(model, (6, 6)).sizes == (2592, 2592)
+        monkeypatch.setattr(errors_module, "MAX_GRID_FLOATS", 2592 * 4 - 1)
+        message = "backup for agent 0 would take 10368 floats for 2592 trees (cap 10367)"
+        with pytest.raises(CapacityError, match=f"^{re.escape(message)}$"):
+            exhaustive_backup(model, (6, 6))
 
-    @pytest.mark.parametrize("bad", [0, True, 2.5, "10"])
-    def test_rejects_bad_caps(self, tiger, bad):
-        with pytest.raises(ConfigError, match=f"^cap must be an integer >= 1, got {re.escape(repr(bad))}$"):
-            exhaustive_backup(tiger, (2, 2), cap=bad)
-        with pytest.raises(ConfigError, match="^cap must be an integer"):
-            partial_backup(tiger, (2, 2), ObservationSelection(((0,), (1,))), cap=bad)
+    def test_backups_take_no_cap(self, tiger):
+        with pytest.raises(TypeError, match="cap"):
+            exhaustive_backup(tiger, (2, 2), cap=10)
+        with pytest.raises(TypeError, match="cap"):
+            partial_backup(tiger, (2, 2), ObservationSelection(((0,), (1,))), cap=10)
 
     def test_cap_message_names_the_options(self, monkeypatch):
         model = random_model(3, num_states=2, action_counts=(2, 2), obs_counts=(4, 4), horizon=4)
-        message = "backup for agent 0 would create 12 trees (cap 10)"
+        # 2 * 6 trees per agent, with a column for each of 4 observations
+        monkeypatch.setattr(errors_module, "MAX_GRID_FLOATS", 47)
+        message = "backup for agent 0 would take 48 floats for 12 trees (cap 47)"
         with pytest.raises(CapacityError, match=f"^{re.escape(message)}$"):
-            partial_backup(model, (6, 6), ObservationSelection(((0,), (1,))), cap=10)
+            partial_backup(model, (6, 6), ObservationSelection(((0,), (1,))))
         # levels 1 and 2 keep 2 and 4 picks; level 3's 8 beliefs project
         # the children of 2 actions, 4 observations and 4 donors per agent
         monkeypatch.setattr(errors_module, "MAX_GRID_FLOATS", 8 * 32**2 - 1)

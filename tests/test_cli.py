@@ -321,16 +321,16 @@ class TestOtherCommands:
         assert code == 4
         record = json.loads(err.splitlines()[-1])
         assert (record["error"], record["message"]) == (error, "seed must be an integer >= 0, got -1")
-        assert not any(r["type"] == "result" for r in records(out))
+        assert out == ""
 
     def test_simulate_rejects_zero_episodes(self, capsys, tmp_path):
         policy = tmp_path / "tiger.policy"
         run(capsys, ["solve", "--problem", "tiger", "--horizon", "2", "--output", str(policy)])
-        code, _, err = run(
+        code, out, err = run(
             capsys,
             ["simulate", "--problem", "tiger", "--horizon", "2", "--policy", str(policy), "--episodes", "0"],
         )
-        assert code == 4
+        assert (code, out) == (4, "")
         assert "episodes must be an integer >= 1" in err
 
     def test_evaluate_and_simulate_agree(self, capsys, tmp_path):
@@ -498,17 +498,25 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["--max-candidates", "0"], "max_candidates must be an integer >= 1, got 0"),
-            (["--max-pairs", "-3"], "max_pairs must be an integer >= 1, got -3"),
+            (["exact", "--max-candidates", "0"], "max_candidates must be an integer >= 1, got 0"),
+            (["exact", "--max-pairs", "-3"], "max_pairs must be an integer >= 1, got -3"),
+            (["solve", "--max-trees", "0"], "max_trees must be an integer >= 1, got 0"),
+            (["solve", "--max-obs", "0"], "max_obs must be an integer >= 1, got 0"),
+            (["bound", "--max-obs", "0"], "max_obs must be an integer >= 1, got 0"),
+            (["bench", "--max-trees", "0"], "max_trees must be an integer >= 1, got 0"),
         ],
     )
-    def test_bad_exact_caps_exit_four(self, capsys, argv, message):
-        code, out, err = run(capsys, ["exact", "--problem", "tiger", "--format", "records", *argv])
-        assert code == 4
-        assert not any(r["type"] == "result" for r in records(out))
-        assert records(err) == [
-            {"schema": 1, "type": "error", "error": "ConfigError", "message": message}
-        ]
+    @pytest.mark.parametrize("form", ["records", "human"])
+    def test_bad_options_exit_four_with_stdout_empty(self, capsys, argv, message, form):
+        # no meta record, or bench header, comes before the refusal
+        code, out, err = run(capsys, [*argv, "--problem", "tiger", "--format", form])
+        assert (code, out) == (4, "")
+        if form == "records":
+            assert records(err) == [
+                {"schema": 1, "type": "error", "error": "ConfigError", "message": message}
+            ]
+        else:
+            assert err == f"error (ConfigError): {message}\n"
 
     def test_boxpush_tables_past_the_cap_exit_three(self, capsys, monkeypatch):
         # the default layout's T, O and R: 16 joint actions x 100 states x

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import re
@@ -29,13 +30,14 @@ from mbdp import (
     serialize_policy,
     uniform_random_value,
 )
-import mbdp.backup as backup_module
 import mbdp.errors as errors_module
 import mbdp.solver as solver_module
 
 import _reference as ref
 from conftest import random_model, three_agent_model, traced_peak_mb
 
+# three agents with one observation for the last
+THREE_SMALL = dict(action_counts=(2, 2, 2), obs_counts=(2, 2, 1))
 
 def best_over_seeds(solve, model, cfg, seeds):
     return max(solve(model, replace(cfg, seed=s)).value for s in seeds)
@@ -152,7 +154,7 @@ class TestExact:
         # the default caps stop these where they always have
         with pytest.raises(CapacityError, match="level 4 needs a 1073741824-tuple"):
             exact_solve(replace(mabc, horizon=5))
-        with pytest.raises(CapacityError, match="level 4 needs 2091675 trees for agent 0"):
+        with pytest.raises(CapacityError, match="level 4 needs 2172603 trees for agent 0"):
             exact_solve(replace(tiger, horizon=4))
 
 
@@ -395,26 +397,28 @@ class TestPlanner:
         assert traced_peak_mb(solve) < 1
 
     @pytest.mark.parametrize(
-        "model, max_obs, cap, what, floats, sizes",
+        "model, max_obs, cap, level, what, floats, sizes",
         [
             # the top level's 32 x 4 grid fits, and agent 0's one-hot rows,
             # 32 rows of 2 actions x 4 observations x 2 donors, do not
-            (random_model(0, num_states=2, obs_counts=(4, 1), horizon=2), None, 128,
+            (random_model(0, num_states=2, obs_counts=(4, 1), horizon=2), None, 128, 2,
              "one-hot rows", 512, (32, 4)),
-            (random_model(0, num_states=2, obs_counts=(4, 1), horizon=2), 4, 128,
+            (random_model(0, num_states=2, obs_counts=(4, 1), horizon=2), 4, 128, 2,
              "one-hot rows", 512, (32, 4)),
-            (random_model(0, num_states=2, obs_counts=(4, 1), horizon=2), 1, 16,
+            (random_model(0, num_states=2, obs_counts=(4, 1), horizon=2), 1, 16, 2,
              "one-hot rows", 64, (4, 4)),
-            # level 2's two beliefs score 8 x 8 tuples; the picks' children
-            # weighted per joint observation, joint action and state do not fit
-            (random_model(0, num_states=3, horizon=3), None, 128, "weighted children", 192, (8, 8)),
-            (random_model(0, num_states=3, horizon=3), 2, 128, "weighted children", 192, (8, 8)),
+            # three agents: the top level's 8 x 8 x 4 grid fits (4 x 4 x 4
+            # budgeted), and level 1's 2 x 2 x 2 picks' vectors of 40 states do not
+            (random_model(0, num_states=40, horizon=2, **THREE_SMALL), None, 256, 1,
+             "picked values", 320, (2, 2, 2)),
+            (random_model(0, num_states=40, horizon=2, **THREE_SMALL), 1, 256, 1,
+             "picked values", 320, (2, 2, 2)),
         ],
         ids=["one-hot-mbdp", "one-hot-improved-full", "one-hot-improved-budget",
-             "weighted-mbdp", "weighted-improved-full"],
+             "picked-mbdp", "picked-improved-budget"],
     )
     def test_plan_refuses_arrays_past_the_cap_while_the_grid_fits(
-        self, monkeypatch, model, max_obs, cap, what, floats, sizes
+        self, monkeypatch, model, max_obs, cap, level, what, floats, sizes
     ):
         cfg = SolverConfig(max_trees=2, max_obs=max_obs)
         solve = mbdp if max_obs is None else improved_mbdp
@@ -428,33 +432,30 @@ class TestPlanner:
         def sample(*args):
             raise AssertionError("selection beliefs drawn before the plan")
 
-        message = f"level 2 would take {floats} floats for its {what}, tables {sizes} (cap {cap})"
+        message = f"level {level} would take {floats} floats for its {what}, tables {sizes} (cap {cap})"
         with monkeypatch.context() as patch:
             patch.setattr(errors_module, "MAX_GRID_FLOATS", cap)
             patch.setattr(solver_module, "selection_beliefs", sample)
             with pytest.raises(CapacityError, match=f"^{re.escape(message)}"):
                 solve(model, cfg)
-        # the plan counts the solve's largest one-hot rows, and bounds its
-        # weighted children from the joint actions the picks can take
-        built = {"one-hot rows": [], "weighted children": []}
-        table_rows, weighted_stack = solver_module.table_rows, backup_module.weighted_stack
+        # the plan counts the solve's largest one-hot rows and picked values
+        built = {"one-hot rows": [], "picked values": []}
+        table_rows, picked_values = solver_module.table_rows, solver_module.picked_values
 
         def rows_spy(*args):
             one_hot, terms = table_rows(*args)
             built["one-hot rows"].append(max(x.size for x in one_hot))
             return one_hot, terms
 
-        def stack_spy(*args):
-            out = weighted_stack(*args)
-            built["weighted children"].append(out.size)
+        def values_spy(*args):
+            out = picked_values(*args)
+            built["picked values"].append(out.size)
             return out
 
         monkeypatch.setattr(solver_module, "table_rows", rows_spy)
-        monkeypatch.setattr(backup_module, "weighted_stack", stack_spy)
+        monkeypatch.setattr(solver_module, "picked_values", values_spy)
         solve(model, cfg)
-        assert max(built[what]) <= floats
-        if what == "one-hot rows":
-            assert max(built[what]) == floats
+        assert max(built[what]) == floats
 
 
 class TestEquivalence:
@@ -645,6 +646,44 @@ def test_rounds_match_reference_round(problem, horizon, solve, cfg):
     value, policy = max(rounds, key=lambda r: r[0])
     assert report.value == value
     assert serialize_policy(model, report.policy) == serialize_policy(model, policy)
+
+
+@functools.cache
+def invariant_model(problem):
+    builder, horizon = {
+        "tiger": (build_tiger, 10),
+        "mabc": (build_mabc, 100),
+        "boxpush": (build_boxpush, 10),
+        "three-agent": (three_agent_model, 6),
+    }[problem]
+    return builder(horizon=horizon)
+
+
+def assert_reports_its_evaluated_value(model, solve, cfg):
+    report = solve(model, cfg)
+    assert report.value == evaluate_at_belief(model, report.policy, model.initial_belief)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("max_obs", [None, 1, 2, 3])
+@pytest.mark.parametrize("problem", ["tiger", "mabc", "boxpush", "three-agent"])
+def test_reported_value_is_the_evaluated_value_bit_for_bit(problem, max_obs, seed):
+    # the planner values its picks with the evaluator's kernel, one tuple
+    # at a time, so the winner's value has the evaluator's bits
+    solve = mbdp if max_obs is None else improved_mbdp
+    assert_reports_its_evaluated_value(
+        invariant_model(problem), solve, SolverConfig(max_obs=max_obs, seed=seed)
+    )
+
+
+@pytest.mark.parametrize(
+    "problem,solve,cfg",
+    [("mabc", mbdp, SolverConfig(max_trees=3, heuristics=("random",), seed=seed)) for seed in range(10)]
+    + [("boxpush", improved_mbdp, SolverConfig(max_obs=2, recursion_depth=1))],
+    ids=[f"mabc-full-seed{seed}" for seed in range(10)] + ["boxpush-replay"],
+)
+def test_reported_value_is_the_evaluated_value_on_benchmark_configs(problem, solve, cfg):
+    assert_reports_its_evaluated_value(invariant_model(problem), solve, cfg)
 
 
 @pytest.mark.parametrize(
